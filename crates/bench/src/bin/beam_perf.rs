@@ -7,17 +7,20 @@
 //! Every case asserts that the grouped build's search output is identical
 //! to the per-edge reference build's, and records the index's
 //! `CompatStats` (edge-group and state-pair dedup, stored vs avoided
-//! successor entries) in the artifact.
+//! successor entries) and the search's per-level `LevelStats` (generated
+//! vs kept candidates and cycles) in the artifact. The last case is the
+//! campaign-shaped one: every relationship observed in five tests, so
+//! the in-expansion dedup has duplicates to drop.
 //!
 //! Run with `cargo run --release -p csnake-bench --bin beam_perf`; set
-//! `CSNAKE_PERF_SMOKE=1` to run the reduced CI set (the smallest case
-//! plus the n=10k case, fewer samples).
+//! `CSNAKE_PERF_SMOKE=1` to run the reduced CI set (the smallest case,
+//! the n=10k case and the multi-test case, fewer samples).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use csnake_bench::{synthetic_db, watchdog};
+use csnake_bench::{multi_test_db, synthetic_db, watchdog, MULTI_TEST_STEPS};
 use csnake_core::beam::{beam_search_reference, BeamConfig};
 use csnake_core::{CausalDb, StitchIndex};
 
@@ -40,6 +43,9 @@ struct Case {
     n_faults: u32,
     fanout: u32,
     loop_share: f64,
+    /// 1: `synthetic_db`; more: `multi_test_db` with that many witnesses
+    /// per relationship.
+    tests_per_relationship: u32,
     with_reference: bool,
     samples: usize,
 }
@@ -60,6 +66,7 @@ fn main() {
             n_faults: 120,
             fanout: 3,
             loop_share: 0.0,
+            tests_per_relationship: 1,
             with_reference: true,
             samples: base_samples,
         },
@@ -67,6 +74,7 @@ fn main() {
             n_faults: 500,
             fanout: 6,
             loop_share: 0.3,
+            tests_per_relationship: 1,
             with_reference: false,
             samples: base_samples,
         },
@@ -74,6 +82,7 @@ fn main() {
             n_faults: 1000,
             fanout: 6,
             loop_share: 0.3,
+            tests_per_relationship: 1,
             with_reference: false,
             samples: base_samples,
         },
@@ -84,12 +93,24 @@ fn main() {
             n_faults: 10_000,
             fanout: 6,
             loop_share: 0.3,
+            tests_per_relationship: 1,
             with_reference: false,
             samples: if smoke { 1 } else { 3 },
         },
+        // The campaign-shaped case: 5 000 edges that are 1 000
+        // relationships, thousands of cycles.
+        Case {
+            n_faults: 200,
+            fanout: MULTI_TEST_STEPS.len() as u32,
+            loop_share: 0.0,
+            tests_per_relationship: 5,
+            with_reference: false,
+            samples: base_samples,
+        },
     ];
     if smoke {
-        // Keep the reference-checked small case and the n≥10k case.
+        // Keep the reference-checked small case, the n≥10k case and the
+        // multi-test case.
         cases.remove(2);
         cases.remove(1);
     }
@@ -108,12 +129,16 @@ fn main() {
     writeln!(body, "  \"cases\": [").unwrap();
 
     for (i, case) in cases.iter().enumerate() {
-        let db = synthetic_db(case.n_faults, case.fanout, case.loop_share);
+        let db = match case.tests_per_relationship {
+            1 => synthetic_db(case.n_faults, case.fanout, case.loop_share),
+            k => multi_test_db(case.n_faults, k),
+        };
         eprintln!(
-            "case n={} fanout={} loop_share={} ({} edges)",
+            "case n={} fanout={} loop_share={} tests/relationship={} ({} edges)",
             case.n_faults,
             case.fanout,
             case.loop_share,
+            case.tests_per_relationship,
             db.len()
         );
         let samples = case.samples;
@@ -143,7 +168,7 @@ fn main() {
         let wd = watchdog::guard(&format!("beam:n={}:search", case.n_faults));
         let index = StitchIndex::build(&db, cfg.threads);
         let search_ns = median_ns(samples, || index.search(&|_| 0.5, &cfg).len());
-        let cycles_found = index.search(&|_| 0.5, &cfg);
+        let (cycles_found, levels) = index.search_with_stats(&|_| 0.5, &cfg);
         let reference_index = StitchIndex::build_reference(&db, cfg.threads);
         assert_eq!(
             cycles_found,
@@ -174,6 +199,12 @@ fn main() {
         writeln!(body, "      \"n_faults\": {},", case.n_faults).unwrap();
         writeln!(body, "      \"fanout\": {},", case.fanout).unwrap();
         writeln!(body, "      \"loop_share\": {},", case.loop_share).unwrap();
+        writeln!(
+            body,
+            "      \"tests_per_relationship\": {},",
+            case.tests_per_relationship
+        )
+        .unwrap();
         writeln!(body, "      \"edges\": {},", db.len()).unwrap();
         writeln!(body, "      \"cycles_found\": {cycles},").unwrap();
         writeln!(body, "      \"compat\": {{").unwrap();
@@ -214,6 +245,17 @@ fn main() {
         )
         .unwrap();
         writeln!(body, "      }},").unwrap();
+        writeln!(body, "      \"levels\": [").unwrap();
+        for (l, s) in levels.iter().enumerate() {
+            let comma = if l + 1 < levels.len() { "," } else { "" };
+            writeln!(
+                body,
+                "        {{\"frontier\": {}, \"candidates_generated\": {}, \"candidates_kept\": {}, \"cycles_raw\": {}, \"cycles_kept\": {}}}{comma}",
+                s.frontier, s.candidates_generated, s.candidates_kept, s.cycles_raw, s.cycles_kept
+            )
+            .unwrap();
+        }
+        writeln!(body, "      ],").unwrap();
         writeln!(body, "      \"stages_ns\": {{").unwrap();
         writeln!(body, "        \"db_push_dedup\": {dedup_ns},").unwrap();
         writeln!(body, "        \"index_build\": {index_ns},").unwrap();

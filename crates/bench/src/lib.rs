@@ -248,6 +248,44 @@ pub fn synthetic_db(n_faults: u32, fanout: u32, loop_share: f64) -> csnake_core:
     csnake_core::CausalDb::from_edges(edges)
 }
 
+/// Steps around the fault ring that [`multi_test_db`] links.
+pub const MULTI_TEST_STEPS: [i64; 5] = [1, 2, 3, -1, -2];
+
+/// A campaign-shaped database: every relationship is observed in `tests`
+/// tests, as on a real target, where [`synthetic_db`] observes each once.
+///
+/// Each fault causes the faults [`MULTI_TEST_STEPS`] away on a ring of
+/// `n_faults`, with one compatibility state per fault, so every witness
+/// of a relationship stitches alike: past the seeds a level generates
+/// `tests` structurally equal candidates per distinct chain (≈ 5 : 1 at
+/// `tests = 5`, what `mini-hdfs3` shows), and the mixed-sign steps close
+/// thousands of short cycles, each found once per rotation and witness.
+pub fn multi_test_db(n_faults: u32, tests: u32) -> csnake_core::CausalDb {
+    use csnake_core::{CausalEdge, CompatState, EdgeKind};
+    use csnake_inject::{FaultId, FnId, Occurrence, TestId};
+
+    let state =
+        |f: u32| CompatState::Occurrences(vec![Occurrence::new([Some(FnId(f)), None], vec![])]);
+    let mut edges = Vec::new();
+    for c in 0..n_faults {
+        for step in MULTI_TEST_STEPS {
+            let e = (c as i64 + step).rem_euclid(n_faults as i64) as u32;
+            for t in 0..tests {
+                edges.push(CausalEdge {
+                    cause: FaultId(c),
+                    effect: FaultId(e),
+                    kind: EdgeKind::EI,
+                    test: TestId(t),
+                    phase: 1,
+                    cause_state: state(c),
+                    effect_state: state(e),
+                });
+            }
+        }
+    }
+    csnake_core::CausalDb::from_edges(edges)
+}
+
 /// Every how-many-th fault gets a cycle-closing back edge in
 /// [`synthetic_db`].
 pub const BACK_EDGE_STRIDE: u32 = 16;

@@ -199,9 +199,11 @@
 //!   two byte-identical across thread counts.
 //! * **Per search level** — expansion is `O(F·d)` integer work (arena
 //!   membership walk ≤ `max_len`, O(1) chain extension, rolling 128-bit
-//!   structural hash); frontier dedup is hash-set insertion per candidate;
-//!   the beam cut is `select_nth_unstable` (`O(F·d)` expected) plus an
-//!   `O(B log B)` sort of survivors only.
+//!   structural hash); structural dedup is one hash-set probe per
+//!   extension *inside* the expansion, so only distinct candidates and
+//!   distinct cycle keys are ever buffered (at most `2·B` candidates per
+//!   range); the beam cut is `select_nth_unstable` over the distinct
+//!   candidates plus an `O(B log B)` sort of survivors only.
 //! * **Equivalence** — `tests/beam_equivalence.rs` proves the indexed
 //!   search byte-identical to [`beam_search_reference`] (cycles, scores,
 //!   order) across randomized databases and both ablation knobs.
@@ -262,7 +264,7 @@ pub use snapshot::{
     fnv1a_bytes, registry_fingerprint, write_file_bytes, Persist, Reader, Snapshot, Writer,
     SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
 };
-pub use stitch::{CompatStats, StitchIndex};
+pub use stitch::{CompatStats, LevelStats, StitchIndex};
 pub use target::{KnownBug, TargetSystem, TestCase};
 pub use workload::{WorkloadSummary, WorkloadWindow, INFLECTION_FACTOR};
 

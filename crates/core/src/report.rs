@@ -1,8 +1,6 @@
 //! Detection reports: cycle composition, ground-truth matching, TP/FP
 //! accounting (§8.1, §8.4).
 
-use std::collections::BTreeSet;
-
 use csnake_inject::{FaultId, FaultKind, Registry, TestId};
 use serde::{Deserialize, Serialize};
 
@@ -33,14 +31,18 @@ impl std::fmt::Display for Composition {
     }
 }
 
-/// Computes the injection composition of a cycle.
-pub fn composition(cycle: &Cycle, db: &CausalDb, reg: &Registry) -> Composition {
-    let mut seen = BTreeSet::new();
+/// Sorted, distinct injected faults of a cycle.
+fn distinct_injected(cycle: &Cycle, db: &CausalDb) -> Vec<FaultId> {
+    let mut faults: Vec<FaultId> = cycle.injected_faults(db).collect();
+    faults.sort_unstable();
+    faults.dedup();
+    faults
+}
+
+/// Composition of a set of distinct injected faults.
+fn composition_of(injected: &[FaultId], reg: &Registry) -> Composition {
     let mut c = Composition::default();
-    for f in cycle.injected_faults(db) {
-        if !seen.insert(f) {
-            continue;
-        }
+    for &f in injected {
         match reg.point(f).kind {
             FaultKind::LoopPoint => c.delays += 1,
             FaultKind::Throw | FaultKind::LibCall => c.exceptions += 1,
@@ -48,6 +50,11 @@ pub fn composition(cycle: &Cycle, db: &CausalDb, reg: &Registry) -> Composition 
         }
     }
     c
+}
+
+/// Computes the injection composition of a cycle.
+pub fn composition(cycle: &Cycle, db: &CausalDb, reg: &Registry) -> Composition {
+    composition_of(&distinct_injected(cycle, db), reg)
 }
 
 /// A detected known bug.
@@ -144,26 +151,54 @@ fn cycle_phase(cycle: &Cycle, db: &CausalDb) -> u8 {
         .unwrap_or(0)
 }
 
-/// `true` if the cycle touches every label of the bug.
-fn cycle_matches_bug(cycle: &Cycle, db: &CausalDb, reg: &Registry, bug: &KnownBug) -> bool {
-    let labels: BTreeSet<&str> = cycle
-        .all_faults(db)
-        .into_iter()
-        .map(|f| reg.point(f).label)
-        .collect();
-    bug.labels.iter().all(|l| labels.contains(l))
+/// The labels as a sorted, distinct set.
+fn label_set(labels: impl Iterator<Item = &'static str>) -> Vec<&'static str> {
+    let mut labels: Vec<&'static str> = labels.collect();
+    labels.sort_unstable();
+    labels.dedup();
+    labels
 }
 
-/// Strict form used for cluster verdicts: the cycle's *injected* fault
-/// labels are exactly the bug's label set (no unrelated faults riding
-/// along), mirroring the paper's manual cluster inspection (§8.4.1).
-fn cycle_matches_bug_exactly(cycle: &Cycle, db: &CausalDb, reg: &Registry, bug: &KnownBug) -> bool {
-    let labels: BTreeSet<&str> = cycle
-        .injected_faults(db)
-        .map(|f| reg.point(f).label)
-        .collect();
-    let want: BTreeSet<&str> = bug.labels.iter().copied().collect();
-    labels == want
+/// What ground-truth matching asks of one cycle, resolved once per report
+/// instead of once per (cycle, bug) comparison.
+struct CycleFacts {
+    /// Sorted, distinct labels of every fault the cycle touches.
+    all_labels: Vec<&'static str>,
+    /// Sorted, distinct labels of the cycle's injected faults.
+    injected_labels: Vec<&'static str>,
+    composition: Composition,
+}
+
+impl CycleFacts {
+    fn of(cycle: &Cycle, db: &CausalDb, reg: &Registry) -> CycleFacts {
+        let injected = distinct_injected(cycle, db);
+        CycleFacts {
+            all_labels: label_set(cycle.all_faults(db).iter().map(|&f| reg.point(f).label)),
+            injected_labels: label_set(injected.iter().map(|&f| reg.point(f).label)),
+            composition: composition_of(&injected, reg),
+        }
+    }
+
+    /// `true` if the cycle touches every label of the bug.
+    fn matches_bug(&self, bug: &KnownBug) -> bool {
+        bug.labels
+            .iter()
+            .all(|l| self.all_labels.binary_search(l).is_ok())
+    }
+
+    /// Strict form used for cluster verdicts: the cycle's *injected* fault
+    /// labels are exactly the bug's label set (`want`: sorted, distinct) —
+    /// no unrelated faults riding along, mirroring the paper's manual
+    /// cluster inspection (§8.4.1).
+    fn matches_bug_exactly(&self, want: &[&'static str]) -> bool {
+        self.injected_labels == want
+    }
+
+    /// Distinct injections in the cycle.
+    fn injections(&self) -> usize {
+        let c = self.composition;
+        c.delays + c.exceptions + c.negations
+    }
 }
 
 /// `true` if the cycle is pure expected contention: every injected fault is
@@ -196,12 +231,19 @@ pub fn build_report(
     let bugs = target.known_bugs();
     let expected = target.expected_contention_labels();
 
+    let facts: Vec<CycleFacts> = cycles.iter().map(|c| CycleFacts::of(c, db, &reg)).collect();
+    let wanted: Vec<Vec<&'static str>> = bugs
+        .iter()
+        .map(|b| label_set(b.labels.iter().copied()))
+        .collect();
+
     let mut verdicts = Vec::with_capacity(clusters.len());
     for cl in &clusters {
         let mut verdict = ClusterVerdict::FalsePositive;
         let tp = cl.cycle_idxs.iter().any(|&ci| {
-            bugs.iter()
-                .any(|b| cycle_matches_bug_exactly(&cycles[ci], db, &reg, b))
+            wanted
+                .iter()
+                .any(|want| facts[ci].matches_bug_exactly(want))
         });
         if tp {
             verdict = ClusterVerdict::TruePositive;
@@ -221,19 +263,17 @@ pub fn build_report(
     for bug in bugs {
         // Prefer the *minimal* matching cycle (fewest injections), then the
         // lowest (most conditional) score.
-        let best = cycles
+        let best = facts
             .iter()
             .enumerate()
-            .filter(|(_, c)| cycle_matches_bug(c, db, &reg, &bug))
-            .min_by(|(_, a), (_, b)| {
-                let ka = composition(a, db, &reg);
-                let kb = composition(b, db, &reg);
-                let na = ka.delays + ka.exceptions + ka.negations;
-                let nb = kb.delays + kb.exceptions + kb.negations;
-                na.cmp(&nb).then(a.score.total_cmp(&b.score))
+            .filter(|(_, f)| f.matches_bug(&bug))
+            .min_by(|(a, fa), (b, fb)| {
+                fa.injections()
+                    .cmp(&fb.injections())
+                    .then(cycles[*a].score.total_cmp(&cycles[*b].score))
             });
         match best {
-            Some((ci, cycle)) => {
+            Some((ci, f)) => {
                 let cluster_idx = clusters
                     .iter()
                     .position(|cl| cl.cycle_idxs.contains(&ci))
@@ -242,8 +282,8 @@ pub fn build_report(
                     bug,
                     cluster_idx,
                     cycle_idx: ci,
-                    phase: cycle_phase(cycle, db),
-                    composition: composition(cycle, db, &reg),
+                    phase: cycle_phase(&cycles[ci], db),
+                    composition: f.composition,
                 });
             }
             None => undetected.push(bug),
@@ -347,8 +387,11 @@ mod tests {
             summary: "s",
             labels: vec!["loop_a", "missing_label"],
         };
-        assert!(cycle_matches_bug(&cycle, &db, &reg, &full));
-        assert!(!cycle_matches_bug(&cycle, &db, &reg, &partial_extra));
+        let facts = CycleFacts::of(&cycle, &db, &reg);
+        assert!(facts.matches_bug(&full));
+        assert!(!facts.matches_bug(&partial_extra));
+        assert!(facts.matches_bug_exactly(&["ioe_b", "loop_a"]));
+        assert!(!facts.matches_bug_exactly(&["loop_a"]));
     }
 
     #[test]

@@ -38,12 +38,31 @@
 //!   pairs), so extension is O(1) and the membership test walks at most
 //!   `max_len` parents. Nodes are only materialised for chains that survive
 //!   beam selection, bounding the arena at `beam_size · max_len` entries.
-//! * **Hashed dedup + top-B selection** — structural frontier dedup uses
-//!   128-bit rolling hashes of the `(cause, effect, kind)` sequence instead
-//!   of allocating a key `Vec` per chain, and the beam cut uses
-//!   `select_nth_unstable_by` (O(n) expected) followed by a sort of the
-//!   surviving `B` entries, which reproduces the reference semantics
-//!   (stable score order) without sorting the whole frontier.
+//! * **Dedup at the source + top-B selection** — a relationship observed
+//!   in `k` tests yields `k` structurally equal extensions of every chain
+//!   that reaches it (5.5 : 1 on `mini-hdfs3`), so duplicates are dropped
+//!   where they are generated, not after. Each expansion range keeps a
+//!   set of the 128-bit rolling hashes of the `(cause, effect, kind)`
+//!   sequences it has emitted and never emits a second candidate with a
+//!   seen key; once it holds `2·B` distinct candidates it cuts itself back
+//!   to its `B` best by (score, insertion order) and from then on drops
+//!   any candidate scoring no better than the worst survivor. The cut is
+//!   safe because equal key ⇒ equal score. Whatever a range drops has `B`
+//!   distinct keys ranked ahead of it inside the range, and the level-wide
+//!   first occurrences of those keys rank no later, so it was never in the
+//!   level's top `B`. The level merge then dedups only *across* ranges
+//!   (first occurrence wins, as in the reference), cuts the beam with
+//!   `select_nth_unstable_by` (O(n) expected) and sorts the surviving `B`
+//!   ranks, which reproduces the reference semantics (stable score order)
+//!   without sorting the whole frontier.
+//! * **Commutative cycle keys** — closing extensions get the same
+//!   treatment: a 128-bit multiset key (lane-wise wrapping sum of per-edge
+//!   words finalized once at index build) is accumulated by the
+//!   ≤ `max_len` arena walk at closure time, equal for every rotation and
+//!   every witness of one relationship multiset. Ranges, then levels, keep
+//!   first occurrences by key; only those are materialised as edge paths
+//!   and handed to the exact `finalize_cycles` dedup, which therefore
+//!   keeps the very representatives it always kept.
 //! * **Persistent workers** — a scope-borrowed [`ScopedPool`] (the shared
 //!   `csnake_core::pool` module, also used by the experiment driver) is
 //!   spawned lazily (first level whose frontier is large enough to
@@ -63,15 +82,18 @@
 //! `O(n·k log k)`, runs exactly `q` verdict merges (each `O(k)`, sharded
 //! over workers with no duplicated work), and assembles `g` successor
 //! lists — `O(Σ_g out(f_g))` integer filtering — instead of `n` lists
-//! with up to `w·q` merges. Per level the search does
-//! `O(frontier · fanout)` integer work plus an `O(n)` selection, instead
-//! of the old `O(n log n)` sort + `O(len)` clone + `O(s²)` compatibility
-//! per candidate.
+//! with up to `w·q` merges. Per level the search still does
+//! `O(frontier · fanout)` integer work (one set probe per extension,
+//! spread over the workers), but holds only `O(ranges · min(distinct, 2B))`
+//! candidates and `O(ranges · distinct cycles)` cycle refs: nothing is
+//! sized by `frontier · fanout`, and the serial merge — cross-range
+//! dedup, `O(n)` selection, materialisation — sees distinct entries only.
+//! [`LevelStats`] reports generated against kept, per level.
 
 use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 
 use csnake_inject::FaultId;
 
@@ -82,10 +104,6 @@ use crate::pool::{chunk_ranges, run_ordered, ScopedPool};
 
 /// Sentinel for "no parent" in the chain arena.
 const NONE: u32 = u32::MAX;
-
-/// What one frontier-range expansion returns: candidate extensions plus
-/// discovered cycles.
-type Expansion = (Vec<Candidate>, Vec<CycleRef>);
 
 /// Frontiers below this size expand inline: the per-level hand-off to the
 /// worker pool costs more than the expansion itself.
@@ -227,6 +245,22 @@ impl Hash128 {
         (a.finish(), b.finish())
     }
 
+    /// The per-edge word pair of the commutative cycle key: the
+    /// structural words through a 64-bit finalizer (Murmur3's `fmix64`),
+    /// so that a wrapping *sum* of them — order-free, hence equal for
+    /// every rotation and every choice of witnessing test — still spreads
+    /// over all 128 bits.
+    fn cycle_words((w1, w2): (u64, u64)) -> (u64, u64) {
+        fn fmix64(mut x: u64) -> u64 {
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            x ^ (x >> 33)
+        }
+        (fmix64(w1), fmix64(w2))
+    }
+
     #[inline]
     fn key(self) -> u128 {
         (self.h1 as u128) << 64 | self.h2 as u128
@@ -292,6 +326,9 @@ pub struct StitchIndex {
     /// Pre-mixed structural hash word pair per edge (see
     /// [`Hash128::edge_words`]).
     struct_word: Vec<(u64, u64)>,
+    /// Commutative cycle-key word pair per edge (see
+    /// [`Hash128::cycle_words`]).
+    cycle_word: Vec<(u64, u64)>,
     /// Dense id of each edge's cause fault.
     cause_dense: Vec<u32>,
     /// Dense id of each edge's effect fault (index into `fault_out_off`).
@@ -319,6 +356,7 @@ struct BuildPrelude {
     kind: Vec<EdgeKind>,
     delay_w: Vec<u8>,
     struct_word: Vec<(u64, u64)>,
+    cycle_word: Vec<(u64, u64)>,
     cause_dense: Vec<u32>,
     effect_dense: Vec<u32>,
     fault_out_off: Vec<u32>,
@@ -336,12 +374,15 @@ fn build_prelude(db: &CausalDb) -> BuildPrelude {
     let mut kind = Vec::with_capacity(n);
     let mut delay_w = Vec::with_capacity(n);
     let mut struct_word = Vec::with_capacity(n);
+    let mut cycle_word = Vec::with_capacity(n);
     for e in db.edges() {
         cause.push(e.cause);
         effect.push(e.effect);
         kind.push(e.kind);
         delay_w.push(u8::from(e.kind.is_injection() && e.kind.cause_is_delay()));
-        struct_word.push(Hash128::edge_words(e.cause, e.effect, e.kind));
+        let words = Hash128::edge_words(e.cause, e.effect, e.kind);
+        struct_word.push(words);
+        cycle_word.push(Hash128::cycle_words(words));
     }
 
     // Dense fault interning (order of first appearance).
@@ -396,6 +437,7 @@ fn build_prelude(db: &CausalDb) -> BuildPrelude {
         kind,
         delay_w,
         struct_word,
+        cycle_word,
         cause_dense,
         effect_dense,
         fault_out_off,
@@ -610,6 +652,7 @@ impl StitchIndex {
             kind: p.kind,
             delay_w: p.delay_w,
             struct_word: p.struct_word,
+            cycle_word: p.cycle_word,
             cause_dense: p.cause_dense,
             effect_dense: p.effect_dense,
             fault_out_off: p.fault_out_off,
@@ -690,6 +733,7 @@ impl StitchIndex {
             kind: p.kind,
             delay_w: p.delay_w,
             struct_word: p.struct_word,
+            cycle_word: p.cycle_word,
             cause_dense: p.cause_dense,
             effect_dense: p.effect_dense,
             fault_out_off: p.fault_out_off,
@@ -704,20 +748,19 @@ impl StitchIndex {
     /// Runs the indexed beam search; observably equivalent to
     /// [`beam_search_reference`](crate::beam::beam_search_reference).
     pub fn search(&self, sim_of: &(dyn Fn(FaultId) -> f64 + Sync), cfg: &BeamConfig) -> Vec<Cycle> {
-        let raw = self.search_raw(sim_of, cfg);
-        finalize_cycles(raw, |i| (self.cause[i], self.effect[i], self.kind[i] as u8))
+        self.search_with_stats(sim_of, cfg).0
     }
 
-    /// The search loop, returning raw chains before structural cycle
-    /// deduplication.
-    fn search_raw(
+    /// [`StitchIndex::search`], plus one [`LevelStats`] per level (the
+    /// seeding level first).
+    pub fn search_with_stats(
         &self,
         sim_of: &(dyn Fn(FaultId) -> f64 + Sync),
         cfg: &BeamConfig,
-    ) -> Vec<RawChain> {
+    ) -> (Vec<Cycle>, Vec<LevelStats>) {
         let n = self.len();
         if n == 0 {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         // Chain lengths are stored in a byte; the paper's configurations
         // cap chains at single digits, so 255 is far beyond practical use.
@@ -750,6 +793,7 @@ impl StitchIndex {
             sim: &sim,
             use_compat,
             max_len: cfg.max_len,
+            beam_size: cfg.beam_size,
             cap,
             arena: RwLock::new(ChainArena::default()),
             frontier: RwLock::new(Vec::new()),
@@ -759,6 +803,10 @@ impl StitchIndex {
         // edges are already cycles. No beam cut before the first expansion,
         // matching the reference.
         let mut cycles: Vec<CycleRef> = Vec::new();
+        // One scratch serves the seeding, the inline expansions and the
+        // level merges: they never overlap.
+        let mut scratch = DedupScratch::default();
+        let mut seeds = LevelStats::default();
         {
             let mut arena = shared.arena.write().expect("arena lock");
             let mut frontier = shared.frontier.write().expect("frontier lock");
@@ -768,12 +816,17 @@ impl StitchIndex {
                     continue;
                 }
                 if self.continues(i, i, use_compat) {
-                    cycles.push(CycleRef {
-                        parent: NONE,
-                        edge: i,
-                        len: 1,
-                        score_sum: sim[i as usize],
-                    });
+                    seeds.cycles_raw += 1;
+                    let key = arena.cycle_key(&self.cycle_word, NONE, i);
+                    if scratch.cycle_seen.insert(key) {
+                        cycles.push(CycleRef {
+                            parent: NONE,
+                            edge: i,
+                            len: 1,
+                            score_sum: sim[i as usize],
+                            key,
+                        });
+                    }
                 } else {
                     let node = arena.push(i, NONE);
                     frontier.push(Frontier {
@@ -787,15 +840,30 @@ impl StitchIndex {
                     });
                 }
             }
+            seeds.candidates_generated = frontier.len();
+            seeds.candidates_kept = frontier.len();
+            seeds.cycles_kept = cycles.len();
         }
+        let mut levels = vec![seeds];
 
         // Workers expand disjoint index ranges of the shared frontier; the
         // dispatch moves a `Range<usize>` per job instead of memcpying
-        // `Frontier` chunks, and the pool reassembles results in range
-        // order, so parallel expansion stays bit-identical to sequential.
+        // `Frontier` chunks, and the pool hands results back in range
+        // order, so "first occurrence" means the same thing as in a
+        // sequential run. Jobs hand their scratch on to the next job: a set
+        // regrown from empty per job cost more than the probes it served.
+        let spare: Mutex<Vec<DedupScratch>> = Mutex::new(Vec::new());
         let expand_range = |range: Range<usize>| -> Expansion {
             let frontier = shared.frontier.read().expect("frontier lock");
-            expand_chunk(&shared, &frontier[range])
+            let mut out = Expansion::default();
+            let mut scratch = spare
+                .lock()
+                .expect("scratch lock")
+                .pop()
+                .unwrap_or_default();
+            expand_into(&shared, &frontier[range], &mut out, &mut scratch);
+            spare.lock().expect("scratch lock").push(scratch);
+            out
         };
 
         // Run the levels inside one scope so lazily-spawned workers can
@@ -806,56 +874,37 @@ impl StitchIndex {
         let workers = cfg.threads.min(crate::pool::hardware_threads());
         std::thread::scope(|scope| {
             let mut pool: Option<ScopedPool<'_, Range<usize>, Expansion>> = None;
-            let mut children: Vec<Candidate> = Vec::new();
-            let mut level_cycles: Vec<CycleRef> = Vec::new();
-            let mut select = SelectBuffers::default();
-            // Ops hook: CSNAKE_STITCH_PROF=1 prints per-level timings.
-            let prof = std::env::var_os("CSNAKE_STITCH_PROF").is_some();
+            let mut chunks: Vec<Expansion> = vec![Expansion::default()];
             loop {
                 let nf = shared.frontier.read().expect("frontier lock").len();
                 if nf == 0 {
                     break;
                 }
-                let t0 = prof.then(std::time::Instant::now);
-                children.clear();
-                level_cycles.clear();
-                let parallel = workers > 1 && nf >= PARALLEL_THRESHOLD;
-                if parallel {
+                if workers > 1 && nf >= PARALLEL_THRESHOLD {
                     let pool = pool
                         .get_or_insert_with(|| ScopedPool::spawn(scope, &expand_range, workers));
                     // Over-partition for load balance; order is restored by
                     // the pool's tagged reassembly.
-                    let chunks = (workers * 4).min(nf).max(1);
-                    for (c, cy) in pool.map(chunk_ranges(nf, chunks)) {
-                        children.extend(c);
-                        level_cycles.extend(cy);
-                    }
+                    chunks = pool.map(chunk_ranges(nf, (workers * 4).min(nf)));
                 } else {
                     let frontier = shared.frontier.read().expect("frontier lock");
-                    expand_into(&shared, &frontier, &mut children, &mut level_cycles);
+                    chunks.truncate(1);
+                    expand_into(&shared, &frontier, &mut chunks[0], &mut scratch);
                 }
-                let t1 = prof.then(std::time::Instant::now);
-                cycles.extend_from_slice(&level_cycles);
-                let nc = children.len();
-                let next = select_top_b(&shared, &children, cfg.beam_size, &mut select);
+
+                let (next, stats) = merge_level(&shared, &chunks, &mut scratch, &mut cycles);
+                levels.push(stats);
                 *shared.frontier.write().expect("frontier lock") = next;
-                if let (Some(t0), Some(t1)) = (t0, t1) {
-                    eprintln!(
-                        "stitch level: frontier={nf} children={nc} cycles={} expand={:?} select={:?}",
-                        level_cycles.len(),
-                        t1 - t0,
-                        t1.elapsed()
-                    );
-                }
             }
             // Dropping the pool closes the job channel; workers exit before
             // the scope joins them.
             drop(pool);
         });
 
-        // Materialise chains from the arena (edge paths root → leaf).
+        // Materialise the key-distinct chains from the arena (edge paths
+        // root → leaf) for the exact structural cycle dedup.
         let arena = shared.arena.read().expect("arena lock");
-        cycles
+        let raw = cycles
             .into_iter()
             .map(|c| {
                 let mut edges = Vec::with_capacity(c.len as usize);
@@ -872,13 +921,40 @@ impl StitchIndex {
                     score_sum: c.score_sum,
                 }
             })
-            .collect()
+            .collect();
+        let cycles = finalize_cycles(raw, |i| (self.cause[i], self.effect[i], self.kind[i] as u8));
+        (cycles, levels)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Search machinery
 // ---------------------------------------------------------------------------
+
+/// Counters of one beam level: what was generated against what survived
+/// structural dedup. Counts only, and repeatable: the same at every
+/// thread count, bar the one exception noted on `candidates_kept`. The
+/// first entry of a search is the seeding level (`frontier` 0, every
+/// passing edge kept), entry `l` expands the chains of length `l`; the
+/// next entry's `frontier` is what the beam cut left of `candidates_kept`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LevelStats {
+    /// Chains expanded.
+    pub frontier: usize,
+    /// Non-closing extensions inside the length and delay caps, before any
+    /// dedup.
+    pub candidates_generated: usize,
+    /// Candidates that reached the beam selection: the structurally
+    /// distinct ones — fewer where an expansion range held `2 · beam_size`
+    /// of them and cut itself back, which depends on how the frontier was
+    /// split over the workers.
+    pub candidates_kept: usize,
+    /// Closing extensions.
+    pub cycles_raw: usize,
+    /// Closing extensions whose multiset key was new at this level — the
+    /// ones materialised and handed to the exact cycle dedup.
+    pub cycles_kept: usize,
+}
 
 /// Parent-pointer chain arena: O(1) extension, membership by walking at
 /// most `max_len` parents. Only beam survivors are materialised.
@@ -909,6 +985,23 @@ impl ChainArena {
         }
         false
     }
+
+    /// Commutative 128-bit key of the cycle that edge `closing` closes on
+    /// the chain ending at `node`: the lane-wise wrapping sum of the
+    /// edges' `words`. Equal relationship multisets — rotations, or the
+    /// same relationships witnessed by other tests — get equal keys.
+    #[inline]
+    fn cycle_key(&self, words: &[(u64, u64)], mut node: u32, closing: u32) -> u128 {
+        let (mut s1, mut s2) = words[closing as usize];
+        while node != NONE {
+            let (edge, parent) = self.nodes[node as usize];
+            let (w1, w2) = words[edge as usize];
+            s1 = s1.wrapping_add(w1);
+            s2 = s2.wrapping_add(w2);
+            node = parent;
+        }
+        (s1 as u128) << 64 | s2 as u128
+    }
 }
 
 /// One live chain on the beam frontier.
@@ -937,6 +1030,14 @@ struct Candidate {
     hash: Hash128,
 }
 
+impl Candidate {
+    /// The beam rank score, computed exactly as the reference does.
+    #[inline]
+    fn score(&self) -> f64 {
+        self.score_sum / self.len as f64
+    }
+}
+
 /// A discovered cycle: parent node plus closing edge.
 #[derive(Debug, Clone, Copy)]
 struct CycleRef {
@@ -944,6 +1045,8 @@ struct CycleRef {
     edge: u32,
     len: u8,
     score_sum: f64,
+    /// See [`ChainArena::cycle_key`].
+    key: u128,
 }
 
 /// Search-wide state shared between the level loop and the workers.
@@ -952,6 +1055,7 @@ struct Shared<'a> {
     sim: &'a [f64],
     use_compat: bool,
     max_len: usize,
+    beam_size: usize,
     cap: Option<u8>,
     /// Read by workers during expansion; extended by the level loop during
     /// selection (the two phases never overlap, the lock just proves it).
@@ -962,26 +1066,75 @@ struct Shared<'a> {
     frontier: RwLock<Vec<Frontier>>,
 }
 
-/// Expands a frontier chunk; candidate and cycle order follows (chain,
-/// successor) order, which keeps parallel runs deterministic after
-/// chunk-ordered concatenation.
-fn expand_chunk(shared: &Shared<'_>, chunk: &[Frontier]) -> (Vec<Candidate>, Vec<CycleRef>) {
-    let mut out = Vec::with_capacity(chunk.len() * 2);
-    let mut cycles = Vec::new();
-    expand_into(shared, chunk, &mut out, &mut cycles);
-    (out, cycles)
+/// A beam rank: `(score, chunk, index in chunk)`. Chunks and indices
+/// ascend in insertion order, so [`cmp_rank`] is the reference's stable
+/// score order.
+type Rank = (f64, u32, u32);
+
+fn cmp_rank(a: &Rank, b: &Rank) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2)))
 }
 
-/// Expansion into caller-owned buffers (the sequential level loop reuses
-/// its buffers across levels to avoid per-level allocation).
+/// What one frontier-range expansion returns, already deduplicated and
+/// cut within the range.
+#[derive(Default)]
+struct Expansion {
+    /// Structurally distinct candidate extensions in (chain, successor)
+    /// order; at most `2 · beam_size` of them.
+    candidates: Vec<Candidate>,
+    /// Closing extensions with distinct multiset keys, in the same order.
+    cycles: Vec<CycleRef>,
+    /// Candidate extensions before dedup and cut.
+    generated: usize,
+    /// Closing extensions before dedup.
+    cycles_raw: usize,
+}
+
+/// Dedup-and-rank scratch of one expansion range or of the level merge
+/// (cleared, not reallocated, per use).
+#[derive(Default)]
+struct DedupScratch {
+    /// Chain keys of the candidates currently held.
+    seen: PrehashedSet,
+    /// Cycle keys already emitted.
+    cycle_seen: PrehashedSet,
+    order: Vec<Rank>,
+}
+
+/// Expands a frontier range into `out`, deduplicating as it goes (the
+/// module docs argue why each drop is safe):
+///
+/// * a candidate whose 128-bit chain key was already emitted by this range
+///   is dropped (first occurrence wins, as in the reference);
+/// * once the range holds `2 · beam_size` candidates it is cut back to its
+///   `beam_size` best by [`cmp_rank`], and from then on a candidate scoring
+///   no better than the worst survivor is dropped on arrival;
+/// * a closing extension whose commutative cycle key was already emitted
+///   by this range is dropped (the exact cycle dedup keeps first
+///   occurrences too).
+///
+/// Output order follows (chain, successor) order, so chunk-ordered
+/// concatenation is the sequential order.
 fn expand_into(
     shared: &Shared<'_>,
     chunk: &[Frontier],
-    out: &mut Vec<Candidate>,
-    cycles: &mut Vec<CycleRef>,
+    out: &mut Expansion,
+    scratch: &mut DedupScratch,
 ) {
     let idx = shared.idx;
     let arena = shared.arena.read().expect("arena lock");
+    out.candidates.clear();
+    out.cycles.clear();
+    out.generated = 0;
+    out.cycles_raw = 0;
+    scratch.seen.clear();
+    scratch.cycle_seen.clear();
+    // A zero beam keeps nothing, which `merge_level` enforces.
+    let cut_at = match shared.beam_size {
+        0 => usize::MAX,
+        b => b.saturating_mul(2),
+    };
+    let mut cutoff: Option<f64> = None;
     for chain in chunk {
         for &j in idx.succ_of(chain.last_edge, shared.use_compat) {
             if arena.contains(chain.node, j) {
@@ -994,14 +1147,20 @@ fn expand_into(
             let len = chain.len + 1;
             let score_sum = chain.score_sum + shared.sim[j as usize];
             if idx.continues(j, chain.first_edge, shared.use_compat) {
-                cycles.push(CycleRef {
-                    parent: chain.node,
-                    edge: j,
-                    len,
-                    score_sum,
-                });
+                out.cycles_raw += 1;
+                let key = arena.cycle_key(&idx.cycle_word, chain.node, j);
+                if scratch.cycle_seen.insert(key) {
+                    out.cycles.push(CycleRef {
+                        parent: chain.node,
+                        edge: j,
+                        len,
+                        score_sum,
+                        key,
+                    });
+                }
             } else if (len as usize) < shared.max_len {
-                out.push(Candidate {
+                out.generated += 1;
+                let candidate = Candidate {
                     parent: chain.node,
                     edge: j,
                     first_edge: chain.first_edge,
@@ -1009,63 +1168,119 @@ fn expand_into(
                     delays,
                     score_sum,
                     hash: chain.hash.extend(idx.struct_word[j as usize]),
-                });
+                };
+                if cutoff.is_some_and(|worst| candidate.score().total_cmp(&worst).is_ge())
+                    || !scratch.seen.insert(candidate.hash.key())
+                {
+                    continue;
+                }
+                out.candidates.push(candidate);
+                if out.candidates.len() >= cut_at {
+                    cutoff = Some(cut_to_beam(&mut out.candidates, shared.beam_size, scratch));
+                }
             }
         }
     }
 }
 
-/// Reusable selection scratch (cleared, not reallocated, per level).
-#[derive(Default)]
-struct SelectBuffers {
-    seen: PrehashedSet,
-    /// `(score, candidate index)` sort keys; indices ascend in insertion
-    /// order, so the pair comparator is the reference's stable score order.
-    order: Vec<(f64, u32)>,
+/// Cuts a range's candidates back to its `beam` best by [`cmp_rank`]
+/// (insertion order kept), forgets the keys of the rest, and returns the
+/// worst surviving score.
+fn cut_to_beam(candidates: &mut Vec<Candidate>, beam: usize, scratch: &mut DedupScratch) -> f64 {
+    let rank = |i: usize, c: &Candidate| (c.score(), 0, i as u32);
+    let order = &mut scratch.order;
+    order.clear();
+    order.extend(candidates.iter().enumerate().map(|(i, c)| rank(i, c)));
+    let worst = *order.select_nth_unstable_by(beam - 1, cmp_rank).1;
+    let mut i = 0;
+    candidates.retain(|c| {
+        i += 1;
+        cmp_rank(&rank(i - 1, c), &worst).is_le()
+    });
+    // Every forgotten key scores no better than `worst`, so the cut-off
+    // test drops its later occurrences without the set's help.
+    scratch.seen.clear();
+    scratch.seen.extend(candidates.iter().map(|c| c.hash.key()));
+    worst.0
 }
 
-/// Structurally dedups candidates (first occurrence wins), cuts the beam to
-/// the `B` lowest-score chains with `select_nth_unstable_by`, restores the
-/// reference's stable score order, and materialises survivors as arena
-/// nodes. Only 16-byte sort keys move during selection; surviving
-/// candidates are gathered by index afterwards.
-fn select_top_b(
+/// Folds one level's range expansions, in range order, into the search:
+/// appends the level's first-occurrence cycle refs to `cycles` and selects
+/// the next frontier.
+///
+/// Each range is already distinct within itself, so a lone range needs no
+/// further dedup and several dedup only across ranges (first occurrence
+/// wins). The beam is then cut to the `B` lowest-score chains with
+/// `select_nth_unstable_by`, the reference's stable score order restored,
+/// and the survivors materialised as arena nodes. Only 16-byte ranks move
+/// during selection; surviving candidates are gathered from their ranges
+/// afterwards.
+fn merge_level(
     shared: &Shared<'_>,
-    children: &[Candidate],
-    beam_size: usize,
-    buf: &mut SelectBuffers,
-) -> Vec<Frontier> {
-    // Dedup in insertion order: same 128-bit structural key ⇒ same score
-    // and delay profile, so the reference's sort-then-retain keeps exactly
-    // the first-inserted representative too.
-    let seen = &mut buf.seen;
-    let order = &mut buf.order;
+    chunks: &[Expansion],
+    buf: &mut DedupScratch,
+    cycles: &mut Vec<CycleRef>,
+) -> (Vec<Frontier>, LevelStats) {
+    let across = chunks.len() > 1;
+    let total: usize = chunks.iter().map(|c| c.candidates.len()).sum();
+    let DedupScratch {
+        seen,
+        cycle_seen,
+        order,
+    } = buf;
     seen.clear();
-    seen.reserve(children.len());
+    cycle_seen.clear();
     order.clear();
-    order.reserve(children.len());
-    for (i, c) in children.iter().enumerate() {
-        if seen.insert(c.hash.key()) {
-            order.push((c.score_sum / c.len as f64, i as u32));
+    order.reserve(total);
+    if across {
+        seen.reserve(total);
+    }
+    let mut stats = LevelStats {
+        frontier: shared.frontier.read().expect("frontier lock").len(),
+        ..LevelStats::default()
+    };
+    let cycles_before = cycles.len();
+    for (ci, chunk) in chunks.iter().enumerate() {
+        assert!(
+            chunk.candidates.len() <= u32::MAX as usize && ci <= u32::MAX as usize,
+            "expansion exceeds u32 rank space"
+        );
+        stats.candidates_generated += chunk.generated;
+        stats.cycles_raw += chunk.cycles_raw;
+        cycles.extend(
+            chunk
+                .cycles
+                .iter()
+                .filter(|c| !across || cycle_seen.insert(c.key)),
+        );
+        // Same 128-bit structural key ⇒ same score and delay profile, so
+        // the reference's sort-then-retain keeps exactly the
+        // first-inserted representative too.
+        for (i, c) in chunk.candidates.iter().enumerate() {
+            if !across || seen.insert(c.hash.key()) {
+                order.push((c.score(), ci as u32, i as u32));
+            }
         }
     }
+    stats.cycles_kept = cycles.len() - cycles_before;
+    stats.candidates_kept = order.len();
 
-    let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    let beam_size = shared.beam_size;
     if beam_size == 0 {
         order.clear();
     } else if order.len() > beam_size {
-        order.select_nth_unstable_by(beam_size - 1, cmp);
+        order.select_nth_unstable_by(beam_size - 1, cmp_rank);
         order.truncate(beam_size);
     }
-    // (score, insertion) is a total order, so sorting the survivors
-    // reproduces the reference's stable full sort exactly.
-    order.sort_unstable_by(cmp);
+    // `cmp_rank` is a total order, so sorting the survivors reproduces the
+    // reference's stable full sort exactly.
+    order.sort_unstable_by(cmp_rank);
 
     let mut arena = shared.arena.write().expect("arena lock");
-    order
+    let next = order
         .iter()
-        .map(|&(_, i)| {
-            let c = children[i as usize];
+        .map(|&(_, ci, i)| {
+            let c = chunks[ci as usize].candidates[i as usize];
             let node = arena.push(c.edge, c.parent);
             Frontier {
                 node,
@@ -1077,7 +1292,8 @@ fn select_top_b(
                 hash: c.hash,
             }
         })
-        .collect()
+        .collect();
+    (next, stats)
 }
 
 #[cfg(test)]
@@ -1204,64 +1420,123 @@ mod tests {
     #[test]
     fn worker_pool_matches_sequential_expansion() {
         // The pool only engages organically on machines with spare cores
-        // and big frontiers; drive it directly so range-order reassembly is
-        // covered everywhere.
+        // and big frontiers; drive it directly so range-order reassembly
+        // and cross-range dedup are covered everywhere. Every relationship
+        // is observed in three tests, so duplicate chains and duplicate
+        // cycles straddle range boundaries.
         let mut edges = Vec::new();
         for c in 0..40u32 {
-            for k in 0..3 {
-                edges.push(edge(c, (c + k + 1) % 40, c, (c + k + 1) % 40));
+            // 13 + 27 = 40: two-edge cycles close at the first expansion.
+            for step in [1, 13, 27] {
+                for t in 0..3 {
+                    let to = (c + step) % 40;
+                    edges.push(CausalEdge {
+                        test: TestId(t),
+                        ..edge(c, to, c, to)
+                    });
+                }
             }
         }
         let db = CausalDb::from_edges(edges);
         let idx = StitchIndex::build(&db, 1);
-        let sim: Vec<f64> = (0..idx.len()).map(|i| (i % 7) as f64 / 7.0).collect();
-        let shared = Shared {
-            idx: &idx,
-            sim: &sim,
-            use_compat: true,
-            max_len: 4,
-            cap: None,
-            arena: RwLock::new(ChainArena::default()),
-            frontier: RwLock::new(Vec::new()),
-        };
-        let n = {
-            let mut arena = shared.arena.write().unwrap();
-            let mut frontier = shared.frontier.write().unwrap();
-            for i in 0..idx.len() as u32 {
-                frontier.push(Frontier {
-                    node: arena.push(i, NONE),
-                    last_edge: i,
-                    first_edge: i,
-                    len: 1,
-                    delays: 0,
-                    score_sum: sim[i as usize],
-                    hash: Hash128::SEED.extend(idx.struct_word[i as usize]),
-                });
-            }
-            frontier.len()
-        };
-        let (seq_c, seq_cy) = {
-            let frontier = shared.frontier.read().unwrap();
-            expand_chunk(&shared, &frontier)
-        };
-        let expand_range = |range: Range<usize>| {
-            let frontier = shared.frontier.read().unwrap();
-            expand_chunk(&shared, &frontier[range])
-        };
-        std::thread::scope(|scope| {
-            let mut pool = ScopedPool::spawn(scope, &expand_range, 3);
-            let results = pool.map(chunk_ranges(n, 7));
-            let (mut par_c, mut par_cy) = (Vec::new(), Vec::new());
-            for (c, cy) in results {
-                par_c.extend(c);
-                par_cy.extend(cy);
-            }
-            let key = |c: &Candidate| (c.parent, c.edge, c.score_sum.to_bits(), c.hash.key());
-            assert_eq!(
-                seq_c.iter().map(key).collect::<Vec<_>>(),
-                par_c.iter().map(key).collect::<Vec<_>>()
-            );
-            assert_eq!(seq_cy.len(), par_cy.len());
-        });
+        let sim: Vec<f64> = (0..idx.len()).map(|i| (i / 3 % 7) as f64 / 7.0).collect();
+        // A beam nothing is cut by, and one every range cuts itself to.
+        for beam_size in [usize::MAX, 10] {
+            let shared = Shared {
+                idx: &idx,
+                sim: &sim,
+                use_compat: true,
+                max_len: 4,
+                beam_size,
+                cap: None,
+                arena: RwLock::new(ChainArena::default()),
+                frontier: RwLock::new(Vec::new()),
+            };
+            let n = {
+                let mut arena = shared.arena.write().unwrap();
+                let mut frontier = shared.frontier.write().unwrap();
+                for i in 0..idx.len() as u32 {
+                    frontier.push(Frontier {
+                        node: arena.push(i, NONE),
+                        last_edge: i,
+                        first_edge: i,
+                        len: 1,
+                        delays: 0,
+                        score_sum: sim[i as usize],
+                        hash: Hash128::SEED.extend(idx.struct_word[i as usize]),
+                    });
+                }
+                frontier.len()
+            };
+            let expand_range = |range: Range<usize>| {
+                let frontier = shared.frontier.read().unwrap();
+                let mut out = Expansion::default();
+                expand_into(
+                    &shared,
+                    &frontier[range],
+                    &mut out,
+                    &mut DedupScratch::default(),
+                );
+                out
+            };
+            // The chains and closing (parent, edge) pairs a merge keeps.
+            let merged = |chunks: &[Expansion]| {
+                let mut cycles = Vec::new();
+                let (next, stats) =
+                    merge_level(&shared, chunks, &mut DedupScratch::default(), &mut cycles);
+                let arena = shared.arena.read().unwrap();
+                let chains: Vec<(u32, u32, u64)> = next
+                    .iter()
+                    .map(|f| {
+                        (
+                            arena.nodes[f.node as usize].1,
+                            f.last_edge,
+                            f.score_sum.to_bits(),
+                        )
+                    })
+                    .collect();
+                let cycles: Vec<(u32, u32)> = cycles.iter().map(|c| (c.parent, c.edge)).collect();
+                (chains, cycles, stats)
+            };
+            let sequential = [expand_range(0..n)];
+            std::thread::scope(|scope| {
+                let mut pool = ScopedPool::spawn(scope, &expand_range, 3);
+                let pooled = pool.map(chunk_ranges(n, 7));
+                let emitted = |chunks: &[Expansion]| -> (usize, usize) {
+                    chunks.iter().fold((0, 0), |(c, cy), e| {
+                        (c + e.candidates.len(), cy + e.cycles.len())
+                    })
+                };
+                if beam_size == usize::MAX {
+                    let ((seq_c, seq_cy), (par_c, par_cy)) =
+                        (emitted(&sequential), emitted(&pooled));
+                    assert!(
+                        par_c > seq_c && par_cy > seq_cy,
+                        "duplicates must straddle ranges: {par_c} vs {seq_c}, {par_cy} vs {seq_cy}"
+                    );
+                } else {
+                    assert!(pooled.iter().all(|e| e.candidates.len() < 2 * beam_size));
+                }
+                let (seq, par) = (merged(&sequential), merged(&pooled));
+                assert!(!seq.0.is_empty() && !seq.1.is_empty());
+                assert!(seq.2.candidates_generated > seq.2.candidates_kept);
+                assert_eq!((&seq.0, &seq.1), (&par.0, &par.1), "beam {beam_size}");
+                if beam_size == usize::MAX {
+                    assert_eq!(seq.2, par.2);
+                } else {
+                    // Ranges that cut themselves hand the merge less.
+                    assert_eq!(
+                        LevelStats {
+                            candidates_kept: 0,
+                            ..seq.2
+                        },
+                        LevelStats {
+                            candidates_kept: 0,
+                            ..par.2
+                        }
+                    );
+                }
+            });
+        }
     }
 }

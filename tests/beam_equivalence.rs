@@ -270,3 +270,171 @@ fn reported_cycles_are_well_formed() {
         }
     }
 }
+
+/// A database where every relationship is observed in several tests, as in
+/// a real campaign: `n_faults · rels_per_fault` relationships, each
+/// witnessed by `tests` edges whose states are drawn independently — so
+/// structurally equal chains abound, and which witness survives the dedup
+/// decides what the next level can reach.
+fn multi_test_db(seed: u64, n_faults: u64, rels_per_fault: u64, tests: u32) -> CausalDb {
+    let mut g = Gen::new(seed);
+    let mut edges = Vec::new();
+    for cause in 0..n_faults {
+        for _ in 0..rels_per_fault {
+            // Effects stay within three faults of the cause, so chains close
+            // often and a wrongly kept or dropped chain shows in the cycles.
+            let effect = (cause + n_faults + g.below(7) - 3) % n_faults;
+            let kind = KINDS[g.below(4) as usize];
+            for t in 0..tests {
+                edges.push(CausalEdge {
+                    cause: FaultId(cause as u32),
+                    effect: FaultId(effect as u32),
+                    kind,
+                    test: TestId(t),
+                    phase: 1,
+                    cause_state: occ_state(&mut g, cause),
+                    effect_state: occ_state(&mut g, effect),
+                });
+            }
+        }
+    }
+    CausalDb::from_edges(edges)
+}
+
+#[test]
+fn in_expansion_dedup_and_cut_match_reference_on_duplicate_heavy_dbs() {
+    // > 2048 seed chains, so the first expansion runs on the worker pool
+    // wherever there are cores; each range then sees several hundred
+    // distinct candidates and every one of them, at every beam here, cuts
+    // itself back to the beam at least once.
+    for seed in [1u64, 2] {
+        let db = multi_test_db(seed, 120, 8, 3);
+        let sim = sim_fn(seed);
+        let index = StitchIndex::build(&db, 1);
+        for beam_size in [1usize, 7, 64] {
+            let cfg = |threads| BeamConfig {
+                beam_size,
+                max_len: 5,
+                max_delay_injections: None,
+                threads,
+                compatibility_check: true,
+            };
+            let reference = beam_search_reference(&db, &sim, &cfg(2));
+            assert!(!reference.is_empty(), "seed {seed}: nothing to compare");
+            for threads in [1usize, 2, 4] {
+                let (fast, levels) = index.search_with_stats(&sim, &cfg(threads));
+                let label = format!("beam={beam_size} threads={threads}");
+                assert_identical(seed, &label, &fast, &reference);
+                let first = levels[1];
+                assert!(
+                    first.frontier > 2048 && first.candidates_generated > first.candidates_kept,
+                    "seed {seed} {label}: first expansion too small or duplicate-free: {first:?}"
+                );
+            }
+        }
+    }
+}
+
+/// Sorted structural triples of a cycle: the key the report dedups on.
+fn structural_key(db: &CausalDb, edges: &[usize]) -> Vec<(FaultId, FaultId, u8)> {
+    let mut key: Vec<(FaultId, FaultId, u8)> = edges
+        .iter()
+        .map(|&i| {
+            let e = db.edge(i);
+            (e.cause, e.effect, e.kind as u8)
+        })
+        .collect();
+    key.sort_unstable();
+    key
+}
+
+#[test]
+fn unbounded_beam_reports_exactly_the_brute_force_cycles() {
+    // Ground truth that shares no code with the search: every edge carries
+    // one tag per end, "continues" is fault identity plus tag equality, and
+    // a plain DFS over edge sequences enumerates every chain of distinct
+    // edges that closes on its first edge and on no shorter prefix (the
+    // search reports a chain the moment it closes and never extends it).
+    // Relationships are distinct, so no structural dedup hides a witness.
+    for seed in 0..300u64 {
+        let mut g = Gen::new(seed ^ 0x0c1e);
+        let n_faults = 2 + g.below(4);
+        let mut tags: Vec<(u32, u32)> = Vec::new();
+        let mut edges: Vec<CausalEdge> = Vec::new();
+        for _ in 0..1 + g.below(12) {
+            let (cause, effect) = (g.below(n_faults) as u32, g.below(n_faults) as u32);
+            let kind = KINDS[g.below(6) as usize];
+            if edges
+                .iter()
+                .any(|e| (e.cause.0, e.effect.0, e.kind) == (cause, effect, kind))
+            {
+                continue;
+            }
+            // Two tags per fault: some hops are incompatible.
+            let (cs, es) = (
+                cause * 2 + g.below(2) as u32,
+                effect * 2 + g.below(2) as u32,
+            );
+            let state = |tag| {
+                CompatState::Occurrences(vec![Occurrence::new([Some(FnId(tag)), None], vec![])])
+            };
+            tags.push((cs, es));
+            edges.push(CausalEdge {
+                cause: FaultId(cause),
+                effect: FaultId(effect),
+                kind,
+                test: TestId(0),
+                phase: 1,
+                cause_state: state(cs),
+                effect_state: state(es),
+            });
+        }
+        let db = CausalDb::from_edges(edges);
+        let n = db.len();
+
+        for compatibility_check in [true, false] {
+            let continues = |i: usize, j: usize| {
+                db.edge(i).effect == db.edge(j).cause
+                    && (!compatibility_check || tags[i].1 == tags[j].0)
+            };
+            let mut expected: BTreeSet<Vec<(FaultId, FaultId, u8)>> = BTreeSet::new();
+            let mut stack: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+            while let Some(chain) = stack.pop() {
+                let last = *chain.last().unwrap();
+                if continues(last, chain[0]) {
+                    expected.insert(structural_key(&db, &chain));
+                    continue;
+                }
+                for j in (0..n).filter(|&j| !chain.contains(&j) && continues(last, j)) {
+                    let mut longer = chain.clone();
+                    longer.push(j);
+                    stack.push(longer);
+                }
+            }
+
+            for threads in [1usize, 2] {
+                let cfg = BeamConfig {
+                    beam_size: usize::MAX,
+                    max_len: n,
+                    max_delay_injections: None,
+                    threads,
+                    compatibility_check,
+                };
+                let cycles = beam_search(&db, &sim_fn(seed), &cfg);
+                let reported: BTreeSet<Vec<(FaultId, FaultId, u8)>> = cycles
+                    .iter()
+                    .map(|c| structural_key(&db, &c.edges))
+                    .collect();
+                assert_eq!(
+                    reported.len(),
+                    cycles.len(),
+                    "seed {seed}: a structural key was reported twice"
+                );
+                assert_eq!(
+                    reported, expected,
+                    "seed {seed} compat={compatibility_check} threads={threads}"
+                );
+            }
+        }
+    }
+}
