@@ -5,6 +5,8 @@
 //! this reproduction's hooks are cheap Rust calls over a simulator, so the
 //! absolute percentages are lower — the preserved *shape* is a consistent,
 //! measurable slowdown on every system, dominated by trace recording.
+//! `ns/hook` is the traced − untraced difference per hook fired, so the
+//! monitoring cost reads per hook, whatever a system's run length.
 
 use std::time::Instant;
 
@@ -30,8 +32,8 @@ fn measure(target: &dyn TargetSystem, tracing: bool, n: usize) -> (f64, u64) {
 
 fn main() {
     println!("§8.5: instrumentation overhead on profile runs (workload t0)");
-    println!("| System | traced (ms) | untraced (ms) | overhead | hooks/run |");
-    println!("|---|---|---|---|---|");
+    println!("| System | traced (ms) | untraced (ms) | overhead | hooks/run | ns/hook |");
+    println!("|---|---|---|---|---|---|");
     let n = 9;
     let mut ratios = Vec::new();
     for target in all_paper_targets() {
@@ -40,12 +42,13 @@ fn main() {
         let overhead = (on / off - 1.0) * 100.0;
         ratios.push(overhead);
         println!(
-            "| {} | {:.3} | {:.3} | {:+.1}% | {} |",
+            "| {} | {:.3} | {:.3} | {:+.1}% | {} | {:.2} |",
             target.name(),
             on * 1e3,
             off * 1e3,
             overhead,
             hooks,
+            (on - off) * 1e9 / hooks as f64,
         );
     }
     let avg = ratios.iter().sum::<f64>() / ratios.len() as f64;

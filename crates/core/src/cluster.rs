@@ -65,10 +65,9 @@
 //! pool past `CLUSTER_PARALLEL_MIN_GROUPS` groups — distances are
 //! bit-identical regardless of which worker computes them) plus
 //! `O(E log E)` agglomeration over `E` graph edges — memory `O(n + E)`
-//! instead of `O(n²)`. Set `CSNAKE_CLUSTER_TRACE=1` to print per-stage
-//! wall times. [`hierarchical_cluster_with_stats`] reports the realized
-//! counts (groups, edges, the matrix bytes that were *not* allocated) so
-//! benchmarks track the memory claim instead of asserting it.
+//! instead of `O(n²)`. [`hierarchical_cluster_with_stats`] reports the
+//! realized counts (groups, edges, the matrix bytes that were *not*
+//! allocated) so benchmarks track the memory claim instead of asserting it.
 //!
 //! [`hierarchical_cluster_reference`] retains the greedy `O(n³)`
 //! closest-pair rescan as the executable specification;
@@ -377,8 +376,6 @@ fn cluster_impl(
     // member index. All zero vectors share the empty key: pairwise
     // distance 0 among themselves, exactly 1 to everything else, so the
     // group merges internally and never across.
-    let trace = std::env::var_os("CSNAKE_CLUSTER_TRACE").is_some();
-    let t0 = std::time::Instant::now();
     let mut group_ids: FxMap<Vec<(u32, u64)>, u32> = FxMap::default();
     let mut group_of_item: Vec<u32> = Vec::with_capacity(n);
     let mut rep: Vec<u32> = Vec::new();
@@ -403,10 +400,6 @@ fn cluster_impl(
     let g = rep.len();
     stats.groups = g;
 
-    if trace {
-        eprintln!("  [trace] dedup: {:?}", t0.elapsed());
-    }
-    let t1 = std::time::Instant::now();
     // ---- 2. Inverted index over nonzero dimensions; postings ascend by
     // group id because groups are scanned in id order.
     let mut postings: FxMap<u32, Vec<(u32, f64)>> = FxMap::default();
@@ -614,10 +607,6 @@ fn cluster_impl(
     // either way.
     let mut heap: BinaryHeap<Reverse<MergeEntry>> = BinaryHeap::from(initial);
     stats = stats.finish(candidate_edges);
-    if trace {
-        eprintln!("  [trace] candidates: {:?}", t1.elapsed());
-    }
-    let t2 = std::time::Instant::now();
 
     // ---- 4. Sparse agglomeration: repeatedly merge the globally closest
     // pair while it is below the threshold. Heap entries are validated
@@ -700,9 +689,6 @@ fn cluster_impl(
         parent[b] = e.a;
     }
 
-    if trace {
-        eprintln!("  [trace] agglomerate: {:?}", t2.elapsed());
-    }
     // ---- 5. Cut + densify. Scanning items ascending, each cluster is
     // first seen at its minimum member (roots keep the smallest id), so
     // ids densify in the reference's first-seen order.

@@ -6,6 +6,35 @@
 //! [`FrameGuard`] for call-stack tracking and [`LoopGuard`] for loop
 //! iteration tracking — can own a handle and unwind correctly when an
 //! injected exception propagates out through `?`.
+//!
+//! # Recording layout
+//!
+//! A run fires millions of hooks, so a hook touches only flat state:
+//!
+//! * **Tables sized by the registry** at [`Agent::new`], indexed by `FaultId`
+//!   (coverage, loop counts, occurrences, per-loop entry stacks and iteration
+//!   signatures, each point's kind and negation polarity) or by caller `FnId`
+//!   (distinct callees). Sets are `Seen` lists that remember their last
+//!   value: the steady-state hook is one compare, and they grow with distinct
+//!   values, never with run length.
+//! * **Two branch arenas with windows**, one for call frames and one for
+//!   loop iterations. A frame or loop activation owns its arena from its
+//!   `start` offset to the end; exit truncates back to `start`, an iteration
+//!   boundary empties the loop's window, and the iteration signature is
+//!   rolled as branches arrive.
+//! * **[`RunTrace`] is assembled in [`Agent::finish`]**, the only place its
+//!   ordered sets and maps are built.
+//!
+//! Preserved byte for byte:
+//!
+//! * a branch lands in the top frame's window and the *innermost* loop's
+//!   window only; a parent's window is what it was once the child pops;
+//! * a loop entered but never iterated still gets a `loop_states` entry, and
+//!   branches seen before the first `iter()` belong to the first iteration;
+//! * an iteration with no branches hashes to the FNV offset basis;
+//! * with tracing off, `coverage`, `loop_counts` and `hook_count` are still
+//!   recorded; `occurrences`, `call_edges` and `loop_states` are not;
+//! * every signature is [`crate::trace::fnv1a`] over the same words.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,12 +45,35 @@ use csnake_sim::VirtualTime;
 
 use crate::fault::{Fault, InjectAction, InjectionPlan};
 use crate::registry::{BranchId, FaultId, FaultKind, FnId, Registry};
-use crate::trace::{CallStack2, Occurrence, RunTrace};
+use crate::trace::{fnv1a_word, CallStack2, LoopState, Occurrence, RunTrace, FNV_OFFSET};
+
+/// Sorted distinct values with a memo of the last one offered: the repeat
+/// that dominates a steady-state run costs one compare.
+#[derive(Clone, Default)]
+struct Seen<T> {
+    last: Option<T>,
+    items: Vec<T>,
+}
+
+impl<T: Ord + Copy> Seen<T> {
+    fn insert(&mut self, x: T) {
+        if self.last == Some(x) {
+            return;
+        }
+        self.last = Some(x);
+        if let Err(at) = self.items.binary_search(&x) {
+            self.items.insert(at, x);
+        }
+    }
+}
 
 struct LoopActivation {
     id: FaultId,
-    /// Branch events of the current iteration.
-    iter_buf: Vec<(BranchId, bool)>,
+    /// Start of this activation's window in `Inner::loop_arena`: the branch
+    /// events of the current iteration.
+    start: usize,
+    /// `fnv1a` state over the current iteration's branch words.
+    sig: u64,
     /// Whether `iter()` has been called at least once in this activation.
     started: bool,
     /// Call-stack depth at entry; used to decide whether a fault site is
@@ -34,9 +86,22 @@ struct Inner {
     /// One-shot throw/negate still pending.
     armed: bool,
     tracing: bool,
-    stack: Vec<FnId>,
-    frame_traces: Vec<Vec<(BranchId, bool)>>,
+    /// Call frames: function and start of its window in `frame_arena`.
+    stack: Vec<(FnId, usize)>,
+    frame_arena: Vec<(BranchId, bool)>,
     loop_stack: Vec<LoopActivation>,
+    loop_arena: Vec<(BranchId, bool)>,
+    // Per fault point, indexed by `FaultId`.
+    kinds: Vec<FaultKind>,
+    error_when: Vec<Option<bool>>,
+    covered: Vec<bool>,
+    loop_counts: Vec<u64>,
+    occurrences: Vec<Vec<Occurrence>>,
+    entry_stacks: Vec<Seen<CallStack2>>,
+    iter_sigs: Vec<Seen<u64>>,
+    /// Distinct callees per caller, indexed by `FnId`.
+    callees: Vec<Seen<FnId>>,
+    /// Fields no hook walks: `injected`, `hook_count`, `flags`.
     trace: RunTrace,
 }
 
@@ -68,17 +133,32 @@ pub struct Agent {
 impl Agent {
     /// Creates an agent, optionally with an injection plan.
     pub fn new(registry: Arc<Registry>, plan: Option<InjectionPlan>) -> Self {
+        let points = registry.points();
+        let n = points.len();
+        let inner = Inner {
+            plan,
+            armed: plan.is_some(),
+            tracing: true,
+            stack: Vec::with_capacity(16),
+            frame_arena: Vec::with_capacity(64),
+            loop_stack: Vec::with_capacity(8),
+            loop_arena: Vec::with_capacity(64),
+            kinds: points.iter().map(|p| p.kind).collect(),
+            error_when: points
+                .iter()
+                .map(|p| p.negation.map(|m| m.error_when))
+                .collect(),
+            covered: vec![false; n],
+            loop_counts: vec![0; n],
+            occurrences: vec![Vec::new(); n],
+            entry_stacks: vec![Seen::default(); n],
+            iter_sigs: vec![Seen::default(); n],
+            callees: vec![Seen::default(); registry.fn_count()],
+            trace: RunTrace::default(),
+        };
         Agent {
             registry,
-            inner: RefCell::new(Inner {
-                plan,
-                armed: plan.is_some(),
-                tracing: true,
-                stack: Vec::with_capacity(16),
-                frame_traces: Vec::with_capacity(16),
-                loop_stack: Vec::with_capacity(8),
-                trace: RunTrace::default(),
-            }),
+            inner: RefCell::new(inner),
         }
     }
 
@@ -96,10 +176,8 @@ impl Agent {
     /// Closest two call-stack levels above the current (top) frame.
     fn stack2(inner: &Inner) -> CallStack2 {
         let s = &inner.stack;
-        let n = s.len();
-        let a = if n >= 2 { Some(s[n - 2]) } else { None };
-        let b = if n >= 3 { Some(s[n - 3]) } else { None };
-        [a, b]
+        let above = |k: usize| s.len().checked_sub(k).map(|i| s[i].0);
+        [above(2), above(3)]
     }
 
     /// Local-compatibility state at a fault site: the branch trace of the
@@ -107,12 +185,12 @@ impl Agent {
     /// current function) or of the enclosing function, plus the 2-level
     /// call stack (§6.2).
     fn occurrence_state(inner: &Inner) -> Occurrence {
-        let stack = Self::stack2(inner);
-        let local = match inner.loop_stack.last() {
-            Some(l) if l.depth == inner.stack.len() => l.iter_buf.clone(),
-            _ => inner.frame_traces.last().cloned().unwrap_or_default(),
+        let local = match (inner.loop_stack.last(), inner.stack.last()) {
+            (Some(l), _) if l.depth == inner.stack.len() => &inner.loop_arena[l.start..],
+            (_, Some(&(_, start))) => &inner.frame_arena[start..],
+            _ => &[],
         };
-        Occurrence::new(stack, local)
+        Occurrence::new(Self::stack2(inner), local.to_vec())
     }
 
     /// Pushes a call frame; returns a guard that pops it on drop.
@@ -120,15 +198,14 @@ impl Agent {
     /// Also records a dynamic call-graph edge (§B.1).
     pub fn frame(self: &Rc<Self>, f: FnId) -> FrameGuard {
         {
-            let mut inner = self.inner.borrow_mut();
+            let inner = &mut *self.inner.borrow_mut();
             inner.trace.hook_count += 1;
             if inner.tracing {
-                if let Some(&caller) = inner.stack.last() {
-                    inner.trace.call_edges.insert((caller, f));
+                if let Some(&(caller, _)) = inner.stack.last() {
+                    inner.callees[caller.0 as usize].insert(f);
                 }
             }
-            inner.stack.push(f);
-            inner.frame_traces.push(Vec::new());
+            inner.stack.push((f, inner.frame_arena.len()));
         }
         FrameGuard {
             agent: Rc::clone(self),
@@ -138,30 +215,51 @@ impl Agent {
     /// Records a branch evaluation; returns `outcome` so it can be used
     /// inline: `if agent.branch(B1, x > 0) { ... }`.
     pub fn branch(&self, b: BranchId, outcome: bool) -> bool {
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         inner.trace.hook_count += 1;
         if inner.tracing {
-            if let Some(buf) = inner.frame_traces.last_mut() {
-                buf.push((b, outcome));
+            if !inner.stack.is_empty() {
+                inner.frame_arena.push((b, outcome));
             }
             if let Some(l) = inner.loop_stack.last_mut() {
-                l.iter_buf.push((b, outcome));
+                inner.loop_arena.push((b, outcome));
+                l.sig = fnv1a_word(l.sig, ((b.0 as u64) << 1) | (outcome as u64));
             }
         }
         outcome
     }
 
-    fn record_occurrence(inner: &mut Inner, p: FaultId) -> Occurrence {
-        let occ = Self::occurrence_state(inner);
-        if inner.tracing {
-            inner
-                .trace
-                .occurrences
-                .entry(p)
-                .or_default()
-                .push(occ.clone());
+    /// Counts the hook and marks `p` reached.
+    fn reach(inner: &mut Inner, p: FaultId) {
+        inner.trace.hook_count += 1;
+        inner.covered[p.0 as usize] = true;
+    }
+
+    /// `true` (and disarms) if the one-shot plan is `action` at `p`.
+    fn fires(inner: &mut Inner, p: FaultId, action: InjectAction) -> bool {
+        let fire = inner.armed && inner.plan == Some(InjectionPlan { target: p, action });
+        inner.armed &= !fire;
+        fire
+    }
+
+    /// Records an error occurrence at `p`; the injected one is also kept as
+    /// the run's [`RunTrace::injected`].
+    fn record_occurrence(inner: &mut Inner, p: FaultId, injected: bool) {
+        if !inner.tracing && !injected {
+            return;
         }
-        occ
+        let occ = Self::occurrence_state(inner);
+        if injected {
+            inner.trace.injected = Some((p, occ.clone()));
+        }
+        if inner.tracing {
+            inner.occurrences[p.0 as usize].push(occ);
+        }
+    }
+
+    fn exception_class(&self, p: FaultId, default: &'static str) -> &'static str {
+        let meta = self.registry.point(p).exception.as_ref();
+        meta.map_or(default, |e| e.class)
     }
 
     /// Hook at an exception guard (if-statement or library call site).
@@ -170,32 +268,15 @@ impl Agent {
     /// is still armed — the caller must propagate the fault exactly as it
     /// would its natural exception.
     pub fn throw_guard(&self, p: FaultId) -> Option<Fault> {
-        let mut inner = self.inner.borrow_mut();
-        inner.trace.hook_count += 1;
-        inner.trace.coverage.insert(p);
-        let fire = matches!(
-            inner.plan,
-            Some(InjectionPlan {
-                target,
-                action: InjectAction::Throw
-            }) if target == p
-        ) && inner.armed;
-        if !fire {
+        let inner = &mut *self.inner.borrow_mut();
+        Self::reach(inner, p);
+        if !Self::fires(inner, p, InjectAction::Throw) {
             return None;
         }
-        inner.armed = false;
-        let occ = Self::record_occurrence(&mut inner, p);
-        inner.trace.injected = Some((p, occ));
-        let class = self
-            .registry
-            .point(p)
-            .exception
-            .as_ref()
-            .map(|e| e.class)
-            .unwrap_or("InjectedException");
+        Self::record_occurrence(inner, p, true);
         Some(Fault {
             point: p,
-            exception: class,
+            exception: self.exception_class(p, "InjectedException"),
             injected: true,
         })
     }
@@ -203,20 +284,12 @@ impl Agent {
     /// Hook on the natural throw path: the guard condition was true and the
     /// system is about to raise its own exception.
     pub fn throw_fired(&self, p: FaultId) -> Fault {
-        let mut inner = self.inner.borrow_mut();
-        inner.trace.hook_count += 1;
-        inner.trace.coverage.insert(p);
-        Self::record_occurrence(&mut inner, p);
-        let class = self
-            .registry
-            .point(p)
-            .exception
-            .as_ref()
-            .map(|e| e.class)
-            .unwrap_or("Exception");
+        let inner = &mut *self.inner.borrow_mut();
+        Self::reach(inner, p);
+        Self::record_occurrence(inner, p, false);
         Fault {
             point: p,
-            exception: class,
+            exception: self.exception_class(p, "Exception"),
             injected: false,
         }
     }
@@ -232,29 +305,14 @@ impl Agent {
     ///
     /// Panics if `p` is not a negation point.
     pub fn negation_point(&self, p: FaultId, value: bool) -> bool {
-        let meta = *self
-            .registry
-            .point(p)
-            .negation
-            .as_ref()
+        let inner = &mut *self.inner.borrow_mut();
+        let error_when = inner.error_when[p.0 as usize]
             .expect("negation_point called on non-negation fault point");
-        let mut inner = self.inner.borrow_mut();
-        inner.trace.hook_count += 1;
-        inner.trace.coverage.insert(p);
-        let fire = matches!(
-            inner.plan,
-            Some(InjectionPlan {
-                target,
-                action: InjectAction::Negate
-            }) if target == p
-        ) && inner.armed;
-        let out = if fire { !value } else { value };
-        if fire {
-            inner.armed = false;
-            let occ = Self::record_occurrence(&mut inner, p);
-            inner.trace.injected = Some((p, occ));
-        } else if out == meta.error_when {
-            Self::record_occurrence(&mut inner, p);
+        Self::reach(inner, p);
+        let fire = Self::fires(inner, p, InjectAction::Negate);
+        let out = value != fire;
+        if fire || out == error_when {
+            Self::record_occurrence(inner, p, fire);
         }
         out
     }
@@ -266,31 +324,24 @@ impl Agent {
     ///
     /// Panics if `p` is not a loop point.
     pub fn loop_enter(self: &Rc<Self>, p: FaultId) -> LoopGuard {
-        assert_eq!(
-            self.registry.point(p).kind,
-            FaultKind::LoopPoint,
-            "loop_enter called on non-loop fault point"
-        );
         {
-            let mut inner = self.inner.borrow_mut();
-            inner.trace.hook_count += 1;
-            inner.trace.coverage.insert(p);
-            let stack = Self::stack2(&inner);
-            let depth = inner.stack.len();
+            let inner = &mut *self.inner.borrow_mut();
+            assert_eq!(
+                inner.kinds[p.0 as usize],
+                FaultKind::LoopPoint,
+                "loop_enter called on non-loop fault point"
+            );
+            Self::reach(inner, p);
             if inner.tracing {
-                inner
-                    .trace
-                    .loop_states
-                    .entry(p)
-                    .or_default()
-                    .entry_stacks
-                    .insert(stack);
+                let stack = Self::stack2(inner);
+                inner.entry_stacks[p.0 as usize].insert(stack);
             }
             inner.loop_stack.push(LoopActivation {
                 id: p,
-                iter_buf: Vec::new(),
+                start: inner.loop_arena.len(),
+                sig: FNV_OFFSET,
                 started: false,
-                depth,
+                depth: inner.stack.len(),
             });
         }
         LoopGuard {
@@ -299,6 +350,8 @@ impl Agent {
         }
     }
 
+    /// Closes the innermost loop's current iteration, if one is open: its
+    /// rolled signature joins the loop's set and its window is emptied.
     fn finalize_iteration(inner: &mut Inner) {
         let Some(l) = inner.loop_stack.last_mut() else {
             return;
@@ -306,37 +359,26 @@ impl Agent {
         if !l.started {
             return;
         }
-        let sig = crate::trace::fnv1a(
-            l.iter_buf
-                .iter()
-                .map(|(b, o)| ((b.0 as u64) << 1) | (*o as u64)),
-        );
-        let id = l.id;
-        l.iter_buf.clear();
+        let sig = std::mem::replace(&mut l.sig, FNV_OFFSET);
+        inner.loop_arena.truncate(l.start);
         if inner.tracing {
-            inner
-                .trace
-                .loop_states
-                .entry(id)
-                .or_default()
-                .iter_sigs
-                .insert(sig);
+            inner.iter_sigs[l.id.0 as usize].insert(sig);
         }
     }
 
     fn loop_iter(&self, id: FaultId, clock: &mut dyn Clock) {
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         inner.trace.hook_count += 1;
         debug_assert_eq!(
             inner.loop_stack.last().map(|l| l.id),
             Some(id),
             "LoopGuard::iter called out of LIFO order"
         );
-        Self::finalize_iteration(&mut inner);
+        Self::finalize_iteration(inner);
         if let Some(l) = inner.loop_stack.last_mut() {
             l.started = true;
         }
-        *inner.trace.loop_counts.entry(id).or_insert(0) += 1;
+        inner.loop_counts[id.0 as usize] += 1;
         if let Some(InjectionPlan {
             target,
             action: InjectAction::Delay(d),
@@ -345,7 +387,7 @@ impl Agent {
             if target == id {
                 clock.advance(d);
                 if inner.trace.injected.is_none() {
-                    let occ = Occurrence::new(Self::stack2(&inner), Vec::new());
+                    let occ = Occurrence::new(Self::stack2(inner), Vec::new());
                     inner.trace.injected = Some((id, occ));
                 }
             }
@@ -353,9 +395,12 @@ impl Agent {
     }
 
     fn loop_exit(&self, id: FaultId) {
-        let mut inner = self.inner.borrow_mut();
-        Self::finalize_iteration(&mut inner);
+        let inner = &mut *self.inner.borrow_mut();
+        Self::finalize_iteration(inner);
         let popped = inner.loop_stack.pop();
+        if let Some(l) = &popped {
+            inner.loop_arena.truncate(l.start);
+        }
         debug_assert_eq!(
             popped.map(|l| l.id),
             Some(id),
@@ -364,14 +409,18 @@ impl Agent {
     }
 
     fn frame_exit(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.stack.pop();
-        inner.frame_traces.pop();
+        let inner = &mut *self.inner.borrow_mut();
+        if let Some((_, start)) = inner.stack.pop() {
+            inner.frame_arena.truncate(start);
+        }
     }
 
     /// Raises a system-level failure flag (oracle for the black-box fuzzer).
     pub fn mark_flag(&self, flag: &str) {
-        self.inner.borrow_mut().trace.flags.insert(flag.to_string());
+        let flags = &mut self.inner.borrow_mut().trace.flags;
+        if !flags.contains(flag) {
+            flags.insert(flag.to_string());
+        }
     }
 
     /// `true` if the plan's one-shot action already fired (or a delay plan
@@ -380,12 +429,36 @@ impl Agent {
         self.inner.borrow().trace.injected.is_some()
     }
 
-    /// Finalizes the run and extracts the trace.
+    /// Finalizes the run and assembles the trace from the tables (each
+    /// ordered set and map is bulk-built from an already-sorted sequence).
     pub fn finish(&self, end_time: VirtualTime, events: u64) -> RunTrace {
-        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *self.inner.borrow_mut();
         let mut t = std::mem::take(&mut inner.trace);
-        t.end_time = end_time;
-        t.events = events;
+        (t.end_time, t.events) = (end_time, events);
+        let points = || (0..).map(FaultId);
+        let flagged = points().zip(&inner.covered).filter(|(_, &c)| c);
+        t.coverage = flagged.map(|(p, _)| p).collect();
+        let counts = points().zip(inner.loop_counts.iter().copied());
+        t.loop_counts = counts.filter(|&(_, n)| n > 0).collect();
+        let occurred = points().zip(inner.occurrences.iter_mut().map(std::mem::take));
+        t.occurrences = occurred.filter(|(_, o)| !o.is_empty()).collect();
+        let loops = points().zip(inner.entry_stacks.iter().zip(&inner.iter_sigs));
+        t.loop_states = loops
+            .filter(|(_, (stacks, sigs))| !stacks.items.is_empty() || !sigs.items.is_empty())
+            .map(|(p, (stacks, sigs))| {
+                let entry_stacks = stacks.items.iter().copied().collect();
+                let iter_sigs = sigs.items.iter().copied().collect();
+                let state = LoopState {
+                    entry_stacks,
+                    iter_sigs,
+                };
+                (p, state)
+            })
+            .collect();
+        let callers = (0..).map(FnId).zip(&inner.callees);
+        t.call_edges = callers
+            .flat_map(|(caller, callees)| callees.items.iter().map(move |&f| (caller, f)))
+            .collect();
         t
     }
 }

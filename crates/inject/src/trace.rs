@@ -12,12 +12,17 @@ use crate::registry::{BranchId, FaultId, FnId};
 /// A tiny, dependency-free, stable hash is all the compatibility check needs;
 /// signatures are compared within one detection campaign only.
 pub fn fnv1a(bytes: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in bytes {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+    bytes.into_iter().fold(FNV_OFFSET, fnv1a_word)
+}
+
+/// The hash of no input: [`fnv1a`]'s starting state.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One [`fnv1a`] step, so the agent can roll a signature a word at a time.
+pub(crate) fn fnv1a_word(mut h: u64, w: u64) -> u64 {
+    for b in w.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
 }

@@ -1107,45 +1107,6 @@ impl World for HdfsWorld {
     type Event = Ev;
 
     fn handle(&mut self, sim: &mut Sim<Ev>, ev: Ev) {
-        if std::env::var("CSNAKE_DBG").is_ok() {
-            let name = match ev {
-                Ev::Heartbeat(_) => "hb",
-                Ev::Monitor => "mon",
-                Ev::LeaseTick => "lease",
-                Ev::EditTick => "edit",
-                Ev::CacheTick => "cache",
-                Ev::ReplTick => "repl",
-                Ev::RecTick => "rec",
-                Ev::PipeTick => "pipe",
-                Ev::ClientTick => "client",
-                Ev::WriteStart(_) => "wstart",
-                Ev::WriteCheck(_) => "wcheck",
-                Ev::ReadStart => "rstart",
-                Ev::RecoveryStart => "recstart",
-                Ev::LeaseStart => "lstart",
-                Ev::NnIbr { .. } => "nnibr",
-                Ev::IbrProcTick => "ibrproc",
-                Ev::ReconTick => "recon",
-                Ev::DeleteTick => "del",
-                Ev::DeleteStart => "delstart",
-            };
-            use std::sync::atomic::{AtomicU64, Ordering};
-            use std::sync::OnceLock;
-            static COUNTS: OnceLock<
-                std::sync::Mutex<std::collections::BTreeMap<&'static str, u64>>,
-            > = OnceLock::new();
-            static TOTAL: AtomicU64 = AtomicU64::new(0);
-            let m = COUNTS.get_or_init(Default::default);
-            *m.lock().unwrap().entry(name).or_insert(0) += 1;
-            let t = TOTAL.fetch_add(1, Ordering::Relaxed);
-            if t % 500_000 == 499_999 {
-                eprintln!(
-                    "ev histogram @{t}: {:?} now={}",
-                    m.lock().unwrap(),
-                    sim.now()
-                );
-            }
-        }
         match ev {
             Ev::Heartbeat(dn) => self.heartbeat(sim, dn),
             Ev::Monitor => self.monitor(sim),
