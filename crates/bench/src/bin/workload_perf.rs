@@ -7,13 +7,15 @@
 //! * **experiment** — one full workload experiment end-to-end (arrival
 //!   sampling, the instrumented server, latency recording and the
 //!   percentile fold), after asserting the two backends produce
-//!   bit-identical run traces and latency summaries. The per-request
-//!   work outside the scheduler is identical under both backends, so
-//!   this ratio understates the scheduler gap by that shared cost.
-//! * **scheduler-only** — the same arrival stream pushed as pending
-//!   timers and drained through a no-op world: pure queue push/pop, the
-//!   operation the hierarchical wheel rework targets. The ≥3× goal at
-//!   the million-timer case is measured here.
+//!   bit-identical run traces and latency summaries. A run streams its
+//!   arrivals through `Sim::schedule_stream`, so the queue under test
+//!   holds a handful of timers and this ratio sits near 1 — the number
+//!   ROADMAP item 6 reads when it picks the backend to delete.
+//! * **scheduler-only** — the same arrival stream pushed eagerly as
+//!   pending timers (`schedule_at` per instant) and drained through a
+//!   no-op world: pure queue push/pop with every timer pending at once,
+//!   the operation the hierarchical wheel rework targets and no shipped
+//!   target performs any more.
 //!
 //! A further stage runs a real detection campaign on a workload
 //! pseudo-target with the telemetry flight recorder attached and records
@@ -41,8 +43,8 @@ use csnake_workload::{Arrival, ArrivalSource, WorkloadSpec, WorkloadSystem};
 /// Offered request rate for the scale sweep, requests per virtual second.
 const RATE_PER_SEC: f64 = 50_000.0;
 
-/// One experiment run: sample + pre-schedule the whole arrival stream,
-/// drain it through the instrumented server, fold the latency summary.
+/// One experiment run: stream the arrivals through the instrumented
+/// server as they are sampled, fold the latency summary.
 fn spec_for(offered: u64) -> WorkloadSpec {
     let virtual_secs = (offered as f64 / RATE_PER_SEC).ceil() as u64 + 5;
     WorkloadSpec {

@@ -60,10 +60,8 @@ pub(crate) fn run(
                     // Seed-derived stream: the run's RNG forks a labelled
                     // child per stanza, so arrivals are a pure function of
                     // (run seed, stanza order).
-                    let mut rng = sim.rng().derive("scenario-arrive");
-                    for t in arrival.times(&mut rng, count as usize) {
-                        sim.schedule_at(t, event);
-                    }
+                    let rng = sim.rng().derive("scenario-arrive");
+                    sim.schedule_stream(arrival.stream(rng, count as usize), count, move |_| event);
                 }
             }
         }
@@ -479,5 +477,15 @@ mod tests {
                 "{test}: every offered request handled exactly once"
             );
         }
+    }
+
+    /// Rates clamp at zero, so this compiles; its arrivals park at the end
+    /// of time instead of hanging the sampler (or, lazily, the run).
+    #[test]
+    fn zero_rate_diurnal_stanza_runs_to_its_horizon() {
+        let src = ARRIVE_SRC.replace("diurnal low 50 high $rate", "diurnal low 0 high 0");
+        let sys = compile(&parse_str(&src).unwrap()).unwrap();
+        let t = sys.run(TestId(2), None, 11);
+        assert_eq!(t.events, 0);
     }
 }

@@ -103,6 +103,16 @@ impl<E> EventQueue<E> {
     }
 }
 
+/// One sorted-stream lane: a lazily pulled, nondecreasing run of events
+/// of which only the head is materialised (see [`Sim::schedule_stream`]).
+struct Stream<E> {
+    /// The next event to fire and its instant.
+    head: (VirtualTime, E),
+    /// The head's tie-break sequence number.
+    seq: u64,
+    rest: Box<dyn Iterator<Item = (VirtualTime, E)>>,
+}
+
 /// The deterministic discrete-event executor.
 ///
 /// Events are ordered by `(time, sequence)`; the sequence number breaks ties
@@ -115,10 +125,20 @@ impl<E> EventQueue<E> {
 ///
 /// Two queue backends exist — the event wheel and the retained heap
 /// reference — with bit-identical semantics; see [`SchedulerKind`].
+///
+/// Above the queue sits the **sorted-stream lane**
+/// ([`Sim::schedule_stream`]): a long, already-sorted run of events — an
+/// open-loop arrival stream — is registered as an iterator and holds one
+/// pending head instead of one queue entry per event. The executor fires
+/// whichever of (queue head, lane heads) is smallest by `(time, sequence)`,
+/// so a run is bit-identical to one that pushed every stream event through
+/// [`Sim::schedule_at`] at registration.
 pub struct Sim<E> {
     now: VirtualTime,
     seq: u64,
     queue: EventQueue<E>,
+    /// Unexhausted sorted-stream lanes, in no particular order.
+    streams: Vec<Stream<E>>,
     /// Cancelled timer ids not yet swept from the queue; sweeping happens
     /// lazily when a cancelled event reaches the front.
     cancelled: HashSet<u64>,
@@ -155,6 +175,7 @@ impl<E> Sim<E> {
                 SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::new()),
                 SchedulerKind::Wheel => EventQueue::Wheel(TimerWheel::new()),
             },
+            streams: Vec::new(),
             cancelled: HashSet::new(),
             rng: SimRng::new(seed),
             events_executed: 0,
@@ -202,6 +223,40 @@ impl<E> Sim<E> {
         TimerId(seq)
     }
 
+    /// Registers a sorted stream of events: `make_event(t)` fires at each
+    /// instant `t` that `times` yields, up to `count` of them, exactly as if
+    /// every one had been passed to [`Sim::schedule_at`] here, in order.
+    ///
+    /// `count` consecutive tie-break sequence numbers are reserved now, so
+    /// an event scheduled later at an instant the stream also hits fires
+    /// after the stream's, and one scheduled earlier fires before it.
+    /// Only the stream's head is held: the next instant is pulled from
+    /// `times` (and `make_event` called) as the current one fires, and
+    /// [`Sim::pending`] counts one per unexhausted stream. A stream that
+    /// ends before `count` simply leaves its remaining numbers unused.
+    /// Stream events have no [`TimerId`] and cannot be cancelled; horizon,
+    /// [`Sim::event_limit`] and late-event semantics apply to them as to
+    /// queued events.
+    ///
+    /// `times` must be nondecreasing. An instant earlier than its
+    /// predecessor is not reordered: it fires right after the predecessor,
+    /// late at the current clock, where `schedule_at` would have fired it
+    /// first.
+    pub fn schedule_stream(
+        &mut self,
+        times: impl Iterator<Item = VirtualTime> + 'static,
+        count: u64,
+        mut make_event: impl FnMut(VirtualTime) -> E + 'static,
+    ) {
+        let seq = self.seq;
+        self.seq = self.seq.saturating_add(count);
+        let take = usize::try_from(count).unwrap_or(usize::MAX);
+        let mut rest = Box::new(times.take(take).map(move |t| (t, make_event(t))));
+        if let Some(head) = rest.next() {
+            self.streams.push(Stream { head, seq, rest });
+        }
+    }
+
     /// Schedules `ev` after `base` jittered by `±pct` — the common way targets
     /// model message latency.
     pub fn send(&mut self, base: VirtualTime, pct: f64, ev: E) -> TimerId {
@@ -232,9 +287,10 @@ impl<E> Sim<E> {
         self.schedule(delay, ev)
     }
 
-    /// Number of pending events, including cancelled ones not yet swept.
+    /// Number of pending events, including cancelled ones not yet swept
+    /// and one per unexhausted stream (its head).
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.streams.len()
     }
 
     /// `(time, seq)` of the next live event, sweeping any cancelled events
@@ -249,24 +305,71 @@ impl<E> Sim<E> {
         }
     }
 
-    /// Runs the world until the queue drains, `until` is reached, or the
-    /// event limit trips. Returns the number of events executed.
+    /// The next event at or before `until` when streams are registered:
+    /// the smallest of the queue head `queued` and every stream head by
+    /// `(time, sequence)`. Taking a stream's head pulls its next instant in
+    /// behind it; a stream that has run dry is dropped.
+    ///
+    /// Out of line on purpose: inlined into [`Sim::run`] it costs worlds
+    /// that never register a stream ≈ 4.5 % of a run (mini-hdfs2's 45 ns
+    /// event loop, 15 of 18 alternating pairs) for ≈ 3 % on stream-fed
+    /// ones.
+    #[inline(never)]
+    fn pop_among_streams(
+        &mut self,
+        queued: Option<(VirtualTime, u64)>,
+        until: VirtualTime,
+    ) -> Option<(VirtualTime, E)> {
+        let mut best = queued;
+        let mut lane = None;
+        for (i, s) in self.streams.iter().enumerate() {
+            let key = (s.head.0, s.seq);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+                lane = Some(i);
+            }
+        }
+        let (time, _) = best.filter(|&(t, _)| t <= until)?;
+        let Some(i) = lane else {
+            return Some((time, self.queue.pop().expect("peeked").ev));
+        };
+        let s = &mut self.streams[i];
+        s.seq += 1;
+        Some(match s.rest.next() {
+            Some(next) => std::mem::replace(&mut s.head, next),
+            None => self.streams.swap_remove(i).head,
+        })
+    }
+
+    /// Runs the world until the queue and every stream drain, `until` is
+    /// reached, or the event limit trips. Returns the number of events
+    /// executed.
     pub fn run<W: World<Event = E>>(&mut self, world: &mut W, until: VirtualTime) -> u64 {
         let start = self.events_executed;
-        while let Some((time, _)) = self.peek_key() {
-            if time > until {
-                // Nothing left before the horizon.
-                break;
-            }
-            let sch = self.queue.pop().expect("peeked");
+        loop {
+            let queued = self.peek_key();
+            let (time, ev) = if self.streams.is_empty() {
+                match queued {
+                    Some((time, _)) if time <= until => {
+                        (time, self.queue.pop().expect("peeked").ev)
+                    }
+                    // Nothing left before the horizon.
+                    _ => break,
+                }
+            } else {
+                let Some(next) = self.pop_among_streams(queued, until) else {
+                    break;
+                };
+                next
+            };
             // Late events execute at the current clock; on-time events move
             // the clock forward.
-            self.now = self.now.max(sch.time);
+            self.now = self.now.max(time);
             self.events_executed += 1;
             if self.events_executed - start > self.event_limit {
                 break;
             }
-            world.handle(self, sch.ev);
+            world.handle(self, ev);
         }
         self.events_executed - start
     }

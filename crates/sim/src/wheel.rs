@@ -1,10 +1,16 @@
 //! Hierarchical timing wheel: the event queue behind the fast scheduler.
 //!
 //! The binary-heap queue pays `O(log n)` with poor locality per operation;
-//! at the open-loop workload engine's scale (millions of pre-scheduled
-//! arrivals pending at once) those log-factors and cache misses dominate a
-//! run. The wheel replaces them with `O(1)` slot pushes and a bitmap scan
-//! per pop, while producing **bit-identical pop order**: events leave in
+//! with a million timers pending at once those log-factors and cache
+//! misses dominate a drain (`BENCH_workload.json`, `scheduler_*` rows).
+//! No shipped target holds that many any more: an open-loop arrival
+//! stream sits in the executor's sorted-stream lane
+//! (`Sim::schedule_stream`) as one pending head, so a workload run keeps a
+//! handful of timers here and the two backends run it at about the same
+//! speed (`experiment_heap_over_wheel`). What the wheel still buys is the
+//! bulk `schedule_at` case — a caller that does push its whole schedule up
+//! front. It replaces the log-factors with `O(1)` slot pushes and a bitmap
+//! scan per pop, while producing **bit-identical pop order**: events leave in
 //! exactly the heap's `(time, sequence)` order, proven by the equivalence
 //! suite in `sim.rs`, the scheduler proptests, and the corpus
 //! campaign-report comparison in the scenario crate's

@@ -9,6 +9,11 @@
 //! execution index), final clock, pending count and executed count are
 //! equal. Report-level equivalence on the scenario corpus lives in the
 //! facade's `tests/scheduler_reports.rs`.
+//!
+//! The same harness proves the sorted-stream lane: a nondecreasing batch
+//! handed to `Sim::schedule_stream` fires exactly as the same batch pushed
+//! through a `schedule_at` loop, and holds one pending entry per stream
+//! instead of one per event.
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -31,6 +36,22 @@ enum Op {
     Advance(u64),
     /// Run until absolute time `a` µs.
     Run(u64),
+    /// Register `n` stream events at `start`, `start + gap`, … µs.
+    Stream { start: u64, n: u64, gap: u64 },
+}
+
+/// How `Op::Stream` reaches the executor.
+#[derive(Debug, Clone, Copy)]
+enum Arrivals {
+    /// One `schedule_stream` call.
+    Lane,
+    /// One `schedule_at` per event, in order.
+    Eager,
+}
+
+/// First event id of stream `s`; stream events are `base..base + n`.
+fn stream_base(s: usize) -> u32 {
+    1_000_000 + s as u32 * 1_000
 }
 
 fn decode(raw: &[(u8, u64, u64)]) -> Vec<Op> {
@@ -70,8 +91,30 @@ impl World for Script {
     }
 }
 
+/// What one program did: the fire log, the final clock and executed
+/// count, and after every `Run` (and at the end) the pending count beside
+/// the number of stream events still behind their stream's head.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    log: Vec<(u32, u64, u64)>,
+    now: u64,
+    executed: u64,
+    pending: Vec<usize>,
+    behind_heads: Vec<usize>,
+}
+
 /// Runs one program on one backend; returns the observable outcome.
 fn execute(kind: SchedulerKind, ops: &[Op]) -> (Vec<(u32, u64, u64)>, u64, usize, u64) {
+    let out = run_program(kind, ops, Arrivals::Lane);
+    (
+        out.log,
+        out.now,
+        *out.pending.last().expect("final snapshot"),
+        out.executed,
+    )
+}
+
+fn run_program(kind: SchedulerKind, ops: &[Op], arrivals: Arrivals) -> Outcome {
     let mut sim = Sim::with_scheduler(7, kind);
     sim.event_limit = 50_000;
     let mut world = Script {
@@ -82,6 +125,22 @@ fn execute(kind: SchedulerKind, ops: &[Op]) -> (Vec<(u32, u64, u64)>, u64, usize
     };
     let mut outside_id = 100_000u32;
     let mut issued = Vec::new();
+    let mut stream_sizes: Vec<u64> = Vec::new();
+    let mut pending = Vec::new();
+    let mut behind_heads = Vec::new();
+    let mut snapshot = |sim: &Sim<u32>, world: &Script, stream_sizes: &[u64]| {
+        pending.push(sim.pending());
+        let behind: u64 = stream_sizes
+            .iter()
+            .enumerate()
+            .map(|(s, &n)| {
+                let ids = stream_base(s)..stream_base(s) + n as u32;
+                let fired = world.log.iter().filter(|e| ids.contains(&e.0)).count() as u64;
+                (n - fired).saturating_sub(1)
+            })
+            .sum();
+        behind_heads.push(behind as usize);
+    };
     for op in ops {
         match *op {
             Op::Schedule(us) => {
@@ -108,16 +167,93 @@ fn execute(kind: SchedulerKind, ops: &[Op]) -> (Vec<(u32, u64, u64)>, u64, usize
             Op::Advance(us) => sim.advance(VirtualTime::from_micros(us)),
             Op::Run(us) => {
                 sim.run(&mut world, VirtualTime::from_micros(us));
+                snapshot(&sim, &world, &stream_sizes);
+            }
+            Op::Stream { start, n, gap } => {
+                let base = stream_base(stream_sizes.len());
+                stream_sizes.push(n);
+                let times = (0..n).map(move |i| VirtualTime::from_micros(start + i * gap));
+                // Stream events have no `TimerId`, so neither mode adds
+                // to `issued` and `Cancel` picks the same timers in both.
+                match arrivals {
+                    Arrivals::Lane => {
+                        let mut id = base;
+                        sim.schedule_stream(times, n, move |_| {
+                            id += 1;
+                            id - 1
+                        });
+                    }
+                    Arrivals::Eager => {
+                        for (i, t) in times.enumerate() {
+                            sim.schedule_at(t, base + i as u32);
+                        }
+                    }
+                }
             }
         }
     }
     sim.run(&mut world, VirtualTime::MAX);
-    (
-        world.log,
-        sim.now().as_micros(),
-        sim.pending(),
-        sim.events_executed(),
-    )
+    snapshot(&sim, &world, &stream_sizes);
+    Outcome {
+        log: world.log,
+        now: sim.now().as_micros(),
+        executed: sim.events_executed(),
+        pending,
+        behind_heads,
+    }
+}
+
+/// Lane ≡ eager on one backend: same firings, clock and executed count;
+/// at every snapshot the eager queue holds exactly what the lane run
+/// holds plus the events the lane keeps behind its stream heads — less
+/// any cancelled timers the lane run has already swept (`pending()`
+/// counts a cancelled timer until it reaches the queue front, which a
+/// queue without the stream's events in it does sooner).
+fn assert_lane_matches_eager(kind: SchedulerKind, ops: &[Op]) -> Outcome {
+    let lane = run_program(kind, ops, Arrivals::Lane);
+    let eager = run_program(kind, ops, Arrivals::Eager);
+    assert_eq!(lane.log, eager.log, "{kind:?}: fire log");
+    assert_eq!(
+        (lane.now, lane.executed),
+        (eager.now, eager.executed),
+        "{kind:?}"
+    );
+    let cancels = ops
+        .iter()
+        .filter(|op| matches!(op, Op::Cancel(_) | Op::Reschedule(..)))
+        .count();
+    for (i, &held) in eager.pending.iter().enumerate() {
+        let released = lane.pending[i] + lane.behind_heads[i];
+        assert!(
+            released <= held && held - released <= cancels,
+            "{kind:?}: snapshot {i}: eager holds {held}, lane {} + {} behind heads",
+            lane.pending[i],
+            lane.behind_heads[i]
+        );
+    }
+    lane
+}
+
+/// Like `decode`, with two extra stream ops and every instant on a 500 µs
+/// grid (the `Script` world's own spins and follow-ups are multiples of
+/// 500 µs too), so stream events keep tying with timers issued before and
+/// after the stream was registered and with other streams' events.
+fn decode_grid(raw: &[(u8, u64, u64)]) -> Vec<Op> {
+    raw.iter()
+        .map(|&(kind, a, b)| match kind % 8 {
+            0 => Op::Schedule((a % 400) * 500),
+            1 => Op::ScheduleAt((b % 4_000) * 500),
+            2 => Op::Cancel(a),
+            3 => Op::Reschedule(a, (b % 300) * 500),
+            4 => Op::Advance((a % 100) * 500),
+            5 => Op::Run((b % 6_000) * 500),
+            _ => Op::Stream {
+                start: (a % 4_000) * 500,
+                n: b % 64,
+                gap: (b / 64 % 4) * 500,
+            },
+        })
+        .collect()
 }
 
 proptest! {
@@ -130,6 +266,96 @@ proptest! {
         let heap = execute(SchedulerKind::Heap, &ops);
         let wheel = execute(SchedulerKind::Wheel, &ops);
         prop_assert_eq!(heap, wheel);
+    }
+
+    #[test]
+    fn streams_fire_exactly_like_eager_scheduling(
+        raw in collection::vec((0u8..16, 0u64..1_000_000, 0u64..4_000_000), 0..60),
+    ) {
+        let ops = decode_grid(&raw);
+        let heap = assert_lane_matches_eager(SchedulerKind::Heap, &ops);
+        let wheel = assert_lane_matches_eager(SchedulerKind::Wheel, &ops);
+        prop_assert_eq!(heap, wheel);
+    }
+}
+
+#[test]
+fn streams_tie_with_timers_issued_before_and_after_registration() {
+    // Timer, stream, stream, timer — all at 1 ms: sequence order decides.
+    let ops = [
+        Op::ScheduleAt(1_000),
+        Op::Stream {
+            start: 1_000,
+            n: 3,
+            gap: 0,
+        },
+        Op::Stream {
+            start: 500,
+            n: 4,
+            gap: 500,
+        },
+        Op::ScheduleAt(1_000),
+        // Stops between the second stream's 1 ms and 1.5 ms events.
+        Op::Run(1_200),
+        Op::ScheduleAt(1_000),
+        Op::Run(1_400),
+    ];
+    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
+        let out = assert_lane_matches_eager(kind, &ops);
+        let fired: Vec<u32> = out.log.iter().map(|e| e.0).collect();
+        let (a, b) = (stream_base(0), stream_base(1));
+        assert_eq!(
+            fired[..7],
+            [b, 100_000, a, a + 1, a + 2, b + 1, 100_001],
+            "{kind:?}"
+        );
+        // The horizon stopped the second stream with two events to go.
+        assert_eq!(out.behind_heads[0], 1, "{kind:?}");
+    }
+}
+
+#[test]
+fn event_limit_tripping_mid_stream_drops_the_same_event() {
+    struct Quiet(Vec<(u32, u64)>);
+    impl World for Quiet {
+        type Event = u32;
+        fn handle(&mut self, sim: &mut Sim<u32>, ev: u32) {
+            self.0.push((ev, sim.now().as_micros()));
+        }
+    }
+    // Each run pops eight events and discards the eighth; the next run
+    // resumes behind it.
+    let run = |kind, arrivals| {
+        let mut sim: Sim<u32> = Sim::with_scheduler(3, kind);
+        sim.event_limit = 7;
+        let times = (0..40u64).map(|i| VirtualTime::from_micros(i * 100));
+        match arrivals {
+            Arrivals::Lane => sim.schedule_stream(times, 40, |t| (t.as_micros() / 100) as u32),
+            Arrivals::Eager => {
+                for (i, t) in times.enumerate() {
+                    sim.schedule_at(t, i as u32);
+                }
+            }
+        }
+        let mut world = Quiet(Vec::new());
+        let pending: Vec<usize> = (0..3)
+            .map(|_| {
+                sim.run(&mut world, VirtualTime::MAX);
+                sim.pending()
+            })
+            .collect();
+        (world.0, sim.now(), sim.events_executed(), pending)
+    };
+    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
+        let lane = run(kind, Arrivals::Lane);
+        let eager = run(kind, Arrivals::Eager);
+        assert_eq!(lane.0, eager.0, "{kind:?}");
+        assert_eq!((lane.1, lane.2), (eager.1, eager.2), "{kind:?}");
+        let fired: Vec<u32> = lane.0.iter().map(|e| e.0).collect();
+        let survivors: Vec<u32> = (0..24).filter(|i| i % 8 != 7).collect();
+        assert_eq!(fired, survivors, "{kind:?}");
+        assert_eq!(lane.3, [1, 1, 1], "{kind:?}");
+        assert_eq!(eager.3, [32, 24, 16], "{kind:?}");
     }
 }
 

@@ -7,7 +7,9 @@
 //! request stream bit-for-bit, which keeps workload-driven campaigns inside
 //! the simulator's determinism contract.
 
-use csnake_sim::{SimRng, VirtualTime};
+use std::borrow::BorrowMut;
+
+use csnake_sim::{Sim, SimRng, VirtualTime};
 
 use crate::trace::RecordedTrace;
 
@@ -49,18 +51,30 @@ pub enum Arrival {
     },
 }
 
-impl Arrival {
-    /// Samples the first `count` arrival instants, nondecreasing, starting
-    /// at or after time zero. Deterministic in `(self, rng state)`.
-    pub fn times(&self, rng: &mut SimRng, count: usize) -> Vec<VirtualTime> {
-        let mut out = Vec::with_capacity(count);
-        match *self {
+/// The instants of an [`Arrival`] process, sampled one at a time: the
+/// single definition of each process. Owns its generator (`R = SimRng`)
+/// when it outlives the caller as a simulator stream, borrows it
+/// (`R = &mut SimRng`) under [`Arrival::times`].
+pub struct ArrivalTimes<R> {
+    arrival: Arrival,
+    rng: R,
+    /// Arrivals still to yield.
+    left: usize,
+    /// The process clock in µs — wall time for `Poisson` and `Diurnal`,
+    /// active (on-window) time for `Bursty` — or `Paced`'s request index.
+    acc: u64,
+}
+
+impl<R: BorrowMut<SimRng>> Iterator for ArrivalTimes<R> {
+    type Item = VirtualTime;
+
+    fn next(&mut self) -> Option<VirtualTime> {
+        self.left = self.left.checked_sub(1)?;
+        let rng = self.rng.borrow_mut();
+        let us = match self.arrival {
             Arrival::Poisson { rate_per_sec } => {
-                let mut t = 0u64;
-                for _ in 0..count {
-                    t = t.saturating_add(exp_gap_us(rng, rate_per_sec));
-                    out.push(VirtualTime::from_micros(t));
-                }
+                self.acc = self.acc.saturating_add(exp_gap_us(rng, rate_per_sec));
+                self.acc
             }
             Arrival::Bursty {
                 rate_per_sec,
@@ -71,14 +85,10 @@ impl Arrival {
                 // and map back to wall time — exact, no rejection.
                 let on_us = on.as_micros().max(1);
                 let cycle_us = on_us.saturating_add(off.as_micros());
-                let mut active = 0u64;
-                for _ in 0..count {
-                    active = active.saturating_add(exp_gap_us(rng, rate_per_sec));
-                    let wall = (active / on_us)
-                        .saturating_mul(cycle_us)
-                        .saturating_add(active % on_us);
-                    out.push(VirtualTime::from_micros(wall));
-                }
+                self.acc = self.acc.saturating_add(exp_gap_us(rng, rate_per_sec));
+                (self.acc / on_us)
+                    .saturating_mul(cycle_us)
+                    .saturating_add(self.acc % on_us)
             }
             Arrival::Diurnal {
                 low_per_sec,
@@ -88,25 +98,46 @@ impl Arrival {
                 // Lewis–Shedler thinning against the peak rate.
                 let high = high_per_sec.max(low_per_sec);
                 let period_us = period.as_micros().max(1) as f64;
-                let mut t = 0u64;
-                while out.len() < count {
-                    t = t.saturating_add(exp_gap_us(rng, high));
-                    let phase = (t as f64 / period_us) * std::f64::consts::TAU;
+                loop {
+                    self.acc = self.acc.saturating_add(exp_gap_us(rng, high));
+                    let phase = (self.acc as f64 / period_us) * std::f64::consts::TAU;
                     let rate = low_per_sec + (high - low_per_sec) * 0.5 * (1.0 - phase.cos());
-                    if rng.unit() * high < rate {
-                        out.push(VirtualTime::from_micros(t));
+                    // A saturated clock accepts: at rate zero nothing else
+                    // ever would, and the arrival parks at the end of time
+                    // like `Poisson`'s at rate zero.
+                    if rng.unit() * high < rate || self.acc == u64::MAX {
+                        break self.acc;
                     }
                 }
             }
             Arrival::Paced { interval } => {
-                for i in 0..count as u64 {
-                    out.push(VirtualTime::from_micros(
-                        interval.as_micros().saturating_mul(i),
-                    ));
-                }
+                self.acc += 1;
+                interval.as_micros().saturating_mul(self.acc - 1)
             }
+        };
+        Some(VirtualTime::from_micros(us))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl Arrival {
+    /// The first `count` arrival instants as a lazy stream, nondecreasing,
+    /// starting at or after time zero. Deterministic in `(self, rng state)`.
+    pub fn stream<R: BorrowMut<SimRng>>(&self, rng: R, count: usize) -> ArrivalTimes<R> {
+        ArrivalTimes {
+            arrival: self.clone(),
+            rng,
+            left: count,
+            acc: 0,
         }
-        out
+    }
+
+    /// [`Arrival::stream`], collected.
+    pub fn times(&self, rng: &mut SimRng, count: usize) -> Vec<VirtualTime> {
+        self.stream(rng, count).collect()
     }
 
     /// The long-run mean rate in requests per virtual second (the pacing
@@ -173,6 +204,25 @@ impl ArrivalSource {
         match self {
             ArrivalSource::Process { arrival, offered } => arrival.times(rng, *offered as usize),
             ArrivalSource::Trace(trace) => trace.arrival_times(),
+        }
+    }
+
+    /// Registers the instants [`ArrivalSource::times`] would return as one
+    /// sorted stream on `sim` ([`Sim::schedule_stream`]): sampled, or read
+    /// from the shared recording, as each request fires.
+    pub fn schedule<E>(
+        &self,
+        sim: &mut Sim<E>,
+        rng: SimRng,
+        make_event: impl FnMut(VirtualTime) -> E + 'static,
+    ) {
+        match self {
+            ArrivalSource::Process { arrival, offered } => {
+                sim.schedule_stream(arrival.stream(rng, *offered as usize), *offered, make_event)
+            }
+            ArrivalSource::Trace(trace) => {
+                sim.schedule_stream(trace.times(), trace.len() as u64, make_event)
+            }
         }
     }
 
@@ -283,5 +333,55 @@ mod tests {
             interval: VirtualTime::from_millis(2),
         };
         assert!((paced.mean_rate_per_sec() - 500.0).abs() < 1e-9);
+    }
+
+    /// `times()` as the eager samplers produced it before they became one
+    /// iterator: a hash of the instants and the generator's next raw draw
+    /// (Diurnal draws twice per candidate, so draw order shows in both).
+    #[test]
+    fn every_process_streams_the_instants_the_eager_samplers_produced() {
+        let ms = VirtualTime::from_millis;
+        #[rustfmt::skip]
+        let cases = [
+            (Arrival::Poisson { rate_per_sec: 1_500.0 }, 7, 0x98dbcc3e4270d8ff, 0xdb192f7508e8d02a),
+            (Arrival::Bursty { rate_per_sec: 3_000.0, on: ms(200), off: ms(300) }, 3, 0x1d66cd24d1682f34, 0xaca41ea51a744f60),
+            (Arrival::Diurnal { low_per_sec: 200.0, high_per_sec: 2_500.0, period: ms(4_000) }, 11, 0xbe96af4577c9c0f1, 0xa18194265af8877a),
+            (Arrival::Paced { interval: ms(5) }, 1, 0xf9341443b43657fc, 0xcfc5d07f6f03c29b),
+        ];
+        for (arrival, seed, times_hash, next_raw) in cases {
+            let mut rng = SimRng::new(seed);
+            let eager = arrival.times(&mut rng, 5_000);
+            let hash = csnake_inject::fnv1a(eager.iter().map(|t| t.as_micros()));
+            assert_eq!((hash, rng.raw()), (times_hash, next_raw), "{arrival:?}");
+            // The owning stream a simulator lane pulls from, one at a time.
+            let mut lazy = arrival.stream(SimRng::new(seed), 5_000);
+            assert_eq!(lazy.size_hint(), (5_000, Some(5_000)));
+            assert!(eager.iter().all(|&t| lazy.next() == Some(t)), "{arrival:?}");
+            assert_eq!(lazy.next(), None);
+        }
+    }
+
+    #[test]
+    fn trace_source_streams_its_recorded_instants() {
+        let trace = RecordedTrace::parse("0us a\n5us b\n5us a\n2ms\n").expect("valid");
+        let source = ArrivalSource::Trace(trace.clone());
+        let times = source.times(&mut SimRng::new(1));
+        assert_eq!(times, trace.times().collect::<Vec<_>>());
+        assert_eq!(times.len() as u64, source.offered());
+        assert_eq!(times[3], VirtualTime::from_millis(2));
+    }
+
+    /// A zero-rate diurnal curve used to spin forever: thinning accepts
+    /// with probability `rate / high` and `0 < 0` never holds. Scenario
+    /// text reaches this (`arrive Ev diurnal low 0 high 0 …` compiles).
+    #[test]
+    fn zero_rate_diurnal_terminates_at_the_end_of_time() {
+        let arrival = Arrival::Diurnal {
+            low_per_sec: 0.0,
+            high_per_sec: 0.0,
+            period: VirtualTime::from_secs(1),
+        };
+        let times = arrival.times(&mut SimRng::new(5), 3);
+        assert_eq!(times, vec![VirtualTime::MAX; 3]);
     }
 }

@@ -38,10 +38,13 @@
 //! **2. Compile it into a target.** [`WorkloadSystem::with_spec`] wraps a
 //! [`WorkloadSpec`] (source, service cost, deadline, retry amplifier,
 //! queue bound, latency-window width) into a `TargetSystem`;
-//! [`WorkloadSystem::new`] bundles four standard workloads. Requests are
-//! pre-scheduled open-loop on the simulator — millions of pending timers,
-//! which is what the event-wheel scheduler
-//! ([`csnake_sim::scheduler`]) exists to make cheap.
+//! [`WorkloadSystem::new`] bundles four standard workloads. Requests
+//! arrive open-loop — the stream is fixed by the seed before the run
+//! starts and never yields to back-pressure — but lazily: each run
+//! registers its source as one sorted stream
+//! ([`Sim::schedule_stream`](csnake_sim::Sim::schedule_stream)) that
+//! samples the next instant as the current request fires, so a
+//! million-request run holds one pending arrival, not a million timers.
 //!
 //! **3. Run it and read the latency.** Every run folds per-request
 //! latency into a [`WorkloadSummary`](csnake_core::WorkloadSummary) —

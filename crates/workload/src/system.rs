@@ -280,6 +280,36 @@ impl WorkloadSystem {
         self.ids
     }
 
+    /// One run's simulator — arrival stream registered, first tick and
+    /// monitor poll scheduled — and the world it drives.
+    fn start<'a>(
+        &self,
+        spec: &'a WorkloadSpec,
+        agent: Rc<Agent>,
+        seed: u64,
+    ) -> (Sim<Ev>, WorkloadWorld<'a>) {
+        let mut sim = Sim::new(seed);
+        sim.event_limit = spec.event_limit;
+        // The arrival stream is sampled from a derived sub-RNG as it fires,
+        // open-loop: arrivals never yield to server back-pressure, which is
+        // what lets a cascade's queueing delay compound instead of
+        // self-throttling.
+        let rng = sim.rng().derive("arrivals");
+        spec.source.schedule(&mut sim, rng, Ev::Arrive);
+        sim.schedule(spec.tick, Ev::Tick);
+        sim.schedule(VirtualTime::from_secs(1), Ev::Monitor);
+        let world = WorkloadWorld {
+            agent,
+            ids: self.ids,
+            latency: LatencyLog::new(spec.window, spec.horizon, spec.source.offered() as usize),
+            spec,
+            queue: VecDeque::new(),
+            completed: 0,
+            dropped: 0,
+        };
+        (sim, world)
+    }
+
     /// The spec backing a test case.
     pub fn spec_for(&self, test: TestId) -> Option<&WorkloadSpec> {
         self.tests
@@ -296,7 +326,8 @@ struct Req {
 }
 
 enum Ev {
-    Arrive,
+    /// A request arrives; carries its intended instant.
+    Arrive(VirtualTime),
     Tick,
     Monitor,
 }
@@ -339,29 +370,25 @@ fn percentile(sorted: &[u32], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1] as u64
 }
 
-struct WorkloadWorld {
+struct WorkloadWorld<'a> {
     agent: Rc<Agent>,
     ids: WorkloadIds,
-    spec: WorkloadSpec,
-    arrivals: Vec<VirtualTime>,
-    next_arrival: usize,
+    spec: &'a WorkloadSpec,
     queue: VecDeque<Req>,
     completed: u64,
     dropped: u64,
     latency: LatencyLog,
 }
 
-impl World for WorkloadWorld {
+impl World for WorkloadWorld<'_> {
     type Event = Ev;
 
     fn handle(&mut self, sim: &mut Sim<Ev>, ev: Ev) {
         match ev {
-            Ev::Arrive => {
+            Ev::Arrive(intended) => {
                 // Open-loop: the latency clock starts at the *intended*
                 // arrival instant even when this event runs late behind a
                 // backed-up simulator queue.
-                let intended = self.arrivals[self.next_arrival];
-                self.next_arrival += 1;
                 if self.queue.len() >= self.spec.queue_cap {
                     self.dropped += 1;
                 } else {
@@ -432,7 +459,7 @@ impl World for WorkloadWorld {
     }
 }
 
-impl WorkloadWorld {
+impl WorkloadWorld<'_> {
     fn into_summary(mut self, test: TestId, seed: u64, offered: u64) -> WorkloadSummary {
         self.latency.all.sort_unstable();
         let all = &self.latency.all;
@@ -483,41 +510,13 @@ impl TargetSystem for WorkloadSystem {
     fn run(&self, test: TestId, plan: Option<InjectionPlan>, seed: u64) -> RunTrace {
         let spec = self
             .spec_for(test)
-            .unwrap_or_else(|| panic!("unknown workload test {test:?}"))
-            .clone();
-        let ids = self.ids;
+            .unwrap_or_else(|| panic!("unknown workload test {test:?}"));
         let agent = Rc::new(Agent::new(Arc::clone(&self.registry), plan));
         agent.set_tracing(csnake_inject::tracing_switch::get());
-        let mut sim = Sim::new(seed);
-        sim.event_limit = spec.event_limit;
-
-        // Sample the arrival stream from a derived sub-RNG and pre-schedule
-        // every request open-loop: arrivals never yield to server
-        // back-pressure, which is what lets a cascade's queueing delay
-        // compound instead of self-throttling.
-        let arrivals = spec.source.times(&mut sim.rng().derive("arrivals"));
-        let offered = arrivals.len() as u64;
-        for t in &arrivals {
-            sim.schedule_at(*t, Ev::Arrive);
-        }
-        sim.schedule(spec.tick, Ev::Tick);
-        sim.schedule(VirtualTime::from_secs(1), Ev::Monitor);
-
-        let mut world = WorkloadWorld {
-            agent: Rc::clone(&agent),
-            ids,
-            latency: LatencyLog::new(spec.window, spec.horizon, arrivals.len()),
-            spec,
-            arrivals,
-            next_arrival: 0,
-            queue: VecDeque::new(),
-            completed: 0,
-            dropped: 0,
-        };
-        let horizon = world.spec.horizon;
-        sim.run(&mut world, horizon);
+        let (mut sim, mut world) = self.start(spec, Rc::clone(&agent), seed);
+        sim.run(&mut world, spec.horizon);
         let trace = agent.finish(sim.now(), sim.events_executed());
-        let summary = world.into_summary(test, seed, offered);
+        let summary = world.into_summary(test, seed, spec.source.offered());
         self.summaries
             .lock()
             .expect("summary buffer poisoned")
@@ -671,5 +670,40 @@ mod tests {
         assert!(driver.runs_executed >= 2);
         // Driver construction clears the profiling-run summaries.
         assert!(sys.drain_workload_summaries().is_empty());
+    }
+
+    /// Guards the cost, not the output: an arrival stream is one pending
+    /// head however long it is. Pre-scheduling every request held 200 002.
+    #[test]
+    fn a_long_stream_holds_a_handful_of_pending_events() {
+        struct PeakPending<'a> {
+            inner: WorkloadWorld<'a>,
+            peak: usize,
+        }
+        impl World for PeakPending<'_> {
+            type Event = Ev;
+            fn handle(&mut self, sim: &mut Sim<Ev>, ev: Ev) {
+                self.peak = self.peak.max(sim.pending());
+                self.inner.handle(sim, ev);
+            }
+        }
+        let spec = WorkloadSpec {
+            source: ArrivalSource::Process {
+                arrival: Arrival::Poisson {
+                    rate_per_sec: 20_000.0,
+                },
+                offered: 200_000,
+            },
+            service: VirtualTime::from_micros(10),
+            ..WorkloadSpec::default()
+        };
+        let sys = WorkloadSystem::with_spec("workload:pending-guard", spec.clone());
+        let agent = Rc::new(Agent::new(sys.registry(), None));
+        let (mut sim, inner) = sys.start(&spec, Rc::clone(&agent), 3);
+        assert_eq!(sim.pending(), 3, "stream head, tick, monitor");
+        let mut world = PeakPending { inner, peak: 0 };
+        sim.run(&mut world, spec.horizon);
+        assert_eq!(world.inner.completed, 200_000);
+        assert!(world.peak <= 3, "peak pending {}", world.peak);
     }
 }

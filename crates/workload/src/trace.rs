@@ -20,6 +20,7 @@
 //! instead of failing wholesale.
 
 use std::fmt;
+use std::sync::Arc;
 
 use csnake_sim::VirtualTime;
 
@@ -68,14 +69,16 @@ impl std::error::Error for TraceError {}
 pub struct RecordedTrace {
     /// Distinct request-class labels, in first-appearance order.
     classes: Vec<String>,
-    /// `(arrival, class index)` per request, in recorded order.
-    entries: Vec<(VirtualTime, u32)>,
+    /// `(arrival, class index)` per request, in recorded order; shared, so
+    /// clones and replay streams do not copy the recording.
+    entries: Arc<[(VirtualTime, u32)]>,
 }
 
 impl RecordedTrace {
     /// Parses the line format described in the module docs.
     pub fn parse(text: &str) -> Result<RecordedTrace, TraceError> {
-        let mut trace = RecordedTrace::default();
+        let mut classes: Vec<String> = Vec::new();
+        let mut entries = Vec::new();
         let mut last = VirtualTime::ZERO;
         for (idx, raw_line) in text.lines().enumerate() {
             let line_no = idx as u32 + 1;
@@ -110,16 +113,19 @@ impl RecordedTrace {
                     format!("unexpected trailing input {:?}", rest[extra..].trim()),
                 ));
             }
-            let class_idx = match trace.classes.iter().position(|c| c == class) {
+            let class_idx = match classes.iter().position(|c| c == class) {
                 Some(i) => i as u32,
                 None => {
-                    trace.classes.push(class.to_string());
-                    trace.classes.len() as u32 - 1
+                    classes.push(class.to_string());
+                    classes.len() as u32 - 1
                 }
             };
-            trace.entries.push((at, class_idx));
+            entries.push((at, class_idx));
         }
-        Ok(trace)
+        Ok(RecordedTrace {
+            classes,
+            entries: entries.into(),
+        })
     }
 
     /// Number of recorded requests.
@@ -134,7 +140,14 @@ impl RecordedTrace {
 
     /// The arrival instants, in recorded (nondecreasing) order.
     pub fn arrival_times(&self) -> Vec<VirtualTime> {
-        self.entries.iter().map(|&(t, _)| t).collect()
+        self.times().collect()
+    }
+
+    /// The arrival instants as a stream that shares the recording and
+    /// walks it by index, so it can outlive `self`.
+    pub fn times(&self) -> impl Iterator<Item = VirtualTime> + 'static {
+        let entries = Arc::clone(&self.entries);
+        (0..entries.len()).map(move |i| entries[i].0)
     }
 
     /// Distinct request-class labels, in first-appearance order.

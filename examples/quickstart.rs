@@ -39,9 +39,9 @@
 //! Shipped targets run *closed* workloads — a fixed job list. The
 //! `csnake-workload` crate supplies *open-loop* traffic: deterministic
 //! arrival processes (Poisson, bursty on/off, diurnal) and recorded
-//! request traces compile into ordinary `TargetSystem`s, pre-scheduling
-//! millions of pending request timers per experiment (the load shape the
-//! simulator's event-wheel scheduler exists for) and folding per-request
+//! request traces compile into ordinary `TargetSystem`s, streaming
+//! millions of requests per experiment through the simulator (one pending
+//! arrival at a time, whatever the server's backlog) and folding per-request
 //! latency into windowed percentile summaries that stream through
 //! campaign observers into the telemetry digest. The pseudo-targets
 //! resolve everywhere a name does — `workload:open-loop`,

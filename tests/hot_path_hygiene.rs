@@ -15,6 +15,8 @@ const HOT_PATHS: &[&str] = &[
     "crates/inject/src",
     "crates/targets/src",
     "crates/workload/src/system.rs",
+    // Sampled once per arrival event, not once per run.
+    "crates/workload/src/arrival.rs",
     "crates/scenario/src/interp.rs",
 ];
 

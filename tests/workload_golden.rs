@@ -119,17 +119,17 @@ fn arrival_streams_record_the_pinned_bytes() {
         scheduler::set_default(kind);
         let standard = WorkloadSystem::new();
         let grid = grid_retry();
+        let runs = [
+            (&standard, 0),
+            (&standard, 1),
+            (&standard, 2),
+            (&standard, 3),
+            (&grid, 0),
+        ];
         let rows: Vec<(&str, [u64; 4])> = WORKLOAD_PINS
             .iter()
-            .enumerate()
-            .map(|(i, &(name, _))| {
-                let hashes = if i < 4 {
-                    workload_hashes(&standard, TestId(i as u32))
-                } else {
-                    workload_hashes(&grid, TestId(0))
-                };
-                (name, hashes)
-            })
+            .zip(runs)
+            .map(|(&(name, _), (sys, test))| (name, workload_hashes(sys, TestId(test))))
             .collect();
         got_workloads.push(rows);
 
