@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use csnake::core::{CsnakeError, DetectConfig, Session, ThreePhase};
-use csnake_telemetry::{read_journal, FlightRecorder, TelemetryRecord};
+use csnake_telemetry::{read_journal, FlightRecorder, MetricsDigest, TelemetryRecord};
 
 fn fast_config(parallel: bool) -> DetectConfig {
     let mut cfg = DetectConfig::default();
@@ -93,6 +93,25 @@ fn recorder_never_perturbs_the_report() {
         assert_eq!(baseline, recorded, "{name}: recorder perturbed the report");
         assert!(!records.is_empty(), "{name}: recorder captured nothing");
     }
+}
+
+/// The workload engine's cascade signal survives the whole path — driver
+/// drain, observer, recorder, digest: on an open-loop target the injected
+/// drain-loop delay backs the queue up, so the digest of a real campaign
+/// must fold at least one windowed-p99 inflection out of the streamed
+/// workload summaries.
+#[test]
+fn workload_campaign_inflects_the_digest_p99() {
+    let (_, records) = recorded_run("workload:poisson", true);
+    let digest = MetricsDigest::from_records(&records);
+    assert!(
+        digest.workload_summaries > 0,
+        "campaign must stream workload summaries into telemetry"
+    );
+    assert!(
+        digest.workload_inflections > 0 && digest.workload_first_inflection_ms.is_some(),
+        "injected drain-loop delay must inflect the windowed p99: {digest:?}"
+    );
 }
 
 #[test]
