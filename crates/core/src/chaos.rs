@@ -22,8 +22,9 @@
 //!   deadline message — simulating a watchdog kill without putting any
 //!   wall-clock measurement into campaign results.
 //!
-//! Configuration comes from [`DriverConfig::chaos`](crate::driver::DriverConfig)
-//! or the `CSNAKE_CHAOS` environment variable (see [`ChaosConfig::from_env`]).
+//! Configuration is [`DriverConfig::chaos`](crate::driver::DriverConfig);
+//! nothing here reads the environment. `csnake-daemon --chaos <spec>` fills
+//! that field from the operator's spec through [`ChaosConfig::parse`].
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -120,26 +121,15 @@ impl ChaosConfig {
             && self.wire_stall <= 0.0
     }
 
-    /// Parses the `CSNAKE_CHAOS` environment variable, a comma-separated
-    /// `key=value` list:
+    /// Parses an operator's chaos spec, a comma-separated `key=value`
+    /// list:
     ///
     /// ```text
-    /// CSNAKE_CHAOS=seed=7,exp_panic=0.2,exp_stall=0.1,snap_io=0.25,wire_drop=0.2,wire_stall=0.1,attempts=2,permanent=1,stall_ms=50
+    /// seed=7,exp_panic=0.2,exp_stall=0.1,snap_io=0.25,wire_drop=0.2,wire_stall=0.1,attempts=2,permanent=1,stall_ms=50
     /// ```
     ///
-    /// Returns `None` when the variable is unset or empty; unknown keys and
-    /// unparsable values are ignored (chaos must never turn a typo into a
-    /// campaign-fatal error).
-    pub fn from_env() -> Option<ChaosConfig> {
-        let raw = std::env::var("CSNAKE_CHAOS").ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        Some(Self::parse(&raw))
-    }
-
-    /// Parses the `CSNAKE_CHAOS` syntax from a string (see
-    /// [`ChaosConfig::from_env`]).
+    /// Unknown keys and unparsable values are ignored (chaos must never
+    /// turn a typo into a campaign-fatal error).
     pub fn parse(raw: &str) -> ChaosConfig {
         let mut cfg = ChaosConfig::default();
         for part in raw.split(',') {

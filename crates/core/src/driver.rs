@@ -104,8 +104,6 @@ pub struct DriverConfig {
     /// Supervisor retry schedule for panicked or stalled experiment jobs.
     pub retry: RetryConfig,
     /// Self-fault-injection harness configuration (disabled by default).
-    /// The `CSNAKE_CHAOS` environment variable, when set, overrides this
-    /// at driver construction — see [`ChaosConfig::from_env`].
     pub chaos: ChaosConfig,
 }
 
@@ -196,7 +194,7 @@ pub struct Driver<'a> {
     /// Total individual runs executed (profile + injection).
     pub runs_executed: usize,
     /// Self-fault-injection harness; disabled unless configured via
-    /// [`DriverConfig::chaos`] or the `CSNAKE_CHAOS` environment variable.
+    /// [`DriverConfig::chaos`].
     chaos: ChaosInjector,
     /// Observer for supervisor events (`batch_retried` / `batch_failed`);
     /// `None` keeps them silent.
@@ -263,8 +261,7 @@ impl<'a> Driver<'a> {
             .map(|(tid, traces)| (*tid, ProfileIndex::build(&registry, traces)))
             .collect();
 
-        let chaos =
-            ChaosInjector::new(ChaosConfig::from_env().unwrap_or_else(|| cfg.chaos.clone()));
+        let chaos = ChaosInjector::new(cfg.chaos.clone());
         // Profiling (or a resumed snapshot's earlier life) may have left
         // workload latency summaries buffered in the target; the observer
         // stream covers experiments only, so clear them here.

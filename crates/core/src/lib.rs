@@ -84,8 +84,8 @@
 //! * **Self-chaos harness.** [`chaos`] turns the supervisor on itself:
 //!   a seeded, deterministic injector makes experiment jobs panic, stall
 //!   past a deadline, or fail checkpoint IO — configured per-campaign via
-//!   [`DriverConfig`]`::chaos` or globally via the `CSNAKE_CHAOS`
-//!   environment variable (`seed=7,exp_panic=0.2,attempts=1,...`).
+//!   [`DriverConfig`]`::chaos`, which `csnake-daemon --chaos <spec>`
+//!   fills from the command line (`seed=7,exp_panic=0.2,attempts=1,...`).
 //!   Decisions key on experiment identity, not call order, so a chaotic
 //!   run is reproducible and transient chaos provably leaves no trace in
 //!   the report. Snapshot v5 adds *wire* chaos sites (`wire_drop`,

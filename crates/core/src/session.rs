@@ -57,7 +57,7 @@ use crate::alloc::{
     RecoveryContext,
 };
 use crate::beam::{beam_search, cluster_cycles, Cycle, CycleCluster};
-use crate::chaos::{ChaosConfig, ChaosInjector};
+use crate::chaos::ChaosInjector;
 use crate::driver::Driver;
 use crate::error::{CsnakeError, Result};
 use crate::observer::{CampaignObserver, NoopObserver};
@@ -526,9 +526,7 @@ impl<'a> Session<'a> {
                 ),
                 path: path.clone(),
                 observer: self.observer.clone(),
-                chaos: ChaosInjector::new(
-                    ChaosConfig::from_env().unwrap_or_else(|| self.cfg.driver.chaos.clone()),
-                ),
+                chaos: ChaosInjector::new(self.cfg.driver.chaos.clone()),
                 ordinal: AtomicU64::new(0),
             }
         });
@@ -595,9 +593,7 @@ impl<'a> Session<'a> {
                 ),
                 path: path.clone(),
                 observer: self.observer.clone(),
-                chaos: ChaosInjector::new(
-                    ChaosConfig::from_env().unwrap_or_else(|| self.cfg.driver.chaos.clone()),
-                ),
+                chaos: ChaosInjector::new(self.cfg.driver.chaos.clone()),
                 ordinal: AtomicU64::new(0),
             }
         });

@@ -18,7 +18,9 @@ use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 
-use csnake_core::{CampaignObserver, DetectConfig, FanoutObserver, ProgressCollector, ThreePhase};
+use csnake_core::{
+    CampaignObserver, ChaosConfig, DetectConfig, FanoutObserver, ProgressCollector, ThreePhase,
+};
 use csnake_daemon::transport::Endpoint;
 use csnake_daemon::{drive_session, run_worker, DaemonConfig, WorkerOptions};
 use csnake_telemetry::{FlightRecorder, LiveProgress, MetricsDigest};
@@ -32,15 +34,16 @@ fn usage() -> ! {
          commands:\n\
          \x20 run    --target <name> [-j N] [--shard-jobs J] [--lease-ms MS]\n\
          \x20        [--checkpoint PATH --cadence K] [--fast] [--kill-worker W:K]\n\
-         \x20        [--progress] [--journal BASE]\n\
+         \x20        [--progress] [--journal BASE] [--chaos SPEC]\n\
          \x20        spawn N local worker processes and run one campaign\n\
          \x20 serve  --listen ADDR --target <name> -j N [--shard-jobs J] [--lease-ms MS] [--fast]\n\
-         \x20        [--progress] [--journal BASE]\n\
+         \x20        [--progress] [--journal BASE] [--chaos SPEC]\n\
          \x20        accept N TCP workers, then run one campaign\n\
          \x20 work   --stdio | --connect HOST:PORT [--fail-after K] [--no-heartbeat] [--fast]\n\
          \x20        serve experiment shards to a coordinator\n\
          \n\
-         targets: builtins (toy, ...), scenario corpus names (kafka-isr, ...), gen:<seed>"
+         targets: builtins (toy, ...), scenario corpus names (kafka-isr, ...), gen:<seed>\n\
+         chaos spec: seed=7,exp_panic=0.2,exp_stall=0.1,snap_io=0.25,wire_drop=0.2,attempts=2,..."
     );
     std::process::exit(2);
 }
@@ -74,6 +77,7 @@ struct Parsed {
     heartbeats: bool,
     progress: bool,
     journal: Option<String>,
+    chaos: ChaosConfig,
 }
 
 fn parse(args: &[String]) -> Parsed {
@@ -91,6 +95,7 @@ fn parse(args: &[String]) -> Parsed {
         heartbeats: true,
         progress: false,
         journal: None,
+        chaos: ChaosConfig::default(),
     };
     let mut cadence = 16usize;
     let mut checkpoint_path: Option<String> = None;
@@ -150,6 +155,7 @@ fn parse(args: &[String]) -> Parsed {
             "--no-heartbeat" => p.heartbeats = false,
             "--progress" => p.progress = true,
             "--journal" => p.journal = Some(value("--journal")),
+            "--chaos" => p.chaos = ChaosConfig::parse(&value("--chaos")),
             _ => usage(),
         }
     }
@@ -160,11 +166,12 @@ fn parse(args: &[String]) -> Parsed {
 fn campaign(target_name: &str, endpoints: Vec<Endpoint>, p: &Parsed) -> ! {
     let target =
         csnake_daemon::targets::resolve(target_name).unwrap_or_else(|e| fail(&e.to_string()));
-    let cfg = if p.fast {
+    let mut cfg = if p.fast {
         fast_config()
     } else {
         DetectConfig::default()
     };
+    cfg.driver.chaos = p.chaos.clone();
     let progress = Arc::new(ProgressCollector::new());
     // The recorder rides next to the collector in a fanout: observers
     // never perturb results, so the report stays byte-comparable with a

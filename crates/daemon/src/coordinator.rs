@@ -42,8 +42,8 @@ use std::time::{Duration, Instant};
 use csnake_core::alloc::{ExperimentEngine, ShardSpan};
 use csnake_core::error::{CsnakeError, Result};
 use csnake_core::{
-    registry_fingerprint, CampaignObserver, ChaosConfig, ChaosInjector, DetectConfig, Driver,
-    ExperimentOutcome, ForwardedEvent, NoopObserver, TargetSystem,
+    registry_fingerprint, CampaignObserver, ChaosInjector, DetectConfig, Driver, ExperimentOutcome,
+    ForwardedEvent, NoopObserver, TargetSystem,
 };
 use csnake_inject::{FaultId, TestId};
 
@@ -305,9 +305,7 @@ impl DistributedEngine {
             workers,
             notes,
             cfg: dcfg,
-            chaos: ChaosInjector::new(
-                ChaosConfig::from_env().unwrap_or_else(|| cfg.driver.chaos.clone()),
-            ),
+            chaos: ChaosInjector::new(cfg.driver.chaos.clone()),
             observer: Arc::new(NoopObserver),
             gaps: Vec::new(),
             runs: 0,

@@ -46,19 +46,12 @@
 //! assert_eq!(world.ticks, 10);
 //! ```
 
-pub mod cluster;
-pub mod net;
 pub mod queue;
 pub mod rng;
-pub mod scheduler;
 pub mod sim;
 pub mod time;
-mod wheel;
 
-pub use cluster::{Membership, NodeId};
-pub use net::{LinkSpec, Network};
 pub use queue::BoundedQueue;
 pub use rng::SimRng;
-pub use scheduler::SchedulerKind;
-pub use sim::{Clock, Sim, TimerId, World};
+pub use sim::{Clock, Sim, World};
 pub use time::VirtualTime;

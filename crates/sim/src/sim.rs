@@ -1,12 +1,10 @@
 //! The discrete-event executor.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::rng::SimRng;
-use crate::scheduler::{self, SchedulerKind};
 use crate::time::VirtualTime;
-use crate::wheel::TimerWheel;
 
 /// Read/advance access to virtual time, decoupled from the event type.
 ///
@@ -31,10 +29,11 @@ pub trait World {
     fn handle(&mut self, sim: &mut Sim<Self::Event>, ev: Self::Event);
 }
 
-pub(crate) struct Scheduled<E> {
-    pub(crate) time: VirtualTime,
-    pub(crate) seq: u64,
-    pub(crate) ev: E,
+/// One queued event; ordered earliest `(time, seq)` first.
+struct Scheduled<E> {
+    time: VirtualTime,
+    seq: u64,
+    ev: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -58,51 +57,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Handle for a scheduled event, usable with [`Sim::cancel`].
-///
-/// Timer ids are the executor's tie-breaking sequence numbers: unique per
-/// `Sim`, issued in scheduling order, never reused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerId(pub(crate) u64);
-
-/// The event queue behind the executor: the wheel fast path or the
-/// retained heap reference, selected per-`Sim` (see [`SchedulerKind`]).
-/// Both produce identical `(time, seq)` pop order.
-enum EventQueue<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Wheel(TimerWheel<E>),
-}
-
-impl<E> EventQueue<E> {
-    fn push(&mut self, sch: Scheduled<E>) {
-        match self {
-            EventQueue::Heap(h) => h.push(sch),
-            EventQueue::Wheel(w) => w.push(sch),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        match self {
-            EventQueue::Heap(h) => h.pop(),
-            EventQueue::Wheel(w) => w.pop(),
-        }
-    }
-
-    fn peek_key(&mut self) -> Option<(VirtualTime, u64)> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|s| (s.time, s.seq)),
-            EventQueue::Wheel(w) => w.peek_key(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Wheel(w) => w.len(),
-        }
-    }
-}
-
 /// One sorted-stream lane: a lazily pulled, nondecreasing run of events
 /// of which only the head is materialised (see [`Sim::schedule_stream`]).
 struct Stream<E> {
@@ -123,8 +77,9 @@ struct Stream<E> {
 /// request, the central mechanism by which CSnake's delay injection causes
 /// downstream timeouts.
 ///
-/// Two queue backends exist — the event wheel and the retained heap
-/// reference — with bit-identical semantics; see [`SchedulerKind`].
+/// The queue is one binary heap. Long arrival streams do not go through
+/// it (see the lane below), so a run keeps a handful of timers pending and
+/// the heap's `O(log n)` is a few compares per event.
 ///
 /// Above the queue sits the **sorted-stream lane**
 /// ([`Sim::schedule_stream`]): a long, already-sorted run of events — an
@@ -136,12 +91,9 @@ struct Stream<E> {
 pub struct Sim<E> {
     now: VirtualTime,
     seq: u64,
-    queue: EventQueue<E>,
+    queue: BinaryHeap<Scheduled<E>>,
     /// Unexhausted sorted-stream lanes, in no particular order.
     streams: Vec<Stream<E>>,
-    /// Cancelled timer ids not yet swept from the queue; sweeping happens
-    /// lazily when a cancelled event reaches the front.
-    cancelled: HashSet<u64>,
     rng: SimRng,
     events_executed: u64,
     /// Hard cap on executed events; guards against seeded bugs producing
@@ -160,34 +112,16 @@ impl<E> Clock for Sim<E> {
 }
 
 impl<E> Sim<E> {
-    /// Creates an executor with the given RNG seed, using the process-wide
-    /// default scheduler backend ([`scheduler::default_kind`]).
+    /// Creates an executor with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Sim::with_scheduler(seed, scheduler::default_kind())
-    }
-
-    /// Creates an executor with an explicit scheduler backend.
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> Self {
         Sim {
             now: VirtualTime::ZERO,
             seq: 0,
-            queue: match kind {
-                SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-                SchedulerKind::Wheel => EventQueue::Wheel(TimerWheel::new()),
-            },
+            queue: BinaryHeap::new(),
             streams: Vec::new(),
-            cancelled: HashSet::new(),
             rng: SimRng::new(seed),
             events_executed: 0,
             event_limit: 2_000_000,
-        }
-    }
-
-    /// Which queue backend this executor runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.queue {
-            EventQueue::Heap(_) => SchedulerKind::Heap,
-            EventQueue::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 
@@ -207,7 +141,7 @@ impl<E> Sim<E> {
     }
 
     /// Schedules `ev` to fire `delay` after the current time.
-    pub fn schedule(&mut self, delay: VirtualTime, ev: E) -> TimerId {
+    pub fn schedule(&mut self, delay: VirtualTime, ev: E) {
         let time = self.now.saturating_add(delay);
         self.schedule_at(time, ev)
     }
@@ -216,11 +150,10 @@ impl<E> Sim<E> {
     ///
     /// Times in the past are allowed; the event will run "late" at the
     /// current clock, like a queued request behind a slow handler.
-    pub fn schedule_at(&mut self, time: VirtualTime, ev: E) -> TimerId {
+    pub fn schedule_at(&mut self, time: VirtualTime, ev: E) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Scheduled { time, seq, ev });
-        TimerId(seq)
     }
 
     /// Registers a sorted stream of events: `make_event(t)` fires at each
@@ -234,9 +167,8 @@ impl<E> Sim<E> {
     /// `times` (and `make_event` called) as the current one fires, and
     /// [`Sim::pending`] counts one per unexhausted stream. A stream that
     /// ends before `count` simply leaves its remaining numbers unused.
-    /// Stream events have no [`TimerId`] and cannot be cancelled; horizon,
-    /// [`Sim::event_limit`] and late-event semantics apply to them as to
-    /// queued events.
+    /// Horizon, [`Sim::event_limit`] and late-event semantics apply to
+    /// stream events as to queued events.
     ///
     /// `times` must be nondecreasing. An instant earlier than its
     /// predecessor is not reordered: it fires right after the predecessor,
@@ -259,50 +191,15 @@ impl<E> Sim<E> {
 
     /// Schedules `ev` after `base` jittered by `±pct` — the common way targets
     /// model message latency.
-    pub fn send(&mut self, base: VirtualTime, pct: f64, ev: E) -> TimerId {
+    pub fn send(&mut self, base: VirtualTime, pct: f64, ev: E) {
         let d = self.rng.jitter(base, pct);
         self.schedule(d, ev)
     }
 
-    /// Cancels a scheduled timer, as a target's "response arrived, disarm
-    /// the timeout" path. Returns `false` if the id was never issued or
-    /// already cancelled. Cancelling a timer that already fired is a no-op
-    /// (the mark lingers but can never match a future event — ids are
-    /// never reused).
-    ///
-    /// Cancelled events are swept lazily when they reach the queue front,
-    /// so [`Sim::pending`] counts them until then.
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        if id.0 >= self.seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Cancels `id` and schedules `ev` in its place, `delay` from now,
-    /// returning the replacement's id — the retry/backoff "push the
-    /// timeout out" idiom.
-    pub fn reschedule(&mut self, id: TimerId, delay: VirtualTime, ev: E) -> TimerId {
-        self.cancel(id);
-        self.schedule(delay, ev)
-    }
-
-    /// Number of pending events, including cancelled ones not yet swept
-    /// and one per unexhausted stream (its head).
+    /// Number of pending events: everything queued plus one per
+    /// unexhausted stream (its head).
     pub fn pending(&self) -> usize {
         self.queue.len() + self.streams.len()
-    }
-
-    /// `(time, seq)` of the next live event, sweeping any cancelled events
-    /// off the queue front.
-    fn peek_key(&mut self) -> Option<(VirtualTime, u64)> {
-        loop {
-            let (time, seq) = self.queue.peek_key()?;
-            if self.cancelled.is_empty() || !self.cancelled.remove(&seq) {
-                return Some((time, seq));
-            }
-            self.queue.pop();
-        }
     }
 
     /// The next event at or before `until` when streams are registered:
@@ -341,13 +238,14 @@ impl<E> Sim<E> {
         })
     }
 
-    /// Runs the world until the queue and every stream drain, `until` is
-    /// reached, or the event limit trips. Returns the number of events
-    /// executed.
+    /// Runs the world until the queue and every stream drain, the next
+    /// event lies past `until`, or the event limit trips: the event that
+    /// takes this call past [`Sim::event_limit`] is popped and counted but
+    /// dropped unhandled. Returns the number of events executed.
     pub fn run<W: World<Event = E>>(&mut self, world: &mut W, until: VirtualTime) -> u64 {
         let start = self.events_executed;
         loop {
-            let queued = self.peek_key();
+            let queued = self.queue.peek().map(|s| (s.time, s.seq));
             let (time, ev) = if self.streams.is_empty() {
                 match queued {
                     Some((time, _)) if time <= until => {

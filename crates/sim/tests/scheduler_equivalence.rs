@@ -1,43 +1,29 @@
-//! Event-wheel ≡ heap-scheduler equivalence.
+//! The executor's event order against ground truth.
 //!
-//! The wheel is a hot-path rewrite of the executor's queue; the repo
-//! discipline for such rewrites is an executable reference plus proof of
-//! bit-identical behaviour. These tests drive both backends through
-//! identical random timer/cancel/reschedule programs — scheduling from
-//! outside and from inside handlers, late `schedule_at`, clock spins,
-//! partial horizons — and assert the complete fire log (event, time,
-//! execution index), final clock, pending count and executed count are
-//! equal. Report-level equivalence on the scenario corpus lives in the
-//! facade's `tests/scheduler_reports.rs`.
+//! Every random timer program — scheduling from outside and from inside
+//! handlers, late `schedule_at`, clock spins, partial horizons, tripping
+//! event limits — runs on `Sim` and on [`Model`], a naive executor that
+//! shares no code with it (an unordered `Vec`, next event by linear scan);
+//! the complete fire log (event, time, execution index), final clock and
+//! executed count must be equal.
 //!
 //! The same harness proves the sorted-stream lane: a nondecreasing batch
 //! handed to `Sim::schedule_stream` fires exactly as the same batch pushed
 //! through a `schedule_at` loop, and holds one pending entry per stream
 //! instead of one per event.
-//!
-//! Ground truth: every program also runs on [`Model`], a naive executor
-//! that shares no code with `Sim` (an unordered `Vec`, next event by
-//! linear scan), and the fire log, final clock and executed count must
-//! match it — so the suite says the order is *right*, not only that two
-//! queues agree on it.
 
 use proptest::collection;
 use proptest::prelude::*;
 
-use csnake_sim::{Clock, SchedulerKind, Sim, VirtualTime, World};
+use csnake_sim::{Clock, Sim, VirtualTime, World};
 
-/// One step of a random scheduler program. `a`/`b` are op-dependent
-/// operands (times in µs, id indexes).
+/// One step of a random scheduler program; operands are times in µs.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Schedule a fresh event `a` µs after now.
     Schedule(u64),
     /// Schedule a fresh event at absolute time `a` µs (possibly the past).
     ScheduleAt(u64),
-    /// Cancel the `a % issued`-th issued timer.
-    Cancel(u64),
-    /// Reschedule the `a % issued`-th issued timer `b` µs out.
-    Reschedule(u64, u64),
     /// Advance the clock by `a` µs.
     Advance(u64),
     /// Run until absolute time `a` µs.
@@ -62,12 +48,10 @@ fn stream_base(s: usize) -> u32 {
 
 fn decode(raw: &[(u8, u64, u64)]) -> Vec<Op> {
     raw.iter()
-        .map(|&(kind, a, b)| match kind % 6 {
+        .map(|&(kind, a, b)| match kind % 4 {
             0 => Op::Schedule(a % 200_000),
             1 => Op::ScheduleAt(b % 2_000_000),
-            2 => Op::Cancel(a),
-            3 => Op::Reschedule(a, b % 150_000),
-            4 => Op::Advance(a % 50_000),
+            2 => Op::Advance(a % 50_000),
             _ => Op::Run(b % 3_000_000),
         })
         .collect()
@@ -130,26 +114,18 @@ struct Model {
 }
 
 impl Model {
-    fn schedule_at(&mut self, time: u64, id: u32) -> u64 {
+    fn schedule_at(&mut self, time: u64, id: u32) {
         self.pending.push((time, self.seq, id));
         self.seq += 1;
-        self.seq - 1
-    }
-
-    fn cancel(&mut self, seq: u64) {
-        self.pending.retain(|e| e.1 != seq);
     }
 
     fn run(&mut self, until: u64, event_limit: u64) {
         let mut taken = 0;
         loop {
-            let mut next: Option<usize> = None;
-            for (i, e) in self.pending.iter().enumerate() {
-                if next.is_none_or(|n| (e.0, e.1) < (self.pending[n].0, self.pending[n].1)) {
-                    next = Some(i);
-                }
-            }
-            let Some(i) = next.filter(|&i| self.pending[i].0 <= until) else {
+            let next = (0..self.pending.len())
+                .min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+                .filter(|&i| self.pending[i].0 <= until);
+            let Some(i) = next else {
                 return;
             };
             let (time, _, ev) = self.pending.swap_remove(i);
@@ -176,29 +152,16 @@ impl Model {
 fn model_program(ops: &[Op], event_limit: u64) -> (Vec<(u32, u64, u64)>, u64, u64) {
     let mut m = Model::default();
     let mut outside_id = 100_000u32;
-    let mut issued = Vec::new();
     let mut streams = 0;
     for op in ops {
         match *op {
             Op::Schedule(us) => {
-                issued.push(m.schedule_at(m.now + us, outside_id));
+                m.schedule_at(m.now + us, outside_id);
                 outside_id += 1;
             }
             Op::ScheduleAt(us) => {
-                issued.push(m.schedule_at(us, outside_id));
+                m.schedule_at(us, outside_id);
                 outside_id += 1;
-            }
-            Op::Cancel(k) => {
-                if !issued.is_empty() {
-                    m.cancel(issued[(k % issued.len() as u64) as usize]);
-                }
-            }
-            Op::Reschedule(k, us) => {
-                if !issued.is_empty() {
-                    m.cancel(issued[(k % issued.len() as u64) as usize]);
-                    issued.push(m.schedule_at(m.now + us, outside_id));
-                    outside_id += 1;
-                }
             }
             Op::Advance(us) => m.now += us,
             Op::Run(us) => m.run(us, event_limit),
@@ -217,7 +180,6 @@ fn model_program(ops: &[Op], event_limit: u64) -> (Vec<(u32, u64, u64)>, u64, u6
 /// What one program did: the fire log, the final clock and executed
 /// count, and after every `Run` (and at the end) the pending count beside
 /// the number of stream events still behind their stream's head.
-#[derive(Debug, PartialEq)]
 struct Outcome {
     log: Vec<(u32, u64, u64)>,
     now: u64,
@@ -229,35 +191,18 @@ struct Outcome {
 /// An `event_limit` no program here reaches.
 const NO_LIMIT: u64 = 50_000;
 
-/// Runs one program on one backend and checks it against the model;
-/// returns the observable outcome.
-fn execute(
-    kind: SchedulerKind,
-    ops: &[Op],
-    event_limit: u64,
-) -> (Vec<(u32, u64, u64)>, u64, usize, u64) {
-    let out = run_program(kind, ops, Arrivals::Lane, event_limit);
-    assert_matches_model(kind, &out, ops, event_limit);
-    (
-        out.log,
-        out.now,
-        *out.pending.last().expect("final snapshot"),
-        out.executed,
-    )
-}
-
-fn assert_matches_model(kind: SchedulerKind, out: &Outcome, ops: &[Op], event_limit: u64) {
+/// Runs one program on `Sim` and checks it against the model; returns
+/// what `Sim` did.
+fn assert_matches_model(ops: &[Op], event_limit: u64) -> Outcome {
+    let out = run_program(ops, Arrivals::Lane, event_limit);
     let (log, now, executed) = model_program(ops, event_limit);
-    assert_eq!(out.log, log, "{kind:?} vs model: fire log");
-    assert_eq!(
-        (out.now, out.executed),
-        (now, executed),
-        "{kind:?} vs model"
-    );
+    assert_eq!(out.log, log, "fire log");
+    assert_eq!((out.now, out.executed), (now, executed));
+    out
 }
 
-fn run_program(kind: SchedulerKind, ops: &[Op], arrivals: Arrivals, event_limit: u64) -> Outcome {
-    let mut sim = Sim::with_scheduler(7, kind);
+fn run_program(ops: &[Op], arrivals: Arrivals, event_limit: u64) -> Outcome {
+    let mut sim = Sim::new(7);
     sim.event_limit = event_limit;
     let mut world = Script {
         log: Vec::new(),
@@ -266,7 +211,6 @@ fn run_program(kind: SchedulerKind, ops: &[Op], arrivals: Arrivals, event_limit:
         next_id: 0,
     };
     let mut outside_id = 100_000u32;
-    let mut issued = Vec::new();
     let mut stream_sizes: Vec<u64> = Vec::new();
     let mut pending = Vec::new();
     let mut behind_heads = Vec::new();
@@ -286,25 +230,12 @@ fn run_program(kind: SchedulerKind, ops: &[Op], arrivals: Arrivals, event_limit:
     for op in ops {
         match *op {
             Op::Schedule(us) => {
-                issued.push(sim.schedule(VirtualTime::from_micros(us), outside_id));
+                sim.schedule(VirtualTime::from_micros(us), outside_id);
                 outside_id += 1;
             }
             Op::ScheduleAt(us) => {
-                issued.push(sim.schedule_at(VirtualTime::from_micros(us), outside_id));
+                sim.schedule_at(VirtualTime::from_micros(us), outside_id);
                 outside_id += 1;
-            }
-            Op::Cancel(k) => {
-                if !issued.is_empty() {
-                    let id = issued[(k % issued.len() as u64) as usize];
-                    sim.cancel(id);
-                }
-            }
-            Op::Reschedule(k, us) => {
-                if !issued.is_empty() {
-                    let id = issued[(k % issued.len() as u64) as usize];
-                    issued.push(sim.reschedule(id, VirtualTime::from_micros(us), outside_id));
-                    outside_id += 1;
-                }
             }
             Op::Advance(us) => sim.advance(VirtualTime::from_micros(us)),
             Op::Run(us) => {
@@ -315,8 +246,6 @@ fn run_program(kind: SchedulerKind, ops: &[Op], arrivals: Arrivals, event_limit:
                 let base = stream_base(stream_sizes.len());
                 stream_sizes.push(n);
                 let times = (0..n).map(move |i| VirtualTime::from_micros(start + i * gap));
-                // Stream events have no `TimerId`, so neither mode adds
-                // to `issued` and `Cancel` picks the same timers in both.
                 match arrivals {
                     Arrivals::Lane => {
                         let mut id = base;
@@ -345,33 +274,19 @@ fn run_program(kind: SchedulerKind, ops: &[Op], arrivals: Arrivals, event_limit:
     }
 }
 
-/// Lane ≡ eager on one backend: same firings, clock and executed count;
-/// at every snapshot the eager queue holds exactly what the lane run
-/// holds plus the events the lane keeps behind its stream heads — less
-/// any cancelled timers the lane run has already swept (`pending()`
-/// counts a cancelled timer until it reaches the queue front, which a
-/// queue without the stream's events in it does sooner).
-fn assert_lane_matches_eager(kind: SchedulerKind, ops: &[Op]) -> Outcome {
-    let lane = run_program(kind, ops, Arrivals::Lane, NO_LIMIT);
-    let eager = run_program(kind, ops, Arrivals::Eager, NO_LIMIT);
-    assert_matches_model(kind, &lane, ops, NO_LIMIT);
-    assert_eq!(lane.log, eager.log, "{kind:?}: fire log");
-    assert_eq!(
-        (lane.now, lane.executed),
-        (eager.now, eager.executed),
-        "{kind:?}"
-    );
-    let cancels = ops
-        .iter()
-        .filter(|op| matches!(op, Op::Cancel(_) | Op::Reschedule(..)))
-        .count();
+/// Lane ≡ eager ≡ model: same firings, clock and executed count; at every
+/// snapshot the eager queue holds exactly what the lane run holds plus
+/// the events the lane keeps behind its stream heads.
+fn assert_lane_matches_eager(ops: &[Op]) -> Outcome {
+    let lane = assert_matches_model(ops, NO_LIMIT);
+    let eager = run_program(ops, Arrivals::Eager, NO_LIMIT);
+    assert_eq!(lane.log, eager.log, "fire log");
+    assert_eq!((lane.now, lane.executed), (eager.now, eager.executed));
     for (i, &held) in eager.pending.iter().enumerate() {
-        let released = lane.pending[i] + lane.behind_heads[i];
-        assert!(
-            released <= held && held - released <= cancels,
-            "{kind:?}: snapshot {i}: eager holds {held}, lane {} + {} behind heads",
-            lane.pending[i],
-            lane.behind_heads[i]
+        assert_eq!(
+            held,
+            lane.pending[i] + lane.behind_heads[i],
+            "snapshot {i}: eager pending vs lane pending + events behind stream heads"
         );
     }
     lane
@@ -383,13 +298,11 @@ fn assert_lane_matches_eager(kind: SchedulerKind, ops: &[Op]) -> Outcome {
 /// after the stream was registered and with other streams' events.
 fn decode_grid(raw: &[(u8, u64, u64)]) -> Vec<Op> {
     raw.iter()
-        .map(|&(kind, a, b)| match kind % 8 {
+        .map(|&(kind, a, b)| match kind % 6 {
             0 => Op::Schedule((a % 400) * 500),
             1 => Op::ScheduleAt((b % 4_000) * 500),
-            2 => Op::Cancel(a),
-            3 => Op::Reschedule(a, (b % 300) * 500),
-            4 => Op::Advance((a % 100) * 500),
-            5 => Op::Run((b % 6_000) * 500),
+            2 => Op::Advance((a % 100) * 500),
+            3 => Op::Run((b % 6_000) * 500),
             _ => Op::Stream {
                 start: (a % 4_000) * 500,
                 n: b % 64,
@@ -408,20 +321,14 @@ proptest! {
     ) {
         let ops = decode(&raw);
         // Half the cases run under a limit small enough to trip.
-        let limit = if limit < 30 { limit } else { NO_LIMIT };
-        let heap = execute(SchedulerKind::Heap, &ops, limit);
-        let wheel = execute(SchedulerKind::Wheel, &ops, limit);
-        prop_assert_eq!(heap, wheel);
+        assert_matches_model(&ops, if limit < 30 { limit } else { NO_LIMIT });
     }
 
     #[test]
     fn streams_fire_exactly_like_eager_scheduling(
         raw in collection::vec((0u8..16, 0u64..1_000_000, 0u64..4_000_000), 0..60),
     ) {
-        let ops = decode_grid(&raw);
-        let heap = assert_lane_matches_eager(SchedulerKind::Heap, &ops);
-        let wheel = assert_lane_matches_eager(SchedulerKind::Wheel, &ops);
-        prop_assert_eq!(heap, wheel);
+        assert_lane_matches_eager(&decode_grid(&raw));
     }
 }
 
@@ -446,18 +353,12 @@ fn streams_tie_with_timers_issued_before_and_after_registration() {
         Op::ScheduleAt(1_000),
         Op::Run(1_400),
     ];
-    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-        let out = assert_lane_matches_eager(kind, &ops);
-        let fired: Vec<u32> = out.log.iter().map(|e| e.0).collect();
-        let (a, b) = (stream_base(0), stream_base(1));
-        assert_eq!(
-            fired[..7],
-            [b, 100_000, a, a + 1, a + 2, b + 1, 100_001],
-            "{kind:?}"
-        );
-        // The horizon stopped the second stream with two events to go.
-        assert_eq!(out.behind_heads[0], 1, "{kind:?}");
-    }
+    let out = assert_lane_matches_eager(&ops);
+    let fired: Vec<u32> = out.log.iter().map(|e| e.0).collect();
+    let (a, b) = (stream_base(0), stream_base(1));
+    assert_eq!(fired[..7], [b, 100_000, a, a + 1, a + 2, b + 1, 100_001]);
+    // The horizon stopped the second stream with two events to go.
+    assert_eq!(out.behind_heads[0], 1);
 }
 
 #[test]
@@ -471,8 +372,8 @@ fn event_limit_tripping_mid_stream_drops_the_same_event() {
     }
     // Each run pops eight events and discards the eighth; the next run
     // resumes behind it.
-    let run = |kind, arrivals| {
-        let mut sim: Sim<u32> = Sim::with_scheduler(3, kind);
+    let run = |arrivals| {
+        let mut sim: Sim<u32> = Sim::new(3);
         sim.event_limit = 7;
         let times = (0..40u64).map(|i| VirtualTime::from_micros(i * 100));
         match arrivals {
@@ -492,17 +393,15 @@ fn event_limit_tripping_mid_stream_drops_the_same_event() {
             .collect();
         (world.0, sim.now(), sim.events_executed(), pending)
     };
-    for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
-        let lane = run(kind, Arrivals::Lane);
-        let eager = run(kind, Arrivals::Eager);
-        assert_eq!(lane.0, eager.0, "{kind:?}");
-        assert_eq!((lane.1, lane.2), (eager.1, eager.2), "{kind:?}");
-        let fired: Vec<u32> = lane.0.iter().map(|e| e.0).collect();
-        let survivors: Vec<u32> = (0..24).filter(|i| i % 8 != 7).collect();
-        assert_eq!(fired, survivors, "{kind:?}");
-        assert_eq!(lane.3, [1, 1, 1], "{kind:?}");
-        assert_eq!(eager.3, [32, 24, 16], "{kind:?}");
-    }
+    let lane = run(Arrivals::Lane);
+    let eager = run(Arrivals::Eager);
+    assert_eq!(lane.0, eager.0);
+    assert_eq!((lane.1, lane.2), (eager.1, eager.2));
+    let fired: Vec<u32> = lane.0.iter().map(|e| e.0).collect();
+    let survivors: Vec<u32> = (0..24).filter(|i| i % 8 != 7).collect();
+    assert_eq!(fired, survivors);
+    assert_eq!(lane.3, [1, 1, 1]);
+    assert_eq!(eager.3, [32, 24, 16]);
 }
 
 #[test]
@@ -512,10 +411,7 @@ fn dense_same_tick_storm_matches_the_model() {
         .map(|i| Op::ScheduleAt((i % 7) * 64))
         .chain([Op::Run(10_000_000)])
         .collect();
-    assert_eq!(
-        execute(SchedulerKind::Heap, &ops, NO_LIMIT),
-        execute(SchedulerKind::Wheel, &ops, NO_LIMIT)
-    );
+    assert_matches_model(&ops, NO_LIMIT);
 }
 
 #[test]
@@ -526,28 +422,5 @@ fn far_horizon_spread_matches_the_model() {
         .map(|i| Op::ScheduleAt(1u64 << (i % 45)))
         .chain([Op::Run(u64::MAX / 2)])
         .collect();
-    assert_eq!(
-        execute(SchedulerKind::Heap, &ops, NO_LIMIT),
-        execute(SchedulerKind::Wheel, &ops, NO_LIMIT)
-    );
-}
-
-#[test]
-fn event_limit_trips_identically() {
-    struct Storm;
-    impl World for Storm {
-        type Event = ();
-        fn handle(&mut self, sim: &mut Sim<()>, _ev: ()) {
-            sim.schedule(VirtualTime::from_micros(1), ());
-            sim.schedule(VirtualTime::from_micros(1), ());
-        }
-    }
-    let run = |kind| {
-        let mut sim: Sim<()> = Sim::with_scheduler(3, kind);
-        sim.event_limit = 777;
-        sim.schedule(VirtualTime::ZERO, ());
-        let executed = sim.run(&mut Storm, VirtualTime::MAX);
-        (executed, sim.pending(), sim.now())
-    };
-    assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Wheel));
+    assert_matches_model(&ops, NO_LIMIT);
 }

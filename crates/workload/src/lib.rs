@@ -8,8 +8,8 @@
 //! yield to, queueing delay compounds until timeouts fire, retries
 //! amplify, and the system feeds its own collapse. This crate supplies
 //! that traffic: deterministic arrival processes and recorded request
-//! traces compiled into a [`TargetSystem`](csnake_core::TargetSystem) that
-//! any driver, session, or campaign in the workspace can run unchanged.
+//! traces compiled into a [`TargetSystem`] that any driver, session, or
+//! campaign in the workspace can run unchanged.
 //!
 //! # Drive real traffic: a walkthrough
 //!

@@ -44,10 +44,9 @@ fn main() {
     };
 
     // ── 2. Run it standalone and read the latency ───────────────────────
-    // `with_spec` compiles the spec into a TargetSystem; a run pre-
-    // schedules every arrival as a pending simulator timer (the load shape
-    // the event-wheel scheduler exists for) and folds per-request latency
-    // into a WorkloadSummary.
+    // `with_spec` compiles the spec into a TargetSystem; a run registers
+    // the arrivals as one lazily sampled stream (`Sim::schedule_stream`)
+    // and folds per-request latency into a WorkloadSummary.
     let sys = WorkloadSystem::with_spec("workload:example", spec);
     sys.run(TestId(0), None, 42);
     // The server drains its queue on a periodic tick, so quiet-system

@@ -6,20 +6,17 @@
 //! number. How a stream reaches the executor may change; which event of a
 //! tie runs first may not. For the four `WorkloadSystem::new()` workloads
 //! and a retry workload whose arrivals, ticks and monitor polls all sit on
-//! one 1 ms grid, × profile / delay / throw / negate, on both scheduler
-//! backends, this pins a hash of `format!("{:?}", (RunTrace,
-//! WorkloadSummary))`; an inline scenario does the same for the `arrive`
-//! setup stanza.
+//! one 1 ms grid, × profile / delay / throw / negate, this pins a hash of
+//! `format!("{:?}", (RunTrace, WorkloadSummary))`; an inline scenario does
+//! the same for the `arrive` setup stanza.
 
 use csnake::core::TargetSystem;
 use csnake::inject::{fnv1a, InjectionPlan, TestId};
 use csnake::scenario::{compile, parse_str};
-use csnake::sim::scheduler::{self, SchedulerKind};
 use csnake::sim::VirtualTime;
 use csnake::workload::{Arrival, ArrivalSource, WorkloadSpec, WorkloadSystem};
 
 const SEED: u64 = 7;
-const KINDS: [SchedulerKind; 2] = [SchedulerKind::Wheel, SchedulerKind::Heap];
 
 fn hash(text: &str) -> u64 {
     fnv1a(text.bytes().map(u64::from))
@@ -110,65 +107,54 @@ const ARRIVE_SRC: &str = r#"
 /// `[profile, delay(work), throw(late)]`.
 const ARRIVE_PINS: [u64; 3] = [0x48fbe9f3e6bfeedf, 0xca9008681d9de4ed, 0xf00682e49cc00376];
 
-/// One test function: the scheduler default is process-wide.
 #[test]
 fn arrival_streams_record_the_pinned_bytes() {
-    let mut got_workloads = Vec::new();
-    let mut got_arrive = Vec::new();
-    for kind in KINDS {
-        scheduler::set_default(kind);
-        let standard = WorkloadSystem::new();
-        let grid = grid_retry();
-        let runs = [
-            (&standard, 0),
-            (&standard, 1),
-            (&standard, 2),
-            (&standard, 3),
-            (&grid, 0),
-        ];
-        let rows: Vec<(&str, [u64; 4])> = WORKLOAD_PINS
-            .iter()
-            .zip(runs)
-            .map(|(&(name, _), (sys, test))| (name, workload_hashes(sys, TestId(test))))
-            .collect();
-        got_workloads.push(rows);
+    let standard = WorkloadSystem::new();
+    let grid = grid_retry();
+    let runs = [
+        (&standard, 0),
+        (&standard, 1),
+        (&standard, 2),
+        (&standard, 3),
+        (&grid, 0),
+    ];
+    let got_workloads: Vec<(&str, [u64; 4])> = WORKLOAD_PINS
+        .iter()
+        .zip(runs)
+        .map(|(&(name, _), (sys, test))| (name, workload_hashes(sys, TestId(test))))
+        .collect();
 
-        let scn = compile(&parse_str(ARRIVE_SRC).expect("parses")).expect("compiles");
-        let work = scn.point_by_label("work").expect("declared");
-        let late = scn.point_by_label("late").expect("declared");
-        let profile = scn.run(TestId(0), None, SEED);
-        assert_eq!(
-            profile.occurrences.get(&late).map_or(0, Vec::len),
-            300,
-            "exactly the diurnal stream's requests run behind their instant's Serve"
-        );
-        let plans = [
-            InjectionPlan::delay(work, VirtualTime::from_micros(100)),
-            InjectionPlan::throw(late),
-        ];
-        let mut hashes = vec![hash(&format!("{profile:?}"))];
-        for plan in plans {
-            let trace = scn.run(TestId(0), Some(plan), SEED);
-            assert!(trace.injected.is_some(), "{plan:?} did not fire");
-            hashes.push(hash(&format!("{trace:?}")));
-        }
-        got_arrive.push(hashes);
+    let scn = compile(&parse_str(ARRIVE_SRC).expect("parses")).expect("compiles");
+    let work = scn.point_by_label("work").expect("declared");
+    let late = scn.point_by_label("late").expect("declared");
+    let profile = scn.run(TestId(0), None, SEED);
+    assert_eq!(
+        profile.occurrences.get(&late).map_or(0, Vec::len),
+        300,
+        "exactly the diurnal stream's requests run behind their instant's Serve"
+    );
+    let plans = [
+        InjectionPlan::delay(work, VirtualTime::from_micros(100)),
+        InjectionPlan::throw(late),
+    ];
+    let mut got_arrive = vec![hash(&format!("{profile:?}"))];
+    for plan in plans {
+        let trace = scn.run(TestId(0), Some(plan), SEED);
+        assert!(trace.injected.is_some(), "{plan:?} did not fire");
+        got_arrive.push(hash(&format!("{trace:?}")));
     }
-    scheduler::set_default(SchedulerKind::Wheel);
 
-    assert_eq!(got_workloads[0], got_workloads[1], "wheel vs heap");
-    assert_eq!(got_arrive[0], got_arrive[1], "wheel vs heap");
     let hex = |hashes: &[u64]| {
         let cells: Vec<String> = hashes.iter().map(|h| format!("{h:#018x}")).collect();
         format!("[{}]", cells.join(", "))
     };
-    let table: String = got_workloads[0]
+    let table: String = got_workloads
         .iter()
         .map(|(n, h)| format!("    ({n:?}, {}),\n", hex(h)))
         .collect();
     assert!(
-        got_workloads[0] == WORKLOAD_PINS && got_arrive[0] == ARRIVE_PINS,
+        got_workloads == WORKLOAD_PINS && got_arrive == ARRIVE_PINS,
         "recorded bytes moved; computed pins:\n{table}arrive stanzas: {}",
-        hex(&got_arrive[0])
+        hex(&got_arrive)
     );
 }
