@@ -42,6 +42,7 @@ fn usage() -> ! {
          \x20 work   --stdio | --connect HOST:PORT [--fail-after K] [--no-heartbeat] [--fast]\n\
          \x20        serve experiment shards to a coordinator\n\
          \n\
+         defaults: -j 2, --shard-jobs 2, --lease-ms 2000, --cadence 16\n\
          targets: builtins (toy, ...), scenario corpus names (kafka-isr, ...), gen:<seed>\n\
          chaos spec: seed=7,exp_panic=0.2,exp_stall=0.1,snap_io=0.25,wire_drop=0.2,attempts=2,..."
     );

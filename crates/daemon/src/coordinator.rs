@@ -13,11 +13,22 @@
 //! module enforces; everything else (which worker gets which shard, when
 //! results arrive, who dies) is free to vary without perturbing results.
 //!
+//! # The cut
+//!
+//! A batch is cut into shards of [`DaemonConfig::shard_jobs`] jobs by
+//! position, and by nothing else: not the worker count, not a measured
+//! round trip, not who is idle. Shard ordinals key the chaos sites and
+//! name checkpoint islands, so a cut that depended on the fleet would
+//! make neither reproducible across fleets.
+//!
 //! # Leases and reassignment
 //!
 //! Every assignment carries a lease: a worker must be heard from
 //! (heartbeat or result) within `lease_ms` or it is declared lost and its
-//! shard re-queued. A hangup (EOF on the connection) short-circuits the
+//! shard re-queued. The coordinator has no clock tick: it blocks until a
+//! worker speaks or the earliest live lease deadline passes, so an expiry
+//! is noticed when it happens and a waiting coordinator does not wake in
+//! between. A hangup (EOF on the connection) short-circuits the
 //! lease. A shard that cannot be delivered after
 //! [`DaemonConfig::max_assign_attempts`] tries degrades deterministically:
 //! its cells become gap placeholders — exactly what the in-process retry
@@ -53,28 +64,28 @@ use crate::wire::{Job, WireMsg, WorkerEvent};
 /// Coordinator knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Jobs per shard. Smaller shards rebalance and recover faster;
-    /// larger shards amortize framing. The value never affects results —
-    /// only scheduling granularity — but it *is* part of the chaos
-    /// key-space (shard ordinals), so keep it fixed when comparing chaos
-    /// runs.
+    /// Jobs per shard. A batch is cut into `shard_jobs`-sized pieces by
+    /// position alone — never by worker count, round-trip time or any
+    /// other measurement — so shard ordinals (the chaos key-space) and
+    /// checkpoint islands are the same for every fleet. A 3PA batch on
+    /// the measured campaigns holds 3–12 jobs and framing costs tens of
+    /// microseconds against a millisecond or more per job, so the default
+    /// is the smallest cut two workers can share. The value never affects
+    /// results, but keep it fixed when comparing chaos runs.
     pub shard_jobs: usize,
     /// Lease duration handed to workers; a busy worker silent for longer
     /// is declared lost and its shard reassigned.
     pub lease_ms: u64,
     /// Delivery attempts per shard before it degrades into gaps.
     pub max_assign_attempts: u32,
-    /// Granularity of the lease clock.
-    pub poll_ms: u64,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
-            shard_jobs: 4,
+            shard_jobs: 2,
             lease_ms: 2_000,
             max_assign_attempts: 3,
-            poll_ms: 20,
         }
     }
 }
@@ -101,19 +112,11 @@ struct WorkerSlot {
     deadline: Instant,
 }
 
-/// A completed shard, parked until the in-order merge.
-struct ShardResult {
-    outcomes: Vec<ExperimentOutcome>,
-    gaps: Vec<Job>,
-    runs: usize,
-    events: Vec<WorkerEvent>,
-}
-
 struct Shard {
     ordinal: u32,
     range: Range<usize>,
     attempts: u32,
-    done: Option<ShardResult>,
+    done: bool,
 }
 
 /// Distributed [`ExperimentEngine`]: plans locally, executes remotely.
@@ -144,6 +147,10 @@ pub struct DistributedEngine {
     /// reported in a live [`WireMsg::Event`] frame; the fleet-wide figure
     /// is their sum.
     worker_cache: BTreeMap<u32, (usize, usize)>,
+    /// Times `run_batch` woke because a lease deadline passed rather than
+    /// because a worker spoke.
+    #[cfg(test)]
+    timed_wakeups: usize,
 }
 
 /// Maps a wire-level worker event into the observer-facing forwarded form.
@@ -312,6 +319,8 @@ impl DistributedEngine {
             batch_counter: 0,
             shard_counter: 0,
             worker_cache: BTreeMap::new(),
+            #[cfg(test)]
+            timed_wakeups: 0,
         })
     }
 
@@ -353,9 +362,15 @@ impl DistributedEngine {
     /// A shard that exhausted its delivery attempts: every cell becomes a
     /// gap with the canonical empty placeholder, exactly like a job that
     /// exhausts the in-process retry budget.
-    fn degraded_result(batch: &[Job], shard: &Shard, reason: &str) -> ShardResult {
+    fn degraded_result(
+        batch: &[Job],
+        shard: &Shard,
+        reason: &str,
+    ) -> (ShardSpan, Vec<WorkerEvent>) {
         let jobs = &batch[shard.range.clone()];
-        ShardResult {
+        let span = ShardSpan {
+            shard: shard.ordinal,
+            start: shard.range.start,
             outcomes: jobs
                 .iter()
                 .map(|&(f, t, _)| ExperimentOutcome {
@@ -367,16 +382,17 @@ impl DistributedEngine {
                 .collect(),
             gaps: jobs.to_vec(),
             runs: 0,
-            events: jobs
-                .iter()
-                .map(|&(f, t, p)| WorkerEvent::BatchFailed {
-                    fault: f,
-                    test: t,
-                    phase: p,
-                    reason: reason.to_string(),
-                })
-                .collect(),
-        }
+        };
+        let events = jobs
+            .iter()
+            .map(|&(f, t, p)| WorkerEvent::BatchFailed {
+                fault: f,
+                test: t,
+                phase: p,
+                reason: reason.to_string(),
+            })
+            .collect();
+        (span, events)
     }
 
     fn run_batch(
@@ -396,19 +412,23 @@ impl DistributedEngine {
                 ordinal: self.shard_counter,
                 range: start..end,
                 attempts: 0,
-                done: None,
+                done: false,
             });
             self.shard_counter += 1;
             start = end;
         }
 
         let mut pending: std::collections::VecDeque<usize> = (0..shards.len()).collect();
-        let mut done = 0usize;
+        // Finished shards in completion order — the slice `progress`
+        // borrows as it stands — with each one's supervisor events beside
+        // it, parked until the in-order merge.
+        let mut spans: Vec<ShardSpan> = Vec::with_capacity(shards.len());
+        let mut span_events: Vec<Vec<WorkerEvent>> = Vec::with_capacity(shards.len());
         let lease = Duration::from_millis(self.cfg.lease_ms);
         let abandoned =
             |attempts: u32| format!("shard abandoned after {attempts} delivery attempts");
 
-        while done < shards.len() {
+        while spans.len() < shards.len() {
             // Lease expiries first: a silent worker must not hold its
             // shard hostage past the deadline.
             let now = Instant::now();
@@ -446,12 +466,11 @@ impl DistributedEngine {
                     self.chaos.wire_stall_hook(ordinal as u64);
                     if self.chaos.wire_drop_hook(ordinal as u64) {
                         if attempts >= self.cfg.max_assign_attempts {
-                            shards[si].done = Some(Self::degraded_result(
-                                batch,
-                                &shards[si],
-                                &abandoned(attempts),
-                            ));
-                            done += 1;
+                            let (span, events) =
+                                Self::degraded_result(batch, &shards[si], &abandoned(attempts));
+                            shards[si].done = true;
+                            spans.push(span);
+                            span_events.push(events);
                             continue; // this worker is still idle; next shard
                         }
                         pending.push_back(si);
@@ -492,25 +511,36 @@ impl DistributedEngine {
             // hanging.
             if !self.workers.iter().any(|w| w.alive) {
                 while let Some(si) = pending.pop_front() {
-                    if shards[si].done.is_none() {
-                        let attempts = shards[si].attempts;
-                        shards[si].done = Some(Self::degraded_result(
+                    if !shards[si].done {
+                        let (span, events) = Self::degraded_result(
                             batch,
                             &shards[si],
-                            &format!("no live workers ({})", abandoned(attempts)),
-                        ));
-                        done += 1;
+                            &format!("no live workers ({})", abandoned(shards[si].attempts)),
+                        );
+                        shards[si].done = true;
+                        spans.push(span);
+                        span_events.push(events);
                     }
                 }
             }
-            if done >= shards.len() {
+            if spans.len() >= shards.len() {
                 break;
             }
 
-            match self
-                .notes
-                .recv_timeout(Duration::from_millis(self.cfg.poll_ms))
-            {
+            // Sleep until a worker speaks or the earliest live lease runs
+            // out, whichever is first. Every unfinished shard is queued or
+            // held, and a queued shard means no live worker is idle, so a
+            // live fleet here always has a busy worker to take the deadline
+            // from.
+            let now = Instant::now();
+            let wake = self
+                .workers
+                .iter()
+                .filter(|w| w.alive && w.busy.is_some())
+                .map(|w| w.deadline)
+                .min()
+                .unwrap_or(now + lease);
+            match self.notes.recv_timeout(wake.saturating_duration_since(now)) {
                 Ok((
                     w,
                     WorkerNote::Msg(WireMsg::Result {
@@ -525,9 +555,7 @@ impl DistributedEngine {
                     if self.workers[w].alive {
                         self.workers[w].deadline = Instant::now() + lease;
                     }
-                    let si = shards
-                        .iter()
-                        .position(|s| s.ordinal == ordinal && s.done.is_none());
+                    let si = shards.iter().position(|s| s.ordinal == ordinal && !s.done);
                     if let Some(si) = si {
                         if outcomes.len() != shards[si].range.len() {
                             // Protocol violation: treat the worker as lost
@@ -541,13 +569,15 @@ impl DistributedEngine {
                             );
                             continue;
                         }
-                        shards[si].done = Some(ShardResult {
+                        shards[si].done = true;
+                        spans.push(ShardSpan {
+                            shard: ordinal,
+                            start: shards[si].range.start,
                             outcomes,
                             gaps,
                             runs,
-                            events,
                         });
-                        done += 1;
+                        span_events.push(events);
                         // Whoever holds the shard (possibly a later
                         // assignee, if the original came back first) is
                         // free again.
@@ -557,20 +587,11 @@ impl DistributedEngine {
                             }
                         }
                         // Report every completed island so the runner can
-                        // checkpoint mid-batch.
-                        let spans: Vec<ShardSpan> = shards
-                            .iter()
-                            .filter_map(|s| {
-                                s.done.as_ref().map(|r| ShardSpan {
-                                    shard: s.ordinal,
-                                    start: s.range.start,
-                                    outcomes: r.outcomes.clone(),
-                                    gaps: r.gaps.clone(),
-                                    runs: r.runs,
-                                })
-                            })
-                            .collect();
-                        progress(&spans);
+                        // checkpoint mid-batch; a complete batch it
+                        // checkpoints itself the moment this call returns.
+                        if spans.len() < shards.len() {
+                            progress(&spans);
+                        }
                     }
                 }
                 Ok((w, WorkerNote::Msg(WireMsg::Heartbeat { .. }))) => {
@@ -604,7 +625,13 @@ impl DistributedEngine {
                         &reason,
                     );
                 }
-                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Timeout) => {
+                    // A lease ran out; the next pass declares it.
+                    #[cfg(test)]
+                    {
+                        self.timed_wakeups += 1;
+                    }
+                }
                 Err(RecvTimeoutError::Disconnected) => {
                     // Every reader thread has exited and their Gone notes
                     // are drained: nothing will ever arrive again.
@@ -624,12 +651,13 @@ impl DistributedEngine {
         // Deterministic merge: batch order = shard order, and the workers'
         // supervisor telemetry replays in the same order with
         // coordinator-assigned batch ordinals.
+        let mut merged: Vec<_> = spans.into_iter().zip(span_events).collect();
+        merged.sort_by_key(|(span, _)| span.start);
         let mut out = Vec::with_capacity(batch.len());
-        for s in shards {
-            let res = s.done.expect("loop exits only when every shard is done");
+        for (span, events) in merged {
             let batch_id = self.batch_counter;
             self.batch_counter += 1;
-            for ev in &res.events {
+            for ev in &events {
                 match ev {
                     WorkerEvent::BatchRetried {
                         failed_jobs,
@@ -654,9 +682,9 @@ impl DistributedEngine {
                     WorkerEvent::ExperimentCompleted { .. } | WorkerEvent::TraceCache { .. } => {}
                 }
             }
-            self.gaps.extend(res.gaps);
-            self.runs += res.runs;
-            out.extend(res.outcomes);
+            self.gaps.extend(span.gaps);
+            self.runs += span.runs;
+            out.extend(span.outcomes);
         }
         out
     }
@@ -724,5 +752,91 @@ impl ExperimentEngine for DistributedEngine {
                 self.observer.worker_connected(i as u32);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::channel_pair;
+
+    /// A protocol-conforming worker that computes nothing: acks the Hello,
+    /// holds every `Assign` for `hold`, then answers with placeholders.
+    fn placeholder_worker(endpoint: Endpoint, hold: Duration) {
+        let Endpoint { mut tx, mut rx } = endpoint;
+        while let Ok(Some(msg)) = rx.recv() {
+            let reply = match msg {
+                WireMsg::Hello {
+                    worker,
+                    registry_fp,
+                    ..
+                } => WireMsg::HelloAck {
+                    worker,
+                    registry_fp,
+                },
+                WireMsg::Assign { shard, jobs } => {
+                    std::thread::sleep(hold);
+                    WireMsg::Result {
+                        shard,
+                        outcomes: jobs
+                            .iter()
+                            .map(|&(fault, test, _)| ExperimentOutcome {
+                                fault,
+                                test,
+                                interference: Default::default(),
+                                edges: Vec::new(),
+                            })
+                            .collect(),
+                        gaps: Vec::new(),
+                        runs: 0,
+                        events: Vec::new(),
+                    }
+                }
+                _ => return,
+            };
+            tx.send(&reply).expect("coordinator is listening");
+        }
+    }
+
+    /// The wait is on the lease deadline, not on a tick: a worker that
+    /// answers inside its lease, however late, is heard through its
+    /// `Result` and nothing else wakes the loop.
+    #[test]
+    fn a_busy_worker_inside_its_lease_costs_no_timed_wakeup() {
+        let target = crate::targets::resolve("toy").expect("target resolves");
+        let mut cfg = DetectConfig::default();
+        cfg.driver.reps = 3;
+        cfg.driver.delay_values_ms = vec![800];
+        let driver = Driver::new(target.as_ref(), cfg.driver.clone());
+        let jobs: Vec<Job> = driver
+            .faults()
+            .into_iter()
+            .filter_map(|f| driver.tests_reaching(f).first().map(|&t| (f, t, 1u8)))
+            .take(2)
+            .collect();
+        assert_eq!(jobs.len(), 2, "toy target must have injectable cells");
+
+        let (coord_side, worker_side) = channel_pair();
+        let worker =
+            std::thread::spawn(move || placeholder_worker(worker_side, Duration::from_millis(120)));
+        let dcfg = DaemonConfig::default();
+        assert_eq!(dcfg.lease_ms, 2_000);
+        let mut engine = DistributedEngine::connect(
+            "toy",
+            target.as_ref(),
+            &cfg,
+            &driver,
+            vec![coord_side],
+            dcfg,
+        )
+        .expect("handshake");
+        let outcomes = engine.run_experiments(&jobs);
+        assert_eq!(outcomes.len(), jobs.len());
+        assert_eq!(
+            engine.timed_wakeups, 0,
+            "the coordinator woke on a timer while its only worker was inside its lease"
+        );
+        drop(engine);
+        worker.join().expect("placeholder worker");
     }
 }

@@ -18,11 +18,12 @@
 //! * [`worker`] — the stateless shard executor: resolve the target by
 //!   name, rebuild the driver from the Hello's shipped profile artifact
 //!   (re-profiling deterministically only when the artifact is empty),
-//!   serve `Assign`→`Result`.
+//!   serve `Assign`→`Result`, exit the moment the serving loop returns.
 //! * [`coordinator`] — [`DistributedEngine`], an
 //!   [`ExperimentEngine`](csnake_core::ExperimentEngine) that plans
-//!   locally and executes remotely, with per-shard leases, reassignment,
-//!   degrade-to-gaps, and wire-level chaos sites.
+//!   locally and executes remotely: batches cut into shards by position
+//!   alone, per-shard leases waited on as deadlines (there is no polling
+//!   tick), reassignment, degrade-to-gaps, and wire-level chaos sites.
 //! * [`targets`] — the shared target-name resolver.
 //!
 //! The `csnake-daemon` binary wraps the same pieces as `run` (spawn local

@@ -12,15 +12,18 @@
 //! [`WireMsg::Result`].
 //!
 //! A heartbeat thread keeps the coordinator's lease alive while a long
-//! batch computes; a worker that dies (or stalls with heartbeats lost)
-//! simply stops answering, and the coordinator reassigns its shard. The
-//! worker never checkpoints — shards are small and idempotent, so the
-//! coordinator-side checkpoint plus reassignment is the whole recovery
-//! story.
+//! batch computes. Between beats it waits on a stop channel whose sender
+//! the serving loop owns, so the moment the loop returns — `Shutdown`,
+//! hangup or error — the wait ends and the worker exits: reaping a worker
+//! costs a thread wake-up, not a sleep slice, whatever the lease. A worker
+//! that dies (or stalls with heartbeats lost) simply stops answering, and
+//! the coordinator reassigns its shard. The worker never checkpoints —
+//! shards are small and idempotent, so the coordinator-side checkpoint
+//! plus reassignment is the whole recovery story.
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -116,16 +119,6 @@ impl CampaignObserver for EventBuffer {
     }
 }
 
-/// Sleeps `ms` in short slices so `stop` is honoured promptly.
-fn sliced_sleep(ms: u64, stop: &AtomicBool) {
-    let mut left = ms;
-    while left > 0 && !stop.load(Ordering::Relaxed) {
-        let step = left.min(10);
-        std::thread::sleep(Duration::from_millis(step));
-        left -= step;
-    }
-}
-
 /// Serves one coordinator connection to completion. Returns when the
 /// coordinator shuts the worker down, hangs up, or an injected failure
 /// (`opts.fail_after`) fires.
@@ -184,19 +177,16 @@ pub fn run_worker(endpoint: Endpoint, opts: WorkerOptions) -> Result<()> {
         })
         .map_err(wire_io)?;
 
-    let stop = Arc::new(AtomicBool::new(false));
+    // Never sent on: dropping `stop_tx` when the serving loop returns is
+    // what ends the heartbeat thread's wait, at once.
+    let (stop_tx, stop_rx) = channel::<()>();
     std::thread::scope(|scope| {
         if opts.heartbeats && lease_ms > 0 {
             let hb_tx = Arc::clone(&tx);
-            let hb_stop = Arc::clone(&stop);
             scope.spawn(move || {
-                let tick = (lease_ms / 3).max(1);
+                let tick = Duration::from_millis((lease_ms / 3).max(1));
                 let mut seq = 0u64;
-                loop {
-                    sliced_sleep(tick, &hb_stop);
-                    if hb_stop.load(Ordering::Relaxed) {
-                        return;
-                    }
+                while stop_rx.recv_timeout(tick) == Err(RecvTimeoutError::Timeout) {
                     seq += 1;
                     let beat = WireMsg::Heartbeat {
                         worker: worker_id,
@@ -217,7 +207,7 @@ pub fn run_worker(endpoint: Endpoint, opts: WorkerOptions) -> Result<()> {
                         if opts.fail_after.is_some_and(|n| completed >= n) {
                             // Injected crash: the shard is ours on the
                             // coordinator's books, and we vanish.
-                            sliced_sleep(opts.fail_hang_ms, &AtomicBool::new(false));
+                            std::thread::sleep(Duration::from_millis(opts.fail_hang_ms));
                             return Ok(());
                         }
                         let outcomes = driver.run_experiments(&jobs);
@@ -265,7 +255,7 @@ pub fn run_worker(endpoint: Endpoint, opts: WorkerOptions) -> Result<()> {
                 }
             }
         })();
-        stop.store(true, Ordering::Relaxed);
+        drop(stop_tx);
         served
     })
 }

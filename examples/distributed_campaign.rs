@@ -30,7 +30,7 @@
 use std::sync::Arc;
 
 use csnake::core::{DetectConfig, ProgressCollector, Session, ThreePhase};
-use csnake_daemon::{run_distributed, DaemonConfig, RunOptions};
+use csnake_daemon::{run_distributed, RunOptions};
 
 fn demo_config() -> DetectConfig {
     let mut cfg = DetectConfig::default();
@@ -63,10 +63,6 @@ fn main() {
     // shard_assigned, (on failure) worker_lost / shard_reassigned.
     let progress = Arc::new(ProgressCollector::new());
     let opts = RunOptions {
-        daemon: DaemonConfig {
-            shard_jobs: 2, // small shards so every worker participates
-            ..DaemonConfig::default()
-        },
         observer: Some(progress.clone()),
         ..RunOptions::default()
     };

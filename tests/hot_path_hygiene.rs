@@ -1,5 +1,5 @@
-//! Source scan: nothing on the per-event / per-hook path may read the
-//! environment or print.
+//! Source scans: nothing on the per-event / per-hook path may read the
+//! environment or print, and nothing in the daemon may wait by sleeping.
 //!
 //! `HdfsWorld::handle` once looked up `CSNAKE_DBG` — an environment lock, a
 //! scan and a `String` — on each of 28.7 M simulator events per campaign and
@@ -33,11 +33,12 @@ fn rust_files(path: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn hot_path_sources_neither_read_the_environment_nor_print() {
+/// Shipped lines under `paths` that contain one of `forbidden` and none of
+/// `excused`, as `file:line: code`.
+fn shipped_hits(paths: &[&str], forbidden: &[&str], excused: &[&str]) -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut files = Vec::new();
-    for p in HOT_PATHS {
+    for p in paths {
         let before = files.len();
         rust_files(&root.join(p), &mut files);
         assert!(files.len() > before, "{p} names no Rust source");
@@ -45,19 +46,47 @@ fn hot_path_sources_neither_read_the_environment_nor_print() {
     let mut hits = Vec::new();
     for file in &files {
         let text = fs::read_to_string(file).expect("source file is readable");
-        // Unit-test modules close each file; what follows the first
-        // `#[cfg(test)]` never runs in a campaign. Comments do not run at all.
-        let shipped = text.split("#[cfg(test)]").next().unwrap_or("");
+        // A unit-test module closes each file; what follows its
+        // `#[cfg(test)]` never runs in a campaign (a test-only field or
+        // statement further up hides nothing). Comments do not run at all.
+        let shipped = text.split("#[cfg(test)]\nmod ").next().unwrap_or("");
         for (n, line) in shipped.lines().enumerate() {
             let code = line.trim_start();
-            if !code.starts_with("//") && FORBIDDEN.iter().any(|f| code.contains(f)) {
+            if !code.starts_with("//")
+                && forbidden.iter().any(|f| code.contains(f))
+                && !excused.iter().any(|e| code.contains(e))
+            {
                 hits.push(format!("{}:{}: {}", file.display(), n + 1, code));
             }
         }
     }
+    hits
+}
+
+#[test]
+fn hot_path_sources_neither_read_the_environment_nor_print() {
+    let hits = shipped_hits(HOT_PATHS, FORBIDDEN, &[]);
     assert!(
         hits.is_empty(),
         "environment reads / prints on the hot path:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// A worker's heartbeat thread once slept in 10 ms slices between looks at
+/// a stop flag, so reaping the fleet cost a quarter of a fleet campaign's
+/// wall. Waits in the daemon end on an event (a message, a hangup, a lease
+/// deadline); the one sleep left is the hang a recovery test injects.
+#[test]
+fn daemon_sources_sleep_only_for_the_injected_hang() {
+    let hits = shipped_hits(
+        &["crates/daemon/src"],
+        &["thread::sleep"],
+        &["fail_hang_ms"],
+    );
+    assert!(
+        hits.is_empty(),
+        "timed sleeps in the daemon (wait on a channel or a deadline instead):\n{}",
         hits.join("\n")
     );
 }
