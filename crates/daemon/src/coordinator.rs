@@ -454,6 +454,11 @@ impl DistributedEngine {
                     continue;
                 }
                 while let Some(si) = pending.pop_front() {
+                    if shards[si].done {
+                        // Re-queued off a lost worker whose `Result` then
+                        // arrived after all: nothing left to lease.
+                        continue;
+                    }
                     let ordinal = shards[si].ordinal;
                     shards[si].attempts += 1;
                     let attempts = shards[si].attempts;
