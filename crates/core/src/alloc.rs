@@ -24,7 +24,7 @@ use crate::cluster::hierarchical_cluster_with_stats;
 use crate::edge::CausalDb;
 use crate::fca::ExperimentOutcome;
 use crate::idf::{cosine_distance, IdfVectorizer, SparseVec};
-use crate::observer::{CampaignObserver, NoopObserver};
+use crate::observer::{CampaignEvent, CampaignObserver, NoopObserver};
 
 /// Abstraction over "run one injection experiment"; implemented by the real
 /// [`crate::driver::Driver`] and by mocks in tests.
@@ -538,7 +538,10 @@ fn execute_phase(
     db: &mut CausalDb,
     gaps: &mut Vec<(FaultId, TestId, u8)>,
 ) {
-    observer.phase_started(ctx.phase, batch.len());
+    observer.on_event(&CampaignEvent::PhaseStarted {
+        phase: ctx.phase,
+        planned: batch.len(),
+    });
     let chunk_size = match (recovery.sink.is_some(), recovery.cadence) {
         (true, c) if c > 0 => c,
         // No sink (or cadence 0): the whole remainder is one chunk, which
@@ -614,10 +617,10 @@ fn execute_phase(
             for out in engine.run_experiments_checkpointed(chunk, &mut progress) {
                 for e in &out.edges {
                     if db.push(e.clone()) {
-                        observer.edge_emitted(e);
+                        observer.on_event(&CampaignEvent::edge_emitted(e));
                     }
                 }
-                observer.experiment_completed(&out);
+                observer.on_event(&CampaignEvent::experiment_completed(&out));
                 outcomes.push(out);
             }
         }
@@ -642,7 +645,10 @@ fn execute_phase(
             sink.write(&state);
         }
     }
-    observer.phase_finished(ctx.phase, batch.len());
+    observer.on_event(&CampaignEvent::PhaseFinished {
+        phase: ctx.phase,
+        executed: batch.len(),
+    });
 }
 
 /// The resumable 3PA runner behind [`run_three_phase_with`] and
@@ -759,7 +765,10 @@ pub fn run_three_phase_resumable(
             &mut db,
             &mut gaps,
         );
-        observer.budget_spent(spent, budget);
+        observer.on_event(&CampaignEvent::BudgetSpent {
+            spent,
+            total: budget,
+        });
     }
 
     // Cluster faults by phase-one interference vectors. Faults that never
@@ -778,7 +787,7 @@ pub fn run_three_phase_resumable(
     let vectors: Vec<SparseVec> = docs.iter().map(|d| idf1.vectorize(d)).collect();
     let (clustering, cluster_stats) =
         hierarchical_cluster_with_stats(&vectors, cfg.cluster_threshold);
-    observer.clustering(&cluster_stats);
+    observer.on_event(&CampaignEvent::Clustering(cluster_stats));
     let mut clusters: Vec<Vec<FaultId>> = vec![Vec::new(); clustering.n_clusters];
     let mut cluster_of: BTreeMap<FaultId, usize> = BTreeMap::new();
     for (i, &f) in faults.iter().enumerate() {
@@ -863,7 +872,10 @@ pub fn run_three_phase_resumable(
             &mut db,
             &mut gaps,
         );
-        observer.budget_spent(spent, budget);
+        observer.on_event(&CampaignEvent::BudgetSpent {
+            spent,
+            total: budget,
+        });
     }
 
     // ---- Intra-cluster interference similarity (Eq. 6), from a second IDF
@@ -955,7 +967,10 @@ pub fn run_three_phase_resumable(
             &mut db,
             &mut gaps,
         );
-        observer.budget_spent(spent, budget);
+        observer.on_event(&CampaignEvent::BudgetSpent {
+            spent,
+            total: budget,
+        });
     }
 
     AllocationResult {
@@ -1080,22 +1095,31 @@ pub fn run_planned(
             .map(|k| start + k)
             .unwrap_or(batch.len());
         let chunk = &batch[start..end];
-        observer.phase_started(phase, chunk.len());
+        observer.on_event(&CampaignEvent::PhaseStarted {
+            phase,
+            planned: chunk.len(),
+        });
         for out in engine.run_experiments(chunk) {
             for e in &out.edges {
                 if db.push(e.clone()) {
-                    observer.edge_emitted(e);
+                    observer.on_event(&CampaignEvent::edge_emitted(e));
                 }
             }
-            observer.experiment_completed(&out);
+            observer.on_event(&CampaignEvent::experiment_completed(&out));
             outcomes.push(out);
         }
         gaps.extend(engine.take_gaps());
-        observer.phase_finished(phase, chunk.len());
+        observer.on_event(&CampaignEvent::PhaseFinished {
+            phase,
+            executed: chunk.len(),
+        });
         start = end;
     }
     let n = outcomes.len();
-    observer.budget_spent(n, budget);
+    observer.on_event(&CampaignEvent::BudgetSpent {
+        spent: n,
+        total: budget,
+    });
     AllocationResult {
         db,
         outcomes,

@@ -29,7 +29,7 @@ use crate::fca::{
     analyze_experiment_indexed, analyze_experiment_prepared, ExperimentOutcome, FcaConfig,
     ProfileIndex,
 };
-use crate::observer::CampaignObserver;
+use crate::observer::{CampaignEvent, CampaignObserver};
 use crate::pool;
 use crate::target::TargetSystem;
 
@@ -99,7 +99,7 @@ pub struct DriverConfig {
     /// campaigns. Results are identical either way (run seeds are pure
     /// functions of `(test, rep)`); only `runs_executed` stops growing
     /// on hits. Hit/miss counters surface through
-    /// [`CampaignObserver::trace_cache`].
+    /// [`CampaignEvent::TraceCache`].
     pub cache_injections: bool,
     /// Supervisor retry schedule for panicked or stalled experiment jobs.
     pub retry: RetryConfig,
@@ -287,8 +287,8 @@ impl<'a> Driver<'a> {
     }
 
     /// Attaches an observer for supervisor events — retries
-    /// ([`CampaignObserver::batch_retried`]) and abandoned cells
-    /// ([`CampaignObserver::batch_failed`]). Stage-level events are
+    /// ([`CampaignEvent::BatchRetried`]) and abandoned cells
+    /// ([`CampaignEvent::BatchFailed`]). Stage-level events are
     /// emitted by the session, not the driver.
     pub fn set_observer(&mut self, observer: Arc<dyn CampaignObserver>) {
         self.observer = Some(observer);
@@ -515,7 +515,7 @@ impl ExperimentEngine for Driver<'_> {
     /// job still failing after the budget becomes a *gap*: it yields an
     /// empty [`ExperimentOutcome`] placeholder (preserving batch order and
     /// budget accounting), is reported via
-    /// [`CampaignObserver::batch_failed`], and is recorded for
+    /// [`CampaignEvent::BatchFailed`], and is recorded for
     /// [`ExperimentEngine::take_gaps`].
     fn run_experiments(&mut self, batch: &[(FaultId, TestId, u8)]) -> Vec<ExperimentOutcome> {
         let batch_id = self.batch_counter;
@@ -554,7 +554,13 @@ impl ExperimentEngine for Driver<'_> {
                     let (f, t, p) = batch[*idx];
                     self.gaps.push((f, t, p));
                     if let Some(obs) = &self.observer {
-                        obs.batch_failed(batch_id, f, t, p, reason);
+                        obs.on_event(&CampaignEvent::BatchFailed {
+                            batch: batch_id,
+                            fault: f,
+                            test: t,
+                            phase: p,
+                            reason: reason.clone(),
+                        });
                     }
                     // Empty placeholder keeps batch order and budget
                     // accounting identical to a successful run; the cell is
@@ -574,7 +580,12 @@ impl ExperimentEngine for Driver<'_> {
             attempt += 1;
             let backoff = self.cfg.retry.backoff_ms(attempt);
             if let Some(obs) = &self.observer {
-                obs.batch_retried(batch_id, failed.len(), attempt, backoff);
+                obs.on_event(&CampaignEvent::BatchRetried {
+                    batch: batch_id,
+                    failed_jobs: failed.len(),
+                    attempt,
+                    backoff_ms: backoff,
+                });
             }
             if backoff > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(backoff));
@@ -598,7 +609,7 @@ impl ExperimentEngine for Driver<'_> {
             summaries.sort_by_key(|s| (s.test, s.seed));
             if let Some(obs) = &self.observer {
                 for s in &summaries {
-                    obs.workload_summary(s);
+                    obs.on_event(&CampaignEvent::workload_summary(s));
                 }
             }
         }

@@ -38,11 +38,12 @@
 //!   object-safe budget-allocation policy over an [`ExperimentEngine`]:
 //!   the paper's [`ThreePhase`] protocol, the [`RandomAllocation`]
 //!   baseline, or external policies (`csnake_baselines::strategies`).
-//! * **[`CampaignObserver`]** — a first-class event stream (stage/phase
-//!   boundaries, experiment completions, causal edges as they enter the
-//!   database, cycles as the stitcher reports them, budget movement), with
-//!   a no-op default and a bundled [`ProgressCollector`]; see
-//!   [`observer`] for the full vocabulary.
+//! * **[`CampaignObserver`]** — a first-class event stream: one
+//!   [`CampaignEvent`] per stage/phase boundary, experiment completion,
+//!   causal edge entering the database, cycle the stitcher reports and
+//!   budget movement, delivered through one `on_event`; a
+//!   [`NoopObserver`] and a counting [`ProgressCollector`] are bundled.
+//!   The enum is the full vocabulary.
 //! * **Checkpoint/resume** — [`Session::checkpoint`] writes a versioned
 //!   `.csnake` snapshot at any stage boundary and [`Session::resume`]
 //!   continues it later; resumed campaigns are bit-identical to
@@ -67,7 +68,7 @@
 //!   bit-identical to one that never failed.
 //! * **Graceful degradation.** A cell that fails every retry becomes a
 //!   *gap*, not an abort: the campaign completes, the observer sees
-//!   [`CampaignObserver::batch_failed`] and [`CampaignObserver::degraded`],
+//!   [`CampaignEvent::BatchFailed`] and [`CampaignEvent::Degraded`],
 //!   and the final [`DetectionReport`] is annotated with the missing
 //!   `(fault, test, phase)` cells
 //!   ([`DetectionReport::missing_cells`] / [`DetectionReport::degraded`]).
@@ -99,8 +100,8 @@
 //!   merges results deterministically by batch index — bit-identical to
 //!   the single-process run across worker counts. Workers hold bounded
 //!   leases; a dead worker's shards are reassigned (observer events
-//!   [`CampaignObserver::worker_lost`] /
-//!   [`CampaignObserver::shard_reassigned`]), and per-shard progress
+//!   [`CampaignEvent::WorkerLost`] /
+//!   [`CampaignEvent::ShardReassigned`]), and per-shard progress
 //!   lands in the mid-phase checkpoint as [`ShardSpan`] islands
 //!   (snapshot v5) merged by [`MidPhaseState::normalize`], so even a
 //!   killed *coordinator* resumes without re-running completed shards.
@@ -176,7 +177,7 @@
 //!   with identical dendrogram cuts.
 //!   [`cluster::hierarchical_cluster_with_stats`] additionally reports
 //!   the realized group/edge counts and the matrix bytes *not* allocated,
-//!   surfaced through [`CampaignObserver::clustering`] and the BENCH
+//!   surfaced through [`CampaignEvent::Clustering`] and the BENCH
 //!   artifacts.
 //!
 //! `cargo run --release -p csnake-bench --bin campaign_perf` regenerates
@@ -253,8 +254,8 @@ pub use fca::{
     ExperimentOutcome, FcaConfig, ProfileIndex,
 };
 pub use observer::{
-    CampaignObserver, FanoutObserver, ForwardedEvent, NoopObserver, ProgressCollector,
-    ProgressSnapshot, WorkerProgress,
+    stage_name, stage_tag, CampaignEvent, CampaignObserver, FanoutObserver, NoopObserver,
+    ProgressCollector, ProgressSnapshot, WorkerProgress,
 };
 pub use report::{
     build_report, composition, BugMatch, ClusterVerdict, Composition, DetectionReport,

@@ -1,276 +1,713 @@
 //! The campaign event layer: observe a detection session while it runs.
 //!
-//! A [`CampaignObserver`] receives the session's progress events — stage
-//! transitions, 3PA phase boundaries, individual experiment completions,
-//! causal edges as they enter the database, cycles as the stitcher reports
-//! them, and budget consumption. The default implementation of every method
-//! is a no-op, so observers implement only what they care about.
+//! Everything a session, its driver, a daemon coordinator or a flight
+//! recorder has to say is one [`CampaignEvent`] value, delivered to a
+//! [`CampaignObserver`] through its single method, `on_event`. The enum is
+//! the whole vocabulary — each variant's doc says when it is emitted — and
+//! it is also what gets persisted: its [`Persist`] impl is the payload of a
+//! telemetry journal record and of the daemon's `Result` / `Event` wire
+//! frames, so what an observer sees is exactly what a journal reloads.
 //!
-//! Event vocabulary (all emitted on the session's coordinating thread, in
-//! deterministic order — observers never affect campaign results):
-//!
-//! | event | emitted when |
-//! |---|---|
-//! | [`stage_started`] / [`stage_finished`] | a session stage begins / ends |
-//! | [`phase_started`] / [`phase_finished`] | an allocation phase's planned batch begins / ends |
-//! | [`experiment_completed`] | one `(fault, test)` experiment's FCA finished |
-//! | [`edge_emitted`] | a *new* causal edge entered the database (sweep repeats are deduplicated first) |
-//! | [`cycle_found`] | the stitcher reported a deduplicated cycle |
-//! | [`budget_spent`] | the allocation strategy's spent/total counters moved |
-//! | [`trace_cache`] | the driver's injection-run cache counters, after a campaign |
-//! | [`clustering`] | the phase-one clustering ran (size counters, §5.2) |
-//! | [`workload_summary`] | an open-loop workload run's latency summary was drained from the target |
-//! | [`batch_retried`] | the supervisor quarantined failed jobs and scheduled a retry |
-//! | [`batch_failed`] | a `(fault, test)` cell exhausted its retries and became a gap |
-//! | [`checkpoint_written`] | a mid-phase checkpoint landed on disk (after the atomic rename) |
-//! | [`degraded`] | the campaign completed with missing cells in its report |
-//! | [`worker_connected`] / [`worker_lost`] | a daemon worker completed its handshake / missed its lease |
-//! | [`shard_assigned`] / [`shard_reassigned`] | the daemon coordinator leased a shard / moved it off a dead worker |
-//! | [`event_forwarded`] | the daemon coordinator relayed a worker-side event ([`ForwardedEvent`]) for live attribution |
-//! | [`journal_flushed`] | a telemetry flight recorder flushed its journal to disk |
-//!
-//! The daemon/telemetry rows are *operational*: [`event_forwarded`] mirrors
-//! work the deterministic stream already reports at merge time (with
-//! worker attribution, as it happens on the fleet), and [`journal_flushed`]
-//! describes the recorder itself. Neither feeds the deterministic
-//! campaign-total counters, so forwarding can never double-count.
-//!
-//! [`stage_started`]: CampaignObserver::stage_started
-//! [`stage_finished`]: CampaignObserver::stage_finished
-//! [`phase_started`]: CampaignObserver::phase_started
-//! [`phase_finished`]: CampaignObserver::phase_finished
-//! [`experiment_completed`]: CampaignObserver::experiment_completed
-//! [`edge_emitted`]: CampaignObserver::edge_emitted
-//! [`cycle_found`]: CampaignObserver::cycle_found
-//! [`budget_spent`]: CampaignObserver::budget_spent
-//! [`trace_cache`]: CampaignObserver::trace_cache
-//! [`clustering`]: CampaignObserver::clustering
-//! [`workload_summary`]: CampaignObserver::workload_summary
-//! [`batch_retried`]: CampaignObserver::batch_retried
-//! [`batch_failed`]: CampaignObserver::batch_failed
-//! [`checkpoint_written`]: CampaignObserver::checkpoint_written
-//! [`degraded`]: CampaignObserver::degraded
-//! [`worker_connected`]: CampaignObserver::worker_connected
-//! [`worker_lost`]: CampaignObserver::worker_lost
-//! [`shard_assigned`]: CampaignObserver::shard_assigned
-//! [`shard_reassigned`]: CampaignObserver::shard_reassigned
-//! [`event_forwarded`]: CampaignObserver::event_forwarded
-//! [`journal_flushed`]: CampaignObserver::journal_flushed
+//! Events are emitted on the session's coordinating thread, in
+//! deterministic order, and observers never affect campaign results. Two
+//! groups are *operational* rather than part of the deterministic stream
+//! ([`CampaignEvent::is_deterministic`]): the daemon's worker / shard
+//! lifecycle with its [`Forwarded`](CampaignEvent::Forwarded) live copies,
+//! and a recorder's own [`JournalFlushed`](CampaignEvent::JournalFlushed).
+//! Neither feeds campaign-total counters, so forwarding can never
+//! double-count.
 
 use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use csnake_inject::{FaultId, TestId};
 
 use crate::beam::Cycle;
 use crate::cluster::ClusterStats;
-use crate::edge::CausalEdge;
+use crate::edge::{CausalEdge, EdgeKind};
+use crate::error::{CsnakeError, Result};
 use crate::fca::ExperimentOutcome;
 use crate::session::Stage;
+use crate::snapshot::{Persist, Reader, Writer};
 use crate::workload::WorkloadSummary;
 
-/// A worker-side observer event relayed to the coordinator by the daemon's
-/// `Event` wire frame and re-emitted through
-/// [`CampaignObserver::event_forwarded`] with worker attribution.
+/// One thing that happened in a campaign: the unit every observer receives
+/// and every journal stores.
 ///
-/// Forwarded events exist for *liveness*: the deterministic event stream
-/// ([`experiment_completed`](CampaignObserver::experiment_completed),
-/// [`edge_emitted`](CampaignObserver::edge_emitted),
-/// [`batch_retried`](CampaignObserver::batch_retried), …) is emitted
-/// coordinator-side at shard-merge time, in deterministic order — which
-/// means it lags the fleet by up to one in-flight shard per worker. The
-/// forwarded copies arrive as the work happens, attributed to the worker
-/// that did it, and deliberately carry only summaries (counts, ids) rather
-/// than full outcomes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ForwardedEvent {
-    /// A worker finished one `(fault, test)` experiment; `edges` is the
-    /// number of causal edges its FCA produced (before coordinator-side
-    /// deduplication against the campaign database).
+/// Events are owned summaries — ids and counts, never borrowed outcomes —
+/// so they can be cloned into a journal, sent over the daemon's wire and
+/// compared in tests. Paths are carried as display strings for the same
+/// reason.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CampaignEvent {
+    /// A session stage began (opens a span).
+    StageStarted(Stage),
+    /// A session stage ended (closes the matching span).
+    StageFinished(Stage),
+    /// An allocation phase is about to execute its planned batch (opens a
+    /// span).
+    PhaseStarted {
+        /// Strategy phase label (3PA: 1–3; baselines: 0).
+        phase: u8,
+        /// Experiments planned for the batch.
+        planned: usize,
+    },
+    /// An allocation phase executed its batch (closes the matching span).
+    PhaseFinished {
+        /// Strategy phase label.
+        phase: u8,
+        /// Experiments that actually ran.
+        executed: usize,
+    },
+    /// One `(fault, test)` experiment completed fault-causality analysis.
+    /// A daemon worker also originates this kind, once per experiment of a
+    /// finished shard (see [`Forwarded`](CampaignEvent::Forwarded)).
     ExperimentCompleted {
         /// The injected fault.
         fault: FaultId,
         /// The workload the fault was injected into.
         test: TestId,
-        /// Causal edges the experiment's FCA emitted.
+        /// Interference-list size.
+        interference: usize,
+        /// Causal edges the experiment's FCA produced (before
+        /// deduplication against the campaign database).
         edges: usize,
     },
-    /// A worker's retry supervisor quarantined failed jobs and scheduled a
-    /// retry.
+    /// A *new* causal edge entered the database (sweep repeats are
+    /// deduplicated first).
+    EdgeEmitted {
+        /// Cause fault.
+        cause: FaultId,
+        /// Effect fault.
+        effect: FaultId,
+        /// Edge kind.
+        kind: EdgeKind,
+        /// Workload the edge was observed in.
+        test: TestId,
+        /// 3PA phase of discovery.
+        phase: u8,
+    },
+    /// The stitcher reported a deduplicated cycle.
+    CycleFound {
+        /// Edge count of the cycle.
+        edges: usize,
+        /// Chain score.
+        score: f64,
+    },
+    /// The allocation strategy's budget counters moved.
+    BudgetSpent {
+        /// Budget spent so far.
+        spent: usize,
+        /// Total budget.
+        total: usize,
+    },
+    /// The driver's injection-run cache counters
+    /// ([`DriverConfig::cache_injections`](crate::driver::DriverConfig::cache_injections)),
+    /// emitted when an allocation stage finishes; both stay zero while the
+    /// cache is disabled. A daemon worker originates its own cumulative
+    /// counters with each finished shard (last value wins).
+    TraceCache {
+        /// Experiments that reused a recorded run set.
+        hits: usize,
+        /// Experiments that simulated and indexed one.
+        misses: usize,
+    },
+    /// The phase-one clustering ran (§5.2); emitted once per allocation
+    /// stage, after the cluster cut, with the sparse-run size counters.
+    Clustering(ClusterStats),
+    /// The retry supervisor quarantined panicked / stalled jobs of an
+    /// experiment batch and scheduled a retry. The backoff paces wall-clock
+    /// execution only; it never enters campaign results.
     BatchRetried {
+        /// Batch ordinal. In the deterministic stream it is assigned by
+        /// whoever merges (the driver, or the daemon coordinator in shard
+        /// order); inside a [`Forwarded`](CampaignEvent::Forwarded) copy it
+        /// is the worker's own counter.
+        batch: usize,
         /// Jobs that failed and were re-queued.
         failed_jobs: usize,
-        /// Retry attempt number (1-based).
+        /// Retry attempt (1-based).
         attempt: u32,
         /// Backoff pause before the retry.
         backoff_ms: u64,
     },
-    /// A cell exhausted a worker's retry budget and became a gap.
+    /// A `(fault, test)` cell exhausted its retry budget and was recorded
+    /// as a gap. The campaign continues degraded — see
+    /// [`Degraded`](CampaignEvent::Degraded).
     BatchFailed {
+        /// Batch ordinal (numbered like [`BatchRetried`](CampaignEvent::BatchRetried)).
+        batch: usize,
         /// The abandoned cell's fault.
         fault: FaultId,
         /// The abandoned cell's test.
         test: TestId,
         /// The abandoned cell's 3PA phase.
         phase: u8,
+        /// Final panic message.
+        reason: String,
     },
-    /// A worker's cumulative injection-run cache counters.
-    TraceCache {
-        /// Cache hits so far on that worker.
-        hits: usize,
-        /// Cache misses so far on that worker.
-        misses: usize,
+    /// A mid-phase checkpoint reached disk: emitted *after* the atomic
+    /// temp-file + rename completed, so the file at `path` is a complete,
+    /// resumable snapshot by the time an observer sees the event.
+    CheckpointWritten {
+        /// Checkpoint file path.
+        path: String,
+        /// Allocation phase of the checkpoint.
+        phase: u8,
+        /// Experiments of that phase the checkpoint covers.
+        executed_in_phase: usize,
+    },
+    /// The campaign completed with permanently failed cells. Emitted at
+    /// most once, while the report stage assembles the annotated partial
+    /// [`DetectionReport`](crate::DetectionReport), which enumerates them.
+    Degraded {
+        /// Number of `(fault, test, phase)` cells without an outcome.
+        missing: usize,
+    },
+    /// A daemon worker completed its handshake and is ready for shards.
+    /// Worker membership never influences campaign results.
+    WorkerConnected {
+        /// Worker id.
+        worker: u32,
+    },
+    /// A daemon worker's lease expired (stalled heartbeat) or its
+    /// connection dropped; its unacknowledged shard will be reassigned.
+    WorkerLost {
+        /// Worker id.
+        worker: u32,
+        /// Loss reason.
+        reason: String,
+    },
+    /// The daemon coordinator leased a shard to a worker.
+    ShardAssigned {
+        /// Shard ordinal.
+        shard: u32,
+        /// Worker id.
+        worker: u32,
+        /// Experiments in the shard.
+        jobs: usize,
+    },
+    /// The daemon coordinator moved a shard off a lost worker.
+    /// Reassignment replays the identical jobs, so results are unaffected.
+    ShardReassigned {
+        /// Shard ordinal.
+        shard: u32,
+        /// New worker id.
+        worker: u32,
+        /// Reassignment attempt (1-based).
+        attempt: u32,
+    },
+    /// The daemon coordinator relayed an event a worker originated, as it
+    /// happened on the fleet. The deterministic stream reports the same
+    /// work at shard-merge time — which lags the fleet by up to one
+    /// in-flight shard per worker — so a forwarded copy is for per-worker
+    /// attribution and liveness only: fold it into campaign totals and you
+    /// double-count. A worker may originate only
+    /// [`ExperimentCompleted`](CampaignEvent::ExperimentCompleted),
+    /// [`BatchRetried`](CampaignEvent::BatchRetried),
+    /// [`BatchFailed`](CampaignEvent::BatchFailed) and
+    /// [`TraceCache`](CampaignEvent::TraceCache); the coordinator drops
+    /// anything else, and a `Forwarded` inside a `Forwarded` does not
+    /// decode.
+    Forwarded {
+        /// The worker the event came from.
+        worker: u32,
+        /// What it reported.
+        event: Box<CampaignEvent>,
+    },
+    /// A telemetry flight recorder flushed its journal to disk. Emitted by
+    /// the recorder itself (not the session), after the bytes reached the
+    /// file.
+    JournalFlushed {
+        /// Journal path.
+        path: String,
+        /// Records flushed.
+        records: usize,
+    },
+    /// An open-loop workload run's latency summary was drained from the
+    /// target: emitted by the [`Driver`](crate::Driver) after each
+    /// experiment batch, in deterministic `(test, seed)` order. Telemetry
+    /// only — summaries never feed FCA or campaign results.
+    WorkloadSummary {
+        /// Workload the summary belongs to.
+        test: TestId,
+        /// Seed of the run.
+        seed: u64,
+        /// Requests the arrival source offered.
+        offered: u64,
+        /// Requests that completed within their deadline.
+        completed: u64,
+        /// Requests shed or timed out.
+        dropped: u64,
+        /// Whole-run median latency, µs.
+        p50_us: u64,
+        /// Whole-run p99 latency, µs.
+        p99_us: u64,
+        /// Start of the first latency window whose p99 inflected
+        /// ([`WorkloadSummary::p99_inflection_milli`]), ms — the cascade
+        /// onset signal — or `None` when latency stayed flat.
+        inflection_ms: Option<u64>,
     },
 }
 
-/// Receives progress events from a running detection session.
+/// Journal tag of a session stage. Distinct from the snapshot's
+/// `Stage::tag`, which collapses `Stitched` and `Reported` because a
+/// snapshot never stores a report; the journal keeps them apart (0–4)
+/// because their spans are distinct.
+pub fn stage_tag(stage: Stage) -> u8 {
+    match stage {
+        Stage::Built => 0,
+        Stage::Profiled => 1,
+        Stage::Allocated => 2,
+        Stage::Stitched => 3,
+        Stage::Reported => 4,
+    }
+}
+
+/// Human name of a stage, for JSON output and span names.
+pub fn stage_name(stage: Stage) -> &'static str {
+    match stage {
+        Stage::Built => "built",
+        Stage::Profiled => "profiled",
+        Stage::Allocated => "allocated",
+        Stage::Stitched => "stitched",
+        Stage::Reported => "reported",
+    }
+}
+
+fn load_stage(r: &mut Reader<'_>) -> Result<Stage> {
+    Ok(match u8::load(r)? {
+        0 => Stage::Built,
+        1 => Stage::Profiled,
+        2 => Stage::Allocated,
+        3 => Stage::Stitched,
+        4 => Stage::Reported,
+        n => {
+            return Err(CsnakeError::SnapshotCorrupt(format!(
+                "bad journal stage tag {n}"
+            )))
+        }
+    })
+}
+
+impl CampaignEvent {
+    /// Summary of a finished experiment.
+    pub fn experiment_completed(outcome: &ExperimentOutcome) -> Self {
+        CampaignEvent::ExperimentCompleted {
+            fault: outcome.fault,
+            test: outcome.test,
+            interference: outcome.interference.len(),
+            edges: outcome.edges.len(),
+        }
+    }
+
+    /// Summary of an edge accepted into the database.
+    pub fn edge_emitted(edge: &CausalEdge) -> Self {
+        CampaignEvent::EdgeEmitted {
+            cause: edge.cause,
+            effect: edge.effect,
+            kind: edge.kind,
+            test: edge.test,
+            phase: edge.phase,
+        }
+    }
+
+    /// Summary of a reported cycle.
+    pub fn cycle_found(cycle: &Cycle) -> Self {
+        CampaignEvent::CycleFound {
+            edges: cycle.edges.len(),
+            score: cycle.score,
+        }
+    }
+
+    /// Summary of a drained workload run.
+    pub fn workload_summary(summary: &WorkloadSummary) -> Self {
+        CampaignEvent::WorkloadSummary {
+            test: summary.test,
+            seed: summary.seed,
+            offered: summary.offered,
+            completed: summary.completed,
+            dropped: summary.dropped,
+            p50_us: summary.p50_us,
+            p99_us: summary.p99_us,
+            inflection_ms: summary.p99_inflection_milli(),
+        }
+    }
+
+    /// The event's `event` discriminator in JSON output. A forwarded copy
+    /// is named after what it carries.
+    pub fn name(&self) -> &'static str {
+        match self {
+            CampaignEvent::StageStarted(_) => "stage_started",
+            CampaignEvent::StageFinished(_) => "stage_finished",
+            CampaignEvent::PhaseStarted { .. } => "phase_started",
+            CampaignEvent::PhaseFinished { .. } => "phase_finished",
+            CampaignEvent::ExperimentCompleted { .. } => "experiment_completed",
+            CampaignEvent::EdgeEmitted { .. } => "edge_emitted",
+            CampaignEvent::CycleFound { .. } => "cycle_found",
+            CampaignEvent::BudgetSpent { .. } => "budget_spent",
+            CampaignEvent::TraceCache { .. } => "trace_cache",
+            CampaignEvent::Clustering(_) => "clustering",
+            CampaignEvent::BatchRetried { .. } => "batch_retried",
+            CampaignEvent::BatchFailed { .. } => "batch_failed",
+            CampaignEvent::CheckpointWritten { .. } => "checkpoint_written",
+            CampaignEvent::Degraded { .. } => "degraded",
+            CampaignEvent::WorkerConnected { .. } => "worker_connected",
+            CampaignEvent::WorkerLost { .. } => "worker_lost",
+            CampaignEvent::ShardAssigned { .. } => "shard_assigned",
+            CampaignEvent::ShardReassigned { .. } => "shard_reassigned",
+            CampaignEvent::Forwarded { event, .. } => match **event {
+                CampaignEvent::ExperimentCompleted { .. } => "forwarded_experiment",
+                CampaignEvent::BatchRetried { .. } => "forwarded_retry",
+                CampaignEvent::BatchFailed { .. } => "forwarded_failure",
+                CampaignEvent::TraceCache { .. } => "forwarded_cache",
+                _ => "forwarded",
+            },
+            CampaignEvent::JournalFlushed { .. } => "journal_flushed",
+            CampaignEvent::WorkloadSummary { .. } => "workload_summary",
+        }
+    }
+
+    /// Whether the event belongs to the *deterministic* campaign stream:
+    /// same target / config / seed ⇒ same sequence of deterministic events,
+    /// in the same order, regardless of thread counts or fleet size.
+    ///
+    /// Operational events (worker lifecycle, shard leases, forwarded
+    /// copies, retries under chaos, checkpoint cadence, journal flushes)
+    /// depend on scheduling and topology and are excluded; the determinism
+    /// tests compare only the deterministic subset.
+    pub fn is_deterministic(&self) -> bool {
+        matches!(
+            self,
+            CampaignEvent::StageStarted(_)
+                | CampaignEvent::StageFinished(_)
+                | CampaignEvent::PhaseStarted { .. }
+                | CampaignEvent::PhaseFinished { .. }
+                | CampaignEvent::ExperimentCompleted { .. }
+                | CampaignEvent::EdgeEmitted { .. }
+                | CampaignEvent::CycleFound { .. }
+                | CampaignEvent::BudgetSpent { .. }
+                | CampaignEvent::TraceCache { .. }
+                | CampaignEvent::Clustering(_)
+                | CampaignEvent::Degraded { .. }
+                | CampaignEvent::WorkloadSummary { .. }
+        )
+    }
+
+    /// Decodes one event; `may_forward` is false inside a `Forwarded`, so
+    /// hostile bytes cannot choose the recursion depth.
+    fn load_nested(r: &mut Reader<'_>, may_forward: bool) -> Result<Self> {
+        Ok(match u8::load(r)? {
+            0 => CampaignEvent::StageStarted(load_stage(r)?),
+            1 => CampaignEvent::StageFinished(load_stage(r)?),
+            2 => CampaignEvent::PhaseStarted {
+                phase: u8::load(r)?,
+                planned: usize::load(r)?,
+            },
+            3 => CampaignEvent::PhaseFinished {
+                phase: u8::load(r)?,
+                executed: usize::load(r)?,
+            },
+            4 => CampaignEvent::ExperimentCompleted {
+                fault: FaultId(u32::load(r)?),
+                test: TestId(u32::load(r)?),
+                interference: usize::load(r)?,
+                edges: usize::load(r)?,
+            },
+            5 => CampaignEvent::EdgeEmitted {
+                cause: FaultId(u32::load(r)?),
+                effect: FaultId(u32::load(r)?),
+                kind: EdgeKind::load(r)?,
+                test: TestId(u32::load(r)?),
+                phase: u8::load(r)?,
+            },
+            6 => CampaignEvent::CycleFound {
+                edges: usize::load(r)?,
+                score: f64::load(r)?,
+            },
+            7 => CampaignEvent::BudgetSpent {
+                spent: usize::load(r)?,
+                total: usize::load(r)?,
+            },
+            8 => CampaignEvent::TraceCache {
+                hits: usize::load(r)?,
+                misses: usize::load(r)?,
+            },
+            9 => CampaignEvent::Clustering(ClusterStats {
+                vectors: usize::load(r)?,
+                groups: usize::load(r)?,
+                candidate_edges: usize::load(r)?,
+                merges: usize::load(r)?,
+                hot_dims: usize::load(r)?,
+                hot_pairs: usize::load(r)?,
+                matrix_bytes: u64::load(r)?,
+                sparse_graph_bytes: u64::load(r)?,
+            }),
+            10 => CampaignEvent::BatchRetried {
+                batch: usize::load(r)?,
+                failed_jobs: usize::load(r)?,
+                attempt: u32::load(r)?,
+                backoff_ms: u64::load(r)?,
+            },
+            11 => CampaignEvent::BatchFailed {
+                batch: usize::load(r)?,
+                fault: FaultId(u32::load(r)?),
+                test: TestId(u32::load(r)?),
+                phase: u8::load(r)?,
+                reason: String::load(r)?,
+            },
+            12 => CampaignEvent::CheckpointWritten {
+                path: String::load(r)?,
+                phase: u8::load(r)?,
+                executed_in_phase: usize::load(r)?,
+            },
+            13 => CampaignEvent::Degraded {
+                missing: usize::load(r)?,
+            },
+            14 => CampaignEvent::WorkerConnected {
+                worker: u32::load(r)?,
+            },
+            15 => CampaignEvent::WorkerLost {
+                worker: u32::load(r)?,
+                reason: String::load(r)?,
+            },
+            16 => CampaignEvent::ShardAssigned {
+                shard: u32::load(r)?,
+                worker: u32::load(r)?,
+                jobs: usize::load(r)?,
+            },
+            17 => CampaignEvent::ShardReassigned {
+                shard: u32::load(r)?,
+                worker: u32::load(r)?,
+                attempt: u32::load(r)?,
+            },
+            18 if may_forward => CampaignEvent::Forwarded {
+                worker: u32::load(r)?,
+                event: Box::new(Self::load_nested(r, false)?),
+            },
+            18 => {
+                return Err(CsnakeError::SnapshotCorrupt(
+                    "forwarded event nested inside a forwarded event".into(),
+                ))
+            }
+            22 => CampaignEvent::JournalFlushed {
+                path: String::load(r)?,
+                records: usize::load(r)?,
+            },
+            23 => CampaignEvent::WorkloadSummary {
+                test: TestId(u32::load(r)?),
+                seed: u64::load(r)?,
+                offered: u64::load(r)?,
+                completed: u64::load(r)?,
+                dropped: u64::load(r)?,
+                p50_us: u64::load(r)?,
+                p99_us: u64::load(r)?,
+                inflection_ms: Option::load(r)?,
+            },
+            n => {
+                return Err(CsnakeError::SnapshotCorrupt(format!(
+                    "bad campaign event tag {n}"
+                )))
+            }
+        })
+    }
+}
+
+/// The one encoding of the vocabulary: journal record payloads and the
+/// daemon's wire frames both go through it. Tags are stable and
+/// append-only (19–21 were the per-kind forwarded records of journal
+/// version 1 and stay retired); ids are fixed-width `u32`s and stages use
+/// [`stage_tag`], as journals always wrote them.
+impl Persist for CampaignEvent {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            CampaignEvent::StageStarted(stage) => {
+                0u8.put(w);
+                stage_tag(*stage).put(w);
+            }
+            CampaignEvent::StageFinished(stage) => {
+                1u8.put(w);
+                stage_tag(*stage).put(w);
+            }
+            CampaignEvent::PhaseStarted { phase, planned } => {
+                2u8.put(w);
+                phase.put(w);
+                planned.put(w);
+            }
+            CampaignEvent::PhaseFinished { phase, executed } => {
+                3u8.put(w);
+                phase.put(w);
+                executed.put(w);
+            }
+            CampaignEvent::ExperimentCompleted {
+                fault,
+                test,
+                interference,
+                edges,
+            } => {
+                4u8.put(w);
+                fault.0.put(w);
+                test.0.put(w);
+                interference.put(w);
+                edges.put(w);
+            }
+            CampaignEvent::EdgeEmitted {
+                cause,
+                effect,
+                kind,
+                test,
+                phase,
+            } => {
+                5u8.put(w);
+                cause.0.put(w);
+                effect.0.put(w);
+                kind.put(w);
+                test.0.put(w);
+                phase.put(w);
+            }
+            CampaignEvent::CycleFound { edges, score } => {
+                6u8.put(w);
+                edges.put(w);
+                score.put(w);
+            }
+            CampaignEvent::BudgetSpent { spent, total } => {
+                7u8.put(w);
+                spent.put(w);
+                total.put(w);
+            }
+            CampaignEvent::TraceCache { hits, misses } => {
+                8u8.put(w);
+                hits.put(w);
+                misses.put(w);
+            }
+            CampaignEvent::Clustering(stats) => {
+                9u8.put(w);
+                stats.vectors.put(w);
+                stats.groups.put(w);
+                stats.candidate_edges.put(w);
+                stats.merges.put(w);
+                stats.hot_dims.put(w);
+                stats.hot_pairs.put(w);
+                stats.matrix_bytes.put(w);
+                stats.sparse_graph_bytes.put(w);
+            }
+            CampaignEvent::BatchRetried {
+                batch,
+                failed_jobs,
+                attempt,
+                backoff_ms,
+            } => {
+                10u8.put(w);
+                batch.put(w);
+                failed_jobs.put(w);
+                attempt.put(w);
+                backoff_ms.put(w);
+            }
+            CampaignEvent::BatchFailed {
+                batch,
+                fault,
+                test,
+                phase,
+                reason,
+            } => {
+                11u8.put(w);
+                batch.put(w);
+                fault.0.put(w);
+                test.0.put(w);
+                phase.put(w);
+                reason.put(w);
+            }
+            CampaignEvent::CheckpointWritten {
+                path,
+                phase,
+                executed_in_phase,
+            } => {
+                12u8.put(w);
+                path.put(w);
+                phase.put(w);
+                executed_in_phase.put(w);
+            }
+            CampaignEvent::Degraded { missing } => {
+                13u8.put(w);
+                missing.put(w);
+            }
+            CampaignEvent::WorkerConnected { worker } => {
+                14u8.put(w);
+                worker.put(w);
+            }
+            CampaignEvent::WorkerLost { worker, reason } => {
+                15u8.put(w);
+                worker.put(w);
+                reason.put(w);
+            }
+            CampaignEvent::ShardAssigned {
+                shard,
+                worker,
+                jobs,
+            } => {
+                16u8.put(w);
+                shard.put(w);
+                worker.put(w);
+                jobs.put(w);
+            }
+            CampaignEvent::ShardReassigned {
+                shard,
+                worker,
+                attempt,
+            } => {
+                17u8.put(w);
+                shard.put(w);
+                worker.put(w);
+                attempt.put(w);
+            }
+            CampaignEvent::Forwarded { worker, event } => {
+                18u8.put(w);
+                worker.put(w);
+                event.put(w);
+            }
+            CampaignEvent::JournalFlushed { path, records } => {
+                22u8.put(w);
+                path.put(w);
+                records.put(w);
+            }
+            CampaignEvent::WorkloadSummary {
+                test,
+                seed,
+                offered,
+                completed,
+                dropped,
+                p50_us,
+                p99_us,
+                inflection_ms,
+            } => {
+                23u8.put(w);
+                test.0.put(w);
+                seed.put(w);
+                offered.put(w);
+                completed.put(w);
+                dropped.put(w);
+                p50_us.put(w);
+                p99_us.put(w);
+                inflection_ms.put(w);
+            }
+        }
+    }
+
+    fn load(r: &mut Reader<'_>) -> Result<Self> {
+        Self::load_nested(r, true)
+    }
+}
+
+/// Receives [`CampaignEvent`]s from a running detection session.
 ///
-/// All methods have no-op defaults. Implementations must be `Send + Sync`:
-/// the session itself calls them from one thread at a time, but sessions
-/// (and their observers) may be driven from worker threads.
+/// Implementations `match` on the variants they care about and ignore the
+/// rest. They must be `Send + Sync`: the session itself calls `on_event`
+/// from one thread at a time, but sessions (and their observers) may be
+/// driven from worker threads.
 pub trait CampaignObserver: Send + Sync {
-    /// A session stage ([`Stage`]) started executing.
-    fn stage_started(&self, stage: Stage) {
-        let _ = stage;
-    }
-
-    /// A session stage finished executing.
-    fn stage_finished(&self, stage: Stage) {
-        let _ = stage;
-    }
-
-    /// An allocation phase is about to execute its planned batch.
-    /// `phase` is the strategy's phase label (3PA: 1–3; baselines: 0),
-    /// `planned` the number of experiments in the batch.
-    fn phase_started(&self, phase: u8, planned: usize) {
-        let _ = (phase, planned);
-    }
-
-    /// An allocation phase executed its batch; `executed` experiments ran.
-    fn phase_finished(&self, phase: u8, executed: usize) {
-        let _ = (phase, executed);
-    }
-
-    /// One `(fault, test)` experiment completed fault-causality analysis.
-    fn experiment_completed(&self, outcome: &ExperimentOutcome) {
-        let _ = outcome;
-    }
-
-    /// A new causal edge was accepted into the campaign database.
-    fn edge_emitted(&self, edge: &CausalEdge) {
-        let _ = edge;
-    }
-
-    /// The stitcher reported a (deduplicated) causal cycle.
-    fn cycle_found(&self, cycle: &Cycle) {
-        let _ = cycle;
-    }
-
-    /// The allocation strategy's budget counters moved.
-    fn budget_spent(&self, spent: usize, total: usize) {
-        let _ = (spent, total);
-    }
-
-    /// The driver's injection-run cache counters
-    /// ([`DriverConfig::cache_injections`](crate::driver::DriverConfig::cache_injections)),
-    /// emitted when an allocation stage finishes: `hits` experiments
-    /// reused a recorded run set, `misses` simulated and indexed one.
-    /// Both stay zero while the cache is disabled.
-    fn trace_cache(&self, hits: usize, misses: usize) {
-        let _ = (hits, misses);
-    }
-
-    /// The phase-one clustering ran; `stats` carries the sparse-run size
-    /// counters (vectors, duplicate groups, candidate edges, and the
-    /// matrix-vs-sparse-graph byte comparison). Emitted once per
-    /// allocation stage, after the cluster cut.
-    fn clustering(&self, stats: &ClusterStats) {
-        let _ = stats;
-    }
-
-    /// An open-loop workload run's latency summary was drained from the
-    /// target. Emitted by the [`Driver`](crate::Driver) after each
-    /// experiment batch, in deterministic `(test, seed)` order. Summaries
-    /// are telemetry only — they never feed FCA or campaign results.
-    fn workload_summary(&self, summary: &WorkloadSummary) {
-        let _ = summary;
-    }
-
-    /// The supervisor quarantined `failed_jobs` panicked/stalled jobs of
-    /// experiment batch `batch` and scheduled retry attempt `attempt`
-    /// (1-based) after a `backoff_ms` pause. The backoff paces wall-clock
-    /// execution only; it never enters campaign results.
-    fn batch_retried(&self, batch: usize, failed_jobs: usize, attempt: u32, backoff_ms: u64) {
-        let _ = (batch, failed_jobs, attempt, backoff_ms);
-    }
-
-    /// A `(fault, test)` experiment exhausted its retry budget in batch
-    /// `batch` and was recorded as a gap; `reason` is the final panic
-    /// message. The campaign continues degraded — see
-    /// [`degraded`](CampaignObserver::degraded).
-    fn batch_failed(&self, batch: usize, fault: FaultId, test: TestId, phase: u8, reason: &str) {
-        let _ = (batch, fault, test, phase, reason);
-    }
-
-    /// A mid-phase checkpoint reached disk: emitted *after* the atomic
-    /// temp-file + rename completed, so by the time an observer sees the
-    /// event the file at `path` is a complete, resumable snapshot covering
-    /// `executed_in_phase` experiments of allocation phase `phase`.
-    fn checkpoint_written(&self, path: &Path, phase: u8, executed_in_phase: usize) {
-        let _ = (path, phase, executed_in_phase);
-    }
-
-    /// The campaign completed with permanently failed cells: `missing`
-    /// enumerates every `(fault, test, phase)` whose experiment never
-    /// produced an outcome. Emitted at most once, while the report stage
-    /// assembles the annotated partial [`DetectionReport`](crate::DetectionReport).
-    fn degraded(&self, missing: &[(FaultId, TestId, u8)]) {
-        let _ = missing;
-    }
-
-    /// A daemon worker process completed its handshake and is ready for
-    /// shard assignments. Operational telemetry only — worker membership
-    /// never influences campaign results.
-    fn worker_connected(&self, worker: u32) {
-        let _ = worker;
-    }
-
-    /// A daemon worker's lease expired (stalled heartbeat) or its
-    /// connection dropped; its unacknowledged shards will be reassigned.
-    fn worker_lost(&self, worker: u32, reason: &str) {
-        let _ = (worker, reason);
-    }
-
-    /// The daemon coordinator leased shard `shard` (`jobs` experiments) to
-    /// `worker`.
-    fn shard_assigned(&self, shard: u32, worker: u32, jobs: usize) {
-        let _ = (shard, worker, jobs);
-    }
-
-    /// The daemon coordinator moved shard `shard` from a lost worker to
-    /// `worker` (reassignment `attempt`, 1-based). Reassignment replays
-    /// the identical jobs, so results are unaffected.
-    fn shard_reassigned(&self, shard: u32, worker: u32, attempt: u32) {
-        let _ = (shard, worker, attempt);
-    }
-
-    /// The daemon coordinator relayed a worker-side event as it happened on
-    /// the fleet. Operational telemetry only: the deterministic stream
-    /// reports the same work at merge time, so implementations must *not*
-    /// fold forwarded events into campaign-total counters (that would
-    /// double-count) — use them for per-worker attribution and liveness.
-    fn event_forwarded(&self, worker: u32, event: &ForwardedEvent) {
-        let _ = (worker, event);
-    }
-
-    /// A telemetry flight recorder flushed `records` journal records to
-    /// `path`. Emitted by the recorder itself (not the session), after the
-    /// corresponding bytes reached the file.
-    fn journal_flushed(&self, path: &Path, records: usize) {
-        let _ = (path, records);
-    }
+    /// One event happened.
+    fn on_event(&self, event: &CampaignEvent);
 }
 
 /// Fans every event out to a list of observers, in order.
@@ -281,102 +718,36 @@ pub trait CampaignObserver: Send + Sync {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use csnake_core::{CampaignObserver, FanoutObserver, ProgressCollector};
+/// use csnake_core::{CampaignEvent, CampaignObserver, FanoutObserver, ProgressCollector};
 ///
 /// let progress = Arc::new(ProgressCollector::new());
 /// let observer: Arc<dyn CampaignObserver> =
 ///     Arc::new(FanoutObserver::new(vec![progress.clone()]));
-/// observer.budget_spent(1, 8);
+/// observer.on_event(&CampaignEvent::BudgetSpent { spent: 1, total: 8 });
 /// assert_eq!(progress.snapshot().budget_spent, 1);
 /// ```
 #[derive(Default)]
 pub struct FanoutObserver {
-    sinks: Vec<std::sync::Arc<dyn CampaignObserver>>,
+    sinks: Vec<Arc<dyn CampaignObserver>>,
 }
 
 impl FanoutObserver {
     /// A fanout over `sinks`; events are delivered in vector order.
-    pub fn new(sinks: Vec<std::sync::Arc<dyn CampaignObserver>>) -> Self {
+    pub fn new(sinks: Vec<Arc<dyn CampaignObserver>>) -> Self {
         FanoutObserver { sinks }
     }
 
     /// Appends another sink.
-    pub fn push(&mut self, sink: std::sync::Arc<dyn CampaignObserver>) {
+    pub fn push(&mut self, sink: Arc<dyn CampaignObserver>) {
         self.sinks.push(sink);
     }
 }
 
-macro_rules! fanout {
-    ($self:ident . $method:ident ( $($arg:expr),* )) => {
-        for sink in &$self.sinks {
-            sink.$method($($arg),*);
-        }
-    };
-}
-
 impl CampaignObserver for FanoutObserver {
-    fn stage_started(&self, stage: Stage) {
-        fanout!(self.stage_started(stage));
-    }
-    fn stage_finished(&self, stage: Stage) {
-        fanout!(self.stage_finished(stage));
-    }
-    fn phase_started(&self, phase: u8, planned: usize) {
-        fanout!(self.phase_started(phase, planned));
-    }
-    fn phase_finished(&self, phase: u8, executed: usize) {
-        fanout!(self.phase_finished(phase, executed));
-    }
-    fn experiment_completed(&self, outcome: &ExperimentOutcome) {
-        fanout!(self.experiment_completed(outcome));
-    }
-    fn edge_emitted(&self, edge: &CausalEdge) {
-        fanout!(self.edge_emitted(edge));
-    }
-    fn cycle_found(&self, cycle: &Cycle) {
-        fanout!(self.cycle_found(cycle));
-    }
-    fn budget_spent(&self, spent: usize, total: usize) {
-        fanout!(self.budget_spent(spent, total));
-    }
-    fn trace_cache(&self, hits: usize, misses: usize) {
-        fanout!(self.trace_cache(hits, misses));
-    }
-    fn clustering(&self, stats: &ClusterStats) {
-        fanout!(self.clustering(stats));
-    }
-    fn workload_summary(&self, summary: &WorkloadSummary) {
-        fanout!(self.workload_summary(summary));
-    }
-    fn batch_retried(&self, batch: usize, failed_jobs: usize, attempt: u32, backoff_ms: u64) {
-        fanout!(self.batch_retried(batch, failed_jobs, attempt, backoff_ms));
-    }
-    fn batch_failed(&self, batch: usize, fault: FaultId, test: TestId, phase: u8, reason: &str) {
-        fanout!(self.batch_failed(batch, fault, test, phase, reason));
-    }
-    fn checkpoint_written(&self, path: &Path, phase: u8, executed_in_phase: usize) {
-        fanout!(self.checkpoint_written(path, phase, executed_in_phase));
-    }
-    fn degraded(&self, missing: &[(FaultId, TestId, u8)]) {
-        fanout!(self.degraded(missing));
-    }
-    fn worker_connected(&self, worker: u32) {
-        fanout!(self.worker_connected(worker));
-    }
-    fn worker_lost(&self, worker: u32, reason: &str) {
-        fanout!(self.worker_lost(worker, reason));
-    }
-    fn shard_assigned(&self, shard: u32, worker: u32, jobs: usize) {
-        fanout!(self.shard_assigned(shard, worker, jobs));
-    }
-    fn shard_reassigned(&self, shard: u32, worker: u32, attempt: u32) {
-        fanout!(self.shard_reassigned(shard, worker, attempt));
-    }
-    fn event_forwarded(&self, worker: u32, event: &ForwardedEvent) {
-        fanout!(self.event_forwarded(worker, event));
-    }
-    fn journal_flushed(&self, path: &Path, records: usize) {
-        fanout!(self.journal_flushed(path, records));
+    fn on_event(&self, event: &CampaignEvent) {
+        for sink in &self.sinks {
+            sink.on_event(event);
+        }
     }
 }
 
@@ -384,7 +755,9 @@ impl CampaignObserver for FanoutObserver {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
-impl CampaignObserver for NoopObserver {}
+impl CampaignObserver for NoopObserver {
+    fn on_event(&self, _event: &CampaignEvent) {}
+}
 
 /// Monotonic counters of campaign progress, filled in by a
 /// [`ProgressCollector`].
@@ -448,7 +821,7 @@ pub struct ProgressSnapshot {
 }
 
 /// Per-worker live state accumulated by a [`ProgressCollector`] from the
-/// daemon lifecycle and [`ForwardedEvent`] streams. Operational telemetry
+/// daemon lifecycle and [`CampaignEvent::Forwarded`] streams. Operational telemetry
 /// only — none of it feeds campaign results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerProgress {
@@ -486,7 +859,7 @@ pub struct ProgressCollector {
     /// Budget `spent`/`total` packed into one word (`total` in the high 32
     /// bits, `spent` in the low 32) so a polling thread can never observe
     /// a torn pair — the two values always come from the same
-    /// [`budget_spent`](CampaignObserver::budget_spent) event.
+    /// [`CampaignEvent::BudgetSpent`] event.
     budget: AtomicU64,
     trace_cache_hits: AtomicUsize,
     trace_cache_misses: AtomicUsize,
@@ -500,7 +873,7 @@ pub struct ProgressCollector {
     batch_retries: AtomicUsize,
     batch_failures: AtomicUsize,
     checkpoints_written: AtomicUsize,
-    degraded: std::sync::atomic::AtomicBool,
+    degraded: AtomicBool,
     workers_connected: AtomicUsize,
     workers_lost: AtomicUsize,
     shards_assigned: AtomicUsize,
@@ -511,9 +884,7 @@ pub struct ProgressCollector {
     /// reasons). A mutex, not atomics: observer calls may block briefly,
     /// they just must never perturb campaign results.
     workers: Mutex<BTreeMap<u32, WorkerProgress>>,
-    /// Reason string of the most recent [`worker_lost`] event.
-    ///
-    /// [`worker_lost`]: CampaignObserver::worker_lost
+    /// Reason string of the most recent [`CampaignEvent::WorkerLost`].
     last_loss_reason: Mutex<Option<String>>,
 }
 
@@ -534,8 +905,8 @@ impl ProgressCollector {
         Self::default()
     }
 
-    /// Reason of the most recent [`worker_lost`](CampaignObserver::worker_lost)
-    /// event, if any worker has been lost.
+    /// Reason of the most recent [`CampaignEvent::WorkerLost`], if any
+    /// worker has been lost.
     pub fn last_loss_reason(&self) -> Option<String> {
         self.last_loss_reason
             .lock()
@@ -557,6 +928,13 @@ impl ProgressCollector {
     fn with_worker(&self, worker: u32, f: impl FnOnce(&mut WorkerProgress)) {
         let mut table = self.workers.lock().expect("worker table poisoned");
         f(table.entry(worker).or_default());
+    }
+
+    fn leased(&self, worker: u32, shard: u32) {
+        self.with_worker(worker, |p| {
+            p.shards_assigned += 1;
+            p.current_shard = Some(shard);
+        });
     }
 
     /// Current counter values.
@@ -594,175 +972,407 @@ impl ProgressCollector {
 }
 
 impl CampaignObserver for ProgressCollector {
-    fn stage_finished(&self, _stage: Stage) {
-        self.stages_finished.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn phase_finished(&self, _phase: u8, _executed: usize) {
-        self.phases_finished.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn experiment_completed(&self, _outcome: &ExperimentOutcome) {
-        self.experiments.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn edge_emitted(&self, _edge: &CausalEdge) {
-        self.edges.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn cycle_found(&self, _cycle: &Cycle) {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn budget_spent(&self, spent: usize, total: usize) {
-        // One store for the pair: a concurrent snapshot() sees either the
-        // previous pair or this one, never a spent/total mix of the two.
-        self.budget
-            .store(pack_budget(spent, total), Ordering::Relaxed);
-    }
-
-    fn trace_cache(&self, hits: usize, misses: usize) {
-        self.trace_cache_hits.store(hits, Ordering::Relaxed);
-        self.trace_cache_misses.store(misses, Ordering::Relaxed);
-    }
-
-    fn clustering(&self, stats: &ClusterStats) {
-        self.clustering_peak_vectors
-            .fetch_max(stats.vectors, Ordering::Relaxed);
-        self.clustering_peak_matrix_bytes
-            .fetch_max(stats.matrix_bytes, Ordering::Relaxed);
-        self.clustering_peak_sparse_bytes
-            .fetch_max(stats.sparse_graph_bytes, Ordering::Relaxed);
-    }
-
-    fn workload_summary(&self, summary: &WorkloadSummary) {
-        self.workload_summaries.fetch_add(1, Ordering::Relaxed);
-        self.workload_completed
-            .fetch_add(summary.completed, Ordering::Relaxed);
-        self.workload_peak_p99_us
-            .fetch_max(summary.p99_us, Ordering::Relaxed);
-        if summary.p99_inflection_milli().is_some() {
-            self.workload_inflections.fetch_add(1, Ordering::Relaxed);
+    fn on_event(&self, event: &CampaignEvent) {
+        let bump = |counter: &AtomicUsize| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        };
+        match event {
+            CampaignEvent::StageStarted(_) | CampaignEvent::PhaseStarted { .. } => {}
+            CampaignEvent::StageFinished(_) => bump(&self.stages_finished),
+            CampaignEvent::PhaseFinished { .. } => bump(&self.phases_finished),
+            CampaignEvent::ExperimentCompleted { .. } => bump(&self.experiments),
+            CampaignEvent::EdgeEmitted { .. } => bump(&self.edges),
+            CampaignEvent::CycleFound { .. } => bump(&self.cycles),
+            CampaignEvent::BudgetSpent { spent, total } => {
+                // One store for the pair: a concurrent snapshot() sees
+                // either the previous pair or this one, never a mix.
+                self.budget
+                    .store(pack_budget(*spent, *total), Ordering::Relaxed);
+            }
+            CampaignEvent::TraceCache { hits, misses } => {
+                self.trace_cache_hits.store(*hits, Ordering::Relaxed);
+                self.trace_cache_misses.store(*misses, Ordering::Relaxed);
+            }
+            CampaignEvent::Clustering(stats) => {
+                self.clustering_peak_vectors
+                    .fetch_max(stats.vectors, Ordering::Relaxed);
+                self.clustering_peak_matrix_bytes
+                    .fetch_max(stats.matrix_bytes, Ordering::Relaxed);
+                self.clustering_peak_sparse_bytes
+                    .fetch_max(stats.sparse_graph_bytes, Ordering::Relaxed);
+            }
+            CampaignEvent::WorkloadSummary {
+                completed,
+                p99_us,
+                inflection_ms,
+                ..
+            } => {
+                bump(&self.workload_summaries);
+                self.workload_completed
+                    .fetch_add(*completed, Ordering::Relaxed);
+                self.workload_peak_p99_us
+                    .fetch_max(*p99_us, Ordering::Relaxed);
+                if inflection_ms.is_some() {
+                    bump(&self.workload_inflections);
+                }
+            }
+            CampaignEvent::BatchRetried { .. } => bump(&self.batch_retries),
+            CampaignEvent::BatchFailed { .. } => bump(&self.batch_failures),
+            CampaignEvent::CheckpointWritten { .. } => bump(&self.checkpoints_written),
+            CampaignEvent::Degraded { .. } => self.degraded.store(true, Ordering::Relaxed),
+            CampaignEvent::WorkerConnected { worker } => {
+                bump(&self.workers_connected);
+                self.with_worker(*worker, |p| {
+                    p.connected = true;
+                    p.lost_reason = None;
+                });
+            }
+            CampaignEvent::WorkerLost { worker, reason } => {
+                bump(&self.workers_lost);
+                *self.last_loss_reason.lock().expect("loss reason poisoned") = Some(reason.clone());
+                self.with_worker(*worker, |p| {
+                    p.connected = false;
+                    p.lost_reason = Some(reason.clone());
+                    p.current_shard = None;
+                });
+            }
+            CampaignEvent::ShardAssigned { shard, worker, .. } => {
+                bump(&self.shards_assigned);
+                self.leased(*worker, *shard);
+            }
+            CampaignEvent::ShardReassigned { shard, worker, .. } => {
+                bump(&self.shards_reassigned);
+                self.leased(*worker, *shard);
+            }
+            // Attribution only: the deterministic stream reports the same
+            // work at merge time, so nothing here touches a campaign total.
+            CampaignEvent::Forwarded { worker, event } => {
+                bump(&self.events_forwarded);
+                self.with_worker(*worker, |p| match **event {
+                    CampaignEvent::ExperimentCompleted { edges, .. } => {
+                        p.experiments += 1;
+                        p.edges += edges;
+                    }
+                    CampaignEvent::BatchRetried { .. } => p.retries += 1,
+                    CampaignEvent::BatchFailed { .. } => p.failures += 1,
+                    CampaignEvent::TraceCache { hits, misses } => {
+                        p.cache_hits = hits;
+                        p.cache_misses = misses;
+                    }
+                    _ => {}
+                });
+            }
+            CampaignEvent::JournalFlushed { .. } => bump(&self.journal_flushes),
         }
-    }
-
-    fn batch_retried(&self, _batch: usize, _failed_jobs: usize, _attempt: u32, _backoff_ms: u64) {
-        self.batch_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn batch_failed(&self, _batch: usize, _f: FaultId, _t: TestId, _phase: u8, _reason: &str) {
-        self.batch_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn checkpoint_written(&self, _path: &Path, _phase: u8, _executed_in_phase: usize) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn degraded(&self, _missing: &[(FaultId, TestId, u8)]) {
-        self.degraded.store(true, Ordering::Relaxed);
-    }
-
-    fn worker_connected(&self, worker: u32) {
-        self.workers_connected.fetch_add(1, Ordering::Relaxed);
-        self.with_worker(worker, |p| {
-            p.connected = true;
-            p.lost_reason = None;
-        });
-    }
-
-    fn worker_lost(&self, worker: u32, reason: &str) {
-        self.workers_lost.fetch_add(1, Ordering::Relaxed);
-        *self.last_loss_reason.lock().expect("loss reason poisoned") = Some(reason.to_string());
-        self.with_worker(worker, |p| {
-            p.connected = false;
-            p.lost_reason = Some(reason.to_string());
-            p.current_shard = None;
-        });
-    }
-
-    fn shard_assigned(&self, shard: u32, worker: u32, _jobs: usize) {
-        self.shards_assigned.fetch_add(1, Ordering::Relaxed);
-        self.with_worker(worker, |p| {
-            p.shards_assigned += 1;
-            p.current_shard = Some(shard);
-        });
-    }
-
-    fn shard_reassigned(&self, shard: u32, worker: u32, _attempt: u32) {
-        self.shards_reassigned.fetch_add(1, Ordering::Relaxed);
-        self.with_worker(worker, |p| {
-            p.shards_assigned += 1;
-            p.current_shard = Some(shard);
-        });
-    }
-
-    fn event_forwarded(&self, worker: u32, event: &ForwardedEvent) {
-        self.events_forwarded.fetch_add(1, Ordering::Relaxed);
-        self.with_worker(worker, |p| match event {
-            ForwardedEvent::ExperimentCompleted { edges, .. } => {
-                p.experiments += 1;
-                p.edges += edges;
-            }
-            ForwardedEvent::BatchRetried { .. } => p.retries += 1,
-            ForwardedEvent::BatchFailed { .. } => p.failures += 1,
-            ForwardedEvent::TraceCache { hits, misses } => {
-                p.cache_hits = *hits;
-                p.cache_misses = *misses;
-            }
-        });
-    }
-
-    fn journal_flushed(&self, _path: &Path, _records: usize) {
-        self.journal_flushes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edge::{CausalEdge, CompatState, EdgeKind};
 
-    fn edge() -> CausalEdge {
-        CausalEdge {
+    /// One representative value per event kind — the four forwardable
+    /// kinds also wrapped in `Forwarded` — in persist-tag order. Tests of
+    /// anything keyed by the vocabulary (codecs, JSON, fan-out, counters)
+    /// iterate this instead of enumerating the enum again.
+    fn samples() -> Vec<CampaignEvent> {
+        use CampaignEvent::*;
+        // Wildcard-free on purpose: a new variant fails to compile here
+        // until it has been given a sample below.
+        fn has_a_sample(event: &CampaignEvent) {
+            match event {
+                StageStarted(_) | StageFinished(_) | PhaseStarted { .. } => {}
+                PhaseFinished { .. } | ExperimentCompleted { .. } | EdgeEmitted { .. } => {}
+                CycleFound { .. } | BudgetSpent { .. } | TraceCache { .. } | Clustering(_) => {}
+                BatchRetried { .. } | BatchFailed { .. } | CheckpointWritten { .. } => {}
+                Degraded { .. } | WorkerConnected { .. } | WorkerLost { .. } => {}
+                ShardAssigned { .. } | ShardReassigned { .. } | Forwarded { .. } => {}
+                JournalFlushed { .. } | WorkloadSummary { .. } => {}
+            }
+        }
+        let (fault, test) = (FaultId(7), TestId(2));
+        let experiment = ExperimentCompleted {
+            fault,
+            test,
+            interference: 3,
+            edges: 5,
+        };
+        let cache = TraceCache {
+            hits: 40,
+            misses: 9,
+        };
+        let retried = BatchRetried {
+            batch: 6,
+            failed_jobs: 2,
+            attempt: 1,
+            backoff_ms: 10,
+        };
+        let failed = BatchFailed {
+            batch: 6,
+            fault,
+            test,
+            phase: 3,
+            reason: "chaos: \"boom\"\n".into(),
+        };
+        let forwarded = |event: &CampaignEvent| Forwarded {
+            worker: 1,
+            event: Box::new(event.clone()),
+        };
+        let all = vec![
+            StageStarted(Stage::Profiled),
+            StageFinished(Stage::Reported),
+            PhaseStarted {
+                phase: 1,
+                planned: 12,
+            },
+            PhaseFinished {
+                phase: 2,
+                executed: 11,
+            },
+            experiment.clone(),
+            EdgeEmitted {
+                cause: fault,
+                effect: FaultId(9),
+                kind: EdgeKind::EI,
+                test,
+                phase: 1,
+            },
+            CycleFound {
+                edges: 4,
+                score: 0.25,
+            },
+            BudgetSpent {
+                spent: 17,
+                total: 64,
+            },
+            cache.clone(),
+            Clustering(ClusterStats {
+                vectors: 120,
+                groups: 80,
+                candidate_edges: 300,
+                hot_dims: 2,
+                hot_pairs: 14,
+                merges: 21,
+                matrix_bytes: 115_200,
+                sparse_graph_bytes: 15_680,
+            }),
+            retried.clone(),
+            failed.clone(),
+            CheckpointWritten {
+                path: "/tmp/c.csnake".into(),
+                phase: 2,
+                executed_in_phase: 8,
+            },
+            Degraded { missing: 3 },
+            WorkerConnected { worker: 1 },
+            WorkerLost {
+                worker: 1,
+                reason: "lease expired".into(),
+            },
+            ShardAssigned {
+                shard: 14,
+                worker: 0,
+                jobs: 2,
+            },
+            ShardReassigned {
+                shard: 14,
+                worker: 1,
+                attempt: 1,
+            },
+            forwarded(&experiment),
+            forwarded(&retried),
+            forwarded(&failed),
+            forwarded(&cache),
+            JournalFlushed {
+                path: "/tmp/j.jsonl".into(),
+                records: 99,
+            },
+            WorkloadSummary {
+                test: TestId(1),
+                seed: 42,
+                offered: 6_000,
+                completed: 5_900,
+                dropped: 100,
+                p50_us: 300,
+                p99_us: 41_000,
+                inflection_ms: Some(4_250),
+            },
+        ];
+        all.iter().for_each(has_a_sample);
+        all
+    }
+
+    fn feed(c: &ProgressCollector, events: &[CampaignEvent]) {
+        for e in events {
+            c.on_event(e);
+        }
+    }
+
+    fn edge() -> CampaignEvent {
+        CampaignEvent::EdgeEmitted {
             cause: FaultId(1),
             effect: FaultId(2),
             kind: EdgeKind::EI,
             test: TestId(0),
             phase: 1,
-            cause_state: CompatState::empty(),
-            effect_state: CompatState::empty(),
+        }
+    }
+
+    fn workload(p99_us: u64, completed: u64, inflection_ms: Option<u64>) -> CampaignEvent {
+        CampaignEvent::WorkloadSummary {
+            test: TestId(0),
+            seed: 1,
+            offered: 50,
+            completed,
+            dropped: 0,
+            p50_us: 100,
+            p99_us,
+            inflection_ms,
+        }
+    }
+
+    #[test]
+    fn samples_name_every_kind_once() {
+        let samples = samples();
+        let names: std::collections::BTreeSet<&str> = samples.iter().map(|e| e.name()).collect();
+        assert_eq!(names.len(), samples.len(), "two samples share a name");
+        assert_eq!(samples.len(), 24);
+        assert!(
+            !names.contains("forwarded"),
+            "a sample forwards a kind no worker originates"
+        );
+    }
+
+    #[test]
+    fn every_sample_roundtrips_exactly() {
+        for event in samples() {
+            let mut w = Writer::with_version(1);
+            event.put(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = Reader::with_version(&bytes, 1);
+            let back = CampaignEvent::load(&mut r).expect("sample decodes");
+            assert!(r.finished(), "{}: trailing bytes", event.name());
+            assert_eq!(back, event);
+        }
+    }
+
+    #[test]
+    fn a_forwarded_inside_a_forwarded_does_not_decode() {
+        let inner = CampaignEvent::Forwarded {
+            worker: 1,
+            event: Box::new(CampaignEvent::TraceCache { hits: 1, misses: 2 }),
+        };
+        let nested = CampaignEvent::Forwarded {
+            worker: 2,
+            event: Box::new(inner),
+        };
+        let mut w = Writer::with_version(1);
+        nested.put(&mut w);
+        let bytes = w.into_bytes();
+        match CampaignEvent::load(&mut Reader::with_version(&bytes, 1)) {
+            Err(CsnakeError::SnapshotCorrupt(msg)) => assert!(msg.contains("nested"), "{msg}"),
+            other => panic!("expected SnapshotCorrupt, got {other:?}"),
+        }
+        // Retired and unknown tags are corrupt too, not silently skipped.
+        for tag in [19u8, 20, 21, 24, 255] {
+            let mut r = Reader::with_version(std::slice::from_ref(&tag), 1);
+            assert!(matches!(
+                CampaignEvent::load(&mut r),
+                Err(CsnakeError::SnapshotCorrupt(_))
+            ));
         }
     }
 
     #[test]
     fn noop_observer_accepts_everything() {
-        let o = NoopObserver;
-        o.stage_started(Stage::Built);
-        o.stage_finished(Stage::Profiled);
-        o.phase_started(1, 10);
-        o.phase_finished(1, 10);
-        o.edge_emitted(&edge());
-        o.cycle_found(&Cycle {
-            edges: vec![0],
-            score: 0.5,
-        });
-        o.budget_spent(1, 4);
+        for event in samples() {
+            NoopObserver.on_event(&event);
+        }
+    }
+
+    /// Records what it is handed, tagged with who it is.
+    struct Tap(u8, Arc<Mutex<Vec<(u8, CampaignEvent)>>>);
+
+    impl CampaignObserver for Tap {
+        fn on_event(&self, event: &CampaignEvent) {
+            self.1.lock().expect("tap").push((self.0, event.clone()));
+        }
+    }
+
+    #[test]
+    fn fanout_delivers_every_event_to_every_sink() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut fan = FanoutObserver::new(vec![Arc::new(Tap(0, seen.clone()))]);
+        fan.push(Arc::new(Tap(1, seen.clone())));
+        let samples = samples();
+        for event in &samples {
+            fan.on_event(event);
+        }
+        let want: Vec<(u8, CampaignEvent)> = samples
+            .iter()
+            .flat_map(|e| [(0, e.clone()), (1, e.clone())])
+            .collect();
+        assert_eq!(*seen.lock().expect("tap"), want);
+    }
+
+    #[test]
+    fn forwarded_events_attribute_per_worker_without_touching_totals() {
+        let c = ProgressCollector::new();
+        let forwarded: Vec<CampaignEvent> = samples()
+            .into_iter()
+            .filter(|e| matches!(e, CampaignEvent::Forwarded { .. }))
+            .collect();
+        assert_eq!(forwarded.len(), 4);
+        feed(&c, &forwarded);
+        // Forwarding is attribution, not accounting: only its own counter
+        // and the per-worker view move.
+        assert_eq!(
+            c.snapshot(),
+            ProgressSnapshot {
+                events_forwarded: 4,
+                ..ProgressSnapshot::default()
+            }
+        );
+        let workers = c.worker_progress();
+        assert_eq!(workers.len(), 1);
+        let (id, w1) = &workers[0];
+        assert_eq!(*id, 1);
+        assert_eq!((w1.experiments, w1.edges), (1, 5));
+        assert_eq!((w1.retries, w1.failures), (1, 1));
+        assert_eq!((w1.cache_hits, w1.cache_misses), (40, 9));
     }
 
     #[test]
     fn progress_collector_counts_events() {
         let c = ProgressCollector::new();
-        c.stage_finished(Stage::Profiled);
-        c.phase_finished(1, 3);
-        c.phase_finished(2, 4);
-        for _ in 0..5 {
-            c.edge_emitted(&edge());
-        }
-        c.cycle_found(&Cycle {
-            edges: vec![0],
-            score: 0.5,
-        });
-        c.budget_spent(7, 24);
+        feed(
+            &c,
+            &[
+                CampaignEvent::StageFinished(Stage::Profiled),
+                CampaignEvent::PhaseFinished {
+                    phase: 1,
+                    executed: 3,
+                },
+                CampaignEvent::PhaseFinished {
+                    phase: 2,
+                    executed: 4,
+                },
+            ],
+        );
+        feed(&c, &vec![edge(); 5]);
+        feed(
+            &c,
+            &[
+                CampaignEvent::CycleFound {
+                    edges: 1,
+                    score: 0.5,
+                },
+                CampaignEvent::BudgetSpent {
+                    spent: 7,
+                    total: 24,
+                },
+            ],
+        );
         let s = c.snapshot();
         assert_eq!(s.stages_finished, 1);
         assert_eq!(s.phases_finished, 2);
@@ -775,29 +1385,67 @@ mod tests {
     #[test]
     fn progress_collector_counts_supervisor_events() {
         let c = ProgressCollector::new();
-        c.batch_retried(0, 3, 1, 10);
-        c.batch_retried(0, 1, 2, 20);
-        c.batch_failed(0, FaultId(1), TestId(2), 3, "chaos: boom");
-        c.checkpoint_written(Path::new("/tmp/c.csnake"), 2, 8);
+        let retried = |failed_jobs, attempt, backoff_ms| CampaignEvent::BatchRetried {
+            batch: 0,
+            failed_jobs,
+            attempt,
+            backoff_ms,
+        };
+        feed(
+            &c,
+            &[
+                retried(3, 1, 10),
+                retried(1, 2, 20),
+                CampaignEvent::BatchFailed {
+                    batch: 0,
+                    fault: FaultId(1),
+                    test: TestId(2),
+                    phase: 3,
+                    reason: "chaos: boom".into(),
+                },
+                CampaignEvent::CheckpointWritten {
+                    path: "/tmp/c.csnake".into(),
+                    phase: 2,
+                    executed_in_phase: 8,
+                },
+            ],
+        );
         let s = c.snapshot();
         assert_eq!(s.batch_retries, 2);
         assert_eq!(s.batch_failures, 1);
         assert_eq!(s.checkpoints_written, 1);
         assert!(!s.degraded);
-        c.degraded(&[(FaultId(1), TestId(2), 3)]);
+        c.on_event(&CampaignEvent::Degraded { missing: 1 });
         assert!(c.snapshot().degraded);
     }
 
     #[test]
     fn progress_collector_counts_daemon_events() {
         let c = ProgressCollector::new();
-        c.worker_connected(0);
-        c.worker_connected(1);
-        c.shard_assigned(0, 0, 12);
-        c.shard_assigned(1, 1, 12);
-        c.shard_assigned(2, 0, 11);
-        c.worker_lost(1, "lease expired");
-        c.shard_reassigned(1, 0, 1);
+        let assigned = |shard, worker, jobs| CampaignEvent::ShardAssigned {
+            shard,
+            worker,
+            jobs,
+        };
+        feed(
+            &c,
+            &[
+                CampaignEvent::WorkerConnected { worker: 0 },
+                CampaignEvent::WorkerConnected { worker: 1 },
+                assigned(0, 0, 12),
+                assigned(1, 1, 12),
+                assigned(2, 0, 11),
+                CampaignEvent::WorkerLost {
+                    worker: 1,
+                    reason: "lease expired".into(),
+                },
+                CampaignEvent::ShardReassigned {
+                    shard: 1,
+                    worker: 0,
+                    attempt: 1,
+                },
+            ],
+        );
         let s = c.snapshot();
         assert_eq!(s.workers_connected, 2);
         assert_eq!(s.workers_lost, 1);
@@ -820,14 +1468,17 @@ mod tests {
     fn budget_pair_is_never_torn() {
         // The packed store means a snapshot between two budget events sees
         // a consistent (spent, total) pair even under a concurrent writer.
-        let c = std::sync::Arc::new(ProgressCollector::new());
-        c.budget_spent(0, 7);
+        let c = Arc::new(ProgressCollector::new());
+        c.on_event(&CampaignEvent::BudgetSpent { spent: 0, total: 7 });
         let writer = {
             let c = c.clone();
             std::thread::spawn(move || {
                 for spent in 0..=1000usize {
                     // Total moves with spent so a torn read is detectable.
-                    c.budget_spent(spent, spent + 7);
+                    c.on_event(&CampaignEvent::BudgetSpent {
+                        spent,
+                        total: spent + 7,
+                    });
                 }
             })
         };
@@ -843,72 +1494,29 @@ mod tests {
     }
 
     #[test]
-    fn forwarded_events_attribute_per_worker_without_touching_totals() {
-        let c = ProgressCollector::new();
-        c.event_forwarded(
-            2,
-            &ForwardedEvent::ExperimentCompleted {
-                fault: FaultId(1),
-                test: TestId(0),
-                edges: 3,
-            },
-        );
-        c.event_forwarded(
-            2,
-            &ForwardedEvent::BatchRetried {
-                failed_jobs: 1,
-                attempt: 1,
-                backoff_ms: 5,
-            },
-        );
-        c.event_forwarded(2, &ForwardedEvent::TraceCache { hits: 4, misses: 9 });
-        let s = c.snapshot();
-        // The deterministic campaign totals stay untouched: forwarding is
-        // attribution, not accounting.
-        assert_eq!(s.experiments, 0);
-        assert_eq!(s.edges, 0);
-        assert_eq!(s.batch_retries, 0);
-        assert_eq!(s.trace_cache_hits, 0);
-        assert_eq!(s.events_forwarded, 3);
-        let workers = c.worker_progress();
-        let w2 = &workers.iter().find(|(w, _)| *w == 2).expect("worker 2").1;
-        assert_eq!(w2.experiments, 1);
-        assert_eq!(w2.edges, 3);
-        assert_eq!(w2.retries, 1);
-        assert_eq!((w2.cache_hits, w2.cache_misses), (4, 9));
-    }
-
-    #[test]
-    fn fanout_delivers_every_event_to_every_sink() {
-        let a = std::sync::Arc::new(ProgressCollector::new());
-        let b = std::sync::Arc::new(ProgressCollector::new());
-        let fan = FanoutObserver::new(vec![a.clone(), b.clone()]);
-        fan.stage_finished(Stage::Profiled);
-        fan.edge_emitted(&edge());
-        fan.budget_spent(3, 9);
-        fan.worker_lost(0, "gone");
-        fan.journal_flushed(Path::new("/tmp/j.jsonl"), 12);
-        for c in [&a, &b] {
-            let s = c.snapshot();
-            assert_eq!(s.stages_finished, 1);
-            assert_eq!(s.edges, 1);
-            assert_eq!((s.budget_spent, s.budget_total), (3, 9));
-            assert_eq!(s.workers_lost, 1);
-            assert_eq!(s.journal_flushes, 1);
-        }
-    }
-
-    #[test]
     fn progress_collector_tracks_workload_summaries() {
-        use crate::workload::{WorkloadSummary, WorkloadWindow};
+        let c = ProgressCollector::new();
+        feed(
+            &c,
+            &[workload(9_000, 40, Some(100)), workload(140, 20, None)],
+        );
+        let s = c.snapshot();
+        assert_eq!(s.workload_summaries, 2);
+        assert_eq!(s.workload_completed, 60);
+        assert_eq!(s.workload_peak_p99_us, 9_000);
+        assert_eq!(s.workload_inflections, 1);
+    }
+
+    #[test]
+    fn workload_event_carries_the_summary_inflection() {
+        use crate::workload::WorkloadWindow;
         let window = |start_ms, p99_us| WorkloadWindow {
             start_ms,
             completed: 10,
             p50_us: p99_us / 2,
             p99_us,
         };
-        let c = ProgressCollector::new();
-        c.workload_summary(&WorkloadSummary {
+        let summary = WorkloadSummary {
             test: TestId(0),
             seed: 1,
             offered: 50,
@@ -919,42 +1527,35 @@ mod tests {
             p99_us: 9_000,
             max_us: 12_000,
             windows: vec![window(0, 150), window(100, 9_000)],
-        });
-        c.workload_summary(&WorkloadSummary {
-            test: TestId(1),
-            seed: 2,
-            offered: 20,
-            completed: 20,
-            dropped: 0,
-            p50_us: 90,
-            p90_us: 120,
-            p99_us: 140,
-            max_us: 150,
-            windows: vec![window(0, 130), window(100, 140)],
-        });
-        let s = c.snapshot();
-        assert_eq!(s.workload_summaries, 2);
-        assert_eq!(s.workload_completed, 60);
-        assert_eq!(s.workload_peak_p99_us, 9_000);
-        assert_eq!(s.workload_inflections, 1);
+        };
+        match CampaignEvent::workload_summary(&summary) {
+            CampaignEvent::WorkloadSummary {
+                completed,
+                dropped,
+                p99_us,
+                inflection_ms,
+                ..
+            } => assert_eq!(
+                (completed, dropped, p99_us, inflection_ms),
+                (40, 10, 9_000, Some(100))
+            ),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn progress_collector_tracks_clustering_peaks() {
         let c = ProgressCollector::new();
-        c.clustering(&ClusterStats {
-            vectors: 100,
-            matrix_bytes: 80_000,
-            sparse_graph_bytes: 5_000,
-            ..ClusterStats::default()
-        });
+        let run = |vectors, matrix_bytes, sparse_graph_bytes| {
+            CampaignEvent::Clustering(ClusterStats {
+                vectors,
+                matrix_bytes,
+                sparse_graph_bytes,
+                ..ClusterStats::default()
+            })
+        };
         // A smaller later run must not lower the peaks.
-        c.clustering(&ClusterStats {
-            vectors: 10,
-            matrix_bytes: 800,
-            sparse_graph_bytes: 50,
-            ..ClusterStats::default()
-        });
+        feed(&c, &[run(100, 80_000, 5_000), run(10, 800, 50)]);
         let s = c.snapshot();
         assert_eq!(s.clustering_peak_vectors, 100);
         assert_eq!(s.clustering_peak_matrix_bytes, 80_000);

@@ -60,7 +60,7 @@ use crate::beam::{beam_search, cluster_cycles, Cycle, CycleCluster};
 use crate::chaos::ChaosInjector;
 use crate::driver::Driver;
 use crate::error::{CsnakeError, Result};
-use crate::observer::{CampaignObserver, NoopObserver};
+use crate::observer::{CampaignEvent, CampaignObserver, NoopObserver};
 use crate::report::{build_report, DetectionReport};
 use crate::snapshot::Snapshot;
 use crate::target::TargetSystem;
@@ -176,7 +176,7 @@ impl<'a> SessionBuilder<'a> {
     /// Streams mid-phase checkpoints of the allocation campaign to `path`:
     /// after every `cadence` experiments the supervisor atomically rewrites
     /// the file with a resumable snapshot of the 3PA runner's planning
-    /// state ([`CampaignObserver::checkpoint_written`] fires per write).
+    /// state ([`CampaignEvent::CheckpointWritten`] fires per write).
     /// A session resumed from such a file continues *inside* the
     /// interrupted phase and produces a bit-identical campaign. `cadence`
     /// of zero checkpoints once per phase.
@@ -228,7 +228,7 @@ impl<'a> SessionBuilder<'a> {
 /// Durability half of mid-phase checkpointing: assembles full snapshot
 /// bytes from the pre-encoded profile block plus the fresh
 /// [`MidPhaseState`], writes them atomically, and emits
-/// [`CampaignObserver::checkpoint_written`] after the rename. Injected
+/// [`CampaignEvent::CheckpointWritten`] after the rename. Injected
 /// snapshot-IO chaos is retried within the configured transient allowance;
 /// a write that still fails is reported to the runner as a missed
 /// checkpoint (`false`) and the campaign continues — resume is merely
@@ -259,8 +259,11 @@ impl CheckpointSink for SessionCheckpointSink {
         }
         match crate::snapshot::write_file_bytes(&self.path, &self.encoder.encode(state)) {
             Ok(()) => {
-                self.observer
-                    .checkpoint_written(&self.path, state.phase, state.executed_in_phase);
+                self.observer.on_event(&CampaignEvent::CheckpointWritten {
+                    path: self.path.display().to_string(),
+                    phase: state.phase,
+                    executed_in_phase: state.executed_in_phase,
+                });
                 true
             }
             Err(_) => false,
@@ -484,7 +487,8 @@ impl<'a> Session<'a> {
     /// dynamic call graph, and apply the static filters.
     pub fn profile(&mut self) -> Result<Profiled> {
         self.expect_stage(Stage::Built)?;
-        self.observer.stage_started(Stage::Profiled);
+        self.observer
+            .on_event(&CampaignEvent::StageStarted(Stage::Profiled));
         let driver = Driver::new(self.target, self.cfg.driver.clone());
         let artifact = Profiled {
             system: self.target.name().to_string(),
@@ -495,7 +499,8 @@ impl<'a> Session<'a> {
         };
         self.driver = Some(driver);
         self.stage = Stage::Profiled;
-        self.observer.stage_finished(Stage::Profiled);
+        self.observer
+            .on_event(&CampaignEvent::StageFinished(Stage::Profiled));
         Ok(artifact)
     }
 
@@ -506,13 +511,14 @@ impl<'a> Session<'a> {
     /// stall are quarantined and retried per
     /// [`RetryConfig`](crate::driver::RetryConfig); cells that fail
     /// permanently become enumerated gaps rather than aborting the
-    /// campaign (the observer sees [`CampaignObserver::degraded`]). With
+    /// campaign (the observer sees [`CampaignEvent::Degraded`]). With
     /// [`auto_checkpoint`](SessionBuilder::auto_checkpoint) configured,
     /// mid-phase checkpoints stream to disk as the campaign progresses; a
     /// session resumed from one continues inside the interrupted phase.
     pub fn allocate(&mut self, strategy: &dyn AllocationStrategy) -> Result<CampaignOutcome> {
         self.expect_stage(Stage::Profiled)?;
-        self.observer.stage_started(Stage::Allocated);
+        self.observer
+            .on_event(&CampaignEvent::StageStarted(Stage::Allocated));
         let resume = self.pending_mid_phase.take();
         let sink = self.auto_checkpoint.as_ref().map(|(path, _)| {
             let driver = self.driver.as_ref().expect("profiled session has a driver");
@@ -540,9 +546,14 @@ impl<'a> Session<'a> {
         };
         let alloc = strategy.run_with_recovery(driver, &*self.observer, recovery);
         let (cache_hits, cache_misses) = driver.trace_cache_stats();
-        self.observer.trace_cache(cache_hits, cache_misses);
+        self.observer.on_event(&CampaignEvent::TraceCache {
+            hits: cache_hits,
+            misses: cache_misses,
+        });
         if !alloc.gaps.is_empty() {
-            self.observer.degraded(&alloc.gaps);
+            self.observer.on_event(&CampaignEvent::Degraded {
+                missing: alloc.gaps.len(),
+            });
         }
         let artifact = CampaignOutcome {
             strategy: strategy.name().to_string(),
@@ -555,7 +566,8 @@ impl<'a> Session<'a> {
         self.strategy_name = Some(strategy.name().to_string());
         self.alloc = Some(alloc);
         self.stage = Stage::Allocated;
-        self.observer.stage_finished(Stage::Allocated);
+        self.observer
+            .on_event(&CampaignEvent::StageFinished(Stage::Allocated));
         Ok(artifact)
     }
 
@@ -579,7 +591,8 @@ impl<'a> Session<'a> {
         engine: &mut dyn ExperimentEngine,
     ) -> Result<CampaignOutcome> {
         self.expect_stage(Stage::Profiled)?;
-        self.observer.stage_started(Stage::Allocated);
+        self.observer
+            .on_event(&CampaignEvent::StageStarted(Stage::Allocated));
         let resume = self.pending_mid_phase.take();
         let sink = self.auto_checkpoint.as_ref().map(|(path, _)| {
             let driver = self.driver.as_ref().expect("profiled session has a driver");
@@ -606,12 +619,17 @@ impl<'a> Session<'a> {
         };
         let alloc = strategy.run_with_recovery(engine, &*self.observer, recovery);
         let (cache_hits, cache_misses) = engine.trace_cache_stats();
-        self.observer.trace_cache(cache_hits, cache_misses);
+        self.observer.on_event(&CampaignEvent::TraceCache {
+            hits: cache_hits,
+            misses: cache_misses,
+        });
         let engine_runs = engine.runs_executed();
         let driver = self.driver.as_mut().expect("profiled session has a driver");
         driver.runs_executed += engine_runs;
         if !alloc.gaps.is_empty() {
-            self.observer.degraded(&alloc.gaps);
+            self.observer.on_event(&CampaignEvent::Degraded {
+                missing: alloc.gaps.len(),
+            });
         }
         let artifact = CampaignOutcome {
             strategy: strategy.name().to_string(),
@@ -624,7 +642,8 @@ impl<'a> Session<'a> {
         self.strategy_name = Some(strategy.name().to_string());
         self.alloc = Some(alloc);
         self.stage = Stage::Allocated;
-        self.observer.stage_finished(Stage::Allocated);
+        self.observer
+            .on_event(&CampaignEvent::StageFinished(Stage::Allocated));
         Ok(artifact)
     }
 
@@ -632,24 +651,27 @@ impl<'a> Session<'a> {
     /// parallel beam search and cluster the reported cycles.
     pub fn stitch(&mut self) -> Result<&StitchedCycles> {
         self.expect_stage(Stage::Allocated)?;
-        self.observer.stage_started(Stage::Stitched);
+        self.observer
+            .on_event(&CampaignEvent::StageStarted(Stage::Stitched));
         let alloc = self.alloc.as_ref().expect("allocated session has a result");
         let sim_of = |f| alloc.sim_score_of(f);
         let cycles = beam_search(&alloc.db, &sim_of, &self.cfg.beam);
         for cycle in &cycles {
-            self.observer.cycle_found(cycle);
+            self.observer.on_event(&CampaignEvent::cycle_found(cycle));
         }
         let clusters = cluster_cycles(&cycles, &alloc.db, &alloc.cluster_of);
         self.stitched = Some(StitchedCycles { cycles, clusters });
         self.stage = Stage::Stitched;
-        self.observer.stage_finished(Stage::Stitched);
+        self.observer
+            .on_event(&CampaignEvent::StageFinished(Stage::Stitched));
         Ok(self.stitched.as_ref().expect("just set"))
     }
 
     /// Stage 5: match cycles against ground truth and classify clusters.
     pub fn report(&mut self) -> Result<&DetectionReport> {
         self.expect_stage(Stage::Stitched)?;
-        self.observer.stage_started(Stage::Reported);
+        self.observer
+            .on_event(&CampaignEvent::StageStarted(Stage::Reported));
         let alloc = self.alloc.as_ref().expect("allocated session has a result");
         let stitched = self.stitched.as_ref().expect("stitched session has cycles");
         let report = build_report(
@@ -660,7 +682,8 @@ impl<'a> Session<'a> {
         );
         self.report = Some(report);
         self.stage = Stage::Reported;
-        self.observer.stage_finished(Stage::Reported);
+        self.observer
+            .on_event(&CampaignEvent::StageFinished(Stage::Reported));
         Ok(self.report.as_ref().expect("just set"))
     }
 

@@ -70,7 +70,7 @@ pub trait TargetSystem: Send + Sync {
     ///
     /// The [`Driver`](crate::Driver) drains after each experiment batch and
     /// re-emits the summaries through
-    /// [`CampaignObserver::workload_summary`](crate::CampaignObserver::workload_summary)
+    /// [`CampaignEvent::WorkloadSummary`](crate::CampaignEvent::WorkloadSummary)
     /// sorted by `(test, seed)`, so the stream is deterministic regardless
     /// of worker-pool interleaving.
     fn drain_workload_summaries(&self) -> Vec<crate::workload::WorkloadSummary> {

@@ -8,7 +8,7 @@
 //! [`Driver`](crate::Driver) drains after each experiment batch via
 //! [`TargetSystem::drain_workload_summaries`](crate::TargetSystem::drain_workload_summaries),
 //! re-emitting them in deterministic `(test, seed)` order through
-//! [`CampaignObserver::workload_summary`](crate::CampaignObserver::workload_summary).
+//! [`CampaignEvent::WorkloadSummary`](crate::CampaignEvent::WorkloadSummary).
 //!
 //! The windows are what makes an open-loop run diagnostic: under a
 //! self-sustaining cascade the arrival rate does not yield (no closed-loop

@@ -53,13 +53,13 @@ use std::time::{Duration, Instant};
 use csnake_core::alloc::{ExperimentEngine, ShardSpan};
 use csnake_core::error::{CsnakeError, Result};
 use csnake_core::{
-    registry_fingerprint, CampaignObserver, ChaosInjector, DetectConfig, Driver, ExperimentOutcome,
-    ForwardedEvent, NoopObserver, TargetSystem,
+    registry_fingerprint, CampaignEvent, CampaignObserver, ChaosInjector, DetectConfig, Driver,
+    ExperimentOutcome, NoopObserver, TargetSystem,
 };
 use csnake_inject::{FaultId, TestId};
 
 use crate::transport::{Endpoint, WireRx, WireTx};
-use crate::wire::{Job, WireMsg, WorkerEvent};
+use crate::wire::{Job, WireMsg};
 
 /// Coordinator knobs.
 #[derive(Debug, Clone)]
@@ -153,42 +153,19 @@ pub struct DistributedEngine {
     timed_wakeups: usize,
 }
 
-/// Maps a wire-level worker event into the observer-facing forwarded form.
-///
-/// This is attribution-only fan-out: every one of these events is (or will
-/// be) accounted in the deterministic campaign stream by the coordinator's
-/// own merge, so the forwarded copy must never feed campaign totals — only
-/// the per-worker view.
-fn forwarded(ev: &WorkerEvent) -> ForwardedEvent {
-    match ev {
-        WorkerEvent::BatchRetried {
-            failed_jobs,
-            attempt,
-            backoff_ms,
-        } => ForwardedEvent::BatchRetried {
-            failed_jobs: *failed_jobs,
-            attempt: *attempt,
-            backoff_ms: *backoff_ms,
-        },
-        WorkerEvent::BatchFailed {
-            fault, test, phase, ..
-        } => ForwardedEvent::BatchFailed {
-            fault: *fault,
-            test: *test,
-            phase: *phase,
-        },
-        WorkerEvent::ExperimentCompleted { fault, test, edges } => {
-            ForwardedEvent::ExperimentCompleted {
-                fault: *fault,
-                test: *test,
-                edges: *edges,
-            }
-        }
-        WorkerEvent::TraceCache { hits, misses } => ForwardedEvent::TraceCache {
-            hits: *hits,
-            misses: *misses,
-        },
-    }
+/// The kinds a worker may originate. The coordinator is the router: a
+/// frame can decode to any [`CampaignEvent`], and everything not listed
+/// here — lifecycle, stage and phase events, a `Forwarded` a worker wrapped
+/// itself — is dropped before it reaches an observer, so a misbehaving peer
+/// cannot speak for the coordinator.
+fn worker_may_originate(event: &CampaignEvent) -> bool {
+    matches!(
+        event,
+        CampaignEvent::ExperimentCompleted { .. }
+            | CampaignEvent::BatchRetried { .. }
+            | CampaignEvent::BatchFailed { .. }
+            | CampaignEvent::TraceCache { .. }
+    )
 }
 
 fn reader_thread(mut rx: Box<dyn WireRx>, worker: u32, notes: Sender<(u32, WorkerNote)>) {
@@ -222,7 +199,7 @@ impl DistributedEngine {
     ///
     /// Workers that fail the handshake (unresolvable target, fingerprint
     /// mismatch, dead connection) are dropped from the fleet with a
-    /// [`CampaignObserver::worker_lost`] at attach time; connecting
+    /// [`CampaignEvent::WorkerLost`] at attach time; connecting
     /// succeeds as long as at least one worker survives.
     pub fn connect(
         target_name: &str,
@@ -351,7 +328,10 @@ impl DistributedEngine {
             return;
         }
         workers[w].alive = false;
-        observer.worker_lost(w as u32, reason);
+        observer.on_event(&CampaignEvent::WorkerLost {
+            worker: w as u32,
+            reason: reason.to_string(),
+        });
         if let Some(si) = workers[w].busy.take() {
             // Its shard goes back to the head of the queue: recovering
             // in-flight work beats starting new work.
@@ -366,7 +346,7 @@ impl DistributedEngine {
         batch: &[Job],
         shard: &Shard,
         reason: &str,
-    ) -> (ShardSpan, Vec<WorkerEvent>) {
+    ) -> (ShardSpan, Vec<CampaignEvent>) {
         let jobs = &batch[shard.range.clone()];
         let span = ShardSpan {
             shard: shard.ordinal,
@@ -385,7 +365,8 @@ impl DistributedEngine {
         };
         let events = jobs
             .iter()
-            .map(|&(f, t, p)| WorkerEvent::BatchFailed {
+            .map(|&(f, t, p)| CampaignEvent::BatchFailed {
+                batch: 0, // numbered at merge time, like a worker's
                 fault: f,
                 test: t,
                 phase: p,
@@ -423,7 +404,7 @@ impl DistributedEngine {
         // borrows as it stands — with each one's supervisor events beside
         // it, parked until the in-order merge.
         let mut spans: Vec<ShardSpan> = Vec::with_capacity(shards.len());
-        let mut span_events: Vec<Vec<WorkerEvent>> = Vec::with_capacity(shards.len());
+        let mut span_events: Vec<Vec<CampaignEvent>> = Vec::with_capacity(shards.len());
         let lease = Duration::from_millis(self.cfg.lease_ms);
         let abandoned =
             |attempts: u32| format!("shard abandoned after {attempts} delivery attempts");
@@ -463,8 +444,11 @@ impl DistributedEngine {
                     shards[si].attempts += 1;
                     let attempts = shards[si].attempts;
                     if attempts > 1 {
-                        self.observer
-                            .shard_reassigned(ordinal, w as u32, attempts - 1);
+                        self.observer.on_event(&CampaignEvent::ShardReassigned {
+                            shard: ordinal,
+                            worker: w as u32,
+                            attempt: attempts - 1,
+                        });
                     }
                     // Chaos gates the send path: a stall is pure latency,
                     // a drop loses the frame in transit.
@@ -489,8 +473,11 @@ impl DistributedEngine {
                         Ok(()) => {
                             self.workers[w].busy = Some(si);
                             self.workers[w].deadline = Instant::now() + lease;
-                            self.observer
-                                .shard_assigned(ordinal, w as u32, shards[si].range.len());
+                            self.observer.on_event(&CampaignEvent::ShardAssigned {
+                                shard: ordinal,
+                                worker: w as u32,
+                                jobs: shards[si].range.len(),
+                            });
                             break;
                         }
                         Err(e) => {
@@ -612,12 +599,15 @@ impl DistributedEngine {
                     if self.workers[wi].alive && self.workers[wi].busy.is_some() {
                         self.workers[wi].deadline = Instant::now() + lease;
                     }
-                    for ev in &events {
-                        if let WorkerEvent::TraceCache { hits, misses } = ev {
+                    for event in events.into_iter().filter(worker_may_originate) {
+                        if let CampaignEvent::TraceCache { hits, misses } = event {
                             // Cumulative counters: last value wins.
-                            self.worker_cache.insert(w, (*hits, *misses));
+                            self.worker_cache.insert(w, (hits, misses));
                         }
-                        self.observer.event_forwarded(w, &forwarded(ev));
+                        self.observer.on_event(&CampaignEvent::Forwarded {
+                            worker: w,
+                            event: Box::new(event),
+                        });
                     }
                 }
                 Ok((_, WorkerNote::Msg(_))) => {} // stray frames ignored
@@ -662,29 +652,39 @@ impl DistributedEngine {
         for (span, events) in merged {
             let batch_id = self.batch_counter;
             self.batch_counter += 1;
-            for ev in &events {
-                match ev {
-                    WorkerEvent::BatchRetried {
+            for event in events {
+                match event {
+                    CampaignEvent::BatchRetried {
                         failed_jobs,
                         attempt,
                         backoff_ms,
-                    } => self
-                        .observer
-                        .batch_retried(batch_id, *failed_jobs, *attempt, *backoff_ms),
-                    WorkerEvent::BatchFailed {
+                        ..
+                    } => self.observer.on_event(&CampaignEvent::BatchRetried {
+                        batch: batch_id,
+                        failed_jobs,
+                        attempt,
+                        backoff_ms,
+                    }),
+                    CampaignEvent::BatchFailed {
                         fault,
                         test,
                         phase,
                         reason,
-                    } => self
-                        .observer
-                        .batch_failed(batch_id, *fault, *test, *phase, reason),
-                    // Live-telemetry variants never reach a Result's event
-                    // buffer (workers only buffer supervisor events); if a
-                    // nonconforming worker ships them anyway, replaying
-                    // would double-count against the coordinator's own
-                    // deterministic stream — drop them.
-                    WorkerEvent::ExperimentCompleted { .. } | WorkerEvent::TraceCache { .. } => {}
+                        ..
+                    } => self.observer.on_event(&CampaignEvent::BatchFailed {
+                        batch: batch_id,
+                        fault,
+                        test,
+                        phase,
+                        reason,
+                    }),
+                    // A worker buffers only supervisor events into a
+                    // Result. The other two kinds it may originate ride in
+                    // Event frames and are already in the coordinator's own
+                    // deterministic stream, so replaying them would
+                    // double-count; anything else a nonconforming worker
+                    // ships is not its to say. Drop both.
+                    _ => {}
                 }
             }
             self.gaps.extend(span.gaps);
@@ -754,7 +754,8 @@ impl ExperimentEngine for DistributedEngine {
         self.observer = observer;
         for (i, w) in self.workers.iter().enumerate() {
             if w.alive {
-                self.observer.worker_connected(i as u32);
+                self.observer
+                    .on_event(&CampaignEvent::WorkerConnected { worker: i as u32 });
             }
         }
     }

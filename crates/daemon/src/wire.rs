@@ -23,18 +23,23 @@
 //! [`WireMsg::Assign`] / [`WireMsg::Result`] pairs until
 //! [`WireMsg::Shutdown`] or EOF. [`WireMsg::Heartbeat`] keeps the worker's
 //! lease alive across long experiment batches; supervisor telemetry rides
-//! inside `Result` as [`WorkerEvent`]s so the coordinator can replay it in
+//! inside `Result` as [`CampaignEvent`]s — the observer vocabulary itself,
+//! through its own [`Persist`] impl — so the coordinator can replay it in
 //! deterministic shard-merge order. [`WireMsg::Event`] additionally ships a
 //! *live* copy of a completed shard's events ahead of its `Result` — the
-//! coordinator re-emits them with worker attribution (observer
-//! `event_forwarded`) for fleet telemetry, but never merges them into
-//! campaign results, so losing or reordering Event frames is harmless.
+//! coordinator hands them to its observer's `on_event` wrapped in
+//! [`CampaignEvent::Forwarded`] for fleet telemetry, but never merges them
+//! into campaign results, so losing or reordering Event frames is harmless.
+//! A worker may originate only `ExperimentCompleted`, `BatchRetried`,
+//! `BatchFailed` and `TraceCache`; the coordinator drops every other kind.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use csnake_core::error::{CsnakeError, Result};
-use csnake_core::{fnv1a_bytes, DetectConfig, ExperimentOutcome, Persist, Reader, Writer};
+use csnake_core::{
+    fnv1a_bytes, CampaignEvent, DetectConfig, ExperimentOutcome, Persist, Reader, Writer,
+};
 use csnake_inject::{FaultId, RunTrace, TestId};
 
 /// Frame magic: `CSNW` ("CSnake Wire"), deliberately one letter away from
@@ -44,12 +49,12 @@ pub const WIRE_MAGIC: [u8; 4] = *b"CSNW";
 /// Current protocol version. Bumped on any incompatible message change;
 /// there is no cross-version negotiation — coordinator and workers are one
 /// build, so a mismatch is a deployment error and fails the handshake.
-/// Version 2 added the [`WireMsg::Event`] telemetry frame and the
-/// [`WorkerEvent::ExperimentCompleted`] / [`WorkerEvent::TraceCache`]
-/// event kinds. Version 3 ships the coordinator's profile traces inside
-/// [`WireMsg::Hello`] so workers rebuild their driver from the artifact
-/// instead of re-profiling the target from scratch.
-pub const WIRE_VERSION: u32 = 3;
+/// Version 2 added the [`WireMsg::Event`] telemetry frame. Version 3 ships
+/// the coordinator's profile traces inside [`WireMsg::Hello`] so workers
+/// rebuild their driver from the artifact instead of re-profiling the
+/// target from scratch. Version 4 carries `Result` / `Event` telemetry as
+/// [`CampaignEvent`]s.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Fixed header length: magic + version + payload length + checksum.
 pub const WIRE_HEADER_LEN: usize = 4 + 4 + 8 + 8;
@@ -62,54 +67,6 @@ pub const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
 
 /// One planned experiment cell: `(fault, test, phase)`.
 pub type Job = (FaultId, TestId, u8);
-
-/// Supervisor telemetry collected on a worker while running one shard,
-/// shipped back inside [`WireMsg::Result`]. Batch ordinals are assigned by
-/// the *coordinator* at merge time (worker-local counters would interleave
-/// nondeterministically), so the wire form carries none.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkerEvent {
-    /// The worker's driver retried part of the shard after job panics.
-    BatchRetried {
-        /// Jobs that failed and were re-queued.
-        failed_jobs: usize,
-        /// Retry attempt number (1-based).
-        attempt: u32,
-        /// Backoff pause the worker slept before the retry.
-        backoff_ms: u64,
-    },
-    /// A cell exhausted the worker's retry budget and became a gap.
-    BatchFailed {
-        /// The abandoned cell's fault.
-        fault: FaultId,
-        /// The abandoned cell's test.
-        test: TestId,
-        /// The abandoned cell's 3PA phase.
-        phase: u8,
-        /// Panic message of the final attempt.
-        reason: String,
-    },
-    /// One `(fault, test)` experiment finished on the worker. Only ever
-    /// shipped in [`WireMsg::Event`] frames (the `Result` carries the full
-    /// outcomes); the summary exists for live fleet attribution.
-    ExperimentCompleted {
-        /// The injected fault.
-        fault: FaultId,
-        /// The workload it was injected into.
-        test: TestId,
-        /// Causal edges the experiment's FCA produced (pre-dedup).
-        edges: usize,
-    },
-    /// The worker's cumulative injection-run cache counters, shipped with
-    /// each completed shard so the coordinator can sum fleet-wide cache
-    /// stats (`hits`/`misses` are totals, not deltas — last value wins).
-    TraceCache {
-        /// Cache hits so far on this worker.
-        hits: usize,
-        /// Cache misses so far on this worker.
-        misses: usize,
-    },
-}
 
 /// Every message of the coordinator/worker protocol.
 // `Hello` dwarfs the other variants (it inlines the whole campaign
@@ -173,9 +130,11 @@ pub enum WireMsg {
         gaps: Vec<Job>,
         /// Simulator runs this shard cost on the worker.
         runs: usize,
-        /// Supervisor telemetry, replayed by the coordinator in merge
-        /// order.
-        events: Vec<WorkerEvent>,
+        /// Supervisor telemetry (`BatchRetried` / `BatchFailed`), replayed
+        /// by the coordinator in merge order under batch ordinals it
+        /// assigns itself — worker-local ones would interleave
+        /// nondeterministically, so the ones in here are ignored.
+        events: Vec<CampaignEvent>,
     },
     /// Worker → coordinator: lease keep-alive while computing.
     Heartbeat {
@@ -191,84 +150,14 @@ pub enum WireMsg {
     /// shard's `Result` so a fleet operator sees work as it lands. Any
     /// frame from a worker is also a life sign, so Event refreshes the
     /// sender's lease like a heartbeat. Purely operational: the
-    /// coordinator re-emits these through the observer's `event_forwarded`
-    /// and never folds them into campaign results.
+    /// coordinator re-emits these as [`CampaignEvent::Forwarded`] and never
+    /// folds them into campaign results.
     Event {
         /// The sending worker.
         worker: u32,
         /// The events, in worker-side occurrence order.
-        events: Vec<WorkerEvent>,
+        events: Vec<CampaignEvent>,
     },
-}
-
-impl Persist for WorkerEvent {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            WorkerEvent::BatchRetried {
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            } => {
-                0u8.put(w);
-                failed_jobs.put(w);
-                attempt.put(w);
-                backoff_ms.put(w);
-            }
-            WorkerEvent::BatchFailed {
-                fault,
-                test,
-                phase,
-                reason,
-            } => {
-                1u8.put(w);
-                fault.put(w);
-                test.put(w);
-                phase.put(w);
-                reason.put(w);
-            }
-            WorkerEvent::ExperimentCompleted { fault, test, edges } => {
-                2u8.put(w);
-                fault.put(w);
-                test.put(w);
-                edges.put(w);
-            }
-            WorkerEvent::TraceCache { hits, misses } => {
-                3u8.put(w);
-                hits.put(w);
-                misses.put(w);
-            }
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match u8::load(r)? {
-            0 => WorkerEvent::BatchRetried {
-                failed_jobs: usize::load(r)?,
-                attempt: u32::load(r)?,
-                backoff_ms: u64::load(r)?,
-            },
-            1 => WorkerEvent::BatchFailed {
-                fault: FaultId::load(r)?,
-                test: TestId::load(r)?,
-                phase: u8::load(r)?,
-                reason: String::load(r)?,
-            },
-            2 => WorkerEvent::ExperimentCompleted {
-                fault: FaultId::load(r)?,
-                test: TestId::load(r)?,
-                edges: usize::load(r)?,
-            },
-            3 => WorkerEvent::TraceCache {
-                hits: usize::load(r)?,
-                misses: usize::load(r)?,
-            },
-            n => {
-                return Err(CsnakeError::SnapshotCorrupt(format!(
-                    "bad worker-event tag {n}"
-                )))
-            }
-        })
-    }
 }
 
 impl Persist for WireMsg {
@@ -569,12 +458,14 @@ mod tests {
                 gaps: vec![(FaultId(4), TestId(7), 3)],
                 runs: 42,
                 events: vec![
-                    WorkerEvent::BatchRetried {
+                    CampaignEvent::BatchRetried {
+                        batch: 0,
                         failed_jobs: 2,
                         attempt: 1,
                         backoff_ms: 10,
                     },
-                    WorkerEvent::BatchFailed {
+                    CampaignEvent::BatchFailed {
+                        batch: 0,
                         fault: FaultId(4),
                         test: TestId(7),
                         phase: 3,
@@ -587,19 +478,21 @@ mod tests {
             WireMsg::Event {
                 worker: 3,
                 events: vec![
-                    WorkerEvent::ExperimentCompleted {
+                    CampaignEvent::ExperimentCompleted {
                         fault: FaultId(1),
                         test: TestId(2),
+                        interference: 2,
                         edges: 4,
                     },
-                    WorkerEvent::TraceCache {
+                    CampaignEvent::TraceCache {
                         hits: 12,
                         misses: 30,
                     },
-                    WorkerEvent::BatchRetried {
-                        failed_jobs: 1,
-                        attempt: 2,
-                        backoff_ms: 20,
+                    // Not a worker's to say, but it crosses the wire: what
+                    // to drop is the coordinator's call, not the codec's.
+                    CampaignEvent::WorkerLost {
+                        worker: 3,
+                        reason: "rogue".into(),
                     },
                 ],
             },
@@ -769,26 +662,29 @@ mod tests {
             })
     }
 
-    fn arb_event() -> impl Strategy<Value = WorkerEvent> {
+    fn arb_event() -> impl Strategy<Value = CampaignEvent> {
         (0u8..4, 0usize..50, 1u32..5, 0u64..5_000, arb_job()).prop_map(
             |(tag, failed_jobs, attempt, backoff_ms, (f, t, p))| match tag {
-                0 => WorkerEvent::BatchRetried {
+                0 => CampaignEvent::BatchRetried {
+                    batch: attempt as usize,
                     failed_jobs,
                     attempt,
                     backoff_ms,
                 },
-                1 => WorkerEvent::BatchFailed {
+                1 => CampaignEvent::BatchFailed {
+                    batch: failed_jobs,
                     fault: f,
                     test: t,
                     phase: p,
                     reason: format!("job panicked after {backoff_ms}ms"),
                 },
-                2 => WorkerEvent::ExperimentCompleted {
+                2 => CampaignEvent::ExperimentCompleted {
                     fault: f,
                     test: t,
+                    interference: attempt as usize,
                     edges: failed_jobs,
                 },
-                _ => WorkerEvent::TraceCache {
+                _ => CampaignEvent::TraceCache {
                     hits: failed_jobs,
                     misses: attempt as usize,
                 },

@@ -29,11 +29,10 @@ use std::time::Duration;
 
 use csnake_core::alloc::ExperimentEngine;
 use csnake_core::error::{CsnakeError, Result};
-use csnake_core::{registry_fingerprint, CampaignObserver, Driver};
-use csnake_inject::{FaultId, TestId};
+use csnake_core::{registry_fingerprint, CampaignEvent, CampaignObserver, Driver};
 
 use crate::transport::Endpoint;
-use crate::wire::{WireMsg, WorkerEvent};
+use crate::wire::WireMsg;
 
 /// Fault-injection knobs for recovery tests; the default is a well-behaved
 /// worker.
@@ -73,49 +72,35 @@ fn wire_io(source: io::Error) -> CsnakeError {
 }
 
 /// Observer buffering the driver's supervisor events for the current
-/// shard; drained into each [`WireMsg::Result`]. Worker-local batch
-/// ordinals are dropped here — the coordinator re-numbers events in shard
-/// merge order so the replayed stream is deterministic.
+/// shard; drained into each [`WireMsg::Result`]. The batch ordinals in them
+/// are this worker's own — the coordinator re-numbers events in shard merge
+/// order so the replayed stream is deterministic.
 #[derive(Default)]
 struct EventBuffer {
-    events: Mutex<Vec<WorkerEvent>>,
+    events: Mutex<Vec<CampaignEvent>>,
 }
 
 impl EventBuffer {
-    fn drain(&self) -> Vec<WorkerEvent> {
+    fn drain(&self) -> Vec<CampaignEvent> {
         std::mem::take(&mut self.events.lock().expect("event buffer poisoned"))
     }
 
     /// A copy of the buffered events *without* draining them: the live
     /// [`WireMsg::Event`] frame ships a copy, the authoritative drain
     /// still happens into the shard's [`WireMsg::Result`].
-    fn peek(&self) -> Vec<WorkerEvent> {
+    fn peek(&self) -> Vec<CampaignEvent> {
         self.events.lock().expect("event buffer poisoned").clone()
     }
 }
 
 impl CampaignObserver for EventBuffer {
-    fn batch_retried(&self, _batch: usize, failed_jobs: usize, attempt: u32, backoff_ms: u64) {
-        self.events
-            .lock()
-            .expect("event buffer poisoned")
-            .push(WorkerEvent::BatchRetried {
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            });
-    }
-
-    fn batch_failed(&self, _batch: usize, fault: FaultId, test: TestId, phase: u8, reason: &str) {
-        self.events
-            .lock()
-            .expect("event buffer poisoned")
-            .push(WorkerEvent::BatchFailed {
-                fault,
-                test,
-                phase,
-                reason: reason.to_string(),
-            });
+    fn on_event(&self, event: &CampaignEvent) {
+        if let CampaignEvent::BatchRetried { .. } | CampaignEvent::BatchFailed { .. } = event {
+            self.events
+                .lock()
+                .expect("event buffer poisoned")
+                .push(event.clone());
+        }
     }
 }
 
@@ -220,13 +205,9 @@ pub fn run_worker(endpoint: Endpoint, opts: WorkerOptions) -> Result<()> {
                         // notice — the authoritative Result follows on the
                         // same stream.
                         let mut live = events.peek();
-                        live.extend(outcomes.iter().map(|o| WorkerEvent::ExperimentCompleted {
-                            fault: o.fault,
-                            test: o.test,
-                            edges: o.edges.len(),
-                        }));
+                        live.extend(outcomes.iter().map(CampaignEvent::experiment_completed));
                         let (hits, misses) = driver.trace_cache_stats();
-                        live.push(WorkerEvent::TraceCache { hits, misses });
+                        live.push(CampaignEvent::TraceCache { hits, misses });
                         tx.lock()
                             .expect("wire tx poisoned")
                             .send(&WireMsg::Event {

@@ -12,10 +12,9 @@ use std::time::Duration;
 
 use csnake_core::alloc::ExperimentEngine;
 use csnake_core::{
-    CampaignObserver, DetectConfig, Driver, ExperimentOutcome, ProgressCollector, Session,
-    ThreePhase,
+    CampaignEvent, CampaignObserver, DetectConfig, Driver, ExperimentOutcome, ProgressCollector,
+    Session, ThreePhase,
 };
-use csnake_daemon::transport::WireTx;
 use csnake_daemon::wire::WireMsg;
 use csnake_daemon::{
     channel_pair, run_distributed, DaemonConfig, DistributedEngine, Endpoint, RunOptions,
@@ -150,23 +149,21 @@ enum Lease {
 struct LeaseLog(Mutex<Vec<Lease>>);
 
 impl LeaseLog {
-    fn push(&self, entry: Lease) {
-        self.0.lock().expect("lease log").push(entry);
-    }
     fn entries(&self) -> Vec<Lease> {
         self.0.lock().expect("lease log").clone()
     }
 }
 
 impl CampaignObserver for LeaseLog {
-    fn worker_lost(&self, worker: u32, _reason: &str) {
-        self.push(Lease::Lost(worker));
-    }
-    fn shard_assigned(&self, shard: u32, worker: u32, _jobs: usize) {
-        self.push(Lease::Assigned { shard, worker });
-    }
-    fn shard_reassigned(&self, shard: u32, worker: u32, _attempt: u32) {
-        self.push(Lease::Reassigned { shard, worker });
+    fn on_event(&self, event: &CampaignEvent) {
+        self.0.lock().expect("lease log").push(match *event {
+            CampaignEvent::WorkerLost { worker, .. } => Lease::Lost(worker),
+            CampaignEvent::ShardAssigned { shard, worker, .. } => Lease::Assigned { shard, worker },
+            CampaignEvent::ShardReassigned { shard, worker, .. } => {
+                Lease::Reassigned { shard, worker }
+            }
+            _ => return,
+        });
     }
 }
 
@@ -307,7 +304,8 @@ fn a_late_result_from_a_lost_worker_does_not_strand_the_fleet() {
         std::thread::sleep(Duration::from_millis(5));
     }
     // Now the late answer; wait until the coordinator has taken it.
-    tx0.send(&placeholder_result(0, &jobs0)).expect("late result");
+    tx0.send(&placeholder_result(0, &jobs0))
+        .expect("late result");
     loop {
         let finished = progress_rx
             .recv_timeout(patience)
@@ -326,7 +324,10 @@ fn a_late_result_from_a_lost_worker_does_not_strand_the_fleet() {
 
     let entries = log.entries();
     assert_eq!(
-        entries.iter().filter(|e| matches!(e, Lease::Lost(_))).count(),
+        entries
+            .iter()
+            .filter(|e| matches!(e, Lease::Lost(_)))
+            .count(),
         1,
         "{entries:?}"
     );

@@ -8,7 +8,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use csnake_core::{CampaignObserver, DetectConfig, Session, Snapshot, Stage, ThreePhase};
+use csnake_core::{
+    CampaignEvent, CampaignObserver, DetectConfig, Session, Snapshot, Stage, ThreePhase,
+};
 use csnake_daemon::{run_distributed, DaemonConfig, RunOptions};
 
 fn fast_config() -> DetectConfig {
@@ -34,9 +36,16 @@ struct CheckpointThief {
 }
 
 impl CampaignObserver for CheckpointThief {
-    fn checkpoint_written(&self, path: &std::path::Path, phase: u8, executed_in_phase: usize) {
-        if phase == 2 && executed_in_phase > 0 && !self.grabbed.swap(true, Ordering::Relaxed) {
-            std::fs::copy(path, &self.dst).expect("steal checkpoint copy");
+    fn on_event(&self, event: &CampaignEvent) {
+        if let CampaignEvent::CheckpointWritten {
+            path,
+            phase: 2,
+            executed_in_phase: 1..,
+        } = event
+        {
+            if !self.grabbed.swap(true, Ordering::Relaxed) {
+                std::fs::copy(path, &self.dst).expect("steal checkpoint copy");
+            }
         }
     }
 }

@@ -10,7 +10,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use csnake_core::{CampaignObserver, DetectConfig, Session, ThreePhase};
+use csnake_core::{CampaignEvent, CampaignObserver, DetectConfig, Session, ThreePhase};
 use csnake_daemon::{
     drive_session, run_distributed, spawn_thread_workers, DaemonConfig, RunOptions, WorkerOptions,
 };
@@ -80,14 +80,16 @@ enum Cut {
 struct CutRecorder(Mutex<Vec<Cut>>);
 
 impl CampaignObserver for CutRecorder {
-    fn phase_started(&self, _phase: u8, planned: usize) {
-        self.0.lock().unwrap().push(Cut::Batch(planned));
-    }
-    fn shard_assigned(&self, shard: u32, _worker: u32, jobs: usize) {
-        self.0.lock().unwrap().push(Cut::Shard {
-            ordinal: shard,
-            jobs,
-        });
+    fn on_event(&self, event: &CampaignEvent) {
+        let cut = match *event {
+            CampaignEvent::PhaseStarted { planned, .. } => Cut::Batch(planned),
+            CampaignEvent::ShardAssigned { shard, jobs, .. } => Cut::Shard {
+                ordinal: shard,
+                jobs,
+            },
+            _ => return,
+        };
+        self.0.lock().unwrap().push(cut);
     }
 }
 
@@ -153,17 +155,22 @@ struct LeaseClock {
 }
 
 impl CampaignObserver for LeaseClock {
-    fn shard_assigned(&self, _shard: u32, _worker: u32, _jobs: usize) {
-        *self.leased.lock().unwrap() = Some(Instant::now());
-    }
-    fn worker_lost(&self, _worker: u32, reason: &str) {
-        assert_eq!(reason, "lease expired");
-        let leased = self
-            .leased
-            .lock()
-            .unwrap()
-            .expect("lost while holding a lease");
-        *self.lost_after.lock().unwrap() = Some(leased.elapsed());
+    fn on_event(&self, event: &CampaignEvent) {
+        match event {
+            CampaignEvent::ShardAssigned { .. } => {
+                *self.leased.lock().unwrap() = Some(Instant::now());
+            }
+            CampaignEvent::WorkerLost { reason, .. } => {
+                assert_eq!(reason, "lease expired");
+                let leased = self
+                    .leased
+                    .lock()
+                    .unwrap()
+                    .expect("lost while holding a lease");
+                *self.lost_after.lock().unwrap() = Some(leased.elapsed());
+            }
+            _ => {}
+        }
     }
 }
 

@@ -3,12 +3,14 @@
 //! The digest replaces the `BENCH_*` bins' ad-hoc timers: per-stage and
 //! per-phase wall times come from the recorder's span durations,
 //! experiment latency percentiles from the inter-completion gaps of the
-//! [`ExperimentCompleted`](crate::record::EventKind::ExperimentCompleted)
+//! [`ExperimentCompleted`](csnake_core::CampaignEvent::ExperimentCompleted)
 //! stream, and the counter block from a single pass over the records.
 //! [`MetricsDigest::to_json`] renders the whole thing as one JSON object
 //! for checking into benchmark files.
 
-use crate::record::{stage_name, EventKind, TelemetryRecord};
+use csnake_core::{stage_name, CampaignEvent};
+
+use crate::record::TelemetryRecord;
 
 /// Latency percentiles over a set of microsecond samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,7 +57,7 @@ pub fn experiment_latency_samples(records: &[TelemetryRecord]) -> Vec<u64> {
     let mut latencies = Vec::new();
     let mut last: Option<u64> = None;
     for r in records {
-        if let EventKind::ExperimentCompleted { .. } = &r.kind {
+        if let CampaignEvent::ExperimentCompleted { .. } = &r.kind {
             if let Some(prev) = last {
                 latencies.push(r.micros.saturating_sub(prev));
             }
@@ -132,7 +134,7 @@ impl MetricsDigest {
         for r in records {
             d.wall_micros = d.wall_micros.max(r.micros);
             match &r.kind {
-                EventKind::StageFinished { stage } => {
+                CampaignEvent::StageFinished(stage) => {
                     if let Some(dur) = r.dur_micros {
                         let name = stage_name(*stage).to_string();
                         if let Some(slot) = d.stage_wall_micros.iter_mut().find(|(n, _)| *n == name)
@@ -143,7 +145,7 @@ impl MetricsDigest {
                         }
                     }
                 }
-                EventKind::PhaseFinished { phase, .. } => {
+                CampaignEvent::PhaseFinished { phase, .. } => {
                     if let Some(dur) = r.dur_micros {
                         if let Some(slot) = d.phase_wall_micros.iter_mut().find(|(p, _)| p == phase)
                         {
@@ -153,38 +155,35 @@ impl MetricsDigest {
                         }
                     }
                 }
-                EventKind::ExperimentCompleted { .. } => {
+                CampaignEvent::ExperimentCompleted { .. } => {
                     d.experiments += 1;
                     if let Some(prev) = last_experiment {
                         latencies.push(r.micros.saturating_sub(prev));
                     }
                     last_experiment = Some(r.micros);
                 }
-                EventKind::EdgeEmitted { .. } => d.edges += 1,
-                EventKind::CycleFound { .. } => d.cycles += 1,
-                EventKind::BudgetSpent { spent, total } => {
+                CampaignEvent::EdgeEmitted { .. } => d.edges += 1,
+                CampaignEvent::CycleFound { .. } => d.cycles += 1,
+                CampaignEvent::BudgetSpent { spent, total } => {
                     d.budget_spent = *spent;
                     d.budget_total = *total;
                 }
-                EventKind::TraceCache { hits, misses } => {
+                CampaignEvent::TraceCache { hits, misses } => {
                     d.cache_hits = *hits;
                     d.cache_misses = *misses;
                 }
-                EventKind::Clustering { vectors, .. } => {
+                CampaignEvent::Clustering(stats) => {
                     d.clustering_runs += 1;
-                    d.clustering_peak_vectors = d.clustering_peak_vectors.max(*vectors);
+                    d.clustering_peak_vectors = d.clustering_peak_vectors.max(stats.vectors);
                 }
-                EventKind::BatchRetried { .. } => d.retries += 1,
-                EventKind::BatchFailed { .. } => d.gaps += 1,
-                EventKind::CheckpointWritten { .. } => d.checkpoints += 1,
-                EventKind::Degraded { .. } => d.degraded = true,
-                EventKind::WorkerConnected { .. } => d.workers_connected += 1,
-                EventKind::WorkerLost { .. } => d.workers_lost += 1,
-                EventKind::ForwardedExperiment { .. }
-                | EventKind::ForwardedRetry { .. }
-                | EventKind::ForwardedFailure { .. }
-                | EventKind::ForwardedCache { .. } => d.events_forwarded += 1,
-                EventKind::WorkloadSummary {
+                CampaignEvent::BatchRetried { .. } => d.retries += 1,
+                CampaignEvent::BatchFailed { .. } => d.gaps += 1,
+                CampaignEvent::CheckpointWritten { .. } => d.checkpoints += 1,
+                CampaignEvent::Degraded { .. } => d.degraded = true,
+                CampaignEvent::WorkerConnected { .. } => d.workers_connected += 1,
+                CampaignEvent::WorkerLost { .. } => d.workers_lost += 1,
+                CampaignEvent::Forwarded { .. } => d.events_forwarded += 1,
+                CampaignEvent::WorkloadSummary {
                     completed,
                     dropped,
                     p99_us,
@@ -281,8 +280,10 @@ impl MetricsDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csnake_core::{EdgeKind, Stage};
+    use csnake_inject::{FaultId, TestId};
 
-    fn rec(seq: u64, micros: u64, dur: Option<u64>, kind: EventKind) -> TelemetryRecord {
+    fn rec(seq: u64, micros: u64, dur: Option<u64>, kind: CampaignEvent) -> TelemetryRecord {
         TelemetryRecord {
             seq,
             micros,
@@ -308,12 +309,12 @@ mod tests {
     #[test]
     fn digest_aggregates_the_stream() {
         let records = vec![
-            rec(0, 0, None, EventKind::StageStarted { stage: 2 }),
+            rec(0, 0, None, CampaignEvent::StageStarted(Stage::Allocated)),
             rec(
                 1,
                 10,
                 None,
-                EventKind::PhaseStarted {
+                CampaignEvent::PhaseStarted {
                     phase: 1,
                     planned: 3,
                 },
@@ -322,9 +323,9 @@ mod tests {
                 2,
                 20,
                 None,
-                EventKind::ExperimentCompleted {
-                    fault: 1,
-                    test: 0,
+                CampaignEvent::ExperimentCompleted {
+                    fault: FaultId(1),
+                    test: TestId(0),
                     interference: 0,
                     edges: 2,
                 },
@@ -333,9 +334,9 @@ mod tests {
                 3,
                 50,
                 None,
-                EventKind::ExperimentCompleted {
-                    fault: 2,
-                    test: 0,
+                CampaignEvent::ExperimentCompleted {
+                    fault: FaultId(2),
+                    test: TestId(0),
                     interference: 1,
                     edges: 0,
                 },
@@ -344,25 +345,35 @@ mod tests {
                 4,
                 55,
                 None,
-                EventKind::EdgeEmitted {
-                    cause: 1,
-                    effect: 2,
-                    kind: 2,
-                    test: 0,
+                CampaignEvent::EdgeEmitted {
+                    cause: FaultId(1),
+                    effect: FaultId(2),
+                    kind: EdgeKind::EI,
+                    test: TestId(0),
                     phase: 1,
                 },
             ),
-            rec(5, 60, None, EventKind::BudgetSpent { spent: 2, total: 8 }),
+            rec(
+                5,
+                60,
+                None,
+                CampaignEvent::BudgetSpent { spent: 2, total: 8 },
+            ),
             rec(
                 6,
                 70,
                 Some(60),
-                EventKind::PhaseFinished {
+                CampaignEvent::PhaseFinished {
                     phase: 1,
                     executed: 3,
                 },
             ),
-            rec(7, 80, Some(80), EventKind::StageFinished { stage: 2 }),
+            rec(
+                7,
+                80,
+                Some(80),
+                CampaignEvent::StageFinished(Stage::Allocated),
+            ),
         ];
         let d = MetricsDigest::from_records(&records);
         assert_eq!(d.wall_micros, 80);
@@ -381,8 +392,8 @@ mod tests {
     #[test]
     fn digest_folds_workload_summaries() {
         let summary =
-            |seed: u64, p99_us: u64, inflection_ms: Option<u64>| EventKind::WorkloadSummary {
-                test: 0,
+            |seed: u64, p99_us: u64, inflection_ms: Option<u64>| CampaignEvent::WorkloadSummary {
+                test: TestId(0),
                 seed,
                 offered: 1_000,
                 completed: 990,

@@ -10,10 +10,13 @@
 //!
 //! **Record.** Attach a [`FlightRecorder`] (alone, or fanned out next to a
 //! [`ProgressCollector`](csnake_core::ProgressCollector) via
-//! [`FanoutObserver`](csnake_core::FanoutObserver)) and every observer
-//! event becomes a [`TelemetryRecord`]: monotonic sequence number,
-//! microsecond timestamp, emitting thread, and span durations for
-//! stage/phase open/close pairs. Records append to a JSONL journal (one
+//! [`FanoutObserver`](csnake_core::FanoutObserver)). Its `on_event` clones
+//! each [`CampaignEvent`](csnake_core::CampaignEvent) into a
+//! [`TelemetryRecord`] — the event itself, not a second summary of it —
+//! under a monotonic sequence number, microsecond timestamp, emitting
+//! thread, and span durations for stage/phase open/close pairs. The event's
+//! own `Persist` impl is the record's payload, so a reloaded journal holds
+//! exactly what observers saw. Records append to a JSONL journal (one
 //! object per line, flushed per record — `tail -f` it mid-run) and a
 //! binary journal of checksummed `Persist` frames that rejects truncation
 //! and garbling with the same typed errors as snapshots
@@ -30,6 +33,9 @@
 //!         .build()?,
 //! );
 //! // SessionBuilder::new(..).observer(recorder.clone()) ... run ...
+//! // or hand it events yourself:
+//! use csnake_core::{CampaignEvent, CampaignObserver};
+//! recorder.on_event(&CampaignEvent::BudgetSpent { spent: 1, total: 8 });
 //! recorder.finish()?;
 //! # Ok::<(), csnake_core::CsnakeError>(())
 //! ```
@@ -66,8 +72,7 @@ pub mod trace;
 pub use digest::{experiment_latency_samples, LatencyHistogram, MetricsDigest};
 pub use progress::{render_fleet, LiveProgress};
 pub use record::{
-    decode_journal, read_journal, seal_record, EventKind, TelemetryRecord, JOURNAL_MAGIC,
-    JOURNAL_VERSION,
+    decode_journal, read_journal, seal_record, TelemetryRecord, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use recorder::{FlightRecorder, RecorderBuilder};
 pub use trace::{chrome_trace_json, unbalanced_spans, write_chrome_trace};

@@ -159,16 +159,30 @@ impl Drop for LiveProgress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csnake_core::CampaignObserver;
+    use csnake_core::{CampaignEvent, CampaignObserver};
 
     #[test]
     fn renders_budget_fleet_and_loss() {
         let c = ProgressCollector::new();
-        c.budget_spent(25, 100);
-        c.worker_connected(0);
-        c.worker_connected(1);
-        c.shard_assigned(0, 0, 8);
-        c.worker_lost(1, "lease expired after 200ms");
+        for event in [
+            CampaignEvent::BudgetSpent {
+                spent: 25,
+                total: 100,
+            },
+            CampaignEvent::WorkerConnected { worker: 0 },
+            CampaignEvent::WorkerConnected { worker: 1 },
+            CampaignEvent::ShardAssigned {
+                shard: 0,
+                worker: 0,
+                jobs: 8,
+            },
+            CampaignEvent::WorkerLost {
+                worker: 1,
+                reason: "lease expired after 200ms".into(),
+            },
+        ] {
+            c.on_event(&event);
+        }
         let text = render_fleet(
             &c.snapshot(),
             &c.worker_progress(),

@@ -19,682 +19,27 @@
 //!   [`CsnakeError::SnapshotCorrupt`] for bad magic/checksum, and
 //!   [`CsnakeError::SnapshotVersion`] for a format bump.
 //!
-//! The [`EventKind`] vocabulary deliberately stores *summaries* (ids and
-//! counts, not full outcomes): the journal is an observability artifact,
-//! never an input to detection, so it carries exactly what an operator or
-//! a trace viewer needs and nothing the campaign would have to replay.
+//! The event a record wraps is a [`CampaignEvent`] — the same owned value
+//! every observer receives, encoded by its own [`Persist`] impl — so the
+//! journal stores *summaries* (ids and counts, not full outcomes): it is an
+//! observability artifact, never an input to detection, and carries exactly
+//! what an operator or a trace viewer needs and nothing the campaign would
+//! have to replay.
 
 use csnake_core::error::{CsnakeError, Result};
-use csnake_core::{Persist, Reader, Writer};
+use csnake_core::{stage_name, CampaignEvent, Persist, Reader, Writer};
 
 /// Leading magic of every binary journal frame.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"CSNJ";
 
-/// Binary journal format version written by this build.
-pub const JOURNAL_VERSION: u32 = 1;
+/// Binary journal format version written by this build. Version 2 stores
+/// the clustering run's full size counters and one `Forwarded` record
+/// shape for every relayed worker event; version 1 journals are rejected
+/// with [`CsnakeError::SnapshotVersion`].
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// Frame header length: magic + version + payload length + checksum.
 const FRAME_HEADER_LEN: usize = 4 + 4 + 8 + 8;
-
-/// Telemetry-stable tag of a session stage (distinct from the snapshot
-/// tag, which collapses `Stitched`/`Reported`; the journal keeps them
-/// apart because their spans are distinct).
-pub fn stage_tag(stage: csnake_core::Stage) -> u8 {
-    match stage {
-        csnake_core::Stage::Built => 0,
-        csnake_core::Stage::Profiled => 1,
-        csnake_core::Stage::Allocated => 2,
-        csnake_core::Stage::Stitched => 3,
-        csnake_core::Stage::Reported => 4,
-    }
-}
-
-/// Human name of a [`stage_tag`] value, for JSON output.
-pub fn stage_name(tag: u8) -> &'static str {
-    match tag {
-        0 => "built",
-        1 => "profiled",
-        2 => "allocated",
-        3 => "stitched",
-        4 => "reported",
-        _ => "unknown",
-    }
-}
-
-/// One observed campaign event, summarized for persistence.
-///
-/// Variants mirror the [`CampaignObserver`](csnake_core::CampaignObserver)
-/// vocabulary one-to-one; fields are ids and counts only.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A session stage began (opens a span).
-    StageStarted {
-        /// [`stage_tag`] of the stage.
-        stage: u8,
-    },
-    /// A session stage ended (closes the matching span).
-    StageFinished {
-        /// [`stage_tag`] of the stage.
-        stage: u8,
-    },
-    /// An allocation phase's planned batch began (opens a span).
-    PhaseStarted {
-        /// Strategy phase label (3PA: 1–3; baselines: 0).
-        phase: u8,
-        /// Experiments planned for the batch.
-        planned: usize,
-    },
-    /// An allocation phase's batch completed (closes the matching span).
-    PhaseFinished {
-        /// Strategy phase label.
-        phase: u8,
-        /// Experiments that actually ran.
-        executed: usize,
-    },
-    /// One `(fault, test)` experiment completed FCA.
-    ExperimentCompleted {
-        /// Injected fault id.
-        fault: u32,
-        /// Workload id.
-        test: u32,
-        /// Interference-list size.
-        interference: usize,
-        /// Causal edges the experiment produced.
-        edges: usize,
-    },
-    /// A new causal edge entered the database.
-    EdgeEmitted {
-        /// Cause fault id.
-        cause: u32,
-        /// Effect fault id.
-        effect: u32,
-        /// [`EdgeKind`](csnake_core::edge::EdgeKind) tag (0–5).
-        kind: u8,
-        /// Workload id the edge was observed in.
-        test: u32,
-        /// 3PA phase of discovery.
-        phase: u8,
-    },
-    /// The stitcher reported a deduplicated cycle.
-    CycleFound {
-        /// Edge count of the cycle.
-        edges: usize,
-        /// Chain score.
-        score: f64,
-    },
-    /// Budget counters moved.
-    BudgetSpent {
-        /// Budget spent so far.
-        spent: usize,
-        /// Total budget.
-        total: usize,
-    },
-    /// Injection-run cache counters at allocation end.
-    TraceCache {
-        /// Cache hits.
-        hits: usize,
-        /// Cache misses.
-        misses: usize,
-    },
-    /// The phase-one clustering ran.
-    Clustering {
-        /// Input vectors.
-        vectors: usize,
-        /// Distinct vectors after duplicate pre-grouping.
-        groups: usize,
-        /// Candidate sparse-graph edges.
-        candidate_edges: usize,
-        /// Sub-threshold merges applied.
-        merges: usize,
-    },
-    /// The supervisor scheduled a retry round.
-    BatchRetried {
-        /// Batch ordinal.
-        batch: usize,
-        /// Jobs that failed and were re-queued.
-        failed_jobs: usize,
-        /// Retry attempt (1-based).
-        attempt: u32,
-        /// Backoff pause before the retry.
-        backoff_ms: u64,
-    },
-    /// A cell exhausted its retries and became a gap.
-    BatchFailed {
-        /// Batch ordinal.
-        batch: usize,
-        /// The abandoned cell's fault id.
-        fault: u32,
-        /// The abandoned cell's test id.
-        test: u32,
-        /// The abandoned cell's phase.
-        phase: u8,
-        /// Final panic message.
-        reason: String,
-    },
-    /// A mid-phase checkpoint reached disk.
-    CheckpointWritten {
-        /// Checkpoint file path.
-        path: String,
-        /// Allocation phase of the checkpoint.
-        phase: u8,
-        /// Experiments covered within the phase.
-        executed_in_phase: usize,
-    },
-    /// The campaign completed with permanently failed cells.
-    Degraded {
-        /// Number of missing `(fault, test, phase)` cells.
-        missing: usize,
-    },
-    /// A daemon worker completed its handshake.
-    WorkerConnected {
-        /// Worker id.
-        worker: u32,
-    },
-    /// A daemon worker's lease expired or its connection dropped.
-    WorkerLost {
-        /// Worker id.
-        worker: u32,
-        /// Loss reason.
-        reason: String,
-    },
-    /// The coordinator leased a shard.
-    ShardAssigned {
-        /// Shard ordinal.
-        shard: u32,
-        /// Worker id.
-        worker: u32,
-        /// Jobs in the shard.
-        jobs: usize,
-    },
-    /// The coordinator moved a shard off a dead worker.
-    ShardReassigned {
-        /// Shard ordinal.
-        shard: u32,
-        /// New worker id.
-        worker: u32,
-        /// Reassignment attempt (1-based).
-        attempt: u32,
-    },
-    /// A worker's experiment completion arrived live via forwarding.
-    ForwardedExperiment {
-        /// Reporting worker.
-        worker: u32,
-        /// Injected fault id.
-        fault: u32,
-        /// Workload id.
-        test: u32,
-        /// Edges the experiment produced (pre-dedup).
-        edges: usize,
-    },
-    /// A worker's retry round arrived live via forwarding.
-    ForwardedRetry {
-        /// Reporting worker.
-        worker: u32,
-        /// Jobs re-queued.
-        failed_jobs: usize,
-        /// Retry attempt (1-based).
-        attempt: u32,
-        /// Backoff pause.
-        backoff_ms: u64,
-    },
-    /// A worker's abandoned cell arrived live via forwarding.
-    ForwardedFailure {
-        /// Reporting worker.
-        worker: u32,
-        /// The abandoned cell's fault id.
-        fault: u32,
-        /// The abandoned cell's test id.
-        test: u32,
-        /// The abandoned cell's phase.
-        phase: u8,
-    },
-    /// A worker's cumulative cache counters arrived live via forwarding.
-    ForwardedCache {
-        /// Reporting worker.
-        worker: u32,
-        /// Cache hits so far on that worker.
-        hits: usize,
-        /// Cache misses so far on that worker.
-        misses: usize,
-    },
-    /// A flight recorder (possibly another one, fanned out alongside this
-    /// one) flushed its journal.
-    JournalFlushed {
-        /// Journal path.
-        path: String,
-        /// Records flushed.
-        records: usize,
-    },
-    /// An open-loop workload run folded its per-request latency into a
-    /// summary (one per `(test, seed)` experiment on workload targets).
-    WorkloadSummary {
-        /// Workload id the summary belongs to.
-        test: u32,
-        /// Seed of the run.
-        seed: u64,
-        /// Requests the arrival source offered.
-        offered: u64,
-        /// Requests that completed within their deadline.
-        completed: u64,
-        /// Requests shed or timed out.
-        dropped: u64,
-        /// Whole-run median latency, µs.
-        p50_us: u64,
-        /// Whole-run p99 latency, µs.
-        p99_us: u64,
-        /// Start of the first latency window whose p99 inflected (≥
-        /// `INFLECTION_FACTOR`× the quietest window), ms — the cascade
-        /// onset signal — or `None` when latency stayed flat.
-        inflection_ms: Option<u64>,
-    },
-}
-
-impl EventKind {
-    /// The record's `event` discriminator in JSON output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::StageStarted { .. } => "stage_started",
-            EventKind::StageFinished { .. } => "stage_finished",
-            EventKind::PhaseStarted { .. } => "phase_started",
-            EventKind::PhaseFinished { .. } => "phase_finished",
-            EventKind::ExperimentCompleted { .. } => "experiment_completed",
-            EventKind::EdgeEmitted { .. } => "edge_emitted",
-            EventKind::CycleFound { .. } => "cycle_found",
-            EventKind::BudgetSpent { .. } => "budget_spent",
-            EventKind::TraceCache { .. } => "trace_cache",
-            EventKind::Clustering { .. } => "clustering",
-            EventKind::BatchRetried { .. } => "batch_retried",
-            EventKind::BatchFailed { .. } => "batch_failed",
-            EventKind::CheckpointWritten { .. } => "checkpoint_written",
-            EventKind::Degraded { .. } => "degraded",
-            EventKind::WorkerConnected { .. } => "worker_connected",
-            EventKind::WorkerLost { .. } => "worker_lost",
-            EventKind::ShardAssigned { .. } => "shard_assigned",
-            EventKind::ShardReassigned { .. } => "shard_reassigned",
-            EventKind::ForwardedExperiment { .. } => "forwarded_experiment",
-            EventKind::ForwardedRetry { .. } => "forwarded_retry",
-            EventKind::ForwardedFailure { .. } => "forwarded_failure",
-            EventKind::ForwardedCache { .. } => "forwarded_cache",
-            EventKind::JournalFlushed { .. } => "journal_flushed",
-            EventKind::WorkloadSummary { .. } => "workload_summary",
-        }
-    }
-
-    /// Whether the event belongs to the *deterministic* campaign stream:
-    /// same target/config/seed ⇒ same sequence of deterministic events, in
-    /// the same order, regardless of thread counts or fleet size.
-    ///
-    /// Operational events (worker lifecycle, shard leases, forwarded
-    /// copies, retries under chaos, checkpoint cadence, journal flushes)
-    /// depend on scheduling and topology and are excluded; the determinism
-    /// tests compare only the deterministic subset.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(
-            self,
-            EventKind::StageStarted { .. }
-                | EventKind::StageFinished { .. }
-                | EventKind::PhaseStarted { .. }
-                | EventKind::PhaseFinished { .. }
-                | EventKind::ExperimentCompleted { .. }
-                | EventKind::EdgeEmitted { .. }
-                | EventKind::CycleFound { .. }
-                | EventKind::BudgetSpent { .. }
-                | EventKind::TraceCache { .. }
-                | EventKind::Clustering { .. }
-                | EventKind::Degraded { .. }
-                | EventKind::WorkloadSummary { .. }
-        )
-    }
-}
-
-/// Persist tags for [`EventKind`] variants (stable; append-only).
-impl Persist for EventKind {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            EventKind::StageStarted { stage } => {
-                0u8.put(w);
-                stage.put(w);
-            }
-            EventKind::StageFinished { stage } => {
-                1u8.put(w);
-                stage.put(w);
-            }
-            EventKind::PhaseStarted { phase, planned } => {
-                2u8.put(w);
-                phase.put(w);
-                planned.put(w);
-            }
-            EventKind::PhaseFinished { phase, executed } => {
-                3u8.put(w);
-                phase.put(w);
-                executed.put(w);
-            }
-            EventKind::ExperimentCompleted {
-                fault,
-                test,
-                interference,
-                edges,
-            } => {
-                4u8.put(w);
-                fault.put(w);
-                test.put(w);
-                interference.put(w);
-                edges.put(w);
-            }
-            EventKind::EdgeEmitted {
-                cause,
-                effect,
-                kind,
-                test,
-                phase,
-            } => {
-                5u8.put(w);
-                cause.put(w);
-                effect.put(w);
-                kind.put(w);
-                test.put(w);
-                phase.put(w);
-            }
-            EventKind::CycleFound { edges, score } => {
-                6u8.put(w);
-                edges.put(w);
-                score.put(w);
-            }
-            EventKind::BudgetSpent { spent, total } => {
-                7u8.put(w);
-                spent.put(w);
-                total.put(w);
-            }
-            EventKind::TraceCache { hits, misses } => {
-                8u8.put(w);
-                hits.put(w);
-                misses.put(w);
-            }
-            EventKind::Clustering {
-                vectors,
-                groups,
-                candidate_edges,
-                merges,
-            } => {
-                9u8.put(w);
-                vectors.put(w);
-                groups.put(w);
-                candidate_edges.put(w);
-                merges.put(w);
-            }
-            EventKind::BatchRetried {
-                batch,
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            } => {
-                10u8.put(w);
-                batch.put(w);
-                failed_jobs.put(w);
-                attempt.put(w);
-                backoff_ms.put(w);
-            }
-            EventKind::BatchFailed {
-                batch,
-                fault,
-                test,
-                phase,
-                reason,
-            } => {
-                11u8.put(w);
-                batch.put(w);
-                fault.put(w);
-                test.put(w);
-                phase.put(w);
-                reason.put(w);
-            }
-            EventKind::CheckpointWritten {
-                path,
-                phase,
-                executed_in_phase,
-            } => {
-                12u8.put(w);
-                path.put(w);
-                phase.put(w);
-                executed_in_phase.put(w);
-            }
-            EventKind::Degraded { missing } => {
-                13u8.put(w);
-                missing.put(w);
-            }
-            EventKind::WorkerConnected { worker } => {
-                14u8.put(w);
-                worker.put(w);
-            }
-            EventKind::WorkerLost { worker, reason } => {
-                15u8.put(w);
-                worker.put(w);
-                reason.put(w);
-            }
-            EventKind::ShardAssigned {
-                shard,
-                worker,
-                jobs,
-            } => {
-                16u8.put(w);
-                shard.put(w);
-                worker.put(w);
-                jobs.put(w);
-            }
-            EventKind::ShardReassigned {
-                shard,
-                worker,
-                attempt,
-            } => {
-                17u8.put(w);
-                shard.put(w);
-                worker.put(w);
-                attempt.put(w);
-            }
-            EventKind::ForwardedExperiment {
-                worker,
-                fault,
-                test,
-                edges,
-            } => {
-                18u8.put(w);
-                worker.put(w);
-                fault.put(w);
-                test.put(w);
-                edges.put(w);
-            }
-            EventKind::ForwardedRetry {
-                worker,
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            } => {
-                19u8.put(w);
-                worker.put(w);
-                failed_jobs.put(w);
-                attempt.put(w);
-                backoff_ms.put(w);
-            }
-            EventKind::ForwardedFailure {
-                worker,
-                fault,
-                test,
-                phase,
-            } => {
-                20u8.put(w);
-                worker.put(w);
-                fault.put(w);
-                test.put(w);
-                phase.put(w);
-            }
-            EventKind::ForwardedCache {
-                worker,
-                hits,
-                misses,
-            } => {
-                21u8.put(w);
-                worker.put(w);
-                hits.put(w);
-                misses.put(w);
-            }
-            EventKind::JournalFlushed { path, records } => {
-                22u8.put(w);
-                path.put(w);
-                records.put(w);
-            }
-            EventKind::WorkloadSummary {
-                test,
-                seed,
-                offered,
-                completed,
-                dropped,
-                p50_us,
-                p99_us,
-                inflection_ms,
-            } => {
-                23u8.put(w);
-                test.put(w);
-                seed.put(w);
-                offered.put(w);
-                completed.put(w);
-                dropped.put(w);
-                p50_us.put(w);
-                p99_us.put(w);
-                inflection_ms.put(w);
-            }
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match u8::load(r)? {
-            0 => EventKind::StageStarted {
-                stage: u8::load(r)?,
-            },
-            1 => EventKind::StageFinished {
-                stage: u8::load(r)?,
-            },
-            2 => EventKind::PhaseStarted {
-                phase: u8::load(r)?,
-                planned: usize::load(r)?,
-            },
-            3 => EventKind::PhaseFinished {
-                phase: u8::load(r)?,
-                executed: usize::load(r)?,
-            },
-            4 => EventKind::ExperimentCompleted {
-                fault: u32::load(r)?,
-                test: u32::load(r)?,
-                interference: usize::load(r)?,
-                edges: usize::load(r)?,
-            },
-            5 => EventKind::EdgeEmitted {
-                cause: u32::load(r)?,
-                effect: u32::load(r)?,
-                kind: u8::load(r)?,
-                test: u32::load(r)?,
-                phase: u8::load(r)?,
-            },
-            6 => EventKind::CycleFound {
-                edges: usize::load(r)?,
-                score: f64::load(r)?,
-            },
-            7 => EventKind::BudgetSpent {
-                spent: usize::load(r)?,
-                total: usize::load(r)?,
-            },
-            8 => EventKind::TraceCache {
-                hits: usize::load(r)?,
-                misses: usize::load(r)?,
-            },
-            9 => EventKind::Clustering {
-                vectors: usize::load(r)?,
-                groups: usize::load(r)?,
-                candidate_edges: usize::load(r)?,
-                merges: usize::load(r)?,
-            },
-            10 => EventKind::BatchRetried {
-                batch: usize::load(r)?,
-                failed_jobs: usize::load(r)?,
-                attempt: u32::load(r)?,
-                backoff_ms: u64::load(r)?,
-            },
-            11 => EventKind::BatchFailed {
-                batch: usize::load(r)?,
-                fault: u32::load(r)?,
-                test: u32::load(r)?,
-                phase: u8::load(r)?,
-                reason: String::load(r)?,
-            },
-            12 => EventKind::CheckpointWritten {
-                path: String::load(r)?,
-                phase: u8::load(r)?,
-                executed_in_phase: usize::load(r)?,
-            },
-            13 => EventKind::Degraded {
-                missing: usize::load(r)?,
-            },
-            14 => EventKind::WorkerConnected {
-                worker: u32::load(r)?,
-            },
-            15 => EventKind::WorkerLost {
-                worker: u32::load(r)?,
-                reason: String::load(r)?,
-            },
-            16 => EventKind::ShardAssigned {
-                shard: u32::load(r)?,
-                worker: u32::load(r)?,
-                jobs: usize::load(r)?,
-            },
-            17 => EventKind::ShardReassigned {
-                shard: u32::load(r)?,
-                worker: u32::load(r)?,
-                attempt: u32::load(r)?,
-            },
-            18 => EventKind::ForwardedExperiment {
-                worker: u32::load(r)?,
-                fault: u32::load(r)?,
-                test: u32::load(r)?,
-                edges: usize::load(r)?,
-            },
-            19 => EventKind::ForwardedRetry {
-                worker: u32::load(r)?,
-                failed_jobs: usize::load(r)?,
-                attempt: u32::load(r)?,
-                backoff_ms: u64::load(r)?,
-            },
-            20 => EventKind::ForwardedFailure {
-                worker: u32::load(r)?,
-                fault: u32::load(r)?,
-                test: u32::load(r)?,
-                phase: u8::load(r)?,
-            },
-            21 => EventKind::ForwardedCache {
-                worker: u32::load(r)?,
-                hits: usize::load(r)?,
-                misses: usize::load(r)?,
-            },
-            22 => EventKind::JournalFlushed {
-                path: String::load(r)?,
-                records: usize::load(r)?,
-            },
-            23 => EventKind::WorkloadSummary {
-                test: u32::load(r)?,
-                seed: u64::load(r)?,
-                offered: u64::load(r)?,
-                completed: u64::load(r)?,
-                dropped: u64::load(r)?,
-                p50_us: u64::load(r)?,
-                p99_us: u64::load(r)?,
-                inflection_ms: Option::load(r)?,
-            },
-            n => {
-                return Err(CsnakeError::SnapshotCorrupt(format!(
-                    "bad telemetry event tag {n}"
-                )))
-            }
-        })
-    }
-}
 
 /// One journal record: an event plus its timing/attribution envelope.
 #[derive(Debug, Clone, PartialEq)]
@@ -709,7 +54,7 @@ pub struct TelemetryRecord {
     /// (stage/phase finished) whose open was observed.
     pub dur_micros: Option<u64>,
     /// The event itself.
-    pub kind: EventKind,
+    pub kind: CampaignEvent,
 }
 
 impl Persist for TelemetryRecord {
@@ -727,7 +72,7 @@ impl Persist for TelemetryRecord {
             micros: u64::load(r)?,
             thread: String::load(r)?,
             dur_micros: Option::load(r)?,
-            kind: EventKind::load(r)?,
+            kind: CampaignEvent::load(r)?,
         })
     }
 }
@@ -749,18 +94,167 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders an `f64` as a JSON number (finite values only; the campaign
-/// never produces non-finite scores, but a journal must not emit invalid
-/// JSON either way).
+/// Renders an `f64` as a JSON number: Rust's shortest round-trip decimal
+/// for finite values (`1` for `1.0` — still a valid JSON number), `null`
+/// otherwise. The campaign never produces non-finite scores, but a journal
+/// must not emit invalid JSON either way.
 fn json_f64(v: f64) -> String {
     if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` on a whole f64 prints no decimal point; keep it a JSON
-        // number either way (both forms are valid), but make round-trips
-        // unambiguous.
-        s
+        format!("{v}")
     } else {
         "null".to_string()
+    }
+}
+
+/// Appends an event's own JSON keys (each with a leading comma). A
+/// forwarded copy is its `worker` followed by the keys of what it carries.
+fn push_event_fields(s: &mut String, event: &CampaignEvent) {
+    match event {
+        CampaignEvent::StageStarted(stage) | CampaignEvent::StageFinished(stage) => {
+            s.push_str(&format!(",\"stage\":\"{}\"", stage_name(*stage)));
+        }
+        CampaignEvent::PhaseStarted { phase, planned } => {
+            s.push_str(&format!(",\"phase\":{phase},\"planned\":{planned}"));
+        }
+        CampaignEvent::PhaseFinished { phase, executed } => {
+            s.push_str(&format!(",\"phase\":{phase},\"executed\":{executed}"));
+        }
+        CampaignEvent::ExperimentCompleted {
+            fault,
+            test,
+            interference,
+            edges,
+        } => {
+            s.push_str(&format!(
+                ",\"fault\":{},\"test\":{},\"interference\":{interference},\"edges\":{edges}",
+                fault.0, test.0
+            ));
+        }
+        CampaignEvent::EdgeEmitted {
+            cause,
+            effect,
+            kind,
+            test,
+            phase,
+        } => {
+            s.push_str(&format!(
+                ",\"cause\":{},\"effect\":{},\"kind\":{},\"test\":{},\"phase\":{phase}",
+                cause.0, effect.0, *kind as u8, test.0
+            ));
+        }
+        CampaignEvent::CycleFound { edges, score } => {
+            s.push_str(&format!(
+                ",\"edges\":{edges},\"score\":{}",
+                json_f64(*score)
+            ));
+        }
+        CampaignEvent::BudgetSpent { spent, total } => {
+            s.push_str(&format!(",\"spent\":{spent},\"total\":{total}"));
+        }
+        CampaignEvent::TraceCache { hits, misses } => {
+            s.push_str(&format!(",\"hits\":{hits},\"misses\":{misses}"));
+        }
+        // The four counters a reader of the line asks about; the binary
+        // record carries all eight.
+        CampaignEvent::Clustering(stats) => {
+            s.push_str(&format!(
+                ",\"vectors\":{},\"groups\":{},\"candidate_edges\":{},\"merges\":{}",
+                stats.vectors, stats.groups, stats.candidate_edges, stats.merges
+            ));
+        }
+        CampaignEvent::BatchRetried {
+            batch,
+            failed_jobs,
+            attempt,
+            backoff_ms,
+        } => {
+            s.push_str(&format!(
+                ",\"batch\":{batch},\"failed_jobs\":{failed_jobs},\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}"
+            ));
+        }
+        CampaignEvent::BatchFailed {
+            batch,
+            fault,
+            test,
+            phase,
+            reason,
+        } => {
+            s.push_str(&format!(
+                ",\"batch\":{batch},\"fault\":{},\"test\":{},\"phase\":{phase},\"reason\":\"{}\"",
+                fault.0,
+                test.0,
+                json_escape(reason)
+            ));
+        }
+        CampaignEvent::CheckpointWritten {
+            path,
+            phase,
+            executed_in_phase,
+        } => {
+            s.push_str(&format!(
+                ",\"path\":\"{}\",\"phase\":{phase},\"executed_in_phase\":{executed_in_phase}",
+                json_escape(path)
+            ));
+        }
+        CampaignEvent::Degraded { missing } => {
+            s.push_str(&format!(",\"missing\":{missing}"));
+        }
+        CampaignEvent::WorkerConnected { worker } => {
+            s.push_str(&format!(",\"worker\":{worker}"));
+        }
+        CampaignEvent::WorkerLost { worker, reason } => {
+            s.push_str(&format!(
+                ",\"worker\":{worker},\"reason\":\"{}\"",
+                json_escape(reason)
+            ));
+        }
+        CampaignEvent::ShardAssigned {
+            shard,
+            worker,
+            jobs,
+        } => {
+            s.push_str(&format!(
+                ",\"shard\":{shard},\"worker\":{worker},\"jobs\":{jobs}"
+            ));
+        }
+        CampaignEvent::ShardReassigned {
+            shard,
+            worker,
+            attempt,
+        } => {
+            s.push_str(&format!(
+                ",\"shard\":{shard},\"worker\":{worker},\"attempt\":{attempt}"
+            ));
+        }
+        CampaignEvent::Forwarded { worker, event } => {
+            s.push_str(&format!(",\"worker\":{worker}"));
+            push_event_fields(s, event);
+        }
+        CampaignEvent::JournalFlushed { path, records } => {
+            s.push_str(&format!(
+                ",\"path\":\"{}\",\"records\":{records}",
+                json_escape(path)
+            ));
+        }
+        CampaignEvent::WorkloadSummary {
+            test,
+            seed,
+            offered,
+            completed,
+            dropped,
+            p50_us,
+            p99_us,
+            inflection_ms,
+        } => {
+            s.push_str(&format!(
+                ",\"test\":{},\"seed\":{seed},\"offered\":{offered},\"completed\":{completed},\"dropped\":{dropped},\"p50_us\":{p50_us},\"p99_us\":{p99_us}",
+                test.0
+            ));
+            match inflection_ms {
+                Some(ms) => s.push_str(&format!(",\"inflection_ms\":{ms}")),
+                None => s.push_str(",\"inflection_ms\":null"),
+            }
+        }
     }
 }
 
@@ -781,192 +275,14 @@ impl TelemetryRecord {
         if let Some(d) = self.dur_micros {
             s.push_str(&format!(",\"dur_micros\":{d}"));
         }
-        match &self.kind {
-            EventKind::StageStarted { stage } | EventKind::StageFinished { stage } => {
-                s.push_str(&format!(",\"stage\":\"{}\"", stage_name(*stage)));
-            }
-            EventKind::PhaseStarted { phase, planned } => {
-                s.push_str(&format!(",\"phase\":{phase},\"planned\":{planned}"));
-            }
-            EventKind::PhaseFinished { phase, executed } => {
-                s.push_str(&format!(",\"phase\":{phase},\"executed\":{executed}"));
-            }
-            EventKind::ExperimentCompleted {
-                fault,
-                test,
-                interference,
-                edges,
-            } => {
-                s.push_str(&format!(
-                    ",\"fault\":{fault},\"test\":{test},\"interference\":{interference},\"edges\":{edges}"
-                ));
-            }
-            EventKind::EdgeEmitted {
-                cause,
-                effect,
-                kind,
-                test,
-                phase,
-            } => {
-                s.push_str(&format!(
-                    ",\"cause\":{cause},\"effect\":{effect},\"kind\":{kind},\"test\":{test},\"phase\":{phase}"
-                ));
-            }
-            EventKind::CycleFound { edges, score } => {
-                s.push_str(&format!(
-                    ",\"edges\":{edges},\"score\":{}",
-                    json_f64(*score)
-                ));
-            }
-            EventKind::BudgetSpent { spent, total } => {
-                s.push_str(&format!(",\"spent\":{spent},\"total\":{total}"));
-            }
-            EventKind::TraceCache { hits, misses } => {
-                s.push_str(&format!(",\"hits\":{hits},\"misses\":{misses}"));
-            }
-            EventKind::Clustering {
-                vectors,
-                groups,
-                candidate_edges,
-                merges,
-            } => {
-                s.push_str(&format!(
-                    ",\"vectors\":{vectors},\"groups\":{groups},\"candidate_edges\":{candidate_edges},\"merges\":{merges}"
-                ));
-            }
-            EventKind::BatchRetried {
-                batch,
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            } => {
-                s.push_str(&format!(
-                    ",\"batch\":{batch},\"failed_jobs\":{failed_jobs},\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}"
-                ));
-            }
-            EventKind::BatchFailed {
-                batch,
-                fault,
-                test,
-                phase,
-                reason,
-            } => {
-                s.push_str(&format!(
-                    ",\"batch\":{batch},\"fault\":{fault},\"test\":{test},\"phase\":{phase},\"reason\":\"{}\"",
-                    json_escape(reason)
-                ));
-            }
-            EventKind::CheckpointWritten {
-                path,
-                phase,
-                executed_in_phase,
-            } => {
-                s.push_str(&format!(
-                    ",\"path\":\"{}\",\"phase\":{phase},\"executed_in_phase\":{executed_in_phase}",
-                    json_escape(path)
-                ));
-            }
-            EventKind::Degraded { missing } => {
-                s.push_str(&format!(",\"missing\":{missing}"));
-            }
-            EventKind::WorkerConnected { worker } => {
-                s.push_str(&format!(",\"worker\":{worker}"));
-            }
-            EventKind::WorkerLost { worker, reason } => {
-                s.push_str(&format!(
-                    ",\"worker\":{worker},\"reason\":\"{}\"",
-                    json_escape(reason)
-                ));
-            }
-            EventKind::ShardAssigned {
-                shard,
-                worker,
-                jobs,
-            } => {
-                s.push_str(&format!(
-                    ",\"shard\":{shard},\"worker\":{worker},\"jobs\":{jobs}"
-                ));
-            }
-            EventKind::ShardReassigned {
-                shard,
-                worker,
-                attempt,
-            } => {
-                s.push_str(&format!(
-                    ",\"shard\":{shard},\"worker\":{worker},\"attempt\":{attempt}"
-                ));
-            }
-            EventKind::ForwardedExperiment {
-                worker,
-                fault,
-                test,
-                edges,
-            } => {
-                s.push_str(&format!(
-                    ",\"worker\":{worker},\"fault\":{fault},\"test\":{test},\"edges\":{edges}"
-                ));
-            }
-            EventKind::ForwardedRetry {
-                worker,
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            } => {
-                s.push_str(&format!(
-                    ",\"worker\":{worker},\"failed_jobs\":{failed_jobs},\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}"
-                ));
-            }
-            EventKind::ForwardedFailure {
-                worker,
-                fault,
-                test,
-                phase,
-            } => {
-                s.push_str(&format!(
-                    ",\"worker\":{worker},\"fault\":{fault},\"test\":{test},\"phase\":{phase}"
-                ));
-            }
-            EventKind::ForwardedCache {
-                worker,
-                hits,
-                misses,
-            } => {
-                s.push_str(&format!(
-                    ",\"worker\":{worker},\"hits\":{hits},\"misses\":{misses}"
-                ));
-            }
-            EventKind::JournalFlushed { path, records } => {
-                s.push_str(&format!(
-                    ",\"path\":\"{}\",\"records\":{records}",
-                    json_escape(path)
-                ));
-            }
-            EventKind::WorkloadSummary {
-                test,
-                seed,
-                offered,
-                completed,
-                dropped,
-                p50_us,
-                p99_us,
-                inflection_ms,
-            } => {
-                s.push_str(&format!(
-                    ",\"test\":{test},\"seed\":{seed},\"offered\":{offered},\"completed\":{completed},\"dropped\":{dropped},\"p50_us\":{p50_us},\"p99_us\":{p99_us}"
-                ));
-                match inflection_ms {
-                    Some(ms) => s.push_str(&format!(",\"inflection_ms\":{ms}")),
-                    None => s.push_str(",\"inflection_ms\":null"),
-                }
-            }
-        }
+        push_event_fields(&mut s, &self.kind);
         s.push('}');
         s
     }
 
     /// Stable comparison key for the determinism tests: the event's full
     /// content with the timing/attribution envelope stripped. `None` for
-    /// operational events (see [`EventKind::is_deterministic`]).
+    /// operational events (see [`CampaignEvent::is_deterministic`]).
     pub fn deterministic_key(&self) -> Option<String> {
         if !self.kind.is_deterministic() {
             return None;
@@ -974,7 +290,7 @@ impl TelemetryRecord {
         // Debug output of the kind is stable and content-complete; floats
         // go through their bit pattern so -0.0 vs 0.0 can't alias.
         Some(match &self.kind {
-            EventKind::CycleFound { edges, score } => {
+            CampaignEvent::CycleFound { edges, score } => {
                 format!(
                     "CycleFound{{edges:{edges},score_bits:{:#x}}}",
                     score.to_bits()
@@ -1072,82 +388,54 @@ pub fn read_journal(path: &std::path::Path) -> Result<Vec<TelemetryRecord>> {
 mod tests {
     use super::*;
 
+    /// A few records to frame, tear and garble: a span close, strings that
+    /// need escaping, a forwarded copy. (Every kind's exact round trip is
+    /// `csnake_core::observer`'s test; every kind's bytes and JSON line are
+    /// pinned in `tests/journal_golden.rs`.)
     fn sample_records() -> Vec<TelemetryRecord> {
-        vec![
-            TelemetryRecord {
-                seq: 0,
-                micros: 10,
-                thread: "main".into(),
-                dur_micros: None,
-                kind: EventKind::StageStarted { stage: 1 },
+        let failed = CampaignEvent::BatchFailed {
+            batch: 3,
+            fault: csnake_inject::FaultId(7),
+            test: csnake_inject::TestId(2),
+            phase: 1,
+            reason: "chaos: \"boom\"\n".into(),
+        };
+        let kinds = [
+            CampaignEvent::StageFinished(csnake_core::Stage::Profiled),
+            failed.clone(),
+            CampaignEvent::Forwarded {
+                worker: 1,
+                event: Box::new(failed),
             },
-            TelemetryRecord {
-                seq: 1,
-                micros: 400,
-                thread: "main".into(),
-                dur_micros: Some(390),
-                kind: EventKind::StageFinished { stage: 1 },
-            },
-            TelemetryRecord {
-                seq: 2,
-                micros: 500,
-                thread: "main".into(),
-                dur_micros: None,
-                kind: EventKind::BatchFailed {
-                    batch: 3,
-                    fault: 7,
-                    test: 2,
-                    phase: 1,
-                    reason: "chaos: \"boom\"\n".into(),
-                },
-            },
-            TelemetryRecord {
-                seq: 3,
-                micros: 600,
-                thread: "w-1".into(),
-                dur_micros: None,
-                kind: EventKind::CycleFound {
-                    edges: 4,
-                    score: 0.25,
-                },
-            },
-            TelemetryRecord {
-                seq: 4,
-                micros: 700,
-                thread: "w-2".into(),
-                dur_micros: None,
-                kind: EventKind::WorkloadSummary {
-                    test: 1,
-                    seed: 42,
-                    offered: 6_000,
-                    completed: 5_900,
-                    dropped: 100,
-                    p50_us: 300,
-                    p99_us: 41_000,
-                    inflection_ms: Some(4_250),
-                },
-            },
-        ]
+        ];
+        kinds
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| TelemetryRecord {
+                seq: i as u64,
+                micros: 10 + 100 * i as u64,
+                thread: if i == 0 { "main" } else { "w-1" }.into(),
+                dur_micros: (i == 0).then_some(390),
+                kind,
+            })
+            .collect()
+    }
+
+    fn sealed(records: &[TelemetryRecord]) -> Vec<u8> {
+        records.iter().flat_map(seal_record).collect()
     }
 
     #[test]
     fn records_roundtrip_through_frames() {
         let records = sample_records();
-        let mut bytes = Vec::new();
-        for r in &records {
-            bytes.extend_from_slice(&seal_record(r));
-        }
-        let back = decode_journal(&bytes).expect("decode");
+        let back = decode_journal(&sealed(&records)).expect("decode");
         assert_eq!(back, records);
     }
 
     #[test]
     fn truncation_is_torn() {
         let records = sample_records();
-        let mut bytes = Vec::new();
-        for r in &records {
-            bytes.extend_from_slice(&seal_record(r));
-        }
+        let bytes = sealed(&records);
         // Cut inside the last frame's payload.
         let torn = &bytes[..bytes.len() - 3];
         match decode_journal(torn) {
@@ -1181,26 +469,34 @@ mod tests {
 
     #[test]
     fn version_bump_is_typed() {
-        let mut bytes = seal_record(&sample_records()[0]);
-        bytes[4..8].copy_from_slice(&(JOURNAL_VERSION + 1).to_le_bytes());
-        match decode_journal(&bytes) {
-            Err(CsnakeError::SnapshotVersion { found, supported }) => {
-                assert_eq!(found, JOURNAL_VERSION + 1);
-                assert_eq!(supported, JOURNAL_VERSION);
+        // A journal from a newer build, and a version-1 journal from an
+        // older one: both are refused by version, neither is half-read.
+        for version in [JOURNAL_VERSION + 1, 1] {
+            let mut bytes = seal_record(&sample_records()[0]);
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match decode_journal(&bytes) {
+                Err(CsnakeError::SnapshotVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, JOURNAL_VERSION);
+                }
+                other => panic!("expected SnapshotVersion, got {other:?}"),
             }
-            other => panic!("expected SnapshotVersion, got {other:?}"),
         }
     }
 
     #[test]
     fn json_lines_are_valid_and_escaped() {
-        for r in sample_records() {
+        let records = sample_records();
+        for r in &records {
             let line = r.to_json_line();
-            crate::json::validate(&line).expect("valid JSON");
+            crate::json::validate_record_line(&line).expect("schema-valid line");
             assert!(line.contains(&format!("\"event\":\"{}\"", r.kind.name())));
         }
-        let line = sample_records()[2].to_json_line();
-        assert!(line.contains("chaos: \\\"boom\\\"\\n"));
+        let escaped = records[1].to_json_line();
+        assert!(escaped.contains("chaos: \\\"boom\\\"\\n"), "{escaped}");
+        assert_eq!(json_f64(0.25), "0.25");
+        assert_eq!(json_f64(1.0), "1");
+        assert_eq!(json_f64(f64::NAN), "null");
     }
 
     #[test]
@@ -1210,7 +506,7 @@ mod tests {
             micros: 1,
             thread: "t".into(),
             dur_micros: None,
-            kind: EventKind::BudgetSpent { spent: 1, total: 4 },
+            kind: CampaignEvent::BudgetSpent { spent: 1, total: 4 },
         };
         assert!(det.deterministic_key().is_some());
         let op = TelemetryRecord {
@@ -1218,7 +514,7 @@ mod tests {
             micros: 2,
             thread: "t".into(),
             dur_micros: None,
-            kind: EventKind::WorkerLost {
+            kind: CampaignEvent::WorkerLost {
                 worker: 0,
                 reason: "gone".into(),
             },

@@ -1,8 +1,9 @@
 //! The flight recorder: a [`CampaignObserver`] that journals every event.
 //!
-//! [`FlightRecorder`] assigns each event a monotonic sequence number and a
-//! microsecond timestamp, tracks stage/phase spans (open at `*_started`,
-//! close at `*_finished`, duration on the closing record), and appends the
+//! [`FlightRecorder`] clones each [`CampaignEvent`] it is handed, assigns
+//! it a monotonic sequence number and a microsecond timestamp, tracks
+//! stage/phase spans (open at `*Started`, close at `*Finished`, duration on
+//! the closing record), and appends the
 //! resulting [`TelemetryRecord`]s to its journals: a JSONL file (one
 //! object per line, flushed per record so a `tail -f` is always current)
 //! and a binary journal of checksummed [`Persist`](csnake_core::Persist)
@@ -19,21 +20,20 @@
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use csnake_core::error::{CsnakeError, Result};
-use csnake_core::{CampaignObserver, ForwardedEvent};
-use csnake_inject::{FaultId, TestId};
+use csnake_core::{CampaignEvent, CampaignObserver, Stage};
 
 use crate::digest::MetricsDigest;
-use crate::record::{seal_record, stage_tag, EventKind, TelemetryRecord};
+use crate::record::{seal_record, TelemetryRecord};
 
 /// Span key: stage spans and phase spans live in separate namespaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum SpanKey {
-    Stage(u8),
+    Stage(Stage),
     Phase(u8),
 }
 
@@ -77,7 +77,7 @@ impl RecorderBuilder {
         self
     }
 
-    /// Deliver [`CampaignObserver::journal_flushed`] notifications for this
+    /// Deliver [`CampaignEvent::JournalFlushed`] notifications for this
     /// recorder's durable flushes to `observer` (typically the campaign's
     /// [`ProgressCollector`](csnake_core::ProgressCollector)).
     pub fn notify(mut self, observer: Arc<dyn CampaignObserver>) -> Self {
@@ -155,7 +155,7 @@ impl FlightRecorder {
 
     /// Appends one event: assigns seq/timestamp/thread, resolves span
     /// durations, journals to the open files.
-    fn record(&self, kind: EventKind) {
+    fn record(&self, kind: CampaignEvent) {
         let micros = self.elapsed_micros();
         let thread = std::thread::current().name().unwrap_or("?").to_string();
         let mut inner = self.inner.lock().expect("recorder poisoned");
@@ -165,19 +165,19 @@ impl FlightRecorder {
         // into a duration. An unmatched close (possible only if recording
         // started mid-campaign) simply has no duration.
         let dur_micros = match &kind {
-            EventKind::StageStarted { stage } => {
+            CampaignEvent::StageStarted(stage) => {
                 inner.open_spans.insert(SpanKey::Stage(*stage), micros);
                 None
             }
-            EventKind::PhaseStarted { phase, .. } => {
+            CampaignEvent::PhaseStarted { phase, .. } => {
                 inner.open_spans.insert(SpanKey::Phase(*phase), micros);
                 None
             }
-            EventKind::StageFinished { stage } => inner
+            CampaignEvent::StageFinished(stage) => inner
                 .open_spans
                 .remove(&SpanKey::Stage(*stage))
                 .map(|t0| micros.saturating_sub(t0)),
-            EventKind::PhaseFinished { phase, .. } => inner
+            CampaignEvent::PhaseFinished { phase, .. } => inner
                 .open_spans
                 .remove(&SpanKey::Phase(*phase))
                 .map(|t0| micros.saturating_sub(t0)),
@@ -225,7 +225,7 @@ impl FlightRecorder {
     }
 
     /// Forces both journals to durable storage (`fsync`), emitting a
-    /// [`CampaignObserver::journal_flushed`] notification per journal that
+    /// [`CampaignEvent::JournalFlushed`] notification per journal that
     /// had unflushed records. Returns the first latched I/O error, if any.
     pub fn flush(&self) -> Result<()> {
         let mut flushed: Vec<(PathBuf, usize)> = Vec::new();
@@ -261,7 +261,10 @@ impl FlightRecorder {
         // other recorders.
         if let Some(notify) = &self.notify {
             for (path, records) in &flushed {
-                notify.journal_flushed(path, *records);
+                notify.on_event(&CampaignEvent::JournalFlushed {
+                    path: path.display().to_string(),
+                    records: *records,
+                });
             }
         }
         Ok(())
@@ -291,196 +294,38 @@ impl Default for FlightRecorder {
 }
 
 impl CampaignObserver for FlightRecorder {
-    fn stage_started(&self, stage: csnake_core::Stage) {
-        self.record(EventKind::StageStarted {
-            stage: stage_tag(stage),
-        });
-    }
-
-    fn stage_finished(&self, stage: csnake_core::Stage) {
-        self.record(EventKind::StageFinished {
-            stage: stage_tag(stage),
-        });
-    }
-
-    fn phase_started(&self, phase: u8, planned: usize) {
-        self.record(EventKind::PhaseStarted { phase, planned });
-    }
-
-    fn phase_finished(&self, phase: u8, executed: usize) {
-        self.record(EventKind::PhaseFinished { phase, executed });
-    }
-
-    fn experiment_completed(&self, outcome: &csnake_core::ExperimentOutcome) {
-        self.record(EventKind::ExperimentCompleted {
-            fault: outcome.fault.0,
-            test: outcome.test.0,
-            interference: outcome.interference.len(),
-            edges: outcome.edges.len(),
-        });
-    }
-
-    fn edge_emitted(&self, edge: &csnake_core::edge::CausalEdge) {
-        self.record(EventKind::EdgeEmitted {
-            cause: edge.cause.0,
-            effect: edge.effect.0,
-            kind: edge.kind as u8,
-            test: edge.test.0,
-            phase: edge.phase,
-        });
-    }
-
-    fn cycle_found(&self, cycle: &csnake_core::beam::Cycle) {
-        self.record(EventKind::CycleFound {
-            edges: cycle.edges.len(),
-            score: cycle.score,
-        });
-    }
-
-    fn budget_spent(&self, spent: usize, total: usize) {
-        self.record(EventKind::BudgetSpent { spent, total });
-    }
-
-    fn trace_cache(&self, hits: usize, misses: usize) {
-        self.record(EventKind::TraceCache { hits, misses });
-    }
-
-    fn clustering(&self, stats: &csnake_core::ClusterStats) {
-        self.record(EventKind::Clustering {
-            vectors: stats.vectors,
-            groups: stats.groups,
-            candidate_edges: stats.candidate_edges,
-            merges: stats.merges,
-        });
-    }
-
-    fn workload_summary(&self, summary: &csnake_core::WorkloadSummary) {
-        self.record(EventKind::WorkloadSummary {
-            test: summary.test.0,
-            seed: summary.seed,
-            offered: summary.offered,
-            completed: summary.completed,
-            dropped: summary.dropped,
-            p50_us: summary.p50_us,
-            p99_us: summary.p99_us,
-            inflection_ms: summary.p99_inflection_milli(),
-        });
-    }
-
-    fn batch_retried(&self, batch: usize, failed_jobs: usize, attempt: u32, backoff_ms: u64) {
-        self.record(EventKind::BatchRetried {
-            batch,
-            failed_jobs,
-            attempt,
-            backoff_ms,
-        });
-    }
-
-    fn batch_failed(&self, batch: usize, fault: FaultId, test: TestId, phase: u8, reason: &str) {
-        self.record(EventKind::BatchFailed {
-            batch,
-            fault: fault.0,
-            test: test.0,
-            phase,
-            reason: reason.to_string(),
-        });
-    }
-
-    fn checkpoint_written(&self, path: &Path, phase: u8, executed_in_phase: usize) {
-        self.record(EventKind::CheckpointWritten {
-            path: path.display().to_string(),
-            phase,
-            executed_in_phase,
-        });
-    }
-
-    fn degraded(&self, missing: &[(FaultId, TestId, u8)]) {
-        self.record(EventKind::Degraded {
-            missing: missing.len(),
-        });
-    }
-
-    fn worker_connected(&self, worker: u32) {
-        self.record(EventKind::WorkerConnected { worker });
-    }
-
-    fn worker_lost(&self, worker: u32, reason: &str) {
-        self.record(EventKind::WorkerLost {
-            worker,
-            reason: reason.to_string(),
-        });
-    }
-
-    fn shard_assigned(&self, shard: u32, worker: u32, jobs: usize) {
-        self.record(EventKind::ShardAssigned {
-            shard,
-            worker,
-            jobs,
-        });
-    }
-
-    fn shard_reassigned(&self, shard: u32, worker: u32, attempt: u32) {
-        self.record(EventKind::ShardReassigned {
-            shard,
-            worker,
-            attempt,
-        });
-    }
-
-    fn event_forwarded(&self, worker: u32, event: &ForwardedEvent) {
-        self.record(match event {
-            ForwardedEvent::ExperimentCompleted { fault, test, edges } => {
-                EventKind::ForwardedExperiment {
-                    worker,
-                    fault: fault.0,
-                    test: test.0,
-                    edges: *edges,
-                }
-            }
-            ForwardedEvent::BatchRetried {
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            } => EventKind::ForwardedRetry {
-                worker,
-                failed_jobs: *failed_jobs,
-                attempt: *attempt,
-                backoff_ms: *backoff_ms,
-            },
-            ForwardedEvent::BatchFailed { fault, test, phase } => EventKind::ForwardedFailure {
-                worker,
-                fault: fault.0,
-                test: test.0,
-                phase: *phase,
-            },
-            ForwardedEvent::TraceCache { hits, misses } => EventKind::ForwardedCache {
-                worker,
-                hits: *hits,
-                misses: *misses,
-            },
-        });
-    }
-
-    fn journal_flushed(&self, path: &Path, records: usize) {
-        self.record(EventKind::JournalFlushed {
-            path: path.display().to_string(),
-            records,
-        });
+    fn on_event(&self, event: &CampaignEvent) {
+        self.record(event.clone());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csnake_core::Stage;
+
+    fn started(stage: Stage) -> CampaignEvent {
+        CampaignEvent::StageStarted(stage)
+    }
+
+    fn finished(stage: Stage) -> CampaignEvent {
+        CampaignEvent::StageFinished(stage)
+    }
+
+    const BUDGET: CampaignEvent = CampaignEvent::BudgetSpent { spent: 2, total: 8 };
 
     #[test]
     fn spans_pair_and_carry_durations() {
         let rec = FlightRecorder::new();
-        rec.stage_started(Stage::Profiled);
-        rec.phase_started(1, 10);
-        rec.phase_finished(1, 10);
-        rec.stage_finished(Stage::Profiled);
+        rec.on_event(&started(Stage::Profiled));
+        rec.on_event(&CampaignEvent::PhaseStarted {
+            phase: 1,
+            planned: 10,
+        });
+        rec.on_event(&CampaignEvent::PhaseFinished {
+            phase: 1,
+            executed: 10,
+        });
+        rec.on_event(&finished(Stage::Profiled));
         let records = rec.records();
         assert_eq!(records.len(), 4);
         assert_eq!(records[0].seq, 0);
@@ -505,10 +350,13 @@ mod tests {
             .binary(&bin)
             .build()
             .expect("open journals");
-        rec.stage_started(Stage::Allocated);
-        rec.budget_spent(2, 8);
-        rec.worker_lost(1, "lease expired");
-        rec.stage_finished(Stage::Allocated);
+        rec.on_event(&started(Stage::Allocated));
+        rec.on_event(&BUDGET);
+        rec.on_event(&CampaignEvent::WorkerLost {
+            worker: 1,
+            reason: "lease expired".into(),
+        });
+        rec.on_event(&finished(Stage::Allocated));
         rec.finish().expect("flush");
 
         let text = std::fs::read_to_string(&jsonl).expect("read jsonl");
@@ -533,7 +381,7 @@ mod tests {
             .notify(progress.clone())
             .build()
             .expect("open");
-        rec.budget_spent(1, 2);
+        rec.on_event(&BUDGET);
         rec.flush().expect("flush");
         assert_eq!(progress.snapshot().journal_flushes, 1);
         // Nothing new: no duplicate notification.

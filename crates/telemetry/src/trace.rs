@@ -14,15 +14,17 @@ use std::path::Path;
 
 use csnake_core::error::Result;
 
-use crate::record::{stage_name, EventKind, TelemetryRecord};
+use csnake_core::{stage_name, CampaignEvent};
+
+use crate::record::TelemetryRecord;
 
 /// The trace name of a record's event, if it opens/closes a span.
-fn span_name(kind: &EventKind) -> Option<String> {
+fn span_name(kind: &CampaignEvent) -> Option<String> {
     match kind {
-        EventKind::StageStarted { stage } | EventKind::StageFinished { stage } => {
+        CampaignEvent::StageStarted(stage) | CampaignEvent::StageFinished(stage) => {
             Some(format!("stage:{}", stage_name(*stage)))
         }
-        EventKind::PhaseStarted { phase, .. } | EventKind::PhaseFinished { phase, .. } => {
+        CampaignEvent::PhaseStarted { phase, .. } | CampaignEvent::PhaseFinished { phase, .. } => {
             Some(format!("phase:{phase}"))
         }
         _ => None,
@@ -39,13 +41,13 @@ pub fn chrome_trace_json(records: &[TelemetryRecord]) -> String {
         let tid = *tids.entry(r.thread.as_str()).or_insert(next);
         let common = format!("\"ts\":{},\"pid\":1,\"tid\":{tid}", r.micros);
         match &r.kind {
-            EventKind::StageStarted { .. } | EventKind::PhaseStarted { .. } => {
+            CampaignEvent::StageStarted(_) | CampaignEvent::PhaseStarted { .. } => {
                 let name = span_name(&r.kind).expect("span open has a name");
                 events.push(format!(
                     "{{\"name\":\"{name}\",\"cat\":\"span\",\"ph\":\"B\",{common}}}"
                 ));
             }
-            EventKind::StageFinished { .. } | EventKind::PhaseFinished { .. } => {
+            CampaignEvent::StageFinished(_) | CampaignEvent::PhaseFinished { .. } => {
                 let name = span_name(&r.kind).expect("span close has a name");
                 events.push(format!(
                     "{{\"name\":\"{name}\",\"cat\":\"span\",\"ph\":\"E\",{common}}}"
@@ -92,10 +94,10 @@ pub fn unbalanced_spans(records: &[TelemetryRecord]) -> Vec<String> {
     let mut bad = Vec::new();
     for r in records {
         match &r.kind {
-            EventKind::StageStarted { .. } | EventKind::PhaseStarted { .. } => {
+            CampaignEvent::StageStarted(_) | CampaignEvent::PhaseStarted { .. } => {
                 *open.entry(span_name(&r.kind).expect("named")).or_insert(0) += 1;
             }
-            EventKind::StageFinished { .. } | EventKind::PhaseFinished { .. } => {
+            CampaignEvent::StageFinished(_) | CampaignEvent::PhaseFinished { .. } => {
                 let name = span_name(&r.kind).expect("named");
                 match open.get_mut(&name) {
                     Some(n) if *n > 0 => *n -= 1,
@@ -116,8 +118,10 @@ pub fn unbalanced_spans(records: &[TelemetryRecord]) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csnake_core::Stage;
+    use csnake_inject::{FaultId, TestId};
 
-    fn rec(seq: u64, micros: u64, thread: &str, kind: EventKind) -> TelemetryRecord {
+    fn rec(seq: u64, micros: u64, thread: &str, kind: CampaignEvent) -> TelemetryRecord {
         TelemetryRecord {
             seq,
             micros,
@@ -129,12 +133,12 @@ mod tests {
 
     fn spanned_stream() -> Vec<TelemetryRecord> {
         vec![
-            rec(0, 0, "main", EventKind::StageStarted { stage: 2 }),
+            rec(0, 0, "main", CampaignEvent::StageStarted(Stage::Allocated)),
             rec(
                 1,
                 5,
                 "main",
-                EventKind::PhaseStarted {
+                CampaignEvent::PhaseStarted {
                     phase: 1,
                     planned: 2,
                 },
@@ -143,9 +147,9 @@ mod tests {
                 2,
                 9,
                 "pool-0",
-                EventKind::ExperimentCompleted {
-                    fault: 3,
-                    test: 1,
+                CampaignEvent::ExperimentCompleted {
+                    fault: FaultId(3),
+                    test: TestId(1),
                     interference: 0,
                     edges: 1,
                 },
@@ -154,12 +158,17 @@ mod tests {
                 3,
                 12,
                 "main",
-                EventKind::PhaseFinished {
+                CampaignEvent::PhaseFinished {
                     phase: 1,
                     executed: 2,
                 },
             ),
-            rec(4, 20, "main", EventKind::StageFinished { stage: 2 }),
+            rec(
+                4,
+                20,
+                "main",
+                CampaignEvent::StageFinished(Stage::Allocated),
+            ),
         ]
     }
 
@@ -197,7 +206,7 @@ mod tests {
             0,
             0,
             "main",
-            EventKind::PhaseFinished {
+            CampaignEvent::PhaseFinished {
                 phase: 2,
                 executed: 0,
             },

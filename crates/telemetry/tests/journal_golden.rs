@@ -9,119 +9,132 @@
 
 use std::sync::Arc;
 
-use csnake_core::{fnv1a_bytes, DetectConfig, Session, ThreePhase};
-use csnake_telemetry::{seal_record, EventKind, FlightRecorder, TelemetryRecord};
+use csnake_core::{
+    fnv1a_bytes, CampaignEvent, ClusterStats, DetectConfig, EdgeKind, Session, Stage, ThreePhase,
+};
+use csnake_inject::{FaultId, TestId};
+use csnake_telemetry::{seal_record, FlightRecorder, TelemetryRecord};
 
 /// Frame header: magic + version + payload length + checksum.
 const FRAME_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
-/// One event of every kind, in persist-tag order.
-fn kinds() -> Vec<EventKind> {
+/// One event of every kind, in persist-tag order, built by hand: a pin
+/// whose input the code under test supplies pins nothing.
+fn kinds() -> Vec<CampaignEvent> {
+    let (fault, test) = (FaultId(7), TestId(2));
+    let forwarded = |event| CampaignEvent::Forwarded {
+        worker: 1,
+        event: Box::new(event),
+    };
     vec![
-        EventKind::StageStarted { stage: 1 },
-        EventKind::StageFinished { stage: 3 },
-        EventKind::PhaseStarted {
+        CampaignEvent::StageStarted(Stage::Profiled),
+        CampaignEvent::StageFinished(Stage::Stitched),
+        CampaignEvent::PhaseStarted {
             phase: 1,
             planned: 12,
         },
-        EventKind::PhaseFinished {
+        CampaignEvent::PhaseFinished {
             phase: 2,
             executed: 11,
         },
-        EventKind::ExperimentCompleted {
-            fault: 7,
-            test: 2,
+        CampaignEvent::ExperimentCompleted {
+            fault,
+            test,
             interference: 3,
             edges: 5,
         },
-        EventKind::EdgeEmitted {
-            cause: 7,
-            effect: 9,
-            kind: 2,
-            test: 2,
+        CampaignEvent::EdgeEmitted {
+            cause: fault,
+            effect: FaultId(9),
+            kind: EdgeKind::EI,
+            test,
             phase: 1,
         },
-        EventKind::CycleFound {
+        CampaignEvent::CycleFound {
             edges: 4,
             score: 0.25,
         },
-        EventKind::BudgetSpent {
+        CampaignEvent::BudgetSpent {
             spent: 17,
             total: 64,
         },
-        EventKind::TraceCache {
+        CampaignEvent::TraceCache {
             hits: 40,
             misses: 9,
         },
-        EventKind::Clustering {
+        CampaignEvent::Clustering(ClusterStats {
             vectors: 120,
             groups: 80,
             candidate_edges: 300,
+            hot_dims: 2,
+            hot_pairs: 14,
             merges: 21,
-        },
-        EventKind::BatchRetried {
+            matrix_bytes: 115_200,
+            sparse_graph_bytes: 15_680,
+        }),
+        CampaignEvent::BatchRetried {
             batch: 6,
             failed_jobs: 2,
             attempt: 1,
             backoff_ms: 10,
         },
-        EventKind::BatchFailed {
+        CampaignEvent::BatchFailed {
             batch: 6,
-            fault: 7,
-            test: 2,
+            fault,
+            test,
             phase: 3,
             reason: "chaos: \"boom\"\n".into(),
         },
-        EventKind::CheckpointWritten {
+        CampaignEvent::CheckpointWritten {
             path: "/tmp/c.csnake".into(),
             phase: 2,
             executed_in_phase: 8,
         },
-        EventKind::Degraded { missing: 3 },
-        EventKind::WorkerConnected { worker: 1 },
-        EventKind::WorkerLost {
+        CampaignEvent::Degraded { missing: 3 },
+        CampaignEvent::WorkerConnected { worker: 1 },
+        CampaignEvent::WorkerLost {
             worker: 1,
             reason: "lease expired".into(),
         },
-        EventKind::ShardAssigned {
+        CampaignEvent::ShardAssigned {
             shard: 14,
             worker: 0,
             jobs: 2,
         },
-        EventKind::ShardReassigned {
+        CampaignEvent::ShardReassigned {
             shard: 14,
             worker: 1,
             attempt: 1,
         },
-        EventKind::ForwardedExperiment {
-            worker: 1,
-            fault: 7,
-            test: 2,
+        forwarded(CampaignEvent::ExperimentCompleted {
+            fault,
+            test,
+            interference: 3,
             edges: 5,
-        },
-        EventKind::ForwardedRetry {
-            worker: 1,
+        }),
+        forwarded(CampaignEvent::BatchRetried {
+            batch: 6,
             failed_jobs: 2,
             attempt: 1,
             backoff_ms: 10,
-        },
-        EventKind::ForwardedFailure {
-            worker: 1,
-            fault: 7,
-            test: 2,
+        }),
+        forwarded(CampaignEvent::BatchFailed {
+            batch: 6,
+            fault,
+            test,
             phase: 3,
-        },
-        EventKind::ForwardedCache {
-            worker: 1,
+            reason: "job panicked".into(),
+        }),
+        forwarded(CampaignEvent::TraceCache {
             hits: 40,
             misses: 9,
-        },
-        EventKind::JournalFlushed {
+        }),
+        CampaignEvent::JournalFlushed {
             path: "/tmp/j.jsonl".into(),
             records: 99,
         },
-        EventKind::WorkloadSummary {
-            test: 1,
+        CampaignEvent::WorkloadSummary {
+            test: TestId(1),
             seed: 42,
             offered: 6_000,
             completed: 5_900,
@@ -134,6 +147,7 @@ fn kinds() -> Vec<EventKind> {
 }
 
 /// `(event name, hash of the frame payload, hash of the JSONL line)`.
+#[rustfmt::skip]
 const PINS: &[(&str, u64, u64)] = &[
     ("stage_started", 0xc15f486bea97a224, 0xd56755eafb7b8230),
     ("stage_finished", 0x945f45a83462aa26, 0x30235a692581edd9),
@@ -144,7 +158,7 @@ const PINS: &[(&str, u64, u64)] = &[
     ("cycle_found", 0x859a68ac5ad0ebbb, 0x1d0f72be5c104535),
     ("budget_spent", 0x27b64d74941b194d, 0x37c5815573d8b2d3),
     ("trace_cache", 0x697ea959264b15b1, 0x63a5212338aafe80),
-    ("clustering", 0x3d9f33479569b5ed, 0x7ded4a2f7ad54cbb),
+    ("clustering", 0x0107391f01fcd7e1, 0x7ded4a2f7ad54cbb),
     ("batch_retried", 0xe40521d6c6be07b1, 0x56f4e535d5477605),
     ("batch_failed", 0x841a298e13904c9d, 0x29f41f413f303a9b),
     ("checkpoint_written", 0x4dda45081171d578, 0x34c06f1366f73ff1),
@@ -153,10 +167,10 @@ const PINS: &[(&str, u64, u64)] = &[
     ("worker_lost", 0x06c845f281124433, 0xfef9f6d8707ffd4e),
     ("shard_assigned", 0x1ba5219b83db2376, 0x74fa3ee6e97dcb6d),
     ("shard_reassigned", 0x8176347f386dbc9e, 0xc3ef1e0b31d7d609),
-    ("forwarded_experiment", 0xe69e6ea2510bc899, 0xa2f88f0bf939a5ac),
-    ("forwarded_retry", 0x08289b9b7784a9de, 0x53603922f90efcc9),
-    ("forwarded_failure", 0xe8e5bf014a5c0d2b, 0xbfff7d6ef94d96f2),
-    ("forwarded_cache", 0x23aad3dad9de83e6, 0x769fc2f66244ee66),
+    ("forwarded_experiment", 0x0b686e5767b8a334, 0xd07f4b6728d76239),
+    ("forwarded_retry", 0xd47ea008609d89a7, 0x0077965c05457dc5),
+    ("forwarded_failure", 0xb26c9998c2899076, 0xa332c782f46a5180),
+    ("forwarded_cache", 0xd8c59d0b7ad21647, 0x769fc2f66244ee66),
     ("journal_flushed", 0x34aac064babb1dca, 0x36ec375253d1d086),
     ("workload_summary", 0xf5786cc3dfc0d7c9, 0x4ade042906e9f570),
 ];
@@ -172,7 +186,7 @@ fn every_kind_keeps_its_bytes() {
         .map(|(i, kind)| {
             let closes_span = matches!(
                 kind,
-                EventKind::StageFinished { .. } | EventKind::PhaseFinished { .. }
+                CampaignEvent::StageFinished(_) | CampaignEvent::PhaseFinished { .. }
             );
             let record = TelemetryRecord {
                 seq: i as u64,
@@ -181,6 +195,12 @@ fn every_kind_keeps_its_bytes() {
                 dur_micros: closes_span.then_some(390),
                 kind,
             };
+            let line = csnake_telemetry::json::validate_record_line(&record.to_json_line())
+                .expect("every kind's line passes the journal schema");
+            let event = line
+                .get("event")
+                .and_then(csnake_telemetry::json::Value::as_str);
+            assert_eq!(event, Some(record.kind.name()));
             (
                 record.kind.name(),
                 fnv1a_bytes(&seal_record(&record)[FRAME_HEADER_LEN..]),
@@ -227,7 +247,10 @@ fn toy_campaign_keeps_its_deterministic_stream() {
         text.push('\n');
         lines += 1;
     }
-    assert!(lines > 20, "the campaign recorded only {lines} deterministic events");
+    assert!(
+        lines > 20,
+        "the campaign recorded only {lines} deterministic events"
+    );
     let got = fnv1a_bytes(text.as_bytes());
     assert_eq!(
         got, CAMPAIGN_PIN,

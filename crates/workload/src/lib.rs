@@ -51,7 +51,7 @@
 //! whole-run p50/p90/p99/max plus fixed-width windows. The
 //! [`Driver`](csnake_core::Driver) drains summaries after each experiment
 //! batch and streams them through
-//! [`CampaignObserver::workload_summary`](csnake_core::CampaignObserver::workload_summary)
+//! [`CampaignEvent::WorkloadSummary`](csnake_core::CampaignEvent::WorkloadSummary)
 //! (and on into `csnake-telemetry`'s flight recorder and
 //! `MetricsDigest`); under a cascade the windowed p99 shows a sharp
 //! inflection

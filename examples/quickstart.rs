@@ -2,8 +2,9 @@
 //! system and print the detected self-sustaining cascading failure.
 //!
 //! The session exposes the paper's pipeline stages one by one — each
-//! returns a serializable artifact, and an observer streams events (phase
-//! boundaries, experiments, new causal edges, cycles) while it runs:
+//! returns a serializable artifact, and an observer's `on_event` receives
+//! one `CampaignEvent` per phase boundary, experiment, new causal edge and
+//! cycle while it runs:
 //!
 //! | call | paper stage | artifact |
 //! |---|---|---|
@@ -97,11 +98,22 @@
 use std::sync::Arc;
 
 use csnake::core::{
-    CampaignObserver, DetectConfig, FanoutObserver, ProgressCollector, Session, TargetSystem,
-    ThreePhase,
+    CampaignEvent, CampaignObserver, DetectConfig, FanoutObserver, ProgressCollector, Session,
+    TargetSystem, ThreePhase,
 };
 use csnake::targets::ToySystem;
 use csnake::telemetry::{FlightRecorder, MetricsDigest};
+
+/// A custom observer is one `match` on the events it cares about.
+struct PhaseLogger;
+
+impl CampaignObserver for PhaseLogger {
+    fn on_event(&self, event: &CampaignEvent) {
+        if let CampaignEvent::PhaseFinished { phase, executed } = event {
+            println!("  [observer] 3PA phase {phase}: {executed} experiments");
+        }
+    }
+}
 
 fn main() {
     let target = ToySystem::new();
@@ -113,11 +125,12 @@ fn main() {
     cfg.driver.reps = 3;
     cfg.driver.delay_values_ms = vec![800];
 
-    // The bundled observer counts events; custom observers implement any
-    // subset of `CampaignObserver` (stage/phase boundaries, experiments,
-    // edges, cycles, budget). A fanout delivers the same stream to many
-    // sinks — here a counting collector plus the flight recorder that
-    // produces the timing digest printed at the end.
+    // The bundled collector counts events; a custom observer implements
+    // `CampaignObserver::on_event` and matches on the `CampaignEvent`
+    // variants it wants (stage/phase boundaries, experiments, edges,
+    // cycles, budget). A fanout delivers the same stream to many sinks —
+    // here the logger above, a counting collector and the flight recorder
+    // that produces the timing digest printed at the end.
     let progress = Arc::new(ProgressCollector::new());
     let recorder = Arc::new(
         FlightRecorder::builder()
@@ -125,6 +138,7 @@ fn main() {
             .expect("in-memory recorder"),
     );
     let observer = Arc::new(FanoutObserver::new(vec![
+        Arc::new(PhaseLogger) as Arc<dyn CampaignObserver>,
         progress.clone() as Arc<dyn CampaignObserver>,
         recorder.clone() as Arc<dyn CampaignObserver>,
     ]));

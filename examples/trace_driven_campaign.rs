@@ -107,7 +107,8 @@ fn main() {
     cfg.driver.retry.backoff_base_ms = 1;
 
     // The flight recorder rides along as a campaign observer; the driver
-    // streams every experiment's WorkloadSummary through it.
+    // hands its `on_event` one `CampaignEvent::WorkloadSummary` per
+    // experiment.
     let recorder = Arc::new(FlightRecorder::builder().build().expect("recorder"));
     let mut session = Session::builder(target.as_ref())
         .config(cfg)

@@ -90,3 +90,48 @@ fn daemon_sources_sleep_only_for_the_injected_hang() {
         hits.join("\n")
     );
 }
+
+/// The campaign-event vocabulary used to be stated six times — the observer
+/// trait's methods, a fan-out, a collector, telemetry's record enum, the
+/// daemon's wire enum and a forwarded-event enum — until
+/// `csnake_core::CampaignEvent` replaced them all. A second vocabulary
+/// under one of the old names, in code, tests or prose, fails here.
+#[test]
+fn the_event_vocabulary_is_not_restated_under_a_retired_name() {
+    const RETIRED: &[&str] = &[
+        "EventKind",
+        "ForwardedEvent",
+        "WorkerEvent",
+        "event_forwarded",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let src = krate.expect("directory entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(
+        files.len() > 100,
+        "the scan found only {} files",
+        files.len()
+    );
+    let mut hits = Vec::new();
+    for file in files.iter().filter(|f| !f.ends_with(file!())) {
+        let text = fs::read_to_string(file).expect("source file is readable");
+        for (n, line) in text.lines().enumerate() {
+            if RETIRED.iter().any(|name| line.contains(name)) {
+                hits.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "a retired event-vocabulary name is back:\n{}",
+        hits.join("\n")
+    );
+}

@@ -16,11 +16,11 @@
 //!   any byte yields `CsnakeError::SnapshotTorn`/`SnapshotCorrupt`, never
 //!   a panic or a silently-wrong resume.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use csnake::core::{
-    ChaosConfig, CsnakeError, DetectConfig, ProgressCollector, Session, ThreePhase,
+    CampaignEvent, ChaosConfig, CsnakeError, DetectConfig, ProgressCollector, Session, ThreePhase,
 };
 use csnake::targets::ToySystem;
 
@@ -47,7 +47,15 @@ struct CheckpointArchiver {
 }
 
 impl csnake::core::CampaignObserver for CheckpointArchiver {
-    fn checkpoint_written(&self, path: &Path, phase: u8, executed_in_phase: usize) {
+    fn on_event(&self, event: &CampaignEvent) {
+        let CampaignEvent::CheckpointWritten {
+            path,
+            phase,
+            executed_in_phase,
+        } = event
+        else {
+            return;
+        };
         let mut archived = self.archived.lock().unwrap();
         let dst = self.dir.join(format!(
             "ckpt-{:03}-p{phase}-e{executed_in_phase}.csnake",
