@@ -238,13 +238,13 @@ fn a_late_result_from_a_lost_worker_does_not_strand_the_fleet() {
     let (coord0, worker0) = channel_pair();
     let (coord1, worker1) = channel_pair();
     let (gate_tx, gate_rx) = channel();
-    std::thread::spawn(move || heartbeating_worker(worker1, 2, gate_rx));
+    let worker1 = std::thread::spawn(move || heartbeating_worker(worker1, 2, gate_rx));
 
     let log = Arc::new(LeaseLog::default());
     let (progress_tx, progress_rx) = channel::<Vec<u32>>();
     let (done_tx, done_rx) = channel::<usize>();
     let engine_log = Arc::clone(&log);
-    std::thread::spawn(move || {
+    let coordinator = std::thread::spawn(move || {
         let target = csnake_daemon::targets::resolve("toy").expect("target resolves");
         let cfg = fast_config();
         let driver = Driver::new(target.as_ref(), cfg.driver.clone());
@@ -321,6 +321,11 @@ fn a_late_result_from_a_lost_worker_does_not_strand_the_fleet() {
         .recv_timeout(patience)
         .expect("the batch hung: a finished shard was leased again");
     assert_eq!(merged, 4);
+    // Dropping the engine shut the fleet down; past the watchdog the
+    // threads are joinable (on a hang they are left behind with the
+    // failed test).
+    coordinator.join().expect("coordinator thread");
+    worker1.join().expect("worker 1 thread");
 
     let entries = log.entries();
     assert_eq!(
