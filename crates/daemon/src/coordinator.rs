@@ -652,32 +652,13 @@ impl DistributedEngine {
         for (span, events) in merged {
             let batch_id = self.batch_counter;
             self.batch_counter += 1;
-            for event in events {
-                match event {
-                    CampaignEvent::BatchRetried {
-                        failed_jobs,
-                        attempt,
-                        backoff_ms,
-                        ..
-                    } => self.observer.on_event(&CampaignEvent::BatchRetried {
-                        batch: batch_id,
-                        failed_jobs,
-                        attempt,
-                        backoff_ms,
-                    }),
-                    CampaignEvent::BatchFailed {
-                        fault,
-                        test,
-                        phase,
-                        reason,
-                        ..
-                    } => self.observer.on_event(&CampaignEvent::BatchFailed {
-                        batch: batch_id,
-                        fault,
-                        test,
-                        phase,
-                        reason,
-                    }),
+            for mut event in events {
+                match &mut event {
+                    CampaignEvent::BatchRetried { batch, .. }
+                    | CampaignEvent::BatchFailed { batch, .. } => {
+                        *batch = batch_id;
+                        self.observer.on_event(&event);
+                    }
                     // A worker buffers only supervisor events into a
                     // Result. The other two kinds it may originate ride in
                     // Event frames and are already in the coordinator's own
