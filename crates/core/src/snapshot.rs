@@ -1484,6 +1484,18 @@ mod tests {
         assert_eq!(db.edges_from(FaultId(1)).len(), 2);
     }
 
+    /// The whole container of the fixed sample, header included: the
+    /// layout of a version-5 file is pinned, not only self-consistent.
+    #[test]
+    fn sample_snapshot_keeps_its_bytes() {
+        let bytes = sample_snapshot(Stage::Profiled).to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a_bytes(&bytes)),
+            (524, 0x0ed4_381c_e32c_4e87),
+            "snapshot bytes moved"
+        );
+    }
+
     #[test]
     fn truncated_and_garbled_inputs_are_rejected_typed() {
         let bytes = sample_snapshot(Stage::Profiled).to_bytes();

@@ -428,6 +428,8 @@ mod tests {
         let mut cfg = DetectConfig::default();
         cfg.driver.reps = 3;
         cfg.driver.base_seed = 0xDECAF;
+        cfg.driver.chaos.wire_drop = 0.25;
+        cfg.driver.chaos.wire_stall = 0.125;
         vec![
             WireMsg::Hello {
                 target: "kafka-isr".into(),
@@ -510,6 +512,51 @@ mod tests {
                 "re-encoding {msg:?} must reproduce the frame"
             );
         }
+    }
+
+    /// `(variant, payload length, FNV-1a of the payload)` of every
+    /// `sample_messages()` frame: what a worker of this build must be sent.
+    /// A refactor of the codec may not move a row unless the bytes on the
+    /// wire were meant to move.
+    #[rustfmt::skip]
+    const WIRE_GOLDEN: &[(&str, usize, u64)] = &[
+        ("hello", 233, 0x3e6a40fd6c6d0664),
+        ("hello_ack", 13, 0x44246f7708ccaaf1),
+        ("assign", 15, 0xb7d08d2b4d32b938),
+        ("result", 77, 0x0f6336230449c058),
+        ("heartbeat", 13, 0x4d9712545b5096d3),
+        ("shutdown", 1, 0xaf72984c8601af60),
+        ("event", 31, 0xb851f5bc79608d5f),
+    ];
+
+    #[test]
+    fn every_message_type_keeps_its_bytes() {
+        let names = [
+            "hello",
+            "hello_ack",
+            "assign",
+            "result",
+            "heartbeat",
+            "shutdown",
+            "event",
+        ];
+        let got: Vec<(&str, usize, u64)> = names
+            .into_iter()
+            .zip(sample_messages())
+            .map(|(name, msg)| {
+                let frame = seal_frame(&msg);
+                let payload = &frame[WIRE_HEADER_LEN..];
+                (name, payload.len(), fnv1a_bytes(payload))
+            })
+            .collect();
+        let table: String = got
+            .iter()
+            .map(|(n, len, sum)| format!("        ({n:?}, {len}, {sum:#018x}),\n"))
+            .collect();
+        assert_eq!(
+            got, WIRE_GOLDEN,
+            "wire bytes moved; computed rows:\n{table}"
+        );
     }
 
     #[test]
@@ -707,6 +754,8 @@ mod tests {
         ) {
             let mut cfg = DetectConfig::default();
             cfg.driver.base_seed = seq;
+            cfg.driver.chaos.wire_drop = 1.0 / (1 + worker) as f64;
+            cfg.driver.chaos.wire_stall = 1.0 / (2 + shard) as f64;
             let gaps = jobs.clone();
             let events2 = events.clone();
             let msgs = [
