@@ -210,7 +210,7 @@ pub struct RecoveryContext<'a> {
     /// sub-chunks of this size and checkpoints after every chunk. Zero is
     /// treated as "whole phase in one chunk".
     pub cadence: usize,
-    /// Mid-phase state to resume from (from a v4 snapshot), if any.
+    /// Mid-phase state to resume from (from a snapshot), if any.
     pub resume: Option<MidPhaseState>,
 }
 

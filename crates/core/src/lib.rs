@@ -73,7 +73,7 @@
 //!   `(fault, test, phase)` cells
 //!   ([`DetectionReport::missing_cells`] / [`DetectionReport::degraded`]).
 //! * **Mid-phase checkpoints.** [`SessionBuilder::auto_checkpoint`]
-//!   streams snapshot-v4 checkpoints *inside* the allocation stage (every
+//!   streams checkpoints *inside* the allocation stage (every
 //!   `cadence` experiments): the 3PA planner's RNG state and used-set are
 //!   captured at phase entry, so a resumed campaign replans the identical
 //!   batch and skips the already-executed prefix. Every write is atomic —
@@ -218,6 +218,7 @@ pub mod driver;
 pub mod edge;
 pub mod error;
 pub mod fca;
+pub mod frame;
 pub(crate) mod fxhash;
 pub mod idf;
 pub mod observer;
@@ -253,6 +254,7 @@ pub use fca::{
     analyze_experiment, analyze_experiment_indexed, analyze_experiment_reference,
     ExperimentOutcome, FcaConfig, ProfileIndex,
 };
+pub use frame::fnv1a_bytes;
 pub use observer::{
     stage_name, stage_tag, CampaignEvent, CampaignObserver, FanoutObserver, NoopObserver,
     ProgressCollector, ProgressSnapshot, WorkerProgress,
@@ -262,8 +264,8 @@ pub use report::{
 };
 pub use session::{CampaignOutcome, Profiled, Session, SessionBuilder, Stage, StitchedCycles};
 pub use snapshot::{
-    fnv1a_bytes, registry_fingerprint, write_file_bytes, Persist, Reader, Snapshot, Writer,
-    SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
+    registry_fingerprint, write_file_bytes, Persist, Reader, Snapshot, Writer, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 pub use stitch::{CompatStats, LevelStats, StitchIndex};
 pub use target::{KnownBug, TargetSystem, TestCase};

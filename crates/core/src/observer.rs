@@ -1246,10 +1246,10 @@ mod tests {
     #[test]
     fn every_sample_roundtrips_exactly() {
         for event in samples() {
-            let mut w = Writer::with_version(1);
+            let mut w = Writer::new();
             event.put(&mut w);
             let bytes = w.into_bytes();
-            let mut r = Reader::with_version(&bytes, 1);
+            let mut r = Reader::new(&bytes);
             let back = CampaignEvent::load(&mut r).expect("sample decodes");
             assert!(r.finished(), "{}: trailing bytes", event.name());
             assert_eq!(back, event);
@@ -1266,16 +1266,16 @@ mod tests {
             worker: 2,
             event: Box::new(inner),
         };
-        let mut w = Writer::with_version(1);
+        let mut w = Writer::new();
         nested.put(&mut w);
         let bytes = w.into_bytes();
-        match CampaignEvent::load(&mut Reader::with_version(&bytes, 1)) {
+        match CampaignEvent::load(&mut Reader::new(&bytes)) {
             Err(CsnakeError::SnapshotCorrupt(msg)) => assert!(msg.contains("nested"), "{msg}"),
             other => panic!("expected SnapshotCorrupt, got {other:?}"),
         }
         // Retired and unknown tags are corrupt too, not silently skipped.
         for tag in [19u8, 20, 21, 24, 255] {
-            let mut r = Reader::with_version(std::slice::from_ref(&tag), 1);
+            let mut r = Reader::new(std::slice::from_ref(&tag));
             assert!(matches!(
                 CampaignEvent::load(&mut r),
                 Err(CsnakeError::SnapshotCorrupt(_))

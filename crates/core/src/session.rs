@@ -304,7 +304,7 @@ pub struct Session<'a> {
     /// Mid-phase checkpoint destination and cadence (see
     /// [`SessionBuilder::auto_checkpoint`]).
     auto_checkpoint: Option<(PathBuf, usize)>,
-    /// Mid-phase state recovered from a v4 snapshot, consumed by the next
+    /// Mid-phase state recovered from a snapshot, consumed by the next
     /// [`allocate`](Session::allocate) call.
     pending_mid_phase: Option<MidPhaseState>,
 }

@@ -13,21 +13,16 @@
 //!
 //! # Format
 //!
-//! The container is a fixed header followed by a length-prefixed payload:
-//!
-//! ```text
-//! magic   4 bytes  b"CSNK"
-//! version u32 LE   SNAPSHOT_VERSION
-//! length  u64 LE   payload byte count
-//! check   u64 LE   FNV-1a over the payload bytes
-//! payload ...      field-by-field little-endian encoding
-//! ```
+//! A snapshot is one [`crate::frame`] container — magic `CSNK`, version
+//! [`SNAPSHOT_VERSION`] — and nothing after it; the layout and the order
+//! in which a bad file fails are drawn there.
 //!
 //! The workspace's vendored `serde` is a compile-only stand-in (no real
 //! serializers exist in this offline environment), so the payload codec is
 //! hand-written: a minimal [`Persist`] trait with little-endian scalar
 //! encoding, length-prefixed sequences, and tagged enums. Every value the
-//! snapshot needs implements it below.
+//! snapshot needs implements it below. There is one payload schema: which
+//! fields a value has never depends on the container it travels in.
 //!
 //! # Varint + delta layer (format version 2)
 //!
@@ -54,7 +49,8 @@
 //!
 //! # Mid-phase checkpoints and atomic writes (format version 4)
 //!
-//! Version 4 adds the campaign supervisor's durability layer:
+//! Version 4 added the campaign supervisor's durability layer, all of it
+//! part of version 5 (version-4 *files* are no longer read; see below):
 //!
 //! * an optional **mid-phase section** ([`MidPhaseState`]) carrying the
 //!   3PA runner's RNG state, used-set and executed-prefix counters, so a
@@ -73,17 +69,20 @@
 //! checkpoint islands ([`crate::alloc::ShardSpan`]): out-of-order spans a
 //! sharded coordinator completed beyond the contiguous executed prefix,
 //! merged on resume by [`MidPhaseState::normalize`]. The wire chaos rates
-//! (`wire_drop`, `wire_stall`) join the persisted [`ChaosConfig`]. Both
-//! additions are appended behind version gates, so version-4 files decode
-//! with empty/zero defaults and resume exactly as before.
+//! (`wire_drop`, `wire_stall`) join the persisted [`ChaosConfig`].
 //!
-//! Integrity failures surface as typed errors: a truncated file —
-//! shorter than its header, or a payload cut off before the length the
-//! header promises — is [`CsnakeError::SnapshotTorn`] (an interrupted
-//! write; resume from an earlier checkpoint); a wrong magic, trailing
-//! junk or checksum mismatch is [`CsnakeError::SnapshotCorrupt`]; a
-//! format bump is [`CsnakeError::SnapshotVersion`]; and resuming against
-//! the wrong system is [`CsnakeError::TargetMismatch`] (checked by the
+//! Version-4 files, which lack both, are refused with
+//! [`CsnakeError::SnapshotVersion`] like every other version this build
+//! does not write: the layout is not self-describing, so reading one
+//! would take a second payload schema chosen by the container's version,
+//! and every other container that carries these values would then have to
+//! agree on what its own version means for them. Re-run the campaign, or
+//! resume from a version-5 checkpoint.
+//!
+//! Integrity failures are the container's typed errors (see
+//! [`crate::frame`]), plus two of the snapshot's own: bytes after the
+//! frame are [`CsnakeError::SnapshotCorrupt`], and resuming against the
+//! wrong system is [`CsnakeError::TargetMismatch`] (checked by the
 //! session, which compares [`Snapshot::target`] against the live
 //! target's name).
 
@@ -104,6 +103,7 @@ use crate::driver::RetryConfig;
 use crate::edge::{CausalDb, CausalEdge, CompatState, EdgeKind};
 use crate::error::{CsnakeError, Result};
 use crate::fca::{ExperimentOutcome, FcaConfig};
+use crate::frame::{fnv1a_bytes, Format};
 use crate::session::{Stage, StitchedCycles};
 use crate::{DetectConfig, DriverConfig};
 
@@ -117,25 +117,17 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CSNK";
 /// ([`MidPhaseState`]), the retry/chaos configuration, and the allocation
 /// gap list; version 5 added the daemon's per-shard checkpoint islands
 /// ([`crate::alloc::ShardSpan`] in the mid-phase section) and the wire
-/// chaos rates. Version 4 files are still read — the v5 additions decode
-/// as empty/zero — so pre-daemon checkpoints resume unchanged. Files
-/// outside [`SNAPSHOT_MIN_VERSION`]`..=`[`SNAPSHOT_VERSION`] are rejected
-/// with a typed [`CsnakeError::SnapshotVersion`].
+/// chaos rates. This is the only version read: every other one, version 4
+/// included, is rejected with a typed [`CsnakeError::SnapshotVersion`],
+/// because the payload is not self-describing and a file of another
+/// layout would decode to something plausible and wrong.
 pub const SNAPSHOT_VERSION: u32 = 5;
 
-/// Oldest format version this build still reads.
-pub const SNAPSHOT_MIN_VERSION: u32 = 4;
-
-/// FNV-1a over raw bytes (the integrity checksum of the container; public
-/// so the daemon's wire frames checksum their payloads identically).
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
+/// The snapshot's container format.
+const SNAPSHOT: Format = Format {
+    magic: SNAPSHOT_MAGIC,
+    version: SNAPSHOT_VERSION,
+};
 
 /// Order-sensitive fingerprint of a registry's fault-point inventory (ids,
 /// kinds, labels). Persisted in every snapshot and re-checked on resume:
@@ -186,38 +178,16 @@ fn put_opt<T: Persist>(v: Option<&T>, w: &mut Writer) {
 ///
 /// Public (with [`Reader`] and [`Persist`]) so first-party crates can layer
 /// other framed formats on the same codec — the daemon's wire protocol
-/// encodes its messages with exactly this machinery. The writer carries the
-/// *format version* being produced: version-gated fields check it in their
-/// `put`, which is how one codebase writes both current and
-/// back-compatible payloads.
+/// encodes its messages with exactly this machinery.
+#[derive(Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    version: u32,
-}
-
-impl Default for Writer {
-    fn default() -> Self {
-        Writer::new()
-    }
 }
 
 impl Writer {
-    /// A writer producing the current [`SNAPSHOT_VERSION`] layout.
+    /// An empty writer.
     pub fn new() -> Self {
-        Writer::with_version(SNAPSHOT_VERSION)
-    }
-
-    /// A writer producing a specific format version's layout.
-    pub fn with_version(version: u32) -> Self {
-        Writer {
-            buf: Vec::new(),
-            version,
-        }
-    }
-
-    /// The format version this writer produces.
-    pub fn version(&self) -> u32 {
-        self.version
+        Writer::default()
     }
 
     /// The encoded payload so far.
@@ -249,33 +219,16 @@ impl Writer {
     }
 }
 
-/// Bounds-checked payload reader; carries the format version of the file
-/// being decoded so version-gated fields know whether to expect their
-/// bytes.
+/// Bounds-checked payload reader.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u32,
 }
 
 impl<'a> Reader<'a> {
-    /// A reader assuming the current [`SNAPSHOT_VERSION`] layout.
+    /// A reader at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader::with_version(buf, SNAPSHOT_VERSION)
-    }
-
-    /// A reader decoding a specific format version's layout.
-    pub fn with_version(buf: &'a [u8], version: u32) -> Self {
-        Reader {
-            buf,
-            pos: 0,
-            version,
-        }
-    }
-
-    /// The format version being decoded.
-    pub fn version(&self) -> u32 {
-        self.version
+        Reader { buf, pos: 0 }
     }
 
     /// Takes the next `n` raw bytes.
@@ -868,16 +821,7 @@ impl Persist for MidPhaseState {
         self.outcomes.put(w);
         self.gaps.put(w);
         self.runs_executed.put(w);
-        // The shard islands joined in format version 5; a v4 writer must
-        // not be asked to drop completed work silently.
-        if w.version >= 5 {
-            self.shard_spans.put(w);
-        } else {
-            debug_assert!(
-                self.shard_spans.is_empty(),
-                "shard spans cannot be represented in a v4 snapshot"
-            );
-        }
+        self.shard_spans.put(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self> {
         Ok(MidPhaseState {
@@ -890,11 +834,7 @@ impl Persist for MidPhaseState {
             outcomes: Vec::load(r)?,
             gaps: Vec::load(r)?,
             runs_executed: usize::load(r)?,
-            shard_spans: if r.version >= 5 {
-                Vec::load(r)?
-            } else {
-                Vec::new()
-            },
+            shard_spans: Vec::load(r)?,
         })
     }
 }
@@ -986,14 +926,11 @@ impl Persist for ChaosConfig {
         self.transient_attempts.put(w);
         self.permanent.put(w);
         self.stall_ms.put(w);
-        // The wire rates joined in format version 5; v4 layouts stop here.
-        if w.version >= 5 {
-            self.wire_drop.put(w);
-            self.wire_stall.put(w);
-        }
+        self.wire_drop.put(w);
+        self.wire_stall.put(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self> {
-        let mut cfg = ChaosConfig {
+        Ok(ChaosConfig {
             seed: u64::load(r)?,
             experiment_panic: f64::load(r)?,
             experiment_stall: f64::load(r)?,
@@ -1001,14 +938,9 @@ impl Persist for ChaosConfig {
             transient_attempts: u32::load(r)?,
             permanent: bool::load(r)?,
             stall_ms: u64::load(r)?,
-            wire_drop: 0.0,
-            wire_stall: 0.0,
-        };
-        if r.version >= 5 {
-            cfg.wire_drop = f64::load(r)?;
-            cfg.wire_stall = f64::load(r)?;
-        }
-        Ok(cfg)
+            wire_drop: f64::load(r)?,
+            wire_stall: f64::load(r)?,
+        })
     }
 }
 
@@ -1142,27 +1074,10 @@ pub(crate) struct SnapshotFields<'a> {
     pub mid_phase: Option<&'a MidPhaseState>,
 }
 
-/// Wraps an encoded payload in the magic/version/length/checksum container.
-fn seal_container(payload: Vec<u8>, version: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
 impl SnapshotFields<'_> {
     /// Encodes into the versioned container format.
     pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_versioned(SNAPSHOT_VERSION)
-    }
-
-    /// Encodes a specific (still-supported) format version's layout; the
-    /// back-compat tests write v4 files with it.
-    pub(crate) fn to_bytes_versioned(&self, version: u32) -> Vec<u8> {
-        let mut w = Writer::with_version(version);
+        let mut w = Writer::new();
         put_str(self.target, &mut w);
         self.registry_fp.put(&mut w);
         self.cfg.put(&mut w);
@@ -1173,7 +1088,7 @@ impl SnapshotFields<'_> {
         put_opt(self.alloc, &mut w);
         put_opt(self.stitched, &mut w);
         put_opt(self.mid_phase, &mut w);
-        seal_container(w.buf, version)
+        SNAPSHOT.seal(&w.buf)
     }
 }
 
@@ -1225,7 +1140,7 @@ impl MidPhaseCheckpointEncoder {
         put_opt::<AllocationResult>(None, &mut w);
         put_opt::<StitchedCycles>(None, &mut w);
         put_opt(Some(mid), &mut w);
-        seal_container(w.buf, SNAPSHOT_VERSION)
+        SNAPSHOT.seal(&w.buf)
     }
 }
 
@@ -1281,48 +1196,14 @@ impl Snapshot {
 
     /// Decodes and integrity-checks a snapshot container.
     pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot> {
-        // Not-a-snapshot beats torn-snapshot: a wrong magic is diagnosed as
-        // corruption even when the file is also short.
-        if bytes.len() >= 4 && bytes[0..4] != SNAPSHOT_MAGIC {
-            return Err(CsnakeError::SnapshotCorrupt(
-                "bad magic (not a .csnake snapshot)".into(),
-            ));
-        }
-        if bytes.len() < 24 {
-            return Err(CsnakeError::SnapshotTorn {
-                expected: 24,
-                found: bytes.len() as u64,
-            });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("sized"));
-        if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
-            return Err(CsnakeError::SnapshotVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let len = u64::from_le_bytes(bytes[8..16].try_into().expect("sized")) as usize;
-        let check = u64::from_le_bytes(bytes[16..24].try_into().expect("sized"));
-        let payload = &bytes[24..];
-        // Shorter than the header promises → the write was interrupted;
-        // longer → trailing junk from something other than a torn write.
-        if payload.len() < len {
-            return Err(CsnakeError::SnapshotTorn {
-                expected: 24 + len as u64,
-                found: bytes.len() as u64,
-            });
-        }
-        if payload.len() > len {
+        let (payload, rest) = SNAPSHOT.open(bytes)?;
+        if !rest.is_empty() {
             return Err(CsnakeError::SnapshotCorrupt(format!(
-                "payload length mismatch: header says {len}, file has {}",
-                payload.len()
+                "{} bytes after the snapshot's frame",
+                rest.len()
             )));
         }
-        if fnv1a_bytes(payload) != check {
-            return Err(CsnakeError::SnapshotCorrupt("checksum mismatch".into()));
-        }
-
-        let mut r = Reader::with_version(payload, version);
+        let mut r = Reader::new(payload);
         let snap = Snapshot {
             target: String::load(&mut r)?,
             registry_fp: u64::load(&mut r)?,
@@ -1689,76 +1570,20 @@ mod tests {
         }
     }
 
-    /// Pre-daemon v4 checkpoints must keep resuming: the v5-only fields
-    /// (shard islands, wire chaos rates) decode as empty/zero, everything
-    /// else byte-for-byte as before.
-    #[test]
-    fn version_4_files_still_decode_with_defaulted_v5_fields() {
-        let mut snap = sample_snapshot(Stage::Profiled);
-        // A v4 file cannot carry the v5-only state; clear it before
-        // encoding the old layout.
-        snap.mid_phase.as_mut().unwrap().shard_spans.clear();
-        let v4_bytes = SnapshotFields {
-            target: &snap.target,
-            registry_fp: snap.registry_fp,
-            cfg: &snap.cfg,
-            stage: snap.stage,
-            runs_executed: snap.runs_executed,
-            profiles: snap.profiles.as_ref(),
-            strategy: snap.strategy.as_ref(),
-            alloc: snap.alloc.as_ref(),
-            stitched: snap.stitched.as_ref(),
-            mid_phase: snap.mid_phase.as_ref(),
-        }
-        .to_bytes_versioned(4);
-        assert_eq!(u32::from_le_bytes(v4_bytes[4..8].try_into().unwrap()), 4);
-
-        let back = Snapshot::from_bytes(&v4_bytes).expect("v4 file must still decode");
-        let mp = back.mid_phase.as_ref().expect("mid-phase section");
-        assert!(mp.shard_spans.is_empty());
-        assert_eq!(back.cfg.driver.chaos.wire_drop, 0.0);
-        assert_eq!(back.cfg.driver.chaos.wire_stall, 0.0);
-        // Semantically identical to the v5 re-encode of the same state.
-        assert_eq!(back.to_bytes(), snap.to_bytes());
-    }
-
-    #[test]
-    fn v4_and_v5_encodings_differ_only_by_the_gated_fields() {
-        let mut snap = sample_snapshot(Stage::Profiled);
-        snap.mid_phase.as_mut().unwrap().shard_spans.clear();
-        let fields = |s: &Snapshot, v: u32| {
-            SnapshotFields {
-                target: &s.target,
-                registry_fp: s.registry_fp,
-                cfg: &s.cfg,
-                stage: s.stage,
-                runs_executed: s.runs_executed,
-                profiles: s.profiles.as_ref(),
-                strategy: s.strategy.as_ref(),
-                alloc: s.alloc.as_ref(),
-                stitched: s.stitched.as_ref(),
-                mid_phase: s.mid_phase.as_ref(),
-            }
-            .to_bytes_versioned(v)
-        };
-        let v4 = fields(&snap, 4);
-        let v5 = fields(&snap, 5);
-        // v5 adds exactly: 2×8 bytes of wire rates per ChaosConfig (the
-        // DetectConfig embeds one) + 1 varint byte for the empty
-        // shard-span list.
-        assert_eq!(v5.len(), v4.len() + 17);
-    }
-
+    /// Exactly one version is read. Version 4 went with the second payload
+    /// schema that reading it took.
     #[test]
     fn version_3_files_are_rejected_typed() {
-        let mut bytes = sample_snapshot(Stage::Profiled).to_bytes();
-        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-        match Snapshot::from_bytes(&bytes) {
-            Err(CsnakeError::SnapshotVersion { found, supported }) => {
-                assert_eq!(found, 3);
-                assert_eq!(supported, SNAPSHOT_VERSION);
+        for version in [1, 3, 4, SNAPSHOT_VERSION + 1] {
+            let mut bytes = sample_snapshot(Stage::Profiled).to_bytes();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            match Snapshot::from_bytes(&bytes) {
+                Err(CsnakeError::SnapshotVersion { found, supported }) => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, SNAPSHOT_VERSION);
+                }
+                other => panic!("version {version}: expected SnapshotVersion, got {other:?}"),
             }
-            other => panic!("expected SnapshotVersion, got {other:?}"),
         }
     }
 

@@ -1,21 +1,11 @@
 //! The coordinator/worker wire protocol.
 //!
-//! Frames reuse the snapshot wire discipline wholesale: every message is a
-//! [`Persist`]-encoded payload sealed in a length-prefixed, versioned,
-//! checksummed container — the same header layout as `.csnake` files, under
-//! a distinct magic so a snapshot can never be mistaken for a frame (or
-//! vice versa):
-//!
-//! ```text
-//! "CSNW" | version: u32 LE | payload len: u64 LE | FNV-1a: u64 LE | payload
-//! ```
-//!
-//! The decode path mirrors the snapshot reader's failure taxonomy exactly:
-//! a frame cut short is [`CsnakeError::SnapshotTorn`] (retryable — the peer
-//! died mid-write), a checksum or structure mismatch is
-//! [`CsnakeError::SnapshotCorrupt`], and an unknown version is
-//! [`CsnakeError::SnapshotVersion`]. Stream adapters translate those into
-//! `io::ErrorKind::InvalidData` at the socket boundary.
+//! Every message is a [`Persist`]-encoded payload in one
+//! [`csnake_core::frame`] container — the layout and the failure taxonomy
+//! are drawn there — under its own magic, `CSNW`, so a snapshot can never
+//! be mistaken for a frame (or vice versa). Stream adapters translate the
+//! container's typed errors into `io::ErrorKind::InvalidData` at the socket
+//! boundary.
 //!
 //! Message flow: the coordinator opens with [`WireMsg::Hello`] (target
 //! name, registry fingerprint, full campaign config); the worker re-derives
@@ -37,9 +27,8 @@ use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
 use csnake_core::error::{CsnakeError, Result};
-use csnake_core::{
-    fnv1a_bytes, CampaignEvent, DetectConfig, ExperimentOutcome, Persist, Reader, Writer,
-};
+use csnake_core::frame::{Format, HEADER_LEN};
+use csnake_core::{CampaignEvent, DetectConfig, ExperimentOutcome, Persist, Reader, Writer};
 use csnake_inject::{FaultId, RunTrace, TestId};
 
 /// Frame magic: `CSNW` ("CSnake Wire"), deliberately one letter away from
@@ -53,15 +42,20 @@ pub const WIRE_MAGIC: [u8; 4] = *b"CSNW";
 /// the coordinator's profile traces inside [`WireMsg::Hello`] so workers
 /// rebuild their driver from the artifact instead of re-profiling the
 /// target from scratch. Version 4 carries `Result` / `Event` telemetry as
-/// [`CampaignEvent`]s.
-pub const WIRE_VERSION: u32 = 4;
+/// [`CampaignEvent`]s. Version 5 is the first whose `Hello` carries the
+/// whole [`DetectConfig`]: up to version 4 the chaos section's `wire_drop`
+/// and `wire_stall` were left off the wire.
+pub const WIRE_VERSION: u32 = 5;
 
-/// Fixed header length: magic + version + payload length + checksum.
-pub const WIRE_HEADER_LEN: usize = 4 + 4 + 8 + 8;
+/// The wire's container format.
+const WIRE: Format = Format {
+    magic: WIRE_MAGIC,
+    version: WIRE_VERSION,
+};
 
-/// Upper bound accepted for one frame's payload. Far above any real
-/// message (the largest is a `Result` for one shard); its purpose is to
-/// turn a garbled length field into a typed error instead of an
+/// Upper bound [`read_msg`] accepts for one frame's payload. Far above any
+/// real message (the largest is a `Result` for one shard); its purpose is
+/// to turn a garbled length field into a typed error instead of an
 /// out-of-memory allocation.
 pub const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
 
@@ -265,63 +259,19 @@ impl Persist for WireMsg {
 
 /// Encodes one message into a complete frame (header + payload).
 pub fn seal_frame(msg: &WireMsg) -> Vec<u8> {
-    let mut w = Writer::with_version(WIRE_VERSION);
+    let mut w = Writer::new();
     msg.put(&mut w);
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(WIRE_HEADER_LEN + payload.len());
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    WIRE.seal(w.bytes())
 }
 
-/// Decodes one complete frame, verifying magic, version, length and
-/// checksum, and requiring the payload to be consumed exactly.
+/// Decodes one complete frame and nothing else: the container verifies
+/// magic, version, length and checksum, and the message must consume the
+/// payload exactly.
 pub fn open_frame(bytes: &[u8]) -> Result<WireMsg> {
-    if bytes.len() < WIRE_HEADER_LEN {
-        return Err(CsnakeError::SnapshotTorn {
-            expected: WIRE_HEADER_LEN as u64,
-            found: bytes.len() as u64,
-        });
-    }
-    if bytes[0..4] != WIRE_MAGIC {
-        return Err(CsnakeError::SnapshotCorrupt(format!(
-            "bad wire magic {:02x?}",
-            &bytes[0..4]
-        )));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("sized slice"));
-    if version != WIRE_VERSION {
-        return Err(CsnakeError::SnapshotVersion {
-            found: version,
-            supported: WIRE_VERSION,
-        });
-    }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("sized slice"));
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(CsnakeError::SnapshotCorrupt(format!(
-            "wire frame claims {len} payload bytes (cap {MAX_FRAME_PAYLOAD})"
-        )));
-    }
-    let expected_total = WIRE_HEADER_LEN as u64 + len;
-    if (bytes.len() as u64) < expected_total {
-        return Err(CsnakeError::SnapshotTorn {
-            expected: expected_total,
-            found: bytes.len() as u64,
-        });
-    }
-    let payload = &bytes[WIRE_HEADER_LEN..expected_total as usize];
-    let sum = u64::from_le_bytes(bytes[16..24].try_into().expect("sized slice"));
-    if fnv1a_bytes(payload) != sum {
-        return Err(CsnakeError::SnapshotCorrupt(
-            "wire frame checksum mismatch".into(),
-        ));
-    }
-    let mut r = Reader::with_version(payload, version);
+    let (payload, rest) = WIRE.open(bytes)?;
+    let mut r = Reader::new(payload);
     let msg = WireMsg::load(&mut r)?;
-    if !r.finished() {
+    if !r.finished() || !rest.is_empty() {
         return Err(CsnakeError::SnapshotCorrupt(
             "trailing bytes after wire message".into(),
         ));
@@ -343,9 +293,15 @@ pub fn write_msg<W: Write>(w: &mut W, msg: &WireMsg) -> io::Result<()> {
 /// a normal shutdown path. EOF *inside* a frame, or any decode failure, is
 /// an `io::Error` (`UnexpectedEof` / `InvalidData` respectively).
 pub fn read_msg<R: Read>(r: &mut R) -> io::Result<Option<WireMsg>> {
-    let mut frame = vec![0u8; WIRE_HEADER_LEN];
+    let invalid = |e: CsnakeError| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("wire decode failed: {e}"),
+        )
+    };
+    let mut frame = vec![0u8; HEADER_LEN];
     let mut got = 0usize;
-    while got < WIRE_HEADER_LEN {
+    while got < HEADER_LEN {
         match r.read(&mut frame[got..]) {
             Ok(0) if got == 0 => return Ok(None),
             Ok(0) => {
@@ -359,27 +315,24 @@ pub fn read_msg<R: Read>(r: &mut R) -> io::Result<Option<WireMsg>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u64::from_le_bytes(frame[8..16].try_into().expect("sized slice"));
+    // Magic and version are checked, and the length capped, before a byte
+    // of payload is allocated or waited for.
+    let (len, _) = WIRE.header(&frame).map_err(invalid)?;
     if len > MAX_FRAME_PAYLOAD {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("wire frame claims {len} payload bytes (cap {MAX_FRAME_PAYLOAD})"),
         ));
     }
-    frame.resize(WIRE_HEADER_LEN + len as usize, 0);
-    r.read_exact(&mut frame[WIRE_HEADER_LEN..])?;
-    open_frame(&frame).map(Some).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("wire decode failed: {e}"),
-        )
-    })
+    frame.resize(HEADER_LEN + len as usize, 0);
+    r.read_exact(&mut frame[HEADER_LEN..])?;
+    open_frame(&frame).map(Some).map_err(invalid)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csnake_core::{CausalEdge, CompatState, EdgeKind};
+    use csnake_core::{fnv1a_bytes, CausalEdge, CompatState, EdgeKind};
     use proptest::collection;
     use proptest::prelude::*;
 
@@ -520,7 +473,7 @@ mod tests {
     /// wire were meant to move.
     #[rustfmt::skip]
     const WIRE_GOLDEN: &[(&str, usize, u64)] = &[
-        ("hello", 233, 0x3e6a40fd6c6d0664),
+        ("hello", 249, 0xd87ba380b2af4cd4),
         ("hello_ack", 13, 0x44246f7708ccaaf1),
         ("assign", 15, 0xb7d08d2b4d32b938),
         ("result", 77, 0x0f6336230449c058),
@@ -545,7 +498,7 @@ mod tests {
             .zip(sample_messages())
             .map(|(name, msg)| {
                 let frame = seal_frame(&msg);
-                let payload = &frame[WIRE_HEADER_LEN..];
+                let payload = &frame[HEADER_LEN..];
                 (name, payload.len(), fnv1a_bytes(payload))
             })
             .collect();
@@ -593,6 +546,69 @@ mod tests {
                 "flip at byte {i} went undetected"
             );
         }
+    }
+
+    /// The round-trip tests compare two encodings, so a field dropped by
+    /// `put` is dropped on both sides and goes unseen; this one reads the
+    /// fields back. Up to wire version 4 both rates arrived as zero.
+    #[test]
+    fn hello_carries_the_whole_detect_config() {
+        let hello = sample_messages().remove(0);
+        let WireMsg::Hello { cfg: sent, .. } = &hello else {
+            panic!("the first sample is the Hello");
+        };
+        assert_eq!(
+            (sent.driver.chaos.wire_drop, sent.driver.chaos.wire_stall),
+            (0.25, 0.125)
+        );
+        let Ok(WireMsg::Hello { cfg: got, .. }) = open_frame(&seal_frame(&hello)) else {
+            panic!("a Hello decodes to a Hello");
+        };
+        assert_eq!(got.driver.chaos, sent.driver.chaos);
+        assert_eq!(format!("{got:?}"), format!("{sent:?}"));
+    }
+
+    /// A length nothing backs is a torn frame to `open_frame` and over the
+    /// cap to `read_msg`, which sizes no buffer by it.
+    #[test]
+    fn a_hostile_length_is_torn_or_over_the_cap() {
+        let frame = seal_frame(&WireMsg::Shutdown);
+        for len in [u64::MAX, u64::MAX - 23, 1 << 63, frame.len() as u64 + 1] {
+            let mut hostile = frame.clone();
+            hostile[8..16].copy_from_slice(&len.to_le_bytes());
+            match open_frame(&hostile) {
+                Err(CsnakeError::SnapshotTorn { expected, found }) => {
+                    assert_eq!(expected, 24u64.saturating_add(len));
+                    assert_eq!(found, frame.len() as u64);
+                }
+                other => panic!("length {len}: expected SnapshotTorn, got {other:?}"),
+            }
+            let err = read_msg(&mut io::Cursor::new(hostile)).expect_err("no such frame");
+            if len > MAX_FRAME_PAYLOAD {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains("cap"), "{err}");
+            } else {
+                assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            }
+        }
+    }
+
+    /// A header that is not the wire's is refused on its own: no buffer is
+    /// sized by its length field and no payload is waited for.
+    #[test]
+    fn read_msg_refuses_a_foreign_header_before_reading_a_payload() {
+        let mut header = seal_frame(&WireMsg::Shutdown)[..HEADER_LEN].to_vec();
+        header[0..4].copy_from_slice(&csnake_core::SNAPSHOT_MAGIC);
+        header[8..16].copy_from_slice(&(1u64 << 20).to_le_bytes());
+        let err = read_msg(&mut io::Cursor::new(header.clone())).expect_err("not a wire frame");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("magic"), "{err}");
+
+        header[0..4].copy_from_slice(&WIRE_MAGIC);
+        header[4..8].copy_from_slice(&(WIRE_VERSION - 1).to_le_bytes());
+        let err = read_msg(&mut io::Cursor::new(header)).expect_err("not this build's wire");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version"), "{err}");
     }
 
     #[test]

@@ -11,13 +11,10 @@
 //!
 //! * **JSONL** — one JSON object per line, greppable and loadable by any
 //!   tooling; see [`TelemetryRecord::to_json_line`].
-//! * **binary journal** — a sequence of self-delimiting frames in the
-//!   snapshot container discipline (`CSNJ` magic, version, length,
-//!   FNV-1a checksum, [`Persist`] payload). Truncation and garbling are
-//!   rejected with the same typed errors as snapshots:
-//!   [`CsnakeError::SnapshotTorn`] for an interrupted append,
-//!   [`CsnakeError::SnapshotCorrupt`] for bad magic/checksum, and
-//!   [`CsnakeError::SnapshotVersion`] for a format bump.
+//! * **binary journal** — a concatenation of [`csnake_core::frame`]
+//!   containers under the `CSNJ` magic, one [`Persist`]-encoded record
+//!   each; the layout and the typed errors truncation and garbling earn
+//!   are drawn there.
 //!
 //! The event a record wraps is a [`CampaignEvent`] — the same owned value
 //! every observer receives, encoded by its own [`Persist`] impl — so the
@@ -27,6 +24,7 @@
 //! have to replay.
 
 use csnake_core::error::{CsnakeError, Result};
+use csnake_core::frame::Format;
 use csnake_core::{stage_name, CampaignEvent, Persist, Reader, Writer};
 
 /// Leading magic of every binary journal frame.
@@ -38,8 +36,11 @@ pub const JOURNAL_MAGIC: [u8; 4] = *b"CSNJ";
 /// with [`CsnakeError::SnapshotVersion`].
 pub const JOURNAL_VERSION: u32 = 2;
 
-/// Frame header length: magic + version + payload length + checksum.
-const FRAME_HEADER_LEN: usize = 4 + 4 + 8 + 8;
+/// The journal's container format.
+const JOURNAL: Format = Format {
+    magic: JOURNAL_MAGIC,
+    version: JOURNAL_VERSION,
+};
 
 /// One journal record: an event plus its timing/attribution envelope.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,66 +304,35 @@ impl TelemetryRecord {
 
 /// Seals one record into a self-delimiting binary journal frame.
 pub fn seal_record(record: &TelemetryRecord) -> Vec<u8> {
-    let mut w = Writer::with_version(JOURNAL_VERSION);
+    let mut w = Writer::new();
     record.put(&mut w);
-    let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&JOURNAL_MAGIC);
-    out.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&csnake_core::fnv1a_bytes(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    JOURNAL.seal(w.bytes())
 }
 
 /// Decodes a binary journal: a concatenation of [`seal_record`] frames.
 ///
-/// Rejections are typed like snapshots: a file ending inside a frame
-/// header or payload is [`CsnakeError::SnapshotTorn`] (an interrupted
-/// append — everything before the tear decoded fine, but the caller must
-/// know the journal is incomplete); wrong magic or a checksum mismatch is
-/// [`CsnakeError::SnapshotCorrupt`]; an unknown frame version is
-/// [`CsnakeError::SnapshotVersion`].
+/// Rejections are the container's ([`csnake_core::frame`]), placed in the
+/// file: a journal ending inside a frame is [`CsnakeError::SnapshotTorn`]
+/// with `expected` / `found` as file offsets (an interrupted append —
+/// everything before the tear decoded fine, but the caller must know the
+/// journal is incomplete), and a corrupt frame names the offset it starts
+/// at.
 pub fn decode_journal(bytes: &[u8]) -> Result<Vec<TelemetryRecord>> {
     let mut out = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < FRAME_HEADER_LEN {
-            return Err(CsnakeError::SnapshotTorn {
-                expected: (pos + FRAME_HEADER_LEN) as u64,
+    let mut rest = bytes;
+    while !rest.is_empty() {
+        let pos = (bytes.len() - rest.len()) as u64;
+        let (payload, after) = JOURNAL.open(rest).map_err(|e| match e {
+            CsnakeError::SnapshotTorn { expected, .. } => CsnakeError::SnapshotTorn {
+                expected: pos.saturating_add(expected),
                 found: bytes.len() as u64,
-            });
-        }
-        if rest[..4] != JOURNAL_MAGIC {
-            return Err(CsnakeError::SnapshotCorrupt(format!(
-                "bad journal frame magic at offset {pos}"
-            )));
-        }
-        let version = u32::from_le_bytes(rest[4..8].try_into().expect("sized"));
-        if version != JOURNAL_VERSION {
-            return Err(CsnakeError::SnapshotVersion {
-                found: version,
-                supported: JOURNAL_VERSION,
-            });
-        }
-        let len = u64::from_le_bytes(rest[8..16].try_into().expect("sized")) as usize;
-        let check = u64::from_le_bytes(rest[16..24].try_into().expect("sized"));
-        let body_start = pos + FRAME_HEADER_LEN;
-        let body_end = body_start.checked_add(len).filter(|&e| e <= bytes.len());
-        let Some(body_end) = body_end else {
-            return Err(CsnakeError::SnapshotTorn {
-                expected: (body_start + len) as u64,
-                found: bytes.len() as u64,
-            });
-        };
-        let payload = &bytes[body_start..body_end];
-        if csnake_core::fnv1a_bytes(payload) != check {
-            return Err(CsnakeError::SnapshotCorrupt(format!(
-                "journal frame checksum mismatch at offset {pos}"
-            )));
-        }
-        let mut r = Reader::with_version(payload, version);
+            },
+            CsnakeError::SnapshotCorrupt(why) => {
+                CsnakeError::SnapshotCorrupt(format!("journal frame at offset {pos}: {why}"))
+            }
+            other => other,
+        })?;
+        let mut r = Reader::new(payload);
         let record = TelemetryRecord::load(&mut r)?;
         if !r.finished() {
             return Err(CsnakeError::SnapshotCorrupt(format!(
@@ -370,7 +340,7 @@ pub fn decode_journal(bytes: &[u8]) -> Result<Vec<TelemetryRecord>> {
             )));
         }
         out.push(record);
-        pos = body_end;
+        rest = after;
     }
     Ok(out)
 }
@@ -464,6 +434,29 @@ mod tests {
         match decode_journal(&bad_magic) {
             Err(CsnakeError::SnapshotCorrupt(_)) => {}
             other => panic!("expected SnapshotCorrupt, got {other:?}"),
+        }
+    }
+
+    /// A length nothing backs is a torn journal — at the parent
+    /// `body_start + len` overflowed — and the sizes are file offsets
+    /// whichever frame lies.
+    #[test]
+    fn a_hostile_length_is_torn_at_any_offset() {
+        let records = sample_records();
+        let first = seal_record(&records[0]).len();
+        let bytes = sealed(&records[..2]);
+        for at in [0, first] {
+            for len in [u64::MAX, u64::MAX - 23, 1 << 63, bytes.len() as u64 + 1] {
+                let mut hostile = bytes.clone();
+                hostile[at + 8..at + 16].copy_from_slice(&len.to_le_bytes());
+                match decode_journal(&hostile) {
+                    Err(CsnakeError::SnapshotTorn { expected, found }) => {
+                        assert_eq!(expected, (at as u64 + 24).saturating_add(len));
+                        assert_eq!(found, bytes.len() as u64);
+                    }
+                    other => panic!("length {len} at {at}: expected SnapshotTorn, got {other:?}"),
+                }
+            }
         }
     }
 

@@ -9,14 +9,12 @@
 
 use std::sync::Arc;
 
+use csnake_core::frame::HEADER_LEN;
 use csnake_core::{
     fnv1a_bytes, CampaignEvent, ClusterStats, DetectConfig, EdgeKind, Session, Stage, ThreePhase,
 };
 use csnake_inject::{FaultId, TestId};
 use csnake_telemetry::{seal_record, FlightRecorder, TelemetryRecord};
-
-/// Frame header: magic + version + payload length + checksum.
-const FRAME_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
 /// One event of every kind, in persist-tag order, built by hand: a pin
 /// whose input the code under test supplies pins nothing.
@@ -203,7 +201,7 @@ fn every_kind_keeps_its_bytes() {
             assert_eq!(event, Some(record.kind.name()));
             (
                 record.kind.name(),
-                fnv1a_bytes(&seal_record(&record)[FRAME_HEADER_LEN..]),
+                fnv1a_bytes(&seal_record(&record)[HEADER_LEN..]),
                 fnv1a_bytes(record.to_json_line().as_bytes()),
             )
         })

@@ -91,6 +91,39 @@ fn daemon_sources_sleep_only_for_the_injected_hang() {
     );
 }
 
+/// Lines of every first-party source, test and example — this file aside —
+/// that `bad(file, line)` flags, as `file:line: text`.
+fn tree_hits(bad: impl Fn(&Path, &str) -> bool) -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let krate = krate.expect("directory entry").path();
+        for dir in ["src", "tests"] {
+            if krate.join(dir).is_dir() {
+                rust_files(&krate.join(dir), &mut files);
+            }
+        }
+    }
+    assert!(
+        files.len() > 100,
+        "the scan found only {} files",
+        files.len()
+    );
+    let mut hits = Vec::new();
+    for file in files.iter().filter(|f| !f.ends_with(file!())) {
+        let text = fs::read_to_string(file).expect("source file is readable");
+        for (n, line) in text.lines().enumerate() {
+            if bad(file, line) {
+                hits.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    hits
+}
+
 /// The campaign-event vocabulary used to be stated six times — the observer
 /// trait's methods, a fan-out, a collector, telemetry's record enum, the
 /// daemon's wire enum and a forwarded-event enum — until
@@ -104,34 +137,40 @@ fn the_event_vocabulary_is_not_restated_under_a_retired_name() {
         "WorkerEvent",
         "event_forwarded",
     ];
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut files = Vec::new();
-    for dir in ["src", "tests", "examples"] {
-        rust_files(&root.join(dir), &mut files);
-    }
-    for krate in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
-        let src = krate.expect("directory entry").path().join("src");
-        if src.is_dir() {
-            rust_files(&src, &mut files);
-        }
-    }
-    assert!(
-        files.len() > 100,
-        "the scan found only {} files",
-        files.len()
-    );
-    let mut hits = Vec::new();
-    for file in files.iter().filter(|f| !f.ends_with(file!())) {
-        let text = fs::read_to_string(file).expect("source file is readable");
-        for (n, line) in text.lines().enumerate() {
-            if RETIRED.iter().any(|name| line.contains(name)) {
-                hits.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
-            }
-        }
-    }
+    let hits = tree_hits(|_, line| RETIRED.iter().any(|name| line.contains(name)));
     assert!(
         hits.is_empty(),
         "a retired event-vocabulary name is back:\n{}",
+        hits.join("\n")
+    );
+}
+
+/// Snapshots, wire frames and journals each hand-rolled the same 24-byte
+/// header — and drifted: only one bounded the length field, and payload
+/// fields were gated on whichever container's version the writer carried —
+/// until `csnake_core::frame::Format` became the one sealer and parser and
+/// `Writer` / `Reader` lost their version. The retired names stay retired,
+/// and the header's layout is read in `frame.rs` only, so a fourth framed
+/// format cannot quietly grow its own parser.
+#[test]
+fn the_frame_header_is_written_and_parsed_in_one_place() {
+    const RETIRED: &[&str] = &[
+        "with_version",
+        "to_bytes_versioned",
+        "SNAPSHOT_MIN_VERSION",
+        "WIRE_HEADER_LEN",
+        "FRAME_HEADER_LEN",
+        "fn seal_container",
+    ];
+    let hits = tree_hits(|file, line| {
+        let parses_header = (line.contains("[8..16]") || line.contains("[16..24]"))
+            && line.contains("from_le_bytes");
+        RETIRED.iter().any(|name| line.contains(name))
+            || (parses_header && !file.ends_with("crates/core/src/frame.rs"))
+    });
+    assert!(
+        hits.is_empty(),
+        "a second frame parser, or a name retired with the old ones:\n{}",
         hits.join("\n")
     );
 }
