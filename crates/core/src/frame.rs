@@ -265,7 +265,7 @@ mod tests {
     }
 
     /// A length prefix nothing backs is a torn frame in every format — not
-    /// an overflow (the parent's `24 + len`), not an allocation.
+    /// an overflow, not an allocation.
     #[test]
     fn a_hostile_length_is_torn_in_every_format() {
         for format in FORMATS {

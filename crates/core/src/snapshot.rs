@@ -71,13 +71,13 @@
 //! merged on resume by [`MidPhaseState::normalize`]. The wire chaos rates
 //! (`wire_drop`, `wire_stall`) join the persisted [`ChaosConfig`].
 //!
-//! Version-4 files, which lack both, are refused with
-//! [`CsnakeError::SnapshotVersion`] like every other version this build
-//! does not write: the layout is not self-describing, so reading one
-//! would take a second payload schema chosen by the container's version,
-//! and every other container that carries these values would then have to
-//! agree on what its own version means for them. Re-run the campaign, or
-//! resume from a version-5 checkpoint.
+//! Version-4 files lack both and are refused with
+//! [`CsnakeError::SnapshotVersion`], like every other version this build
+//! does not write. The layout is not self-describing, so reading them
+//! takes a second payload schema selected by the container's version — a
+//! version the wire and the journal, which carry the same values under
+//! versions of their own, cannot share. Re-run the campaign, or resume
+//! from a version-5 checkpoint.
 //!
 //! Integrity failures are the container's typed errors (see
 //! [`crate::frame`]), plus two of the snapshot's own: bytes after the
@@ -1570,8 +1570,7 @@ mod tests {
         }
     }
 
-    /// Exactly one version is read. Version 4 went with the second payload
-    /// schema that reading it took.
+    /// Exactly one version is read.
     #[test]
     fn version_3_files_are_rejected_typed() {
         for version in [1, 3, 4, SNAPSHOT_VERSION + 1] {

@@ -550,7 +550,7 @@ mod tests {
 
     /// The round-trip tests compare two encodings, so a field dropped by
     /// `put` is dropped on both sides and goes unseen; this one reads the
-    /// fields back. Up to wire version 4 both rates arrived as zero.
+    /// fields back.
     #[test]
     fn hello_carries_the_whole_detect_config() {
         let hello = sample_messages().remove(0);

@@ -437,9 +437,8 @@ mod tests {
         }
     }
 
-    /// A length nothing backs is a torn journal — at the parent
-    /// `body_start + len` overflowed — and the sizes are file offsets
-    /// whichever frame lies.
+    /// A length nothing backs is a torn journal, not an overflow, and the
+    /// sizes are file offsets whichever frame lies.
     #[test]
     fn a_hostile_length_is_torn_at_any_offset() {
         let records = sample_records();
