@@ -11,10 +11,20 @@
 //!   analyzer's filters (§4.1, §B.1);
 //! * for each `(fault, test)` experiment, run the injection runs (sweeping
 //!   delay lengths for loop faults) and hand the traces to FCA.
+//!
+//! The unit of scheduling is one simulator run. Profiling maps every
+//! `(test, rep)` through one ordered [`pool`] call; a batch expands its
+//! experiments into `(experiment, plan, rep)` runs, in batch order, and
+//! streams them through one panic-isolating pool call. As each
+//! `(experiment, plan)` run set completes, the calling thread indexes it,
+//! runs FCA on it and drops (or caches) its traces, so a batch never holds
+//! more than its in-flight run sets. Outcomes are pure functions of
+//! `(test, plan, seed)` merged in plan order, so any thread count gives
+//! the same results.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use csnake_analyzer::{analyze, Analysis, AnalysisConfig, CallGraph};
 use csnake_inject::{
@@ -25,10 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::alloc::ExperimentEngine;
 use crate::chaos::{ChaosConfig, ChaosInjector};
-use crate::fca::{
-    analyze_experiment_indexed, analyze_experiment_prepared, ExperimentOutcome, FcaConfig,
-    ProfileIndex,
-};
+use crate::fca::{analyze_experiment_prepared, ExperimentOutcome, FcaConfig, ProfileIndex};
 use crate::observer::{CampaignEvent, CampaignObserver};
 use crate::pool;
 use crate::target::TargetSystem;
@@ -88,7 +95,10 @@ pub struct DriverConfig {
     pub analysis: AnalysisConfig,
     /// Base seed; every `(test, rep)` derives its own run seed.
     pub base_seed: u64,
-    /// Run repetitions on worker threads.
+    /// Run a batch's (and the profile stage's) simulator runs on the
+    /// worker [`pool`], at most one per hardware thread; `false` runs them
+    /// one at a time on the calling thread. Results are identical either
+    /// way.
     pub parallel: bool,
     /// Cache injection-side run sets (traces + [`TraceIndex`]) keyed by
     /// `(test, plan)`, so a `(fault, test)` combination revisited later —
@@ -136,6 +146,15 @@ impl DriverConfig {
             ..Default::default()
         }
     }
+
+    /// Pool workers for simulator runs.
+    fn workers(&self) -> usize {
+        if self.parallel {
+            pool::hardware_threads()
+        } else {
+            1
+        }
+    }
 }
 
 /// Deterministic per-(test, rep) seed derivation.
@@ -169,6 +188,42 @@ fn inj_key(test: TestId, plan: InjectionPlan) -> InjKey {
     (test, plan.target, tag, delay_us)
 }
 
+/// The outcome of an experiment that found nothing.
+fn empty_outcome(fault: FaultId, test: TestId) -> ExperimentOutcome {
+    ExperimentOutcome {
+        fault,
+        test,
+        interference: Default::default(),
+        edges: Vec::new(),
+    }
+}
+
+/// A queued `(experiment, plan)` run set, filled by rep as its runs land.
+struct RunSet {
+    /// `(experiment, plan position, phase)` of the attempt reading it.
+    reader: (usize, usize, u8),
+    traces: Vec<Option<RunTrace>>,
+}
+
+/// One pending experiment's attempt: each plan's outcome once analysed,
+/// the runs it queued, and its first failure by `(plan position, rep)`.
+#[derive(Default)]
+struct Attempt {
+    plans: Vec<Option<ExperimentOutcome>>,
+    runs: usize,
+    failure: Option<((usize, usize), String)>,
+}
+
+impl Attempt {
+    /// Records a failure unless one at a lower `(plan, rep)` is known, so
+    /// the reason never depends on completion order.
+    fn fail(&mut self, at: (usize, usize), reason: String) {
+        if self.failure.as_ref().is_none_or(|(first, _)| at < *first) {
+            self.failure = Some((at, reason));
+        }
+    }
+}
+
 /// The experiment engine over one target system.
 pub struct Driver<'a> {
     target: &'a dyn TargetSystem,
@@ -186,11 +241,10 @@ pub struct Driver<'a> {
     /// Number of fault points covered per test.
     coverage_size: BTreeMap<TestId, usize>,
     /// Injection run sets cached per `(test, plan)` when
-    /// `cfg.cache_injections` is set (interior-mutable: experiments fan
-    /// out over `&self` on the worker pool).
-    inj_cache: Mutex<HashMap<InjKey, Arc<InjRunSet>>>,
-    cache_hits: AtomicUsize,
-    cache_misses: AtomicUsize,
+    /// `cfg.cache_injections` is set.
+    inj_cache: HashMap<InjKey, InjRunSet>,
+    cache_hits: usize,
+    cache_misses: usize,
     /// Total individual runs executed (profile + injection).
     pub runs_executed: usize,
     /// Self-fault-injection harness; disabled unless configured via
@@ -211,13 +265,19 @@ impl<'a> Driver<'a> {
     /// applies the static filters.
     pub fn new(target: &'a dyn TargetSystem, cfg: DriverConfig) -> Self {
         let tests = target.tests();
-        let mut profiles: BTreeMap<TestId, Vec<RunTrace>> = BTreeMap::new();
-        let mut runs = 0usize;
-        for tc in &tests {
-            let traces = run_batch(target, tc.id, None, &cfg, cfg.reps, cfg.parallel);
-            runs += traces.len();
-            profiles.insert(tc.id, traces);
-        }
+        let jobs: Vec<(TestId, usize)> = tests
+            .iter()
+            .flat_map(|tc| (0..cfg.reps).map(move |rep| (tc.id, rep)))
+            .collect();
+        let runs = jobs.len();
+        let traces = pool::run_ordered(jobs, cfg.workers(), |(t, rep)| {
+            target.run(t, None, seed_for(cfg.base_seed, t, rep))
+        });
+        let mut traces = traces.into_iter();
+        let profiles = tests
+            .iter()
+            .map(|tc| (tc.id, traces.by_ref().take(cfg.reps).collect()))
+            .collect();
         Self::from_profiles(target, cfg, profiles, runs)
     }
 
@@ -275,9 +335,9 @@ impl<'a> Driver<'a> {
             profile_idx,
             reaching,
             coverage_size,
-            inj_cache: Mutex::new(HashMap::new()),
-            cache_hits: AtomicUsize::new(0),
-            cache_misses: AtomicUsize::new(0),
+            inj_cache: HashMap::new(),
+            cache_hits: 0,
+            cache_misses: 0,
             runs_executed: runs,
             chaos,
             observer: None,
@@ -303,10 +363,7 @@ impl<'a> Driver<'a> {
     /// `cache_injections` is off. A hit means the experiment reused the
     /// recorded runs and their index without touching the simulator.
     pub fn trace_cache_stats(&self) -> (usize, usize) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
+        (self.cache_hits, self.cache_misses)
     }
 
     /// The registry of the target under test.
@@ -343,25 +400,17 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Runs one `(fault, test)` experiment — injection runs (sweeping delay
-    /// lengths for loop faults) plus indexed FCA against the cached profile
-    /// index — without touching driver state. Returns the outcome and the
-    /// number of simulator runs executed.
-    ///
-    /// `parallel_reps` controls per-repetition threading; it is disabled
-    /// when whole experiments already fan out on the worker pool, to avoid
-    /// oversubscribing the machine.
-    fn experiment_outcome(
+    /// Runs FCA on a complete run set into plan `k` of `a`; a panic fails
+    /// `a` after that plan's last rep.
+    fn analyze(
         &self,
-        f: FaultId,
+        set: &InjRunSet,
+        plan: InjectionPlan,
         t: TestId,
         phase: u8,
-        parallel_reps: bool,
-    ) -> (ExperimentOutcome, usize) {
-        // Chaos fires before any simulator work so a failed attempt
-        // contributes zero runs — a retried campaign's `runs_executed`
-        // matches an unfailed one exactly.
-        self.chaos.experiment_hook(f, t);
+        a: &mut Attempt,
+        k: usize,
+    ) {
         let fallback;
         let profile = match self.profile_idx.get(&t) {
             Some(p) => p,
@@ -370,119 +419,97 @@ impl<'a> Driver<'a> {
                 &fallback
             }
         };
-        let mut merged: Option<ExperimentOutcome> = None;
-        let mut runs = 0usize;
-        for plan in self.plans_for(f) {
-            let out = if self.cfg.cache_injections {
-                let key = inj_key(t, plan);
-                let cached = self
-                    .inj_cache
-                    .lock()
-                    .expect("injection cache poisoned")
-                    .get(&key)
-                    .cloned();
-                let set = match cached {
-                    Some(set) => {
-                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        set
-                    }
-                    None => {
-                        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-                        let traces = run_batch(
-                            self.target,
-                            t,
-                            Some(plan),
-                            &self.cfg,
-                            self.cfg.reps,
-                            parallel_reps,
-                        );
-                        runs += traces.len();
-                        let index = TraceIndex::build(&self.registry, &traces);
-                        let set = Arc::new(InjRunSet { traces, index });
-                        self.inj_cache
-                            .lock()
-                            .expect("injection cache poisoned")
-                            .insert(key, Arc::clone(&set));
-                        set
-                    }
-                };
-                analyze_experiment_prepared(
-                    &self.registry,
-                    profile,
-                    &set.index,
-                    &set.traces,
-                    plan,
-                    t,
-                    phase,
-                    &self.cfg.fca,
-                )
-            } else {
-                let traces = run_batch(
-                    self.target,
-                    t,
-                    Some(plan),
-                    &self.cfg,
-                    self.cfg.reps,
-                    parallel_reps,
-                );
-                runs += traces.len();
-                analyze_experiment_indexed(
-                    &self.registry,
-                    profile,
-                    &traces,
-                    plan,
-                    t,
-                    phase,
-                    &self.cfg.fca,
-                )
-            };
-            match &mut merged {
-                None => merged = Some(out),
-                Some(m) => {
-                    m.interference.extend(out.interference.iter().copied());
-                    // Causal relationships found at any delay length count
-                    // (§4.2: the sweep "maximizes discovery"); the CausalDb
-                    // deduplicates repeats.
-                    m.edges.extend(out.edges);
-                }
-            }
+        let out = catch_unwind(AssertUnwindSafe(|| {
+            analyze_experiment_prepared(
+                &self.registry,
+                profile,
+                &set.index,
+                &set.traces,
+                plan,
+                t,
+                phase,
+                &self.cfg.fca,
+            )
+        }));
+        match out {
+            Ok(out) => a.plans[k] = Some(out),
+            Err(payload) => a.fail((k, self.cfg.reps), pool::panic_message(payload.as_ref())),
         }
-        let outcome = merged.unwrap_or(ExperimentOutcome {
-            fault: f,
-            test: t,
-            interference: Default::default(),
-            edges: Vec::new(),
-        });
-        (outcome, runs)
     }
-}
 
-/// Runs `reps` repetitions of a workload (optionally threaded).
-fn run_batch(
-    target: &dyn TargetSystem,
-    test: TestId,
-    plan: Option<InjectionPlan>,
-    cfg: &DriverConfig,
-    reps: usize,
-    parallel: bool,
-) -> Vec<RunTrace> {
-    if !parallel || reps <= 1 {
-        return (0..reps)
-            .map(|rep| target.run(test, plan, seed_for(cfg.base_seed, test, rep)))
-            .collect();
+    /// One attempt at the `pending` experiments of `batch`. Each one's
+    /// chaos hook fires here, on the calling thread, before any of its runs
+    /// is queued, so a killed attempt launches no run. The survivors expand
+    /// into `(experiment, plan, rep)` runs in batch order (a cache hit into
+    /// none) that stream through one isolated pool call; each run set is
+    /// analysed, then cached or dropped, as soon as its last run lands.
+    fn attempt(&mut self, batch: &[(FaultId, TestId, u8)], pending: &[usize]) -> Vec<Attempt> {
+        let reps = self.cfg.reps;
+        let mut attempts: Vec<Attempt> = Vec::with_capacity(pending.len());
+        let mut sets: Vec<RunSet> = Vec::new();
+        let mut jobs: Vec<(usize, TestId, InjectionPlan, usize)> = Vec::new();
+        for (e, &i) in pending.iter().enumerate() {
+            let (f, t, phase) = batch[i];
+            let mut a = Attempt::default();
+            if let Err(payload) =
+                catch_unwind(AssertUnwindSafe(|| self.chaos.experiment_hook(f, t)))
+            {
+                a.fail((0, 0), pool::panic_message(payload.as_ref()));
+                attempts.push(a);
+                continue;
+            }
+            for (k, plan) in self.plans_for(f).into_iter().enumerate() {
+                a.plans.push(None);
+                if self.cfg.cache_injections {
+                    if let Some(set) = self.inj_cache.get(&inj_key(t, plan)) {
+                        self.analyze(set, plan, t, phase, &mut a, k);
+                        self.cache_hits += 1;
+                        continue;
+                    }
+                    self.cache_misses += 1;
+                }
+                jobs.extend((0..reps).map(|rep| (sets.len(), t, plan, rep)));
+                sets.push(RunSet {
+                    reader: (e, k, phase),
+                    traces: (0..reps).map(|_| None).collect(),
+                });
+                a.runs += reps;
+            }
+            attempts.push(a);
+        }
+
+        let target = self.target;
+        let base_seed = self.cfg.base_seed;
+        let mut fresh = Vec::new();
+        pool::run_each_caught(
+            jobs.clone(),
+            self.cfg.workers(),
+            |(_, t, plan, rep)| target.run(t, Some(plan), seed_for(base_seed, t, rep)),
+            |j, result| {
+                let (s, t, plan, rep) = jobs[j];
+                let set = &mut sets[s];
+                let (e, k, phase) = set.reader;
+                match result {
+                    Ok(trace) => set.traces[rep] = Some(trace),
+                    Err(payload) => {
+                        attempts[e].fail((k, rep), pool::panic_message(payload.as_ref()));
+                        return;
+                    }
+                }
+                if set.traces.iter().all(Option::is_some) {
+                    let traces: Vec<RunTrace> = set.traces.drain(..).flatten().collect();
+                    let index = TraceIndex::build(&self.registry, &traces);
+                    let done = InjRunSet { traces, index };
+                    self.analyze(&done, plan, t, phase, &mut attempts[e], k);
+                    if self.cfg.cache_injections {
+                        fresh.push((inj_key(t, plan), done));
+                    }
+                }
+            },
+        );
+        self.inj_cache.extend(fresh);
+        attempts
     }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..reps)
-            .map(|rep| {
-                let seed = seed_for(cfg.base_seed, test, rep);
-                scope.spawn(move || target.run(test, plan, seed))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("target run panicked"))
-            .collect()
-    })
 }
 
 impl ExperimentEngine for Driver<'_> {
@@ -504,15 +531,18 @@ impl ExperimentEngine for Driver<'_> {
             .expect("one outcome per experiment")
     }
 
-    /// Fans the batch's independent experiments out on the shared worker
-    /// pool, supervising failures. Target runs are deterministic in
-    /// `(test, plan, seed)` and results reassemble in batch order, so the
-    /// outcome sequence is bit-identical to the sequential path.
+    /// Streams the batch's simulator runs through the shared worker pool,
+    /// supervising failures. Target runs are deterministic in
+    /// `(test, plan, seed)`, each experiment merges its plans in plan order
+    /// and outcomes come back in batch order, so the outcome sequence is
+    /// bit-identical to the sequential path.
     ///
-    /// Jobs that panic (or are made to panic/stall by the chaos harness)
-    /// are quarantined and retried per [`DriverConfig::retry`]; the backoff
-    /// pauses pace wall-clock execution only and never enter results. A
-    /// job still failing after the budget becomes a *gap*: it yields an
+    /// An experiment whose chaos hook fires, or one of whose runs (or FCA)
+    /// panics, fails with the message of its first failure in
+    /// `(plan, rep)` order. Failed experiments are quarantined and re-run
+    /// per [`DriverConfig::retry`]; the backoff pauses pace wall-clock
+    /// execution only and never enter results. An experiment still
+    /// failing after the budget becomes a *gap*: it yields an
     /// empty [`ExperimentOutcome`] placeholder (preserving batch order and
     /// budget accounting), is reported via
     /// [`CampaignEvent::BatchFailed`], and is recorded for
@@ -520,31 +550,29 @@ impl ExperimentEngine for Driver<'_> {
     fn run_experiments(&mut self, batch: &[(FaultId, TestId, u8)]) -> Vec<ExperimentOutcome> {
         let batch_id = self.batch_counter;
         self.batch_counter += 1;
-        let threads = if self.cfg.parallel {
-            pool::hardware_threads()
-        } else {
-            1
-        };
-        // Per-repetition threading is only worthwhile when the batch itself
-        // cannot fan out — the historical sequential-path semantics.
-        let parallel_reps = self.cfg.parallel && batch.len() <= 1;
-
         let mut slots: Vec<Option<(ExperimentOutcome, usize)>> =
             (0..batch.len()).map(|_| None).collect();
         let mut pending: Vec<usize> = (0..batch.len()).collect();
         let mut attempt = 0u32;
         loop {
-            let jobs: Vec<(FaultId, TestId, u8)> = pending.iter().map(|&i| batch[i]).collect();
-            let this = &*self;
-            let results = pool::run_ordered_caught(jobs, threads, move |(f, t, p)| {
-                this.experiment_outcome(f, t, p, parallel_reps)
-            });
             let mut failed: Vec<(usize, String)> = Vec::new();
-            for (res, &idx) in results.into_iter().zip(pending.iter()) {
-                match res {
-                    Ok(out) => slots[idx] = Some(out),
-                    Err(payload) => failed.push((idx, pool::panic_message(payload.as_ref()))),
+            for (a, &idx) in self.attempt(batch, &pending).into_iter().zip(&pending) {
+                if let Some((_, reason)) = a.failure {
+                    failed.push((idx, reason));
+                    continue;
                 }
+                let (f, t, _) = batch[idx];
+                // Causal relationships found at any delay length count
+                // (§4.2: the sweep "maximizes discovery"); the CausalDb
+                // deduplicates repeats.
+                // A plan with no outcome had no runs (`reps == 0`).
+                let mut plans = a.plans.into_iter().flatten();
+                let mut merged = plans.next().unwrap_or_else(|| empty_outcome(f, t));
+                for out in plans {
+                    merged.interference.extend(out.interference);
+                    merged.edges.extend(out.edges);
+                }
+                slots[idx] = Some((merged, a.runs));
             }
             if failed.is_empty() {
                 break;
@@ -565,15 +593,7 @@ impl ExperimentEngine for Driver<'_> {
                     // Empty placeholder keeps batch order and budget
                     // accounting identical to a successful run; the cell is
                     // enumerated in the report's missing set instead.
-                    slots[*idx] = Some((
-                        ExperimentOutcome {
-                            fault: f,
-                            test: t,
-                            interference: Default::default(),
-                            edges: Vec::new(),
-                        },
-                        0,
-                    ));
+                    slots[*idx] = Some((empty_outcome(f, t), 0));
                 }
                 break;
             }

@@ -1,21 +1,32 @@
-//! Scope-borrowed worker pool shared by the stitch search and the
-//! experiment driver.
+//! Scope-borrowed worker pool shared by the stitch search, clustering and
+//! the experiment driver.
 //!
-//! Both hot paths fan identical-shaped jobs out to a fixed set of worker
-//! threads and need the results back **in job order** so parallel runs are
-//! bit-identical to sequential ones. The pool is deliberately minimal:
+//! Every caller fans identical-shaped jobs out to a fixed set of worker
+//! threads, in one of two shapes:
+//!
+//! * **ordered maps** ([`ScopedPool::map`], [`run_ordered`]) return results
+//!   **in job order**, so parallel runs are bit-identical to sequential
+//!   ones, and re-raise the first job panic;
+//! * **streams** ([`ScopedPool::for_each_caught`], [`run_each_caught`])
+//!   hand each result to the caller as it completes, a panic as an `Err`.
+//!   The driver runs a batch's simulator runs this way, so it can analyse
+//!   a finished run set and drop its traces while later runs still go.
+//!
+//! The pool is deliberately minimal:
 //!
 //! * workers are spawned inside a caller-provided [`std::thread::scope`],
 //!   so jobs may borrow stack data (the stitch search's shared index, the
-//!   driver's profile caches) without `Arc`-wrapping it;
-//! * jobs are tagged with their index on dispatch and reassembled by tag,
-//!   so completion order never leaks into results;
+//!   driver's target) without `Arc`-wrapping it;
+//! * jobs are tagged with their index on dispatch, so completion order
+//!   never leaks into results — maps reassemble by tag, streams pass the
+//!   tag on;
 //! * the job channel closes when the pool drops, which is how workers
 //!   learn to exit before the scope joins them.
 //!
-//! [`run_ordered`] is the one-shot convenience for callers that do not
-//! need to reuse the pool across rounds; the stitch search keeps a
-//! [`ScopedPool`] alive across beam levels to amortise thread spawning.
+//! [`run_ordered`] and [`run_each_caught`] are the one-shot conveniences
+//! for callers that do not need to reuse the pool across rounds; the
+//! stitch search keeps a [`ScopedPool`] alive across beam levels to
+//! amortise thread spawning.
 
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -31,10 +42,11 @@ pub struct ScopedPool<'env, J, R> {
     result_rx: Receiver<(usize, std::thread::Result<R>)>,
     threads: usize,
     /// Shared with workers: when set, a job panic is delivered as an `Err`
-    /// result instead of poisoning the pool (see [`ScopedPool::map_caught`]).
+    /// result instead of poisoning the pool (see
+    /// [`ScopedPool::for_each_caught`]).
     isolate: Arc<AtomicBool>,
     poisoned: Arc<AtomicBool>,
-    /// Monotonic per-pool batch counter; each `map`/`map_caught` call is one
+    /// Monotonic per-pool batch counter; each `map`/`for_each_caught` call is one
     /// batch, and the id is carried in re-raised panic messages so a failure
     /// deep in a campaign names the round it happened in.
     batch: usize,
@@ -154,33 +166,34 @@ impl<'env, J: Send + 'env, R: Send + 'env> ScopedPool<'env, J, R> {
             .collect()
     }
 
-    /// Like [`ScopedPool::map`], but with per-job isolation: a panicking
-    /// job becomes an `Err` slot in the returned vector while every other
-    /// job still executes and returns. Nothing is poisoned — the pool
-    /// remains usable for further rounds, which is what a retrying
-    /// supervisor needs to quarantine and re-run just the failed jobs.
-    pub fn map_caught(&mut self, jobs: impl IntoIterator<Item = J>) -> Vec<std::thread::Result<R>> {
+    /// Dispatches all jobs across the pool and hands each result to
+    /// `on_result`, with its job index, as soon as it arrives — completion
+    /// order, not job order; workers take jobs in job order. Per-job
+    /// isolation: a panicking job arrives as an `Err` carrying its payload
+    /// while every other job still runs. Nothing is poisoned, so the pool
+    /// stays usable for further rounds — what a retrying supervisor needs
+    /// to quarantine and re-run just the failed work.
+    pub fn for_each_caught(
+        &mut self,
+        jobs: impl IntoIterator<Item = J>,
+        mut on_result: impl FnMut(usize, std::thread::Result<R>),
+    ) {
         self.begin_batch(true);
         let mut sent = 0usize;
         for j in jobs {
             self.job_tx.send((sent, j)).expect("worker pool alive");
             sent += 1;
         }
-        let mut slots: Vec<Option<std::thread::Result<R>>> = (0..sent).map(|_| None).collect();
         for _ in 0..sent {
             let (idx, r) = self.result_rx.recv().expect("worker result");
-            slots[idx] = Some(r);
+            on_result(idx, r);
         }
         self.isolate.store(false, Ordering::Relaxed);
-        slots
-            .into_iter()
-            .map(|s| s.expect("all jobs returned"))
-            .collect()
     }
 
     /// Starts a new dispatch round: bumps the batch id, clears any stale
     /// poison from a previous round and sets the isolation mode workers
-    /// consult for this round's jobs. Safe because `map`/`map_caught`
+    /// consult for this round's jobs. Safe because `map`/`for_each_caught`
     /// take `&mut self` and fully drain their results before returning.
     fn begin_batch(&mut self, isolate: bool) -> usize {
         self.poisoned.store(false, Ordering::Relaxed);
@@ -264,16 +277,17 @@ where
     })
 }
 
-/// One-shot ordered parallel map with per-job isolation: every job runs,
-/// panics are captured as `Err` slots instead of propagating, and results
-/// come back in job order. The sequential fallback catches panics the same
-/// way, so callers see identical shapes at any thread count.
-pub fn run_ordered_caught<J, R, W>(
+/// One-shot streaming fan-out with per-job isolation: runs `work` over
+/// `jobs` on up to `threads` workers (capped like [`run_ordered`]) and
+/// hands every result to `on_result` as it arrives, a panic as an `Err`.
+/// The sequential fallback catches panics the same way and delivers in job
+/// order, so callers see identical shapes at any thread count.
+pub fn run_each_caught<J, R, W>(
     jobs: Vec<J>,
     threads: usize,
     work: W,
-) -> Vec<std::thread::Result<R>>
-where
+    mut on_result: impl FnMut(usize, std::thread::Result<R>),
+) where
     J: Send,
     R: Send,
     W: Fn(J) -> R + Sync,
@@ -283,14 +297,14 @@ where
         .min(jobs.len().max(1))
         .min(hardware_threads());
     if threads <= 1 || jobs.len() <= 1 {
-        return jobs
-            .into_iter()
-            .map(|j| catch_unwind(AssertUnwindSafe(|| work(j))))
-            .collect();
+        for (idx, j) in jobs.into_iter().enumerate() {
+            on_result(idx, catch_unwind(AssertUnwindSafe(|| work(j))));
+        }
+        return;
     }
     std::thread::scope(|scope| {
         let mut pool = ScopedPool::spawn(scope, &work, threads);
-        pool.map_caught(jobs)
+        pool.for_each_caught(jobs, on_result);
     })
 }
 
@@ -402,23 +416,24 @@ mod tests {
         };
         std::thread::scope(|scope| {
             let mut pool = ScopedPool::spawn(scope, &work, 4);
-            let out = pool.map_caught(0..9);
-            assert_eq!(out.len(), 9);
-            for (i, r) in out.iter().enumerate() {
+            let mut out: Vec<Option<std::thread::Result<usize>>> = (0..9).map(|_| None).collect();
+            pool.for_each_caught(0..9, |i, r| {
+                assert!(out[i].replace(r).is_none(), "job {i} delivered twice");
+            });
+            for (i, r) in out.into_iter().enumerate() {
+                let r = r.expect("every job delivered");
                 if i % 3 == 1 {
-                    let msg = panic_message(r.as_ref().expect_err("isolated panic").as_ref());
+                    let msg = panic_message(r.expect_err("isolated panic").as_ref());
                     assert!(msg.contains(&format!("job {i} down")), "{msg:?}");
                 } else {
-                    assert_eq!(*r.as_ref().expect("survivor"), i * 2);
+                    assert_eq!(r.expect("survivor"), i * 2);
                 }
             }
             // The pool is not poisoned: a follow-up round still executes
             // every job (this is the quarantine-and-retry contract).
-            let retry = pool.map_caught(vec![0usize, 3, 6]);
-            assert_eq!(
-                retry.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(),
-                vec![0, 6, 12]
-            );
+            let mut retry = vec![None; 3];
+            pool.for_each_caught(vec![0usize, 3, 6], |i, r| retry[i] = Some(r.unwrap()));
+            assert_eq!(retry, vec![Some(0), Some(6), Some(12)]);
             // And fail-fast mode still works on the same pool afterwards.
             assert_eq!(pool.map(vec![0usize, 3]), vec![0, 6]);
         });
@@ -430,19 +445,28 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let work = |x: u32| {
-            if x == 2 {
-                panic!("two");
+            if x % 7 == 2 {
+                panic!("job {x} down");
             }
             x + 100
         };
+        let expected: Vec<Result<u32, String>> = (0..64)
+            .map(|x| match x % 7 {
+                2 => Err(format!("job {x} down")),
+                _ => Ok(x + 100),
+            })
+            .collect();
         for threads in [1usize, 4] {
-            let out = run_ordered_caught((0..6).collect(), threads, work);
-            let shape: Vec<Option<u32>> = out.into_iter().map(|r| r.ok()).collect();
-            assert_eq!(
-                shape,
-                vec![Some(100), Some(101), None, Some(103), Some(104), Some(105)],
-                "threads={threads}"
-            );
+            let mut out: Vec<Option<Result<u32, String>>> = vec![None; 64];
+            run_each_caught((0..64).collect(), threads, work, |i, r| {
+                let r = r.map_err(|payload| panic_message(payload.as_ref()));
+                assert!(out[i].replace(r).is_none(), "job {i} delivered twice");
+            });
+            let out: Vec<_> = out
+                .into_iter()
+                .map(|r| r.expect("every job delivered"))
+                .collect();
+            assert_eq!(out, expected, "threads={threads}");
         }
         std::panic::set_hook(prev);
     }

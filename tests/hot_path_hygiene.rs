@@ -91,6 +91,24 @@ fn daemon_sources_sleep_only_for_the_injected_hang() {
     );
 }
 
+/// The driver once spawned a thread per repetition — five per profiled test
+/// and `reps` per plan of a lone experiment, uncapped by the core count —
+/// beside the pool it already used for batches. Its simulator runs go
+/// through `pool` only, which caps workers at the hardware threads.
+#[test]
+fn the_driver_spawns_threads_only_through_the_pool() {
+    let hits = shipped_hits(
+        &["crates/core/src/driver.rs"],
+        &["thread::scope", "thread::spawn", "scope.spawn"],
+        &[],
+    );
+    assert!(
+        hits.is_empty(),
+        "the driver spawns its own threads (use `pool`):\n{}",
+        hits.join("\n")
+    );
+}
+
 /// Lines of every first-party source, test and example — this file aside —
 /// that `bad(file, line)` flags, as `file:line: text`.
 fn tree_hits(bad: impl Fn(&Path, &str) -> bool) -> Vec<String> {
