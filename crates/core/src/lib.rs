@@ -59,13 +59,14 @@
 //! disk write is interrupted, the process is killed mid-phase — and the
 //! session layer is built to survive all three without perturbing results:
 //!
-//! * **Per-batch isolation and retry.** The driver runs every experiment
-//!   batch through a panic-isolating pool ([`pool`]); a panicking job
-//!   quarantines only its own batch slot, which is retried on a bounded,
-//!   deterministic exponential backoff schedule ([`RetryConfig`] —
-//!   backoff paces wall-clock only and never enters results). Batches are
-//!   merged in batch-index order, so a campaign that needed retries is
-//!   bit-identical to one that never failed.
+//! * **Per-batch isolation and retry.** The driver streams every batch's
+//!   simulator runs through a panic-isolating pool ([`pool`]); a panicking
+//!   run (or chaos hook, or FCA) fails only its own experiment, which is
+//!   re-expanded and retried on a bounded, deterministic exponential
+//!   backoff schedule ([`RetryConfig`] — backoff paces wall-clock only and
+//!   never enters results). Outcomes are merged in batch-index order, so a
+//!   campaign that needed retries is bit-identical to one that never
+//!   failed.
 //! * **Graceful degradation.** A cell that fails every retry becomes a
 //!   *gap*, not an abort: the campaign completes, the observer sees
 //!   [`CampaignEvent::BatchFailed`] and [`CampaignEvent::Degraded`],
@@ -135,8 +136,8 @@
 //!   the straightforward implementation as the executable specification.
 //! * [`driver`] / [`target`] — the workload driver and the abstraction over
 //!   systems under test.
-//! * [`pool`] — the scope-borrowed worker pool shared by the stitch search
-//!   and the driver's parallel experiment execution.
+//! * [`pool`] — the scope-borrowed worker pool shared by the stitch search,
+//!   clustering and the driver's simulator runs.
 //! * [`report`] — cycle composition, ground-truth matching and TP/FP
 //!   accounting used by the evaluation harness.
 //! * [`session`] / [`observer`] / [`snapshot`] / [`error`] — the staged
@@ -164,8 +165,12 @@
 //!   proves byte-identical outcomes.
 //! * **Experiment execution** — the 3PA planner emits each phase's
 //!   `(fault, test)` picks *before* running them (picks never depend on
-//!   outcomes within a phase), so [`Driver`] fans every phase batch out on
-//!   the shared [`pool`] with deterministic, batch-ordered results.
+//!   outcomes within a phase), so [`Driver`] expands every phase batch into
+//!   its `(experiment, plan, rep)` simulator runs and streams them through
+//!   one call on the shared [`pool`], at most one run per hardware thread.
+//!   Each `(experiment, plan)` run set is indexed and analysed the moment
+//!   its last run lands, then dropped, so a batch never holds all its
+//!   traces; outcomes are deterministic and batch-ordered.
 //! * **Phase-one clustering** — [`cluster::hierarchical_cluster`]
 //!   collapses exact-duplicate vectors, generates candidate pairs from an
 //!   inverted index over nonzero dimensions (pairs sharing no dimension

@@ -12,7 +12,7 @@
 //!   rep, not by which panic landed first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use csnake::core::driver::seed_for;
@@ -24,28 +24,44 @@ use csnake::core::{
 use csnake::inject::{FaultId, FaultKind, InjectAction, InjectionPlan, Registry, RunTrace, TestId};
 use csnake::targets::ToySystem;
 
-/// `ToySystem` behind a counter of launched runs, of runs in flight and of
-/// the most ever in flight. `slow` holds each run that long so concurrent
-/// runs overlap; `fail` may panic a run instead of finishing it.
+type Hook = Box<dyn Fn(Option<InjectionPlan>, u64) -> Option<String> + Send + Sync>;
+
+/// `ToySystem` behind a count of launched runs and a gauge of runs in
+/// flight. Until `company` runs have been in flight at once, each run waits
+/// (up to 10 s) for another to join it; `slow` then holds every run, so an
+/// uncapped driver's runs pile up; `hook` sees every run while it is in
+/// flight and may name a reason to panic it.
 struct Gauge {
     inner: ToySystem,
+    company: usize,
     slow: Duration,
-    fail: fn(Option<InjectionPlan>, u64) -> Option<String>,
+    hook: Hook,
     launched: AtomicUsize,
-    in_flight: AtomicUsize,
-    max_in_flight: AtomicUsize,
+    /// `(in flight now, most ever in flight)`.
+    flight: Mutex<(usize, usize)>,
+    joined: Condvar,
 }
 
 impl Gauge {
-    fn new(slow: Duration) -> Self {
+    fn new() -> Self {
         Gauge {
             inner: ToySystem::new(),
-            slow,
-            fail: |_, _| None,
+            company: 0,
+            slow: Duration::ZERO,
+            hook: Box::new(|_, _| None),
             launched: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            max_in_flight: AtomicUsize::new(0),
+            flight: Mutex::new((0, 0)),
+            joined: Condvar::new(),
         }
+    }
+
+    fn launched(&self) -> usize {
+        self.launched.load(Ordering::SeqCst)
+    }
+
+    /// The most runs ever in flight at once, resetting the count.
+    fn take_max(&self) -> usize {
+        std::mem::take(&mut self.flight.lock().unwrap().1)
     }
 }
 
@@ -64,12 +80,20 @@ impl TargetSystem for Gauge {
 
     fn run(&self, test: TestId, plan: Option<InjectionPlan>, seed: u64) -> RunTrace {
         self.launched.fetch_add(1, Ordering::SeqCst);
-        let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.max_in_flight.fetch_max(now, Ordering::SeqCst);
+        {
+            let mut flight = self.flight.lock().unwrap();
+            flight.0 += 1;
+            flight.1 = flight.1.max(flight.0);
+            self.joined.notify_all();
+            let wait = Duration::from_secs(10);
+            let alone = |f: &mut (usize, usize)| f.1 < self.company;
+            drop(self.joined.wait_timeout_while(flight, wait, alone).unwrap());
+        }
         std::thread::sleep(self.slow);
         let trace = self.inner.run(test, plan, seed);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        if let Some(reason) = (self.fail)(plan, seed) {
+        let failure = (self.hook)(plan, seed);
+        self.flight.lock().unwrap().0 -= 1;
+        if let Some(reason) = failure {
             panic!("{reason}");
         }
         trace
@@ -89,9 +113,11 @@ fn loop_cell(driver: &Driver) -> (FaultId, TestId) {
 #[test]
 fn runs_in_flight_never_exceed_the_hardware_threads() {
     let hw = hardware_threads();
-    let gauge = Gauge::new(Duration::from_millis(2));
+    let mut gauge = Gauge::new();
+    gauge.company = hw.min(2);
+    gauge.slow = Duration::from_millis(2);
     let mut driver = Driver::new(&gauge, DriverConfig::paper());
-    let profiled = gauge.max_in_flight.swap(0, Ordering::SeqCst);
+    let profiled = gauge.take_max();
     assert!(
         profiled <= hw,
         "profiling ran {profiled} simulations at once on {hw} hardware threads"
@@ -99,15 +125,16 @@ fn runs_in_flight_never_exceed_the_hardware_threads() {
 
     let (f, t) = loop_cell(&driver);
     driver.run_experiments(&[(f, t, 0)]);
-    let batch = gauge.max_in_flight.load(Ordering::SeqCst);
+    let batch = gauge.take_max();
     assert!(
         batch <= hw,
         "a 35-run experiment ran {batch} simulations at once on {hw} hardware threads"
     );
-    if hw >= 2 {
-        assert!(batch >= 2, "a 35-run experiment never ran two runs at once");
-    }
-    assert_eq!(gauge.launched.load(Ordering::SeqCst), driver.runs_executed);
+    assert!(
+        batch >= hw.min(2),
+        "a 35-run experiment ran one run at a time on {hw} hardware threads"
+    );
+    assert_eq!(gauge.launched(), driver.runs_executed);
 }
 
 fn fast_config() -> DetectConfig {
@@ -120,16 +147,13 @@ fn fast_config() -> DetectConfig {
 
 #[test]
 fn a_killed_attempt_launches_no_run() {
-    let clean_target = Gauge::new(Duration::ZERO);
+    let clean_target = Gauge::new();
     let mut clean = Session::builder(&clean_target)
         .config(fast_config())
         .build()
         .expect("drivable");
     let clean_report = format!("{:?}", clean.run_to_report(&ThreePhase::default()));
-    assert_eq!(
-        clean_target.launched.load(Ordering::SeqCst),
-        clean.runs_executed()
-    );
+    assert_eq!(clean_target.launched(), clean.runs_executed());
 
     let mut cfg = fast_config();
     cfg.driver.chaos = ChaosConfig {
@@ -140,7 +164,7 @@ fn a_killed_attempt_launches_no_run() {
         transient_attempts: 1,
         ..ChaosConfig::default()
     };
-    let target = Gauge::new(Duration::ZERO);
+    let target = Gauge::new();
     let progress = Arc::new(ProgressCollector::new());
     let mut chaotic = Session::builder(&target)
         .config(cfg)
@@ -151,7 +175,7 @@ fn a_killed_attempt_launches_no_run() {
 
     assert!(progress.snapshot().batch_retries > 0, "chaos never fired");
     assert_eq!(clean_report, report);
-    let launched = target.launched.load(Ordering::SeqCst);
+    let launched = target.launched();
     assert_eq!(
         launched,
         chaotic.runs_executed(),
@@ -184,7 +208,7 @@ fn permanent_chaos_fails_the_same_cells_for_the_same_reasons() {
             permanent: true,
             ..ChaosConfig::default()
         };
-        let target = Gauge::new(Duration::ZERO);
+        let target = Gauge::new();
         let failures = Arc::new(Failures::default());
         let mut session = Session::builder(&target)
             .config(cfg)
@@ -194,10 +218,7 @@ fn permanent_chaos_fails_the_same_cells_for_the_same_reasons() {
         session
             .run_to_report(&ThreePhase::default())
             .expect("degraded campaigns complete");
-        assert_eq!(
-            target.launched.load(Ordering::SeqCst),
-            session.runs_executed()
-        );
+        assert_eq!(target.launched(), session.runs_executed());
         let seen = failures.0.lock().unwrap().clone();
         seen
     };
@@ -211,21 +232,34 @@ fn permanent_chaos_fails_the_same_cells_for_the_same_reasons() {
 
 #[test]
 fn a_failed_experiment_names_its_first_failed_run() {
-    // Reps 1 and 2 of every injection run panic; rep 1 of the first plan
-    // lands last, so a reason taken in arrival order would name another.
-    let mut gauge = Gauge::new(Duration::ZERO);
-    gauge.fail = |plan, seed| {
-        let plan = plan?;
-        let rep = (1..3)
-            .find(|&rep| seed == seed_for(DriverConfig::default().base_seed, TestId(0), rep))?;
-        let InjectAction::Delay(d) = plan.action else {
+    // Reps 1 and 2 of both plans panic. On two or more workers, rep 1 of
+    // the first plan holds until rep 0 of the second has run — by then its
+    // worker has delivered rep 2 of the first plan — so a reason taken in
+    // arrival order would name rep 2.
+    let base_seed = DriverConfig::default().base_seed;
+    let hold = hardware_threads() >= 2;
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut gauge = Gauge::new();
+    gauge.hook = Box::new(move |plan, seed| {
+        let InjectAction::Delay(d) = plan?.action else {
             return None;
         };
-        if rep == 1 && d.as_micros() == 100_000 {
-            std::thread::sleep(Duration::from_millis(100));
+        let rep = (0..3).find(|&rep| seed == seed_for(base_seed, TestId(0), rep))?;
+        let first_plan = d.as_micros() == 100_000;
+        let (ran, cv) = &*gate;
+        if !first_plan && rep == 0 {
+            *ran.lock().unwrap() = true;
+            cv.notify_all();
         }
-        Some(format!("run (delay {} us, rep {rep}) down", d.as_micros()))
-    };
+        if hold && first_plan && rep == 1 {
+            let wait = Duration::from_secs(10);
+            drop(
+                cv.wait_timeout_while(ran.lock().unwrap(), wait, |ran| !*ran)
+                    .unwrap(),
+            );
+        }
+        (rep > 0).then(|| format!("run (delay {} us, rep {rep}) down", d.as_micros()))
+    });
     let mut cfg = DriverConfig {
         reps: 3,
         delay_values_ms: vec![100, 800],
