@@ -168,7 +168,7 @@ pub fn seed_for(base: u64, test: TestId, rep: usize) -> u64 {
     h.wrapping_mul(0x94D0_49BB_1331_11EB)
 }
 
-/// One cached injection-side run set: the recorded traces plus the
+/// One complete injection-side run set: the recorded traces plus the
 /// [`TraceIndex`] FCA builds over them.
 struct InjRunSet {
     traces: Vec<RunTrace>,

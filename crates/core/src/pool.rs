@@ -46,9 +46,9 @@ pub struct ScopedPool<'env, J, R> {
     /// [`ScopedPool::for_each_caught`]).
     isolate: Arc<AtomicBool>,
     poisoned: Arc<AtomicBool>,
-    /// Monotonic per-pool batch counter; each `map`/`for_each_caught` call is one
-    /// batch, and the id is carried in re-raised panic messages so a failure
-    /// deep in a campaign names the round it happened in.
+    /// Monotonic per-pool batch counter; each `map`/`for_each_caught` call
+    /// is one batch, and the id is carried in re-raised panic messages so a
+    /// failure deep in a campaign names the round it happened in.
     batch: usize,
     _marker: PhantomData<&'env ()>,
 }
