@@ -20,27 +20,27 @@
 //! * jobs are tagged with their index on dispatch, so completion order
 //!   never leaks into results — maps reassemble by tag, streams pass the
 //!   tag on;
-//! * the job channel closes when the pool drops, which is how workers
-//!   learn to exit before the scope joins them.
+//! * dropping the pool closes the job channel and joins the workers to
+//!   their threads' end, so each has handed its malloc arena back before
+//!   the next pool spawns (the scope's own join does not wait for that).
 //!
 //! [`run_ordered`] and [`run_each_caught`] are the one-shot conveniences
 //! for callers that do not need to reuse the pool across rounds; the
 //! stitch search keeps a [`ScopedPool`] alive across beam levels to
 //! amortise thread spawning.
 
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// A persistent pool of scoped worker threads mapping jobs `J` to results
 /// `R` through a shared worker function.
-pub struct ScopedPool<'env, J, R> {
+pub struct ScopedPool<'scope, J, R> {
     job_tx: Sender<(usize, J)>,
+    workers: Vec<ScopedJoinHandle<'scope, ()>>,
     result_rx: Receiver<(usize, std::thread::Result<R>)>,
-    threads: usize,
     /// Shared with workers: when set, a job panic is delivered as an `Err`
     /// result instead of poisoning the pool (see
     /// [`ScopedPool::for_each_caught`]).
@@ -50,22 +50,19 @@ pub struct ScopedPool<'env, J, R> {
     /// is one batch, and the id is carried in re-raised panic messages so a
     /// failure deep in a campaign names the round it happened in.
     batch: usize,
-    _marker: PhantomData<&'env ()>,
 }
 
-impl<'env, J: Send + 'env, R: Send + 'env> ScopedPool<'env, J, R> {
+impl<'scope, J: Send + 'scope, R: Send + 'scope> ScopedPool<'scope, J, R> {
     /// Spawns `threads` workers on the scope, each running `work` on every
     /// job it receives. `work` is borrowed for the whole scope, so it may
     /// itself borrow anything that outlives the scope.
-    pub fn spawn<'scope, W>(
+    pub fn spawn<'env, W>(
         scope: &'scope Scope<'scope, 'env>,
         work: &'scope W,
         threads: usize,
-    ) -> ScopedPool<'env, J, R>
+    ) -> ScopedPool<'scope, J, R>
     where
         W: Fn(J) -> R + Sync,
-        J: 'scope,
-        R: 'scope,
     {
         let threads = threads.max(1);
         let (job_tx, job_rx) = channel::<(usize, J)>();
@@ -73,12 +70,13 @@ impl<'env, J: Send + 'env, R: Send + 'env> ScopedPool<'env, J, R> {
         let (result_tx, result_rx) = channel();
         let poisoned = Arc::new(AtomicBool::new(false));
         let isolate = Arc::new(AtomicBool::new(false));
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let job_rx = Arc::clone(&job_rx);
             let result_tx = result_tx.clone();
             let poisoned = Arc::clone(&poisoned);
             let isolate = Arc::clone(&isolate);
-            scope.spawn(move || loop {
+            workers.push(scope.spawn(move || loop {
                 // The guard drops as soon as `recv` returns, so other
                 // workers can pick up the next job immediately.
                 let job = { job_rx.lock().expect("job queue").recv() };
@@ -107,22 +105,21 @@ impl<'env, J: Send + 'env, R: Send + 'env> ScopedPool<'env, J, R> {
                 if result_tx.send((idx, out)).is_err() {
                     break;
                 }
-            });
+            }));
         }
         ScopedPool {
             job_tx,
+            workers,
             result_rx,
-            threads,
             isolate,
             poisoned,
             batch: 0,
-            _marker: PhantomData,
         }
     }
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.workers.len()
     }
 
     /// Dispatches all jobs across the pool and returns results in job
@@ -204,6 +201,15 @@ impl<'env, J: Send + 'env, R: Send + 'env> ScopedPool<'env, J, R> {
     }
 }
 
+impl<J, R> Drop for ScopedPool<'_, J, R> {
+    fn drop(&mut self) {
+        self.job_tx = channel().0; // drops the real sender: workers exit
+        for worker in self.workers.drain(..) {
+            let _ = worker.join(); // job panics are caught: never `Err`
+        }
+    }
+}
+
 /// Best-effort extraction of a panic payload's human-readable message.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -272,8 +278,7 @@ where
     std::thread::scope(|scope| {
         let mut pool = ScopedPool::spawn(scope, &work, threads);
         pool.map(jobs)
-        // Dropping the pool closes the job channel; workers exit before
-        // the scope joins them.
+        // Dropping the pool closes the job channel and joins the workers.
     })
 }
 
@@ -340,6 +345,35 @@ mod tests {
                         .collect::<Vec<_>>()
                 );
             }
+        });
+    }
+
+    #[test]
+    fn dropping_the_pool_waits_for_worker_threads_to_end() {
+        // A thread-local destructor runs during thread exit, after the
+        // worker closure has returned: it has run only if the drop waited
+        // for the threads themselves, not just for their closures.
+        use std::sync::atomic::AtomicUsize;
+        static STARTED: AtomicUsize = AtomicUsize::new(0);
+        static ENDED: AtomicUsize = AtomicUsize::new(0);
+        struct OnExit;
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                ENDED.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static EXIT: OnExit = {
+            STARTED.fetch_add(1, Ordering::SeqCst);
+            OnExit
+        });
+        let work = |x: usize| EXIT.with(|_| x);
+        std::thread::scope(|scope| {
+            let mut pool = ScopedPool::spawn(scope, &work, 3);
+            assert_eq!(pool.map(0..6), (0..6).collect::<Vec<_>>());
+            drop(pool);
+            assert!(STARTED.load(Ordering::SeqCst) >= 1);
+            assert_eq!(ENDED.load(Ordering::SeqCst), STARTED.load(Ordering::SeqCst));
         });
     }
 
