@@ -301,6 +301,80 @@ fn multi_test_db(seed: u64, n_faults: u64, rels_per_fault: u64, tests: u32) -> C
     CausalDb::from_edges(edges)
 }
 
+/// `(seed, beam, levels)` of the duplicate-heavy test at threads 1: per
+/// level `[frontier, candidates_generated, candidates_kept, cycles_raw,
+/// cycles_kept]`, seeding level first.
+type PinnedLevels = (u64, usize, [[usize; 5]; 5]);
+
+const ONE_RANGE_LEVELS: [PinnedLevels; 6] = [
+    (
+        1,
+        1,
+        [
+            [0, 2322, 2322, 210, 113],
+            [2322, 26718, 1, 2460, 424],
+            [1, 10, 1, 3, 2],
+            [1, 11, 1, 1, 1],
+            [1, 0, 0, 1, 1],
+        ],
+    ),
+    (
+        1,
+        7,
+        [
+            [0, 2322, 2322, 210, 113],
+            [2322, 26718, 7, 2460, 424],
+            [7, 72, 12, 10, 6],
+            [7, 78, 10, 2, 2],
+            [7, 0, 0, 2, 2],
+        ],
+    ),
+    (
+        1,
+        64,
+        [
+            [0, 2322, 2322, 210, 113],
+            [2322, 26718, 83, 2460, 424],
+            [64, 751, 64, 70, 36],
+            [64, 783, 76, 61, 37],
+            [64, 0, 0, 62, 38],
+        ],
+    ),
+    (
+        2,
+        1,
+        [
+            [0, 2371, 2371, 248, 137],
+            [2371, 28019, 1, 2503, 460],
+            [1, 18, 1, 1, 1],
+            [1, 12, 1, 0, 0],
+            [1, 0, 0, 3, 2],
+        ],
+    ),
+    (
+        2,
+        7,
+        [
+            [0, 2371, 2371, 248, 137],
+            [2371, 28019, 7, 2503, 460],
+            [7, 76, 7, 10, 7],
+            [7, 77, 10, 8, 6],
+            [7, 0, 0, 13, 9],
+        ],
+    ),
+    (
+        2,
+        64,
+        [
+            [0, 2371, 2371, 248, 137],
+            [2371, 28019, 118, 2503, 460],
+            [64, 742, 88, 78, 56],
+            [64, 762, 88, 59, 42],
+            [64, 0, 0, 38, 30],
+        ],
+    ),
+];
+
 #[test]
 fn in_expansion_dedup_and_cut_match_reference_on_duplicate_heavy_dbs() {
     // > 2048 seed chains, so the first expansion runs on the worker pool
@@ -325,6 +399,40 @@ fn in_expansion_dedup_and_cut_match_reference_on_duplicate_heavy_dbs() {
                 let (fast, levels) = index.search_with_stats(&sim, &cfg(threads));
                 let label = format!("beam={beam_size} threads={threads}");
                 assert_identical(seed, &label, &fast, &reference);
+                let rows: Vec<[usize; 5]> = levels
+                    .iter()
+                    .map(|l| {
+                        [
+                            l.frontier,
+                            l.candidates_generated,
+                            l.candidates_kept,
+                            l.cycles_raw,
+                            l.cycles_kept,
+                        ]
+                    })
+                    .collect();
+                let pinned = ONE_RANGE_LEVELS
+                    .iter()
+                    .find(|p| (p.0, p.1) == (seed, beam_size))
+                    .expect("a pinned row per seed and beam")
+                    .2;
+                // One range at threads 1: every counter is pinned. A pooled
+                // level hands the merge what each range kept, so there
+                // `candidates_kept` may differ and nothing else may.
+                let without_kept = |rows: &[[usize; 5]]| -> Vec<[usize; 5]> {
+                    rows.iter()
+                        .map(|&[f, g, _, r, c]| [f, g, 0, r, c])
+                        .collect()
+                };
+                if threads == 1 {
+                    assert_eq!(rows, pinned, "seed {seed} {label}: level stats");
+                } else {
+                    assert_eq!(
+                        without_kept(&rows),
+                        without_kept(&pinned),
+                        "seed {seed} {label}: level stats"
+                    );
+                }
                 let first = levels[1];
                 assert!(
                     first.frontier > 2048 && first.candidates_generated > first.candidates_kept,
