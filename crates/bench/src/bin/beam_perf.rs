@@ -5,7 +5,9 @@
 //! affordable), so successive PRs can track the hot path.
 //!
 //! Every case asserts that the grouped build's search output is identical
-//! to the per-edge reference build's, and records the index's
+//! to the per-edge reference build's and that the search returns the same
+//! cycles at `threads = 1` as at the configured thread count (one
+//! expansion range against the pooled merge), and records the index's
 //! `CompatStats` (edge-group and state-pair dedup, stored vs avoided
 //! successor entries) and the search's per-level `LevelStats` (generated
 //! vs kept candidates and cycles) in the artifact. The last case is the
@@ -174,6 +176,18 @@ fn main() {
             cycles_found,
             reference_index.search(&|_| 0.5, &cfg),
             "grouped build diverged from per-edge reference build at n={}",
+            case.n_faults
+        );
+        assert_eq!(
+            cycles_found,
+            index.search(
+                &|_| 0.5,
+                &BeamConfig {
+                    threads: 1,
+                    ..cfg.clone()
+                }
+            ),
+            "pooled search diverged from the one-range search at n={}",
             case.n_faults
         );
         let cycles = cycles_found.len();

@@ -12,9 +12,13 @@
 //! [`beam_search`] runs on the prepared [`StitchIndex`](crate::stitch) —
 //! all pairwise compatibility work is hoisted out of the search loop into a
 //! precomputed successor table, chains live in a parent-pointer arena, and
-//! the beam cut is an O(n) selection. [`beam_search_reference`] retains the
-//! straightforward clone-per-extension implementation as the executable
-//! specification; `tests/beam_equivalence.rs` checks the two agree exactly.
+//! the beam cut is an O(n) selection that dedups only the chains it
+//! selects. Its cycles are deduplicated by a 128-bit multiset key as they
+//! close, so it skips the reference's exact structural pass
+//! (`finalize_cycles`).
+//! [`beam_search_reference`] retains the straightforward
+//! clone-per-extension implementation as the executable specification;
+//! `tests/beam_equivalence.rs` checks the two agree exactly.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,7 +94,7 @@ impl Cycle {
 
 /// A finished chain before structural cycle deduplication.
 #[derive(Debug, Clone)]
-pub(crate) struct RawChain {
+struct RawChain {
     /// Edge indices in propagation order.
     pub edges: Vec<usize>,
     /// Sum of edge SimScores (score = sum / len).
@@ -101,7 +105,7 @@ pub(crate) struct RawChain {
 /// cycle, regardless of rotation or which test each edge came from) and
 /// sorts by ascending score, then length. `triple_of` maps an edge index to
 /// its structural `(cause, effect, kind)` triple.
-pub(crate) fn finalize_cycles(
+fn finalize_cycles(
     raw: Vec<RawChain>,
     triple_of: impl Fn(usize) -> (FaultId, FaultId, u8),
 ) -> Vec<Cycle> {

@@ -50,19 +50,21 @@
 //!   safe because equal key ⇒ equal score. Whatever a range drops has `B`
 //!   distinct keys ranked ahead of it inside the range, and the level-wide
 //!   first occurrences of those keys rank no later, so it was never in the
-//!   level's top `B`. The level merge then dedups only *across* ranges
-//!   (first occurrence wins, as in the reference), cuts the beam with
-//!   `select_nth_unstable_by` (O(n) expected) and sorts the surviving `B`
-//!   ranks, which reproduces the reference semantics (stable score order)
-//!   without sorting the whole frontier.
+//!   level's top `B`. The level merge then selects before it dedups:
+//!   `select_nth_unstable_by` (O(n) expected) picks the `B` best ranks,
+//!   which are sorted and walked keeping each key's first occurrence
+//!   *across* ranges; a round that dropped duplicates repeats on the rest
+//!   for the missing places. That is the reference's dedup-then-cut in
+//!   stable score order, without hashing or sorting the whole level.
 //! * **Commutative cycle keys** — closing extensions get the same
 //!   treatment: a 128-bit multiset key (lane-wise wrapping sum of per-edge
 //!   words finalized once at index build) is accumulated by the
 //!   ≤ `max_len` arena walk at closure time, equal for every rotation and
-//!   every witness of one relationship multiset. Ranges, then levels, keep
-//!   first occurrences by key; only those are materialised as edge paths
-//!   and handed to the exact `finalize_cycles` dedup, which therefore
-//!   keeps the very representatives it always kept.
+//!   every witness of one relationship multiset. Ranges, then the level
+//!   merge, keep first occurrences by key. No exact structural dedup
+//!   follows (the reference's `finalize_cycles`): a level holds one cycle
+//!   length and equal multisets have equal keys and lengths, so the kept
+//!   cycles are already pairwise distinct multisets.
 //! * **Persistent workers** — a scope-borrowed [`ScopedPool`] (the shared
 //!   `csnake_core::pool` module, also used by the experiment driver) is
 //!   spawned lazily (first level whose frontier is large enough to
@@ -86,8 +88,8 @@
 //! `O(frontier · fanout)` integer work (one set probe per extension,
 //! spread over the workers), but holds only `O(ranges · min(distinct, 2B))`
 //! candidates and `O(ranges · distinct cycles)` cycle refs: nothing is
-//! sized by `frontier · fanout`, and the serial merge — cross-range
-//! dedup, `O(n)` selection, materialisation — sees distinct entries only.
+//! sized by `frontier · fanout`, and the serial merge is an `O(n)`
+//! selection plus a key probe per selected rank (≈ `B` of them, not `n`).
 //! [`LevelStats`] reports generated against kept, per level.
 
 use std::collections::HashSet;
@@ -97,7 +99,7 @@ use std::sync::{Mutex, RwLock};
 
 use csnake_inject::FaultId;
 
-use crate::beam::{finalize_cycles, BeamConfig, Cycle, RawChain};
+use crate::beam::{BeamConfig, Cycle};
 use crate::edge::{CausalDb, CompatState, EdgeKind};
 use crate::fxhash::{FxHasher, FxMap};
 use crate::pool::{chunk_ranges, run_ordered, ScopedPool};
@@ -317,8 +319,6 @@ impl CompatStats {
 pub struct StitchIndex {
     /// Raw cause fault per edge.
     cause: Vec<FaultId>,
-    /// Raw effect fault per edge.
-    effect: Vec<FaultId>,
     /// Edge kind per edge.
     kind: Vec<EdgeKind>,
     /// 1 for delay-cause injection edges (counts against the delay cap).
@@ -352,7 +352,6 @@ pub struct StitchIndex {
 /// The per-edge flat arrays and interning tables both builds share.
 struct BuildPrelude {
     cause: Vec<FaultId>,
-    effect: Vec<FaultId>,
     kind: Vec<EdgeKind>,
     delay_w: Vec<u8>,
     struct_word: Vec<(u64, u64)>,
@@ -370,14 +369,12 @@ fn build_prelude(db: &CausalDb) -> BuildPrelude {
     let n = db.len();
     assert!(n < NONE as usize, "edge count exceeds u32 index space");
     let mut cause = Vec::with_capacity(n);
-    let mut effect = Vec::with_capacity(n);
     let mut kind = Vec::with_capacity(n);
     let mut delay_w = Vec::with_capacity(n);
     let mut struct_word = Vec::with_capacity(n);
     let mut cycle_word = Vec::with_capacity(n);
     for e in db.edges() {
         cause.push(e.cause);
-        effect.push(e.effect);
         kind.push(e.kind);
         delay_w.push(u8::from(e.kind.is_injection() && e.kind.cause_is_delay()));
         let words = Hash128::edge_words(e.cause, e.effect, e.kind);
@@ -392,7 +389,11 @@ fn build_prelude(db: &CausalDb) -> BuildPrelude {
         *ids.entry(f).or_insert(next)
     };
     let cause_dense: Vec<u32> = cause.iter().map(|&f| dense(f, &mut fault_ids)).collect();
-    let effect_dense: Vec<u32> = effect.iter().map(|&f| dense(f, &mut fault_ids)).collect();
+    let effect_dense: Vec<u32> = db
+        .edges()
+        .iter()
+        .map(|e| dense(e.effect, &mut fault_ids))
+        .collect();
     let n_faults = fault_ids.len();
 
     // Identity table: counting-sort edges by dense cause fault. Edge
@@ -433,7 +434,6 @@ fn build_prelude(db: &CausalDb) -> BuildPrelude {
 
     BuildPrelude {
         cause,
-        effect,
         kind,
         delay_w,
         struct_word,
@@ -648,7 +648,6 @@ impl StitchIndex {
 
         StitchIndex {
             cause: p.cause,
-            effect: p.effect,
             kind: p.kind,
             delay_w: p.delay_w,
             struct_word: p.struct_word,
@@ -729,7 +728,6 @@ impl StitchIndex {
 
         StitchIndex {
             cause: p.cause,
-            effect: p.effect,
             kind: p.kind,
             delay_w: p.delay_w,
             struct_word: p.struct_word,
@@ -901,10 +899,10 @@ impl StitchIndex {
             drop(pool);
         });
 
-        // Materialise the key-distinct chains from the arena (edge paths
-        // root → leaf) for the exact structural cycle dedup.
+        // Materialise the cycles (edge paths root → leaf); their multisets
+        // are distinct (module docs), so sort them as `finalize_cycles` does.
         let arena = shared.arena.read().expect("arena lock");
-        let raw = cycles
+        let mut cycles: Vec<Cycle> = cycles
             .into_iter()
             .map(|c| {
                 let mut edges = Vec::with_capacity(c.len as usize);
@@ -916,13 +914,17 @@ impl StitchIndex {
                     node = parent;
                 }
                 edges.reverse();
-                RawChain {
+                Cycle {
                     edges,
-                    score_sum: c.score_sum,
+                    score: c.score_sum / c.len as f64,
                 }
             })
             .collect();
-        let cycles = finalize_cycles(raw, |i| (self.cause[i], self.effect[i], self.kind[i] as u8));
+        cycles.sort_by(|a, b| {
+            a.score
+                .total_cmp(&b.score)
+                .then(a.edges.len().cmp(&b.edges.len()))
+        });
         (cycles, levels)
     }
 }
@@ -936,7 +938,7 @@ impl StitchIndex {
 /// thread count, bar the one exception noted on `candidates_kept`. The
 /// first entry of a search is the seeding level (`frontier` 0, every
 /// passing edge kept), entry `l` expands the chains of length `l`; the
-/// next entry's `frontier` is what the beam cut left of `candidates_kept`.
+/// next entry's `frontier` is what the merge kept of `candidates_kept`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Chains expanded.
@@ -944,15 +946,15 @@ pub struct LevelStats {
     /// Non-closing extensions inside the length and delay caps, before any
     /// dedup.
     pub candidates_generated: usize,
-    /// Candidates that reached the beam selection: the structurally
-    /// distinct ones — fewer where an expansion range held `2 · beam_size`
-    /// of them and cut itself back, which depends on how the frontier was
-    /// split over the workers.
+    /// Candidates handed to the merge: distinct within their expansion
+    /// range, less what a range cut once it held `2 · beam_size`. Equal
+    /// chains in different ranges count once per range, so both effects
+    /// depend on how the frontier was split over the workers.
     pub candidates_kept: usize,
     /// Closing extensions.
     pub cycles_raw: usize,
     /// Closing extensions whose multiset key was new at this level — the
-    /// ones materialised and handed to the exact cycle dedup.
+    /// ones materialised and reported.
     pub cycles_kept: usize,
 }
 
@@ -1094,7 +1096,7 @@ struct Expansion {
 /// (cleared, not reallocated, per use).
 #[derive(Default)]
 struct DedupScratch {
-    /// Chain keys of the candidates currently held.
+    /// Chain keys of the candidates a range holds, or the merge has walked.
     seen: PrehashedSet,
     /// Cycle keys already emitted.
     cycle_seen: PrehashedSet,
@@ -1110,8 +1112,8 @@ struct DedupScratch {
 ///   `beam_size` best by [`cmp_rank`], and from then on a candidate scoring
 ///   no better than the worst survivor is dropped on arrival;
 /// * a closing extension whose commutative cycle key was already emitted
-///   by this range is dropped (the exact cycle dedup keeps first
-///   occurrences too).
+///   by this range is dropped (the reference's exact cycle dedup keeps
+///   first occurrences too).
 ///
 /// Output order follows (chain, successor) order, so chunk-ordered
 /// concatenation is the sequential order.
@@ -1136,17 +1138,20 @@ fn expand_into(
     };
     let mut cutoff: Option<f64> = None;
     for chain in chunk {
+        let len = chain.len + 1;
+        let grows = (len as usize) < shared.max_len;
         for &j in idx.succ_of(chain.last_edge, shared.use_compat) {
-            if arena.contains(chain.node, j) {
+            // Closure before membership: a full chain keeps only closures.
+            let closes = idx.continues(j, chain.first_edge, shared.use_compat);
+            if !(closes || grows) || arena.contains(chain.node, j) {
                 continue;
             }
             let delays = chain.delays + idx.delay_w[j as usize];
             if shared.cap.is_some_and(|c| delays > c) {
                 continue;
             }
-            let len = chain.len + 1;
             let score_sum = chain.score_sum + shared.sim[j as usize];
-            if idx.continues(j, chain.first_edge, shared.use_compat) {
+            if closes {
                 out.cycles_raw += 1;
                 let key = arena.cycle_key(&idx.cycle_word, chain.node, j);
                 if scratch.cycle_seen.insert(key) {
@@ -1158,7 +1163,7 @@ fn expand_into(
                         key,
                     });
                 }
-            } else if (len as usize) < shared.max_len {
+            } else {
                 out.generated += 1;
                 let candidate = Candidate {
                     parent: chain.node,
@@ -1210,11 +1215,14 @@ fn cut_to_beam(candidates: &mut Vec<Candidate>, beam: usize, scratch: &mut Dedup
 ///
 /// Each range is already distinct within itself, so a lone range needs no
 /// further dedup and several dedup only across ranges (first occurrence
-/// wins). The beam is then cut to the `B` lowest-score chains with
-/// `select_nth_unstable_by`, the reference's stable score order restored,
-/// and the survivors materialised as arena nodes. Only 16-byte ranks move
-/// during selection; surviving candidates are gathered from their ranges
-/// afterwards.
+/// wins). Selection comes first: `select_nth_unstable_by` picks the
+/// `B − kept` best remaining ranks, which are sorted and walked keeping
+/// each key's first occurrence, and a short beam repeats on the tail.
+/// Equal key ⇒ equal score, so a first occurrence ranks before its
+/// duplicates, and rounds run in rank order: the kept ranks are the
+/// reference's. Only 16-byte ranks move during selection; surviving
+/// candidates are gathered from their ranges and materialised as arena
+/// nodes afterwards.
 fn merge_level(
     shared: &Shared<'_>,
     chunks: &[Expansion],
@@ -1222,7 +1230,6 @@ fn merge_level(
     cycles: &mut Vec<CycleRef>,
 ) -> (Vec<Frontier>, LevelStats) {
     let across = chunks.len() > 1;
-    let total: usize = chunks.iter().map(|c| c.candidates.len()).sum();
     let DedupScratch {
         seen,
         cycle_seen,
@@ -1231,10 +1238,7 @@ fn merge_level(
     seen.clear();
     cycle_seen.clear();
     order.clear();
-    order.reserve(total);
-    if across {
-        seen.reserve(total);
-    }
+    order.reserve(chunks.iter().map(|c| c.candidates.len()).sum());
     let mut stats = LevelStats {
         frontier: shared.frontier.read().expect("frontier lock").len(),
         ..LevelStats::default()
@@ -1253,28 +1257,39 @@ fn merge_level(
                 .iter()
                 .filter(|c| !across || cycle_seen.insert(c.key)),
         );
-        // Same 128-bit structural key ⇒ same score and delay profile, so
-        // the reference's sort-then-retain keeps exactly the
-        // first-inserted representative too.
-        for (i, c) in chunk.candidates.iter().enumerate() {
-            if !across || seen.insert(c.hash.key()) {
-                order.push((c.score(), ci as u32, i as u32));
-            }
-        }
+        order.extend(
+            chunk
+                .candidates
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (c.score(), ci as u32, i as u32)),
+        );
     }
     stats.cycles_kept = cycles.len() - cycles_before;
     stats.candidates_kept = order.len();
 
-    let beam_size = shared.beam_size;
-    if beam_size == 0 {
-        order.clear();
-    } else if order.len() > beam_size {
-        order.select_nth_unstable_by(beam_size - 1, cmp_rank);
-        order.truncate(beam_size);
+    // `order[..kept]` holds the kept ranks, `order[next..]` the unexamined
+    // ones. `cmp_rank` is a total order, so sorting each round reproduces
+    // the reference's stable full sort exactly.
+    let (mut kept, mut next) = (0, 0);
+    while kept < shared.beam_size && next < order.len() {
+        let need = shared.beam_size - kept;
+        let rest = &mut order[next..];
+        if rest.len() > need {
+            rest.select_nth_unstable_by(need - 1, cmp_rank);
+        }
+        let round = need.min(rest.len());
+        rest[..round].sort_unstable_by(cmp_rank);
+        for r in next..next + round {
+            let (_, ci, i) = order[r];
+            if !across || seen.insert(chunks[ci as usize].candidates[i as usize].hash.key()) {
+                order[kept] = order[r];
+                kept += 1;
+            }
+        }
+        next += round;
     }
-    // `cmp_rank` is a total order, so sorting the survivors reproduces the
-    // reference's stable full sort exactly.
-    order.sort_unstable_by(cmp_rank);
+    order.truncate(kept);
 
     let mut arena = shared.arena.write().expect("arena lock");
     let next = order
@@ -1521,20 +1536,20 @@ mod tests {
                 assert!(!seq.0.is_empty() && !seq.1.is_empty());
                 assert!(seq.2.candidates_generated > seq.2.candidates_kept);
                 assert_eq!((&seq.0, &seq.1), (&par.0, &par.1), "beam {beam_size}");
+                // The merge counts what the ranges hand it: duplicates that
+                // straddle ranges, less whatever ranges cut themselves.
+                assert_eq!(
+                    LevelStats {
+                        candidates_kept: 0,
+                        ..seq.2
+                    },
+                    LevelStats {
+                        candidates_kept: 0,
+                        ..par.2
+                    }
+                );
                 if beam_size == usize::MAX {
-                    assert_eq!(seq.2, par.2);
-                } else {
-                    // Ranges that cut themselves hand the merge less.
-                    assert_eq!(
-                        LevelStats {
-                            candidates_kept: 0,
-                            ..seq.2
-                        },
-                        LevelStats {
-                            candidates_kept: 0,
-                            ..par.2
-                        }
-                    );
+                    assert!(par.2.candidates_kept >= seq.2.candidates_kept);
                 }
             });
         }
