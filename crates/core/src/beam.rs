@@ -15,10 +15,9 @@
 //! the beam cut is an O(n) selection that dedups only the chains it
 //! selects. Its cycles are deduplicated by a 128-bit multiset key as they
 //! close, so it skips the reference's exact structural pass
-//! (`finalize_cycles`).
-//! [`beam_search_reference`] retains the straightforward
-//! clone-per-extension implementation as the executable specification;
-//! `tests/beam_equivalence.rs` checks the two agree exactly.
+//! (`finalize_cycles`). [`beam_search_reference`] retains the
+//! straightforward clone-per-extension implementation as the executable
+//! specification; `tests/beam_equivalence.rs` checks the two agree exactly.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -121,12 +120,16 @@ fn finalize_cycles(
             });
         }
     }
-    out.sort_by(|a, b| {
-        a.score
-            .total_cmp(&b.score)
-            .then(a.edges.len().cmp(&b.edges.len()))
-    });
+    out.sort_by(report_order);
     out
+}
+
+/// The order cycles are reported in: ascending score, then length. Sorts
+/// by it are stable, so ties keep discovery order.
+pub(crate) fn report_order(a: &Cycle, b: &Cycle) -> std::cmp::Ordering {
+    a.score
+        .total_cmp(&b.score)
+        .then(a.edges.len().cmp(&b.edges.len()))
 }
 
 /// The `match` predicate of Algorithm 1: edge2 continues edge1 if its cause

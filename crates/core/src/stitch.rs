@@ -99,7 +99,7 @@ use std::sync::{Mutex, RwLock};
 
 use csnake_inject::FaultId;
 
-use crate::beam::{BeamConfig, Cycle};
+use crate::beam::{report_order, BeamConfig, Cycle};
 use crate::edge::{CausalDb, CompatState, EdgeKind};
 use crate::fxhash::{FxHasher, FxMap};
 use crate::pool::{chunk_ranges, run_ordered, ScopedPool};
@@ -899,8 +899,8 @@ impl StitchIndex {
             drop(pool);
         });
 
-        // Materialise the cycles (edge paths root → leaf); their multisets
-        // are distinct (module docs), so sort them as `finalize_cycles` does.
+        // Materialise the cycles (edge paths root → leaf). Their multisets
+        // are distinct (module docs): no exact structural dedup follows.
         let arena = shared.arena.read().expect("arena lock");
         let mut cycles: Vec<Cycle> = cycles
             .into_iter()
@@ -920,11 +920,7 @@ impl StitchIndex {
                 }
             })
             .collect();
-        cycles.sort_by(|a, b| {
-            a.score
-                .total_cmp(&b.score)
-                .then(a.edges.len().cmp(&b.edges.len()))
-        });
+        cycles.sort_by(report_order);
         (cycles, levels)
     }
 }
