@@ -29,23 +29,25 @@ fn fast_config() -> DetectConfig {
     cfg
 }
 
-fn single_process(target_name: &str) -> String {
+/// `(report debug, runs_executed)` of the plain in-process pipeline.
+fn single_process(target_name: &str) -> (String, usize) {
     let target = csnake_daemon::targets::resolve(target_name).expect("target resolves");
     let mut session = Session::builder(target.as_ref())
         .config(fast_config())
         .build()
         .expect("session builds");
-    format!(
+    let report = format!(
         "{:?}",
         session
             .run_to_report(&ThreePhase::default())
             .expect("single-process campaign")
-    )
+    );
+    (report, session.runs_executed())
 }
 
 #[test]
 fn worker_crash_mid_phase_reassigns_and_report_is_identical() {
-    let baseline = single_process("toy");
+    let (baseline, baseline_runs) = single_process("toy");
     let progress = Arc::new(ProgressCollector::new());
     let opts = RunOptions {
         daemon: DaemonConfig {
@@ -63,6 +65,7 @@ fn worker_crash_mid_phase_reassigns_and_report_is_identical() {
     };
     let run = run_distributed("toy", fast_config(), 2, opts).expect("campaign survives the crash");
     assert_eq!(format!("{:?}", run.report), baseline);
+    assert_eq!(run.outcome.runs_executed, baseline_runs, "run accounting");
     assert!(
         !run.report.degraded(),
         "a reassigned shard must not surface as missing cells"
@@ -80,7 +83,7 @@ fn worker_crash_mid_phase_reassigns_and_report_is_identical() {
 
 #[test]
 fn silent_stall_is_caught_by_the_lease_clock() {
-    let baseline = single_process("toy");
+    let (baseline, baseline_runs) = single_process("toy");
     let progress = Arc::new(ProgressCollector::new());
     let opts = RunOptions {
         daemon: DaemonConfig {
@@ -99,6 +102,7 @@ fn silent_stall_is_caught_by_the_lease_clock() {
     };
     let run = run_distributed("toy", fast_config(), 2, opts).expect("campaign survives the stall");
     assert_eq!(format!("{:?}", run.report), baseline);
+    assert_eq!(run.outcome.runs_executed, baseline_runs, "run accounting");
 
     let snap = progress.snapshot();
     assert_eq!(snap.workers_lost, 1, "the stalled worker must be reaped");

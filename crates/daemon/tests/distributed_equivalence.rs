@@ -5,7 +5,7 @@
 use csnake_core::{DetectConfig, Session, ThreePhase};
 use csnake_daemon::{run_distributed, DaemonConfig, RunOptions};
 
-/// Small-but-real campaign config (the chaos-smoke settings).
+/// Small-but-real campaign config (the one every daemon test uses).
 fn fast_config() -> DetectConfig {
     let mut cfg = DetectConfig::default();
     cfg.driver.reps = 3;
@@ -58,7 +58,7 @@ fn toy_reports_are_identical_across_worker_counts() {
 #[test]
 fn generated_target_reports_are_identical_across_worker_counts() {
     let (baseline, baseline_runs) = single_process("gen:5");
-    for workers in [1, 4] {
+    for workers in [1, 2, 4] {
         let (report, runs) = distributed("gen:5", workers);
         assert_eq!(report, baseline, "gen:5, {workers} workers");
         assert_eq!(runs, baseline_runs, "gen:5 runs, {workers} workers");

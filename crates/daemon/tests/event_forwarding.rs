@@ -131,6 +131,10 @@ fn collector_totals_match_single_process_across_fleet_sizes() {
         assert!(snap.events_forwarded > 0, "w={workers}: nothing forwarded");
         let per_worker = progress.worker_progress();
         assert_eq!(per_worker.len(), workers, "w={workers}");
+        assert!(
+            per_worker.iter().all(|(_, w)| w.shards_assigned > 0),
+            "w={workers}: a live worker was never leased a shard: {per_worker:?}"
+        );
         let attributed: usize = per_worker.iter().map(|(_, w)| w.experiments).sum();
         assert_eq!(
             attributed, baseline.experiments,

@@ -33,21 +33,27 @@ fn chaos_config(wire_drop: f64, wire_stall: f64, permanent: bool) -> DetectConfi
     cfg
 }
 
-fn single_process(target_name: &str) -> String {
+/// `(report debug, runs_executed)` of the plain in-process pipeline.
+fn single_process(target_name: &str) -> (String, usize) {
     let target = csnake_daemon::targets::resolve(target_name).expect("target resolves");
     let mut session = Session::builder(target.as_ref())
         .config(fast_config())
         .build()
         .expect("session builds");
-    format!(
+    let report = format!(
         "{:?}",
         session
             .run_to_report(&ThreePhase::default())
             .expect("single-process campaign")
-    )
+    );
+    (report, session.runs_executed())
 }
 
-fn run_with(cfg: DetectConfig, workers: usize, progress: Arc<ProgressCollector>) -> String {
+fn run_with(
+    cfg: DetectConfig,
+    workers: usize,
+    progress: Arc<ProgressCollector>,
+) -> (String, usize) {
     let opts = RunOptions {
         daemon: DaemonConfig {
             lease_ms: 1_000,
@@ -57,16 +63,17 @@ fn run_with(cfg: DetectConfig, workers: usize, progress: Arc<ProgressCollector>)
         ..RunOptions::default()
     };
     let run = run_distributed("toy", cfg, workers, opts).expect("chaos campaign completes");
-    format!("{:?}", run.report)
+    (format!("{:?}", run.report), run.outcome.runs_executed)
 }
 
 #[test]
 fn transient_wire_drops_are_invisible_in_results() {
-    let baseline = single_process("toy");
+    let (baseline, baseline_runs) = single_process("toy");
     let progress = Arc::new(ProgressCollector::new());
     // Every shard's first delivery is dropped; the re-send succeeds.
-    let report = run_with(chaos_config(1.0, 0.0, false), 2, progress.clone());
+    let (report, runs) = run_with(chaos_config(1.0, 0.0, false), 2, progress.clone());
     assert_eq!(report, baseline, "transient drops must not reach results");
+    assert_eq!(runs, baseline_runs, "a dropped frame ran nothing");
     assert!(
         progress.snapshot().shards_reassigned > 0,
         "the drops must actually have fired"
@@ -75,10 +82,11 @@ fn transient_wire_drops_are_invisible_in_results() {
 
 #[test]
 fn wire_stalls_only_pace_the_campaign() {
-    let baseline = single_process("toy");
+    let (baseline, baseline_runs) = single_process("toy");
     let progress = Arc::new(ProgressCollector::new());
-    let report = run_with(chaos_config(0.0, 1.0, true), 2, progress.clone());
+    let (report, runs) = run_with(chaos_config(0.0, 1.0, true), 2, progress.clone());
     assert_eq!(report, baseline, "stalled frames still arrive");
+    assert_eq!(runs, baseline_runs, "a stalled frame runs once");
     assert_eq!(progress.snapshot().workers_lost, 0);
 }
 
@@ -92,6 +100,7 @@ fn permanent_wire_drops_degrade_identically_across_worker_counts() {
                 workers,
                 Arc::new(ProgressCollector::new()),
             )
+            .0
         })
         .collect();
     assert!(
@@ -103,7 +112,7 @@ fn permanent_wire_drops_degrade_identically_across_worker_counts() {
     assert_eq!(reports[0], reports[2], "1 vs 4 workers");
     assert_ne!(
         reports[0],
-        single_process("toy"),
+        single_process("toy").0,
         "a degraded report must differ from the clean baseline"
     );
 }

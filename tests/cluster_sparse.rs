@@ -129,6 +129,12 @@ fn near_ubiquitous_dimension_is_capped_at_scale() {
         stats.candidate_edges,
         quadratic
     );
+    assert!(
+        stats.candidate_edges < stats.groups * 2,
+        "the capped graph must stay near-linear in groups: {} edges for {} groups",
+        stats.candidate_edges,
+        stats.groups
+    );
     verify_cut_quality(&vectors, &capped, 0.5, 64).expect("capped cut quality");
     // Exactness at scale: an absurd cap disables hot handling entirely
     // and pays the full posting-list square — same cut.

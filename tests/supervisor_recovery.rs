@@ -141,58 +141,70 @@ fn resuming_from_every_checkpoint_reproduces_the_report() {
 
 #[test]
 fn transient_chaos_is_invisible_in_the_report() {
-    let target = ToySystem::new();
+    let dir = temp_dir("transient");
+    // The generated target also checkpoints after every experiment, and
+    // half of those writes fail once before they land.
+    for (name, snapshot_io, checkpoint) in [("toy", 0.0, false), ("gen:5", 0.5, true)] {
+        let target = csnake_gen::by_name(name).expect("known target");
+        let mut clean = Session::builder(target.as_ref())
+            .config(fast_config())
+            .build()
+            .expect("drivable");
+        let clean_report = format!(
+            "{:?}",
+            clean.run_to_report(&ThreePhase::default()).expect("clean")
+        );
+        let clean_runs = clean.runs_executed();
 
-    let mut clean = Session::builder(&target)
-        .config(fast_config())
-        .build()
-        .expect("drivable");
-    let clean_report = format!(
-        "{:?}",
-        clean.run_to_report(&ThreePhase::default()).expect("clean")
-    );
-    let clean_runs = clean.runs_executed();
+        // Every experiment cell has a 40% chance of an injected panic and a
+        // 20% chance of an injected stall, each clearing after one retry.
+        let mut cfg = fast_config();
+        cfg.driver.chaos = ChaosConfig {
+            seed: 7,
+            experiment_panic: 0.4,
+            experiment_stall: 0.2,
+            snapshot_io,
+            stall_ms: 1,
+            transient_attempts: 1,
+            ..ChaosConfig::default()
+        };
+        let progress = Arc::new(ProgressCollector::new());
+        let mut builder = Session::builder(target.as_ref())
+            .config(cfg)
+            .observer(progress.clone());
+        if checkpoint {
+            builder = builder.auto_checkpoint(dir.join("live.csnake"), 1);
+        }
+        let mut chaotic = builder.build().expect("drivable");
+        let chaotic_report = format!(
+            "{:?}",
+            chaotic
+                .run_to_report(&ThreePhase::default())
+                .expect("chaotic run completes")
+        );
 
-    // Every experiment cell has a 40% chance of an injected panic and a
-    // 20% chance of an injected stall, each clearing after one retry.
-    let mut cfg = fast_config();
-    cfg.driver.chaos = ChaosConfig {
-        seed: 7,
-        experiment_panic: 0.4,
-        experiment_stall: 0.2,
-        stall_ms: 1,
-        transient_attempts: 1,
-        ..ChaosConfig::default()
-    };
-    let progress = Arc::new(ProgressCollector::new());
-    let mut chaotic = Session::builder(&target)
-        .config(cfg)
-        .observer(progress.clone())
-        .build()
-        .expect("drivable");
-    let chaotic_report = format!(
-        "{:?}",
-        chaotic
-            .run_to_report(&ThreePhase::default())
-            .expect("chaotic run completes")
-    );
-
-    assert_eq!(
-        clean_report, chaotic_report,
-        "transient failures must not leave a trace in the report"
-    );
-    assert_eq!(
-        clean_runs,
-        chaotic.runs_executed(),
-        "failed attempts must contribute zero simulator runs"
-    );
-    let snap = progress.snapshot();
-    assert!(
-        snap.batch_retries > 0,
-        "chaos at these rates must have caused at least one retry"
-    );
-    assert_eq!(snap.batch_failures, 0, "no cell may fail permanently");
-    assert!(!snap.degraded);
+        assert_eq!(
+            clean_report, chaotic_report,
+            "{name}: transient failures must not leave a trace in the report"
+        );
+        assert_eq!(
+            clean_runs,
+            chaotic.runs_executed(),
+            "{name}: failed attempts must contribute zero simulator runs"
+        );
+        let snap = progress.snapshot();
+        assert!(
+            snap.batch_retries > 0,
+            "{name}: chaos at these rates must have caused at least one retry"
+        );
+        assert_eq!(
+            snap.batch_failures, 0,
+            "{name}: no cell may fail permanently"
+        );
+        assert!(!snap.degraded, "{name}");
+        assert_eq!(snap.checkpoints_written > 0, checkpoint, "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

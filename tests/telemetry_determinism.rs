@@ -8,7 +8,10 @@
 //!    is a pure function of `(target, config)`. Thread counts change
 //!    timestamps and interleavings, never the sequence.
 //! 2. **Non-perturbation**: attaching a recorder changes nothing about
-//!    the campaign — reports are Debug-identical with it on or off.
+//!    the campaign — reports are Debug-identical with it on or off — and
+//!    what it journals is whole: schema-valid JSONL, a binary journal that
+//!    reads back every record, closed spans, a loadable Chrome trace, and
+//!    a digest that counts what the report counts.
 //!
 //! The on-disk journal also inherits the snapshot threat model: a torn
 //! tail and a flipped byte must be *typed* rejections, not garbage reads.
@@ -16,7 +19,10 @@
 use std::sync::Arc;
 
 use csnake::core::{CsnakeError, DetectConfig, Session, ThreePhase};
-use csnake_telemetry::{read_journal, FlightRecorder, MetricsDigest, TelemetryRecord};
+use csnake_telemetry::{
+    chrome_trace_json, json, read_journal, unbalanced_spans, FlightRecorder, MetricsDigest,
+    TelemetryRecord,
+};
 
 fn fast_config(parallel: bool) -> DetectConfig {
     let mut cfg = DetectConfig::default();
@@ -84,14 +90,74 @@ fn recorder_never_perturbs_the_report() {
             .config(fast_config(true))
             .build()
             .expect("target is drivable");
-        let baseline = format!(
-            "{:?}",
-            bare.run_to_report(&ThreePhase::default())
-                .expect("campaign completes")
-        );
+        let report = bare
+            .run_to_report(&ThreePhase::default())
+            .expect("campaign completes");
+        let baseline = format!("{report:?}");
         let (recorded, records) = recorded_run(name, true);
         assert_eq!(baseline, recorded, "{name}: recorder perturbed the report");
         assert!(!records.is_empty(), "{name}: recorder captured nothing");
+
+        // The same recorder writing both journals to disk.
+        let path = |ext: &str| {
+            std::env::temp_dir().join(format!(
+                "csnake-journal-{}-{}.{ext}",
+                name.replace(':', "-"),
+                std::process::id()
+            ))
+        };
+        let (jsonl, binary) = (path("jsonl"), path("csnj"));
+        let recorder = Arc::new(
+            FlightRecorder::builder()
+                .jsonl(jsonl.clone())
+                .binary(binary.clone())
+                .build()
+                .expect("journals open"),
+        );
+        let mut journaled = Session::builder(target.as_ref())
+            .config(fast_config(true))
+            .observer(recorder.clone())
+            .build()
+            .expect("target is drivable");
+        let journaled_report = journaled
+            .run_to_report(&ThreePhase::default())
+            .expect("campaign completes");
+        assert_eq!(
+            baseline,
+            format!("{journaled_report:?}"),
+            "{name}: a journaling recorder perturbed the report"
+        );
+        recorder.finish().expect("journals flush");
+        let records = recorder.records();
+        let open = unbalanced_spans(&records);
+        assert!(open.is_empty(), "{name}: unbalanced spans: {open:?}");
+        let text = std::fs::read_to_string(&jsonl).expect("JSONL journal exists");
+        assert_eq!(text.lines().count(), records.len(), "{name}: JSONL lines");
+        for (i, line) in text.lines().enumerate() {
+            json::validate_record_line(line)
+                .unwrap_or_else(|e| panic!("{name}: JSONL line {i} invalid: {e}"));
+        }
+        assert_eq!(
+            read_journal(&binary).expect("binary journal reads").len(),
+            records.len(),
+            "{name}: binary journal round-trip"
+        );
+        let trace = json::parse(&chrome_trace_json(&records)).expect("Chrome trace parses");
+        assert!(
+            trace
+                .get("traceEvents")
+                .and_then(|v| v.as_arr())
+                .is_some_and(|events| !events.is_empty()),
+            "{name}: Chrome trace has no traceEvents"
+        );
+        let digest = MetricsDigest::from_records(&records);
+        assert_eq!(
+            (digest.experiments, digest.edges),
+            (report.experiments_run, report.edge_count),
+            "{name}: digest disagrees with the report"
+        );
+        std::fs::remove_file(&jsonl).ok();
+        std::fs::remove_file(&binary).ok();
     }
 }
 
