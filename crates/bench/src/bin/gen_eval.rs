@@ -2,7 +2,7 @@
 //! at the repository root with per-shape recall of the planted cycles
 //! and per-stage wall-time medians, so successive PRs can track whole-
 //! pipeline detection quality on an unbounded, ground-truthed test bed
-//! the way `BENCH_beam.json`/`BENCH_campaign.json` track the hot paths.
+//! (the hot paths' timings live in the `benchmark/` ledger).
 //!
 //! For every seed in the range the harness:
 //!
@@ -38,7 +38,6 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-use csnake_bench::watchdog;
 use csnake_core::{
     beam_search, build_report, cluster_cycles, run_random_allocation_with, CampaignObserver,
     DetectConfig, FanoutObserver, NoopObserver, ProgressCollector, Session, ThreePhase,
@@ -187,18 +186,10 @@ fn main() -> ExitCode {
             .observer(fanout)
             .build()
             .expect("generated targets are drivable");
-        let wd = watchdog::guard(&format!("gen:{seed}:profile"));
         session.profile().expect("profile stage");
-        drop(wd);
-        let wd = watchdog::guard(&format!("gen:{seed}:allocate"));
         session.allocate(&strategy).expect("allocate stage");
-        drop(wd);
-        let wd = watchdog::guard(&format!("gen:{seed}:stitch"));
         session.stitch().expect("stitch stage");
-        drop(wd);
-        let wd = watchdog::guard(&format!("gen:{seed}:report"));
         let report = session.report().expect("report stage").clone();
-        drop(wd);
         drop(view);
 
         let records = recorder.records();

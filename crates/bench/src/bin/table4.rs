@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use csnake_bench::{run_csnake_with, set_current_target, table4_variants, EvalConfig};
+use csnake_bench::{run_csnake_with, table4_variants, EvalConfig};
 use csnake_core::{ProgressCollector, TargetSystem};
 use csnake_targets::all_paper_targets;
 use csnake_telemetry::LiveProgress;
@@ -43,14 +43,12 @@ fn main() {
     println!("Table 4: reported cycles and clustering");
     println!("| System | Cycle | Cluster | TP | (≤1 delay: Cycle | Cluster | TP) |");
     println!("|---|---|---|---|---|");
-    for target in targets {
-        let target: &'static dyn TargetSystem = Box::leak(target);
-        set_current_target(target);
+    for target in targets.iter().map(|t| t.as_ref()) {
         let progress = Arc::new(ProgressCollector::new());
         let view = live.then(|| LiveProgress::start(progress.clone(), Duration::from_millis(500)));
         let detection = run_csnake_with(target, &cfg, progress.clone());
         drop(view);
-        let (unlimited, limited) = table4_variants(&detection);
+        let (unlimited, limited) = table4_variants(target, &detection);
         println!(
             "| {} | {} | {} | {} | ({} | {} | {}) |",
             target.name(),

@@ -1,5 +1,5 @@
 //! Deterministic synthetic campaign generator for the campaign-pipeline
-//! benchmarks and equivalence tests.
+//! equivalence tests.
 //!
 //! Builds a registry of throw/negation/loop points (with nested/sibling
 //! loop metadata, so structural `ICFG`/`CFG` edges occur) and generates
@@ -50,23 +50,7 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// The full-scale default: 200 faults × 10 tests over a ~1600-point
-    /// registry — the per-system point counts of the paper's Table 2 are
-    /// in the thousands, and the reference path's cost is linear in
-    /// registry size while the indexed path's is not.
-    pub fn full() -> CampaignSpec {
-        CampaignSpec {
-            n_throws: 1100,
-            n_negations: 380,
-            n_loops: 120,
-            n_faults: 200,
-            n_tests: 10,
-            reps: 5,
-            seed: 0xCA5C_ADE5,
-        }
-    }
-
-    /// A smoke-sized campaign for CI.
+    /// A small campaign the equivalence tests run in full.
     pub fn smoke() -> CampaignSpec {
         CampaignSpec {
             n_throws: 60,
@@ -359,7 +343,16 @@ mod tests {
 
     #[test]
     fn fault_spread_covers_all_kinds_without_duplicates() {
-        let c = SyntheticCampaign::generate(&CampaignSpec::full());
+        // Table 2 scale: point counts in the thousands.
+        let c = SyntheticCampaign::generate(&CampaignSpec {
+            n_throws: 1100,
+            n_negations: 380,
+            n_loops: 120,
+            n_faults: 200,
+            n_tests: 10,
+            reps: 5,
+            seed: 0xCA5C_ADE5,
+        });
         let mut kinds = std::collections::BTreeSet::new();
         let mut seen = std::collections::BTreeSet::new();
         for &f in c.faults() {

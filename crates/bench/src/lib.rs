@@ -9,9 +9,15 @@
 //! | Table 4 (cycles / clusters / TP, unlimited vs ≤ 1 delay) | `table4` |
 //! | §8.2.1 fuzzing comparison | `fuzz_compare` |
 //! | §8.5 instrumentation overhead | `overhead` |
+//! | §2 soundness demo, compatibility-check ablation | `ablation` |
+//! | generated-corpus recall (`BENCH_gen.json`) | `gen_eval` |
+//!
+//! Stage timings are not measured here: the campaign benchmark under
+//! `benchmark/` records them per layer on real campaigns (`--trace 1`).
+//! The library also keeps the synthetic fixtures the root tests import
+//! ([`synthetic_db`] and the [`campaign`] module).
 
 pub mod campaign;
-pub mod watchdog;
 
 use std::sync::Arc;
 
@@ -102,9 +108,10 @@ pub fn run_random(target: &dyn TargetSystem, cfg: &EvalConfig) -> Detection {
     session.into_detection().expect("session is reported")
 }
 
-/// Runs the beam search twice over an existing causal database: unlimited
-/// delay injections vs. at most one (Table 4's two column groups).
-pub fn table4_variants(detection: &Detection) -> (Table4Row, Table4Row) {
+/// Runs the beam search twice over `target`'s causal database in
+/// `detection`: unlimited delay injections vs. at most one (Table 4's two
+/// column groups).
+pub fn table4_variants(target: &dyn TargetSystem, detection: &Detection) -> (Table4Row, Table4Row) {
     let unlimited = Table4Row {
         cycles: detection.report.cycles.len(),
         clusters: detection.report.clusters.len(),
@@ -119,14 +126,7 @@ pub fn table4_variants(detection: &Detection) -> (Table4Row, Table4Row) {
     let clusters =
         csnake_core::cluster_cycles(&cycles, &detection.alloc.db, &detection.alloc.cluster_of);
     // Rebuild verdicts for the limited variant.
-    let limited_report = csnake_core::build_report(
-        // SAFETY of design: build_report only reads the target's registry,
-        // bugs and contention labels.
-        detection_target(detection),
-        &detection.alloc,
-        cycles,
-        clusters,
-    );
+    let limited_report = csnake_core::build_report(target, &detection.alloc, cycles, clusters);
     let limited = Table4Row {
         cycles: limited_report.cycles.len(),
         clusters: limited_report.clusters.len(),
@@ -146,33 +146,12 @@ pub struct Table4Row {
     pub tp: usize,
 }
 
-// `table4_variants` needs the target back; the Detection struct does not
-// carry it (trait object lifetimes), so the binaries pass it explicitly via
-// this thread-local shim kept deliberately simple.
-std::thread_local! {
-    static CURRENT_TARGET: std::cell::RefCell<Option<&'static dyn TargetSystem>> =
-        const { std::cell::RefCell::new(None) };
-}
-
-/// Registers the (leaked) target used by [`table4_variants`].
-pub fn set_current_target(t: &'static dyn TargetSystem) {
-    CURRENT_TARGET.with(|c| *c.borrow_mut() = Some(t));
-}
-
-fn detection_target(_d: &Detection) -> &'static dyn TargetSystem {
-    CURRENT_TARGET.with(|c| {
-        c.borrow()
-            .expect("set_current_target before table4_variants")
-    })
-}
-
 /// Formats a Markdown-ish table row.
 pub fn row(cells: &[String]) -> String {
     format!("| {} |", cells.join(" | "))
 }
 
-/// Synthetic causal-database generator shared by the criterion benchmarks
-/// and the `beam_perf` trajectory binary.
+/// Synthetic causal-database generator for the stitch-index tests.
 ///
 /// Produces `n_faults · fanout` forward edges on a ring (`c → c+k+1 mod
 /// n`) plus one *back edge* (`c+1 → c`) for every [`BACK_EDGE_STRIDE`]-th
@@ -243,44 +222,6 @@ pub fn synthetic_db(n_faults: u32, fanout: u32, loop_share: f64) -> csnake_core:
                 cause_state: state(e),
                 effect_state: state(c),
             });
-        }
-    }
-    csnake_core::CausalDb::from_edges(edges)
-}
-
-/// Steps around the fault ring that [`multi_test_db`] links.
-pub const MULTI_TEST_STEPS: [i64; 5] = [1, 2, 3, -1, -2];
-
-/// A campaign-shaped database: every relationship is observed in `tests`
-/// tests, as on a real target, where [`synthetic_db`] observes each once.
-///
-/// Each fault causes the faults [`MULTI_TEST_STEPS`] away on a ring of
-/// `n_faults`, with one compatibility state per fault, so every witness
-/// of a relationship stitches alike: past the seeds a level generates
-/// `tests` structurally equal candidates per distinct chain (≈ 5 : 1 at
-/// `tests = 5`, what `mini-hdfs3` shows), and the mixed-sign steps close
-/// thousands of short cycles, each found once per rotation and witness.
-pub fn multi_test_db(n_faults: u32, tests: u32) -> csnake_core::CausalDb {
-    use csnake_core::{CausalEdge, CompatState, EdgeKind};
-    use csnake_inject::{FaultId, FnId, Occurrence, TestId};
-
-    let state =
-        |f: u32| CompatState::Occurrences(vec![Occurrence::new([Some(FnId(f)), None], vec![])]);
-    let mut edges = Vec::new();
-    for c in 0..n_faults {
-        for step in MULTI_TEST_STEPS {
-            let e = (c as i64 + step).rem_euclid(n_faults as i64) as u32;
-            for t in 0..tests {
-                edges.push(CausalEdge {
-                    cause: FaultId(c),
-                    effect: FaultId(e),
-                    kind: EdgeKind::EI,
-                    test: TestId(t),
-                    phase: 1,
-                    cause_state: state(c),
-                    effect_state: state(e),
-                });
-            }
         }
     }
     csnake_core::CausalDb::from_edges(edges)

@@ -92,7 +92,8 @@
 //!   run is reproducible and transient chaos provably leaves no trace in
 //!   the report. Snapshot v5 adds *wire* chaos sites (`wire_drop`,
 //!   `wire_stall`) that exercise the daemon's transport the same way.
-//!   CI runs a chaos smoke campaign on every push.
+//!   `tests/supervisor_recovery.rs` and the daemon's `wire_chaos.rs` hold
+//!   chaotic campaigns to their clean reports.
 //! * **Distributed campaigns.** The `csnake-daemon` crate runs the
 //!   campaign stage across worker *processes*: a coordinator owns the
 //!   staged session and the 3PA plan (via
@@ -182,12 +183,14 @@
 //!   with identical dendrogram cuts.
 //!   [`cluster::hierarchical_cluster_with_stats`] additionally reports
 //!   the realized group/edge counts and the matrix bytes *not* allocated,
-//!   surfaced through [`CampaignEvent::Clustering`] and the BENCH
-//!   artifacts.
+//!   surfaced through [`CampaignEvent::Clustering`] and the campaign
+//!   benchmark's `alloc.peak_vectors` ledger row.
 //!
-//! `cargo run --release -p csnake-bench --bin campaign_perf` regenerates
-//! `BENCH_campaign.json` (stage medians; ≥5× vs the reference FCA path on
-//! a 200-fault × 10-test campaign, clustering 2000 vectors).
+//! The campaign benchmark under `benchmark/` times these stages on real
+//! campaigns: with `--trace 1` its ledger rows `fca.profile_index_s`,
+//! `inject.trace_index_build_s` and `fca.analyze_s` split the analysis,
+//! and `target.run_p50_us` / `inject.trace_overhead_share` the simulator
+//! runs and the agent's share of them.
 //!
 //! # Search-path complexity
 //!

@@ -667,8 +667,8 @@ impl StitchIndex {
     /// [`StitchIndex::build`]: one successor list per edge, computed in
     /// parallel over edge chunks with a **private** verdict cache per
     /// worker (the pre-shared-table formulation). `O(w·q)` merges worst
-    /// case across `w` workers; kept for the byte-identity tests and as
-    /// the baseline the BENCH artifacts compare against.
+    /// case across `w` workers; kept as the oracle of the byte-identity
+    /// tests.
     pub fn build_reference(db: &CausalDb, threads: usize) -> StitchIndex {
         let p = build_prelude(db);
         let n = p.cause.len();

@@ -55,7 +55,7 @@ fn fail(msg: &str) -> ! {
 }
 
 /// The smoke-test configuration: enough repetitions to detect, small
-/// enough to iterate (mirrors the chaos-smoke harness).
+/// enough to iterate (the one the daemon's tests use).
 fn fast_config() -> DetectConfig {
     let mut cfg = DetectConfig::default();
     cfg.driver.reps = 3;

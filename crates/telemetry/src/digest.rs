@@ -1,6 +1,6 @@
 //! End-of-campaign metrics digest, computed from the recorded journal.
 //!
-//! The digest replaces the `BENCH_*` bins' ad-hoc timers: per-stage and
+//! The digest replaces ad-hoc timers: per-stage and
 //! per-phase wall times come from the recorder's span durations,
 //! experiment latency percentiles from the inter-completion gaps of the
 //! [`ExperimentCompleted`](csnake_core::CampaignEvent::ExperimentCompleted)

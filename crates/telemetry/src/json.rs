@@ -1,13 +1,13 @@
 //! A minimal, dependency-free JSON parser used to *validate* the
 //! recorder's own output (JSONL journal lines, Chrome trace files) in
-//! tests and CI smoke runs.
+//! tests.
 //!
 //! The workspace's vendored `serde` is compile-only, so validation is
 //! first-party: a straightforward recursive-descent parser over the JSON
 //! grammar (RFC 8259). It is not a general-purpose deserializer — numbers
 //! come back as `f64`, objects preserve insertion order in a `Vec` — but
 //! it fully checks syntax, which is what a "does this load in a JSON
-//! consumer" smoke test needs.
+//! consumer" check needs.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -45,8 +45,8 @@
 //! phase spans as `B`/`E` pairs, everything else as instants with full
 //! detail), and [`MetricsDigest::from_records`] computes per-stage wall
 //! times, experiment-latency percentiles (p50/p90/p99) and the campaign
-//! counter block — the `BENCH_*` bins consume this instead of ad-hoc
-//! timers.
+//! counter block — `gen_eval` and the campaign benchmark consume this
+//! instead of ad-hoc timers.
 //!
 //! **Watch a fleet.** With the daemon's worker event forwarding, the
 //! coordinator's collector sees per-worker attribution as work happens;
@@ -55,8 +55,8 @@
 //! `csnake-daemon run --progress` wires exactly that.
 //!
 //! **Validate.** The vendored `serde` is compile-only, so the [`json`]
-//! module carries a minimal first-party JSON parser: tests and the CI
-//! telemetry smoke step use it to schema-check journal lines
+//! module carries a minimal first-party JSON parser: the tests use it to
+//! schema-check journal lines
 //! ([`json::validate_record_line`]), load-check Chrome traces, and assert
 //! span completeness ([`unbalanced_spans`]).
 

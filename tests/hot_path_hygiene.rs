@@ -1,11 +1,13 @@
 //! Source scans: nothing on the per-event / per-hook path may read the
-//! environment or print, and nothing in the daemon may wait by sleeping.
+//! environment or print, nothing in the daemon may wait by sleeping, and the
+//! shipped code reads a pinned set of environment variables.
 //!
 //! `HdfsWorld::handle` once looked up `CSNAKE_DBG` — an environment lock, a
 //! scan and a `String` — on each of 28.7 M simulator events per campaign and
 //! halved the headline workload without any test noticing. The next such
 //! debug hook fails here instead.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -106,6 +108,35 @@ fn the_driver_spawns_threads_only_through_the_pool() {
         hits.is_empty(),
         "the driver spawns its own threads (use `pool`):\n{}",
         hits.join("\n")
+    );
+}
+
+/// `crates/bench` once read five more `CSNAKE_*` variables: switches for
+/// smoke and stage-perf binaries and a per-stage watchdog, a harness beside
+/// the campaign benchmark. The two left are the corpus evaluation's smoke
+/// size and the scenario corpus path, a deployment setting. Anything else
+/// to configure belongs in a typed config, not the environment.
+#[test]
+fn shipped_code_reads_only_the_two_kept_environment_variables() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths = vec!["src".to_string()];
+    for krate in fs::read_dir(root.join("crates")).expect("crates/ is readable") {
+        let name = krate.expect("directory entry").file_name();
+        let name = name.to_str().expect("crate directory names are UTF-8");
+        if name != "vendor" {
+            paths.push(format!("crates/{name}"));
+        }
+    }
+    let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let names: BTreeSet<String> = shipped_hits(&paths, &["\"CSNAKE_"], &[])
+        .iter()
+        .flat_map(|hit| hit.split("\"CSNAKE_").skip(1))
+        .map(|rest| format!("CSNAKE_{}", rest.split('"').next().unwrap_or_default()))
+        .collect();
+    assert_eq!(
+        names,
+        BTreeSet::from(["CSNAKE_GEN_SMOKE".into(), "CSNAKE_SCENARIO_DIR".into()]),
+        "the environment variables the shipped code reads"
     );
 }
 
