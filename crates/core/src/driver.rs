@@ -622,11 +622,13 @@ impl ExperimentEngine for Driver<'_> {
 
         // Open-loop workload targets buffer a latency summary per run; the
         // pool interleaves them nondeterministically, so drain once per
-        // batch and re-emit sorted by (test, seed) — a deterministic stream
-        // for telemetry. Ordinary targets return an empty vector.
+        // batch and re-emit sorted — a deterministic stream for telemetry.
+        // Every plan on one (test, rep) shares a seed, so the order runs on
+        // past (test, seed) into the content; ties are identical summaries.
+        // Ordinary targets return an empty vector.
         let mut summaries = self.target.drain_workload_summaries();
         if !summaries.is_empty() {
-            summaries.sort_by_key(|s| (s.test, s.seed));
+            summaries.sort();
             if let Some(obs) = &self.observer {
                 for s in &summaries {
                     obs.on_event(&CampaignEvent::workload_summary(s));

@@ -7,7 +7,7 @@
 //! [`WorkloadWindow`]s over virtual time — which the target buffers and the
 //! [`Driver`](crate::Driver) drains after each experiment batch via
 //! [`TargetSystem::drain_workload_summaries`](crate::TargetSystem::drain_workload_summaries),
-//! re-emitting them in deterministic `(test, seed)` order through
+//! re-emitting them sorted (by `(test, seed)`, then by content) through
 //! [`CampaignEvent::WorkloadSummary`](crate::CampaignEvent::WorkloadSummary).
 //!
 //! The windows are what makes an open-loop run diagnostic: under a
@@ -20,7 +20,7 @@ use csnake_inject::TestId;
 use serde::Serialize;
 
 /// One fixed-width virtual-time window of an open-loop run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct WorkloadWindow {
     /// Window start, in virtual milliseconds from run start.
     pub start_ms: u64,
@@ -33,7 +33,8 @@ pub struct WorkloadWindow {
 }
 
 /// Whole-run latency/throughput summary of one open-loop workload run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// Ordered by `(test, seed)` first, then by content.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct WorkloadSummary {
     /// The workload (test case) that ran.
     pub test: TestId,

@@ -10,6 +10,8 @@
 //!   for the same reasons.
 //! * **A failed experiment names its first failed run** — by plan and
 //!   rep, not by which panic landed first.
+//! * **Workload summaries arrive in one order** — the same as a serial
+//!   driver's, whichever run of a shared seed finishes first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -20,21 +22,27 @@ use csnake::core::pool::hardware_threads;
 use csnake::core::{
     CampaignEvent, CampaignObserver, ChaosConfig, DetectConfig, Driver, DriverConfig,
     ExperimentEngine, ProgressCollector, Session, TargetSystem, TestCase, ThreePhase,
+    WorkloadSummary,
 };
 use csnake::inject::{FaultId, FaultKind, InjectAction, InjectionPlan, Registry, RunTrace, TestId};
+use csnake::sim::VirtualTime;
 use csnake::targets::ToySystem;
+use csnake::workload::{Arrival, ArrivalSource, WorkloadSpec, WorkloadSystem};
 
+type Before = Box<dyn Fn(Option<InjectionPlan>, u64) + Send + Sync>;
 type Hook = Box<dyn Fn(Option<InjectionPlan>, u64) -> Option<String> + Send + Sync>;
 
-/// `ToySystem` behind a count of launched runs and a gauge of runs in
-/// flight. Until `company` runs have been in flight at once, each run waits
-/// (up to 10 s) for another to join it; `slow` then holds every run, so an
-/// uncapped driver's runs pile up; `hook` sees every run while it is in
-/// flight and may name a reason to panic it.
-struct Gauge {
-    inner: ToySystem,
+/// A target (`ToySystem` unless stated) behind a count of launched runs and
+/// a gauge of runs in flight. Until `company` runs have been in flight at
+/// once, each run waits (up to 10 s) for another to join it; `slow` then
+/// holds every run, so an uncapped driver's runs pile up; `before` sees
+/// every run just before it simulates; `hook` sees every run while it is
+/// in flight, after it simulated, and may name a reason to panic it.
+struct Gauge<T = ToySystem> {
+    inner: T,
     company: usize,
     slow: Duration,
+    before: Before,
     hook: Hook,
     launched: AtomicUsize,
     /// `(in flight now, most ever in flight)`.
@@ -44,10 +52,17 @@ struct Gauge {
 
 impl Gauge {
     fn new() -> Self {
+        Gauge::wrapping(ToySystem::new())
+    }
+}
+
+impl<T> Gauge<T> {
+    fn wrapping(inner: T) -> Self {
         Gauge {
-            inner: ToySystem::new(),
+            inner,
             company: 0,
             slow: Duration::ZERO,
+            before: Box::new(|_, _| ()),
             hook: Box::new(|_, _| None),
             launched: AtomicUsize::new(0),
             flight: Mutex::new((0, 0)),
@@ -65,7 +80,7 @@ impl Gauge {
     }
 }
 
-impl TargetSystem for Gauge {
+impl<T: TargetSystem> TargetSystem for Gauge<T> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -90,6 +105,7 @@ impl TargetSystem for Gauge {
             drop(self.joined.wait_timeout_while(flight, wait, alone).unwrap());
         }
         std::thread::sleep(self.slow);
+        (self.before)(plan, seed);
         let trace = self.inner.run(test, plan, seed);
         let failure = (self.hook)(plan, seed);
         self.flight.lock().unwrap().0 -= 1;
@@ -97,6 +113,10 @@ impl TargetSystem for Gauge {
             panic!("{reason}");
         }
         trace
+    }
+
+    fn drain_workload_summaries(&self) -> Vec<WorkloadSummary> {
+        self.inner.drain_workload_summaries()
     }
 }
 
@@ -288,4 +308,78 @@ fn a_failed_experiment_names_its_first_failed_run() {
         "{}",
         seen[0]
     );
+}
+
+/// Every `WorkloadSummary` event, in arrival order.
+#[derive(Default)]
+struct Summaries(Mutex<Vec<String>>);
+
+impl CampaignObserver for Summaries {
+    fn on_event(&self, event: &CampaignEvent) {
+        if let CampaignEvent::WorkloadSummary { .. } = event {
+            self.0.lock().unwrap().push(format!("{event:?}"));
+        }
+    }
+}
+
+#[test]
+fn workload_summaries_arrive_in_one_order_whichever_run_finishes_first() {
+    // Both delay plans of the one (test, rep) run on one seed. On two or
+    // more workers, the 100 ms plan's run holds, before it simulates, until
+    // the 800 ms plan's run has buffered its summary: the drained buffer
+    // then holds the later job's summary first.
+    let summaries = |parallel: bool| {
+        let hold = parallel && hardware_threads() >= 2;
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let first_plan = |plan: Option<InjectionPlan>| matches!(plan.map(|p| p.action), Some(InjectAction::Delay(d)) if d.as_micros() == 100_000);
+        let mut gauge = Gauge::wrapping(WorkloadSystem::with_spec(
+            "workload:summary-order",
+            WorkloadSpec {
+                source: ArrivalSource::Process {
+                    arrival: Arrival::Poisson {
+                        rate_per_sec: 500.0,
+                    },
+                    offered: 300,
+                },
+                horizon: VirtualTime::from_secs(5),
+                ..WorkloadSpec::default()
+            },
+        ));
+        let drain_loop = gauge.inner.ids().l_drain;
+        let held = Arc::clone(&gate);
+        gauge.before = Box::new(move |plan, _| {
+            if hold && first_plan(plan) {
+                let (ran, cv) = &*held;
+                let wait = Duration::from_secs(10);
+                drop(
+                    cv.wait_timeout_while(ran.lock().unwrap(), wait, |ran| !*ran)
+                        .unwrap(),
+                );
+            }
+        });
+        gauge.hook = Box::new(move |plan, _| {
+            if plan.is_some() && !first_plan(plan) {
+                let (ran, cv) = &*gate;
+                *ran.lock().unwrap() = true;
+                cv.notify_all();
+            }
+            None
+        });
+        let cfg = DriverConfig {
+            reps: 1,
+            delay_values_ms: vec![100, 800],
+            parallel,
+            ..DriverConfig::default()
+        };
+        let observed = Arc::new(Summaries::default());
+        let mut driver = Driver::new(&gauge, cfg);
+        driver.set_observer(observed.clone());
+        driver.run_experiments(&[(drain_loop, TestId(0), 0)]);
+        let seen = observed.0.lock().unwrap().clone();
+        seen
+    };
+    let serial = summaries(false);
+    assert_eq!(serial.len(), 2, "one summary per plan: {serial:#?}");
+    assert_ne!(serial[0], serial[1], "the two plans must differ");
+    assert_eq!(summaries(true), serial);
 }
