@@ -19,7 +19,10 @@
 //! Every run folds its latency measurements into a
 //! [`WorkloadSummary`] (whole-run percentiles plus fixed-width windows)
 //! buffered on the system and drained via
-//! [`TargetSystem::drain_workload_summaries`].
+//! [`TargetSystem::drain_workload_summaries`]. A run keeps one `u32` per
+//! completed request, in completion order; since virtual time never runs
+//! backwards, each window is a contiguous slice of that buffer. Percentiles
+//! are nearest-rank, taken by selection (no sample set is sorted).
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -72,7 +75,12 @@ pub struct WorkloadSpec {
     pub max_retries: u8,
     /// Bounded queue capacity; overflow is shed (counted as dropped).
     pub queue_cap: usize,
-    /// Latency-window width for the windowed percentiles.
+    /// Latency-window width for the windowed percentiles. A window is the
+    /// slice of the run's completion-ordered latency buffer (one `u32` per
+    /// completed request) that completed inside it; its p50/p99 are
+    /// nearest-rank, by selection. Window `i` starts at `i · window`,
+    /// truncated to whole milliseconds; at most 4 096 windows are kept and
+    /// later completions fold into the last.
     pub window: VirtualTime,
     /// Run horizon.
     pub horizon: VirtualTime,
@@ -304,7 +312,6 @@ impl WorkloadSystem {
             latency: LatencyLog::new(spec.window, spec.horizon, spec.source.offered() as usize),
             spec,
             queue: VecDeque::new(),
-            completed: 0,
             dropped: 0,
         };
         (sim, world)
@@ -332,42 +339,100 @@ enum Ev {
     Monitor,
 }
 
-/// Latency accounting: exact whole-run samples plus per-window samples.
+/// Latency accounting: one `u32` per completed request, in completion
+/// order. The simulator clock never runs backwards, so each window's
+/// samples form one contiguous slice of `samples`; `ends[i]` is where
+/// window `i`'s slice ends, and windows past `ends` end at the buffer's end.
 struct LatencyLog {
     window_us: u64,
-    /// Per-window samples; completions past the horizon fold into the
-    /// last window.
-    windows: Vec<Vec<u32>>,
-    all: Vec<u32>,
+    /// Window count; completions past the horizon fold into the last one.
+    windows: usize,
+    ends: Vec<usize>,
+    samples: Vec<u32>,
 }
 
 impl LatencyLog {
     fn new(window: VirtualTime, horizon: VirtualTime, capacity: usize) -> Self {
         let window_us = window.as_micros().max(1);
-        let count = (horizon.as_micros() / window_us + 1).min(4_096) as usize;
         LatencyLog {
             window_us,
-            windows: (0..count.max(1)).map(|_| Vec::new()).collect(),
-            all: Vec::with_capacity(capacity),
+            windows: (horizon.as_micros() / window_us + 1).min(4_096) as usize,
+            ends: Vec::new(),
+            samples: Vec::with_capacity(capacity),
         }
     }
 
     fn record(&mut self, completed_at: VirtualTime, latency: VirtualTime) {
-        let us = latency.as_micros().min(u32::MAX as u64) as u32;
-        self.all.push(us);
-        let idx = (completed_at.as_micros() / self.window_us) as usize;
-        let idx = idx.min(self.windows.len() - 1);
-        self.windows[idx].push(us);
+        let idx = ((completed_at.as_micros() / self.window_us) as usize).min(self.windows - 1);
+        debug_assert!(idx >= self.ends.len(), "completions arrive in time order");
+        while self.ends.len() < idx {
+            self.ends.push(self.samples.len());
+        }
+        self.samples
+            .push(latency.as_micros().min(u32::MAX as u64) as u32);
+    }
+
+    /// Folds the run: each window's p50/p99 by selection inside its slice,
+    /// then the whole run's p50/p90/p99 and max over the whole buffer.
+    fn into_summary(
+        mut self,
+        test: TestId,
+        seed: u64,
+        offered: u64,
+        dropped: u64,
+    ) -> WorkloadSummary {
+        let mut start = 0;
+        let mut windows = Vec::with_capacity(self.windows);
+        for i in 0..self.windows {
+            let end = self.ends.get(i).copied().unwrap_or(self.samples.len());
+            let [p50_us, p99_us] = percentiles(&mut self.samples[start..end], [50.0, 99.0]);
+            windows.push(WorkloadWindow {
+                start_ms: i as u64 * self.window_us / 1_000,
+                completed: (end - start) as u64,
+                p50_us,
+                p99_us,
+            });
+            start = end;
+        }
+        // The window pass only permuted samples inside their slices; the
+        // 100th nearest-rank percentile is the maximum.
+        let [p50_us, p90_us, p99_us, max_us] =
+            percentiles(&mut self.samples, [50.0, 90.0, 99.0, 100.0]);
+        WorkloadSummary {
+            test,
+            seed,
+            offered,
+            completed: self.samples.len() as u64,
+            dropped,
+            p50_us,
+            p90_us,
+            p99_us,
+            max_us,
+            windows,
+        }
     }
 }
 
-/// Nearest-rank percentile of an already-sorted sample set.
-fn percentile(sorted: &[u32], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+/// Nearest-rank percentiles of `samples` at ascending `qs` (`0` for an
+/// empty set), by selection: each rank is selected among the samples at or
+/// above the previous one, so no sample set is ever sorted. Reorders
+/// `samples`.
+fn percentiles<const N: usize>(samples: &mut [u32], qs: [f64; N]) -> [u64; N] {
+    let mut out = [0; N];
+    let n = samples.len();
+    if n == 0 {
+        return out;
     }
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1] as u64
+    let mut lo = 0;
+    for (q, slot) in qs.into_iter().zip(&mut out) {
+        let rank = ((q / 100.0) * n as f64).ceil() as usize;
+        let at = rank.clamp(1, n) - 1;
+        debug_assert!(at >= lo, "percentiles ascend");
+        let (_, nth, _) = samples[lo..].select_nth_unstable(at - lo);
+        *slot = *nth as u64;
+        lo = at;
+    }
+    out
 }
 
 struct WorkloadWorld<'a> {
@@ -375,7 +440,6 @@ struct WorkloadWorld<'a> {
     ids: WorkloadIds,
     spec: &'a WorkloadSpec,
     queue: VecDeque<Req>,
-    completed: u64,
     dropped: u64,
     latency: LatencyLog,
 }
@@ -434,7 +498,6 @@ impl World for WorkloadWorld<'_> {
                                 }
                             }
                         } else {
-                            self.completed += 1;
                             self.latency.record(sim.now(), latency);
                         }
                     }
@@ -455,41 +518,6 @@ impl World for WorkloadWorld<'_> {
                     .negation_point(self.ids.np_empty, self.queue.is_empty());
                 sim.schedule(VirtualTime::from_secs(1), Ev::Monitor);
             }
-        }
-    }
-}
-
-impl WorkloadWorld<'_> {
-    fn into_summary(mut self, test: TestId, seed: u64, offered: u64) -> WorkloadSummary {
-        self.latency.all.sort_unstable();
-        let all = &self.latency.all;
-        let window_ms = (self.latency.window_us / 1_000).max(1);
-        let windows = self
-            .latency
-            .windows
-            .iter_mut()
-            .enumerate()
-            .map(|(i, samples)| {
-                samples.sort_unstable();
-                WorkloadWindow {
-                    start_ms: i as u64 * window_ms,
-                    completed: samples.len() as u64,
-                    p50_us: percentile(samples, 50.0),
-                    p99_us: percentile(samples, 99.0),
-                }
-            })
-            .collect();
-        WorkloadSummary {
-            test,
-            seed,
-            offered,
-            completed: self.completed,
-            dropped: self.dropped,
-            p50_us: percentile(all, 50.0),
-            p90_us: percentile(all, 90.0),
-            p99_us: percentile(all, 99.0),
-            max_us: all.last().copied().unwrap_or(0) as u64,
-            windows,
         }
     }
 }
@@ -516,7 +544,9 @@ impl TargetSystem for WorkloadSystem {
         let (mut sim, mut world) = self.start(spec, Rc::clone(&agent), seed);
         sim.run(&mut world, spec.horizon);
         let trace = agent.finish(sim.now(), sim.events_executed());
-        let summary = world.into_summary(test, seed, spec.source.offered());
+        let summary = world
+            .latency
+            .into_summary(test, seed, spec.source.offered(), world.dropped);
         self.summaries
             .lock()
             .expect("summary buffer poisoned")
@@ -543,6 +573,176 @@ impl TargetSystem for WorkloadSystem {
 mod tests {
     use super::*;
     use csnake_core::driver::seed_for;
+    use proptest::prelude::*;
+
+    /// Nearest-rank percentile of an already-sorted sample set.
+    fn percentile(sorted: &[u32], q: f64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1] as u64
+    }
+
+    /// The sort-based fold `LatencyLog` replaced, kept as its oracle: every
+    /// latency copied into its window's set and the whole run's, each set
+    /// fully sorted, percentiles read off the sorted sets.
+    fn sorted_fold(
+        window: VirtualTime,
+        horizon: VirtualTime,
+        records: &[(VirtualTime, VirtualTime)],
+    ) -> WorkloadSummary {
+        let window_us = window.as_micros().max(1);
+        let count = (horizon.as_micros() / window_us + 1).min(4_096) as usize;
+        let mut windows = vec![Vec::new(); count];
+        let mut all = Vec::new();
+        for &(at, latency) in records {
+            let us = latency.as_micros().min(u32::MAX as u64) as u32;
+            all.push(us);
+            windows[((at.as_micros() / window_us) as usize).min(count - 1)].push(us);
+        }
+        all.sort_unstable();
+        WorkloadSummary {
+            test: TestId(2),
+            seed: 7,
+            offered: 1_000,
+            completed: all.len() as u64,
+            dropped: 3,
+            p50_us: percentile(&all, 50.0),
+            p90_us: percentile(&all, 90.0),
+            p99_us: percentile(&all, 99.0),
+            max_us: all.last().copied().unwrap_or(0) as u64,
+            windows: windows
+                .iter_mut()
+                .enumerate()
+                .map(|(i, samples)| {
+                    samples.sort_unstable();
+                    WorkloadWindow {
+                        start_ms: i as u64 * window_us / 1_000,
+                        completed: samples.len() as u64,
+                        p50_us: percentile(samples, 50.0),
+                        p99_us: percentile(samples, 99.0),
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    fn selection_fold(
+        window: VirtualTime,
+        horizon: VirtualTime,
+        records: &[(VirtualTime, VirtualTime)],
+    ) -> WorkloadSummary {
+        let mut log = LatencyLog::new(window, horizon, 0);
+        for &(at, latency) in records {
+            log.record(at, latency);
+        }
+        log.into_summary(TestId(2), 7, 1_000, 3)
+    }
+
+    /// `(completion instant, latency)` records, both in µs.
+    fn records(raw: &[(u64, u64)]) -> Vec<(VirtualTime, VirtualTime)> {
+        raw.iter()
+            .map(|&(at, lat)| (VirtualTime::from_micros(at), VirtualTime::from_micros(lat)))
+            .collect()
+    }
+
+    fn assert_folds_agree(window_us: u64, horizon_us: u64, raw: &[(u64, u64)]) {
+        let (window, horizon) = (
+            VirtualTime::from_micros(window_us),
+            VirtualTime::from_micros(horizon_us),
+        );
+        let recs = records(raw);
+        assert_eq!(
+            selection_fold(window, horizon, &recs),
+            sorted_fold(window, horizon, &recs),
+            "window {window_us} us, horizon {horizon_us} us"
+        );
+    }
+
+    #[test]
+    fn selection_fold_matches_the_sorted_fold_at_the_edges() {
+        let ms = 1_000;
+        // An empty run: every window and percentile is zero.
+        assert_folds_agree(250 * ms, 2_000 * ms, &[]);
+        // A single sample.
+        assert_folds_agree(250 * ms, 2_000 * ms, &[(600 * ms, 42)]);
+        // Empty windows between full ones, and latencies past `u32::MAX`.
+        assert_folds_agree(
+            250 * ms,
+            2_000 * ms,
+            &[
+                (0, 5),
+                (10, 3),
+                (249_999, 9),
+                (1_000 * ms, 7),
+                (1_000 * ms, 1),
+                (1_750 * ms, u64::MAX),
+                (1_999 * ms, 4),
+            ],
+        );
+        // Every completion past the horizon folds into the last window.
+        assert_folds_agree(
+            250 * ms,
+            1_000 * ms,
+            &[(1_500 * ms, 8), (2_000 * ms, 2), (90_000 * ms, 5)],
+        );
+        // More than 4 096 windows: the clamp folds the tail into window 4 095.
+        let raw: Vec<(u64, u64)> = (0..6_000u64).map(|i| (i * 1_000, 6_000 - i)).collect();
+        assert_folds_agree(1_000, 10_000_000, &raw);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn selection_fold_matches_the_sorted_fold(
+            window_us in 1u64..5_000,
+            horizon_windows in 0u64..6_000,
+            start_windows in 0u64..5_000,
+            steps in proptest::collection::vec((0u64..3_000, 0u64..2_000), 0..300),
+        ) {
+            // Nondecreasing completion instants: each step advances up to
+            // three windows (gaps of zero make same-instant completions).
+            let mut at = start_windows * window_us;
+            let raw: Vec<(u64, u64)> = steps
+                .iter()
+                .map(|&(gap_permille, latency)| {
+                    at += gap_permille * window_us / 1_000;
+                    (at, latency)
+                })
+                .collect();
+            assert_folds_agree(window_us, horizon_windows * window_us, &raw);
+        }
+    }
+
+    #[test]
+    fn windows_start_at_their_true_millisecond() {
+        let starts = |window_us: u64, horizon_ms: u64| -> Vec<u64> {
+            let log = LatencyLog::new(
+                VirtualTime::from_micros(window_us),
+                VirtualTime::from_millis(horizon_ms),
+                0,
+            );
+            let summary = log.into_summary(TestId(0), 0, 0, 0);
+            summary.windows.iter().map(|w| w.start_ms).collect()
+        };
+        assert_eq!(starts(1_500, 4), [0, 1, 3]);
+        assert_eq!(starts(500, 2), [0, 0, 1, 1, 2]);
+        assert_eq!(starts(250_000, 1_000), [0, 250, 500, 750, 1_000]);
+
+        // The inflection is reported at the window's true start: window 2
+        // of a 1.5 ms run starts at 3 ms.
+        let mut log = LatencyLog::new(
+            VirtualTime::from_micros(1_500),
+            VirtualTime::from_millis(4),
+            0,
+        );
+        for (at, lat) in [(100, 10), (1_600, 12), (3_100, 900)] {
+            log.record(VirtualTime::from_micros(at), VirtualTime::from_micros(lat));
+        }
+        let summary = log.into_summary(TestId(0), 0, 3, 0);
+        assert_eq!(summary.p99_inflection_milli(), Some(3));
+    }
 
     fn profile(test: u32) -> (WorkloadSystem, RunTrace) {
         let sys = WorkloadSystem::new();
@@ -703,7 +903,7 @@ mod tests {
         assert_eq!(sim.pending(), 3, "stream head, tick, monitor");
         let mut world = PeakPending { inner, peak: 0 };
         sim.run(&mut world, spec.horizon);
-        assert_eq!(world.inner.completed, 200_000);
+        assert_eq!(world.inner.latency.samples.len(), 200_000);
         assert!(world.peak <= 3, "peak pending {}", world.peak);
     }
 }
