@@ -32,8 +32,8 @@ pub struct WorkloadWindow {
     pub p99_us: u64,
 }
 
-/// Whole-run latency/throughput summary of one open-loop workload run.
-/// Ordered by `(test, seed)` first, then by content.
+/// Whole-run latency summary of one open-loop workload run. Ordered by
+/// `(test, seed)` first, then by content.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct WorkloadSummary {
     /// The workload (test case) that ran.
@@ -74,16 +74,6 @@ impl WorkloadSummary {
         live.iter()
             .find(|w| w.p99_us >= threshold)
             .map(|w| w.start_ms)
-    }
-
-    /// Completed requests per virtual second, over the whole run horizon
-    /// implied by the windows (`0` for an empty run).
-    pub fn throughput_rps(&self, window_ms: u64) -> u64 {
-        let horizon_ms = (self.windows.len() as u64).saturating_mul(window_ms);
-        if horizon_ms == 0 {
-            return 0;
-        }
-        self.completed.saturating_mul(1000) / horizon_ms
     }
 }
 
@@ -134,12 +124,5 @@ mod tests {
     fn empty_windows_are_ignored() {
         let s = summary(&[(10, 100), (0, 0), (10, 450)]);
         assert_eq!(s.p99_inflection_milli(), Some(200));
-    }
-
-    #[test]
-    fn throughput_divides_by_the_window_horizon() {
-        let s = summary(&[(500, 10), (500, 10)]);
-        assert_eq!(s.throughput_rps(100), 5_000);
-        assert_eq!(summary(&[]).throughput_rps(100), 0);
     }
 }
