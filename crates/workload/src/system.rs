@@ -586,20 +586,16 @@ mod tests {
 
     /// The sort-based fold `LatencyLog` replaced, kept as its oracle: every
     /// latency copied into its window's set and the whole run's, each set
-    /// fully sorted, percentiles read off the sorted sets.
-    fn sorted_fold(
-        window: VirtualTime,
-        horizon: VirtualTime,
-        records: &[(VirtualTime, VirtualTime)],
-    ) -> WorkloadSummary {
-        let window_us = window.as_micros().max(1);
-        let count = (horizon.as_micros() / window_us + 1).min(4_096) as usize;
+    /// fully sorted, percentiles read off the sorted sets. Times in µs.
+    fn sorted_fold(window_us: u64, horizon_us: u64, records: &[(u64, u64)]) -> WorkloadSummary {
+        let window_us = window_us.max(1);
+        let count = (horizon_us / window_us + 1).min(4_096) as usize;
         let mut windows = vec![Vec::new(); count];
         let mut all = Vec::new();
         for &(at, latency) in records {
-            let us = latency.as_micros().min(u32::MAX as u64) as u32;
+            let us = latency.min(u32::MAX as u64) as u32;
             all.push(us);
-            windows[((at.as_micros() / window_us) as usize).min(count - 1)].push(us);
+            windows[((at / window_us) as usize).min(count - 1)].push(us);
         }
         all.sort_unstable();
         WorkloadSummary {
@@ -628,34 +624,17 @@ mod tests {
         }
     }
 
-    fn selection_fold(
-        window: VirtualTime,
-        horizon: VirtualTime,
-        records: &[(VirtualTime, VirtualTime)],
-    ) -> WorkloadSummary {
-        let mut log = LatencyLog::new(window, horizon, 0);
+    /// Feeds `(completion instant, latency)` records, both in µs, to a
+    /// `LatencyLog` and requires its summary to equal the sorted fold's.
+    fn assert_folds_agree(window_us: u64, horizon_us: u64, records: &[(u64, u64)]) {
+        let us = VirtualTime::from_micros;
+        let mut log = LatencyLog::new(us(window_us), us(horizon_us), 0);
         for &(at, latency) in records {
-            log.record(at, latency);
+            log.record(us(at), us(latency));
         }
-        log.into_summary(TestId(2), 7, 1_000, 3)
-    }
-
-    /// `(completion instant, latency)` records, both in µs.
-    fn records(raw: &[(u64, u64)]) -> Vec<(VirtualTime, VirtualTime)> {
-        raw.iter()
-            .map(|&(at, lat)| (VirtualTime::from_micros(at), VirtualTime::from_micros(lat)))
-            .collect()
-    }
-
-    fn assert_folds_agree(window_us: u64, horizon_us: u64, raw: &[(u64, u64)]) {
-        let (window, horizon) = (
-            VirtualTime::from_micros(window_us),
-            VirtualTime::from_micros(horizon_us),
-        );
-        let recs = records(raw);
         assert_eq!(
-            selection_fold(window, horizon, &recs),
-            sorted_fold(window, horizon, &recs),
+            log.into_summary(TestId(2), 7, 1_000, 3),
+            sorted_fold(window_us, horizon_us, records),
             "window {window_us} us, horizon {horizon_us} us"
         );
     }

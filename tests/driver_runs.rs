@@ -204,14 +204,23 @@ fn a_killed_attempt_launches_no_run() {
     assert_eq!(launched, clean.runs_executed());
 }
 
-/// Every `BatchFailed` event, in arrival order.
-#[derive(Default)]
-struct Failures(Mutex<Vec<String>>);
+/// Every event of one kind (its `CampaignEvent::name`), in arrival order.
+struct Events(&'static str, Mutex<Vec<String>>);
 
-impl CampaignObserver for Failures {
+impl Events {
+    fn of(kind: &'static str) -> Arc<Self> {
+        Arc::new(Events(kind, Mutex::default()))
+    }
+
+    fn seen(&self) -> Vec<String> {
+        self.1.lock().unwrap().clone()
+    }
+}
+
+impl CampaignObserver for Events {
     fn on_event(&self, event: &CampaignEvent) {
-        if let CampaignEvent::BatchFailed { .. } = event {
-            self.0.lock().unwrap().push(format!("{event:?}"));
+        if event.name() == self.0 {
+            self.1.lock().unwrap().push(format!("{event:?}"));
         }
     }
 }
@@ -229,7 +238,7 @@ fn permanent_chaos_fails_the_same_cells_for_the_same_reasons() {
             ..ChaosConfig::default()
         };
         let target = Gauge::new();
-        let failures = Arc::new(Failures::default());
+        let failures = Events::of("batch_failed");
         let mut session = Session::builder(&target)
             .config(cfg)
             .observer(failures.clone())
@@ -239,8 +248,7 @@ fn permanent_chaos_fails_the_same_cells_for_the_same_reasons() {
             .run_to_report(&ThreePhase::default())
             .expect("degraded campaigns complete");
         assert_eq!(target.launched(), session.runs_executed());
-        let seen = failures.0.lock().unwrap().clone();
-        seen
+        failures.seen()
     };
     let first = failures();
     assert!(
@@ -286,7 +294,7 @@ fn a_failed_experiment_names_its_first_failed_run() {
         ..DriverConfig::default()
     };
     cfg.retry.max_retries = 0;
-    let failures = Arc::new(Failures::default());
+    let failures = Events::of("batch_failed");
     let mut driver = Driver::new(&gauge, cfg);
     driver.set_observer(failures.clone());
     let profile_runs = driver.runs_executed;
@@ -301,25 +309,13 @@ fn a_failed_experiment_names_its_first_failed_run() {
         driver.runs_executed, profile_runs,
         "a failed experiment counts no runs"
     );
-    let seen = failures.0.lock().unwrap().clone();
+    let seen = failures.seen();
     assert_eq!(seen.len(), 1);
     assert!(
         seen[0].contains("run (delay 100000 us, rep 1) down"),
         "{}",
         seen[0]
     );
-}
-
-/// Every `WorkloadSummary` event, in arrival order.
-#[derive(Default)]
-struct Summaries(Mutex<Vec<String>>);
-
-impl CampaignObserver for Summaries {
-    fn on_event(&self, event: &CampaignEvent) {
-        if let CampaignEvent::WorkloadSummary { .. } = event {
-            self.0.lock().unwrap().push(format!("{event:?}"));
-        }
-    }
 }
 
 #[test]
@@ -331,7 +327,10 @@ fn workload_summaries_arrive_in_one_order_whichever_run_finishes_first() {
     let summaries = |parallel: bool| {
         let hold = parallel && hardware_threads() >= 2;
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let first_plan = |plan: Option<InjectionPlan>| matches!(plan.map(|p| p.action), Some(InjectAction::Delay(d)) if d.as_micros() == 100_000);
+        let first_plan = |plan: Option<InjectionPlan>| match plan.map(|p| p.action) {
+            Some(InjectAction::Delay(d)) => d.as_micros() == 100_000,
+            _ => false,
+        };
         let mut gauge = Gauge::wrapping(WorkloadSystem::with_spec(
             "workload:summary-order",
             WorkloadSpec {
@@ -371,12 +370,11 @@ fn workload_summaries_arrive_in_one_order_whichever_run_finishes_first() {
             parallel,
             ..DriverConfig::default()
         };
-        let observed = Arc::new(Summaries::default());
+        let observed = Events::of("workload_summary");
         let mut driver = Driver::new(&gauge, cfg);
         driver.set_observer(observed.clone());
         driver.run_experiments(&[(drain_loop, TestId(0), 0)]);
-        let seen = observed.0.lock().unwrap().clone();
-        seen
+        observed.seen()
     };
     let serial = summaries(false);
     assert_eq!(serial.len(), 2, "one summary per plan: {serial:#?}");
