@@ -221,9 +221,13 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The machine's hardware parallelism (1 when unknown).
+/// The machine's hardware parallelism (1 when unknown), read once per
+/// process and cached: `available_parallelism` re-reads the cgroup quota
+/// and the affinity mask on every call, and every pool call, driver batch,
+/// stitch build and search, and clustering pass asks.
 pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Splits `0..n` into at most `parts` contiguous, non-empty, near-equal

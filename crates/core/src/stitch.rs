@@ -90,6 +90,11 @@
 //! candidates and `O(ranges · distinct cycles)` cycle refs: nothing is
 //! sized by `frontier · fanout`, and the serial merge is an `O(n)`
 //! selection plus a key probe per selected rank (≈ `B` of them, not `n`).
+//! A candidate is 8 bytes, `(frontier index, appended edge)`: its parent
+//! node, first edge, length, delay count, score sum and chain hash are
+//! derived from the frontier entry it extends wherever they are read (the
+//! range cut, the merge's ranks and cross-range dedup, and the next
+//! frontier), by the same expressions the expansion filters with.
 //! [`LevelStats`] reports generated against kept, per level.
 
 use std::collections::HashSet;
@@ -859,7 +864,7 @@ impl StitchIndex {
                 .expect("scratch lock")
                 .pop()
                 .unwrap_or_default();
-            expand_into(&shared, &frontier[range], &mut out, &mut scratch);
+            expand_into(&shared, &frontier, range, &mut out, &mut scratch);
             spare.lock().expect("scratch lock").push(scratch);
             out
         };
@@ -887,7 +892,7 @@ impl StitchIndex {
                 } else {
                     let frontier = shared.frontier.read().expect("frontier lock");
                     chunks.truncate(1);
-                    expand_into(&shared, &frontier, &mut chunks[0], &mut scratch);
+                    expand_into(&shared, &frontier, 0..nf, &mut chunks[0], &mut scratch);
                 }
 
                 let (next, stats) = merge_level(&shared, &chunks, &mut scratch, &mut cycles);
@@ -1015,26 +1020,23 @@ struct Frontier {
     hash: Hash128,
 }
 
-/// A candidate extension produced by one expansion (not yet materialised).
+/// A candidate extension produced by one expansion (not yet materialised):
+/// the chain `frontier[from]` of the level being expanded, extended by
+/// `edge`. Nothing else is stored. The chain it stands for is
+/// [`Shared::extend`] of that frontier entry, and its rank score and chain
+/// key are [`Shared::score`] and [`Shared::key`]; the widest level of a
+/// paper-scale search holds a million candidates, and every other field
+/// would copy what the frontier entry already holds.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
-    /// Arena node of the *parent* chain's last edge.
-    parent: u32,
+    /// Index of the extended chain in the level's frontier.
+    from: u32,
+    /// The appended edge.
     edge: u32,
-    first_edge: u32,
-    len: u8,
-    delays: u8,
-    score_sum: f64,
-    hash: Hash128,
 }
 
-impl Candidate {
-    /// The beam rank score, computed exactly as the reference does.
-    #[inline]
-    fn score(&self) -> f64 {
-        self.score_sum / self.len as f64
-    }
-}
+// Adding a field back is a 40-byte candidate again: make it a build error.
+const _: () = assert!(std::mem::size_of::<Candidate>() == 8);
 
 /// A discovered cycle: parent node plus closing edge.
 #[derive(Debug, Clone, Copy)]
@@ -1064,6 +1066,41 @@ struct Shared<'a> {
     frontier: RwLock<Vec<Frontier>>,
 }
 
+impl Shared<'_> {
+    /// `chain` extended by edge `j`, ending at arena node `node`: the chain
+    /// a [`Candidate`] stands for. Each field is the expression
+    /// [`expand_into`] filters with.
+    #[inline]
+    fn extend(&self, chain: &Frontier, j: u32, node: u32) -> Frontier {
+        Frontier {
+            node,
+            last_edge: j,
+            first_edge: chain.first_edge,
+            len: chain.len + 1,
+            delays: chain.delays + self.idx.delay_w[j as usize],
+            score_sum: chain.score_sum + self.sim[j as usize],
+            hash: chain.hash.extend(self.idx.struct_word[j as usize]),
+        }
+    }
+
+    /// The beam rank score of `c`, computed exactly as the reference does.
+    #[inline]
+    fn score(&self, frontier: &[Frontier], c: Candidate) -> f64 {
+        let chain = &frontier[c.from as usize];
+        (chain.score_sum + self.sim[c.edge as usize]) / (chain.len + 1) as f64
+    }
+
+    /// The 128-bit chain key of `c`.
+    #[inline]
+    fn key(&self, frontier: &[Frontier], c: Candidate) -> u128 {
+        let chain = &frontier[c.from as usize];
+        chain
+            .hash
+            .extend(self.idx.struct_word[c.edge as usize])
+            .key()
+    }
+}
+
 /// A beam rank: `(score, chunk, index in chunk)`. Chunks and indices
 /// ascend in insertion order, so [`cmp_rank`] is the reference's stable
 /// score order.
@@ -1078,7 +1115,8 @@ fn cmp_rank(a: &Rank, b: &Rank) -> std::cmp::Ordering {
 #[derive(Default)]
 struct Expansion {
     /// Structurally distinct candidate extensions in (chain, successor)
-    /// order; at most `2 · beam_size` of them.
+    /// order; at most `2 · beam_size` of them. They index the frontier the
+    /// range was expanded from, which must stay in place until the merge.
     candidates: Vec<Candidate>,
     /// Closing extensions with distinct multiset keys, in the same order.
     cycles: Vec<CycleRef>,
@@ -1112,13 +1150,19 @@ struct DedupScratch {
 ///   first occurrences too).
 ///
 /// Output order follows (chain, successor) order, so chunk-ordered
-/// concatenation is the sequential order.
+/// concatenation is the sequential order. `range` indexes `frontier`, the
+/// whole level, so candidates carry level-wide indices.
 fn expand_into(
     shared: &Shared<'_>,
-    chunk: &[Frontier],
+    frontier: &[Frontier],
+    range: Range<usize>,
     out: &mut Expansion,
     scratch: &mut DedupScratch,
 ) {
+    assert!(
+        frontier.len() <= u32::MAX as usize,
+        "frontier exceeds u32 index space"
+    );
     let idx = shared.idx;
     let arena = shared.arena.read().expect("arena lock");
     out.candidates.clear();
@@ -1133,7 +1177,8 @@ fn expand_into(
         b => b.saturating_mul(2),
     };
     let mut cutoff: Option<f64> = None;
-    for chain in chunk {
+    for from in range {
+        let chain = &frontier[from];
         let len = chain.len + 1;
         let grows = (len as usize) < shared.max_len;
         for &j in idx.succ_of(chain.last_edge, shared.use_compat) {
@@ -1146,7 +1191,6 @@ fn expand_into(
             if shared.cap.is_some_and(|c| delays > c) {
                 continue;
             }
-            let score_sum = chain.score_sum + shared.sim[j as usize];
             if closes {
                 out.cycles_raw += 1;
                 let key = arena.cycle_key(&idx.cycle_word, chain.node, j);
@@ -1155,53 +1199,58 @@ fn expand_into(
                         parent: chain.node,
                         edge: j,
                         len,
-                        score_sum,
+                        score_sum: chain.score_sum + shared.sim[j as usize],
                         key,
                     });
                 }
             } else {
                 out.generated += 1;
                 let candidate = Candidate {
-                    parent: chain.node,
+                    from: from as u32,
                     edge: j,
-                    first_edge: chain.first_edge,
-                    len,
-                    delays,
-                    score_sum,
-                    hash: chain.hash.extend(idx.struct_word[j as usize]),
                 };
-                if cutoff.is_some_and(|worst| candidate.score().total_cmp(&worst).is_ge())
-                    || !scratch.seen.insert(candidate.hash.key())
+                if cutoff.is_some_and(|worst| {
+                    shared.score(frontier, candidate).total_cmp(&worst).is_ge()
+                }) || !scratch.seen.insert(shared.key(frontier, candidate))
                 {
                     continue;
                 }
                 out.candidates.push(candidate);
                 if out.candidates.len() >= cut_at {
-                    cutoff = Some(cut_to_beam(&mut out.candidates, shared.beam_size, scratch));
+                    cutoff = Some(cut_to_beam(shared, frontier, &mut out.candidates, scratch));
                 }
             }
         }
     }
 }
 
-/// Cuts a range's candidates back to its `beam` best by [`cmp_rank`]
-/// (insertion order kept), forgets the keys of the rest, and returns the
-/// worst surviving score.
-fn cut_to_beam(candidates: &mut Vec<Candidate>, beam: usize, scratch: &mut DedupScratch) -> f64 {
-    let rank = |i: usize, c: &Candidate| (c.score(), 0, i as u32);
+/// Cuts a range's candidates (extending chains of `frontier`) back to its
+/// `beam_size` best by [`cmp_rank`] (insertion order kept), forgets the
+/// keys of the rest, and returns the worst surviving score.
+fn cut_to_beam(
+    shared: &Shared<'_>,
+    frontier: &[Frontier],
+    candidates: &mut Vec<Candidate>,
+    scratch: &mut DedupScratch,
+) -> f64 {
+    let rank = |i: usize, c: Candidate| (shared.score(frontier, c), 0, i as u32);
     let order = &mut scratch.order;
     order.clear();
-    order.extend(candidates.iter().enumerate().map(|(i, c)| rank(i, c)));
-    let worst = *order.select_nth_unstable_by(beam - 1, cmp_rank).1;
+    order.extend(candidates.iter().enumerate().map(|(i, &c)| rank(i, c)));
+    let worst = *order
+        .select_nth_unstable_by(shared.beam_size - 1, cmp_rank)
+        .1;
     let mut i = 0;
-    candidates.retain(|c| {
+    candidates.retain(|&c| {
         i += 1;
         cmp_rank(&rank(i - 1, c), &worst).is_le()
     });
     // Every forgotten key scores no better than `worst`, so the cut-off
     // test drops its later occurrences without the set's help.
     scratch.seen.clear();
-    scratch.seen.extend(candidates.iter().map(|c| c.hash.key()));
+    scratch
+        .seen
+        .extend(candidates.iter().map(|&c| shared.key(frontier, c)));
     worst.0
 }
 
@@ -1218,7 +1267,9 @@ fn cut_to_beam(candidates: &mut Vec<Candidate>, beam: usize, scratch: &mut Dedup
 /// duplicates, and rounds run in rank order: the kept ranks are the
 /// reference's. Only 16-byte ranks move during selection; surviving
 /// candidates are gathered from their ranges and materialised as arena
-/// nodes afterwards.
+/// nodes afterwards. Scores, keys and the next frontier's entries are all
+/// derived from the current frontier, which the caller replaces only after
+/// this returns.
 fn merge_level(
     shared: &Shared<'_>,
     chunks: &[Expansion],
@@ -1235,8 +1286,9 @@ fn merge_level(
     cycle_seen.clear();
     order.clear();
     order.reserve(chunks.iter().map(|c| c.candidates.len()).sum());
+    let frontier = shared.frontier.read().expect("frontier lock");
     let mut stats = LevelStats {
-        frontier: shared.frontier.read().expect("frontier lock").len(),
+        frontier: frontier.len(),
         ..LevelStats::default()
     };
     let cycles_before = cycles.len();
@@ -1258,7 +1310,7 @@ fn merge_level(
                 .candidates
                 .iter()
                 .enumerate()
-                .map(|(i, c)| (c.score(), ci as u32, i as u32)),
+                .map(|(i, &c)| (shared.score(&frontier, c), ci as u32, i as u32)),
         );
     }
     stats.cycles_kept = cycles.len() - cycles_before;
@@ -1278,7 +1330,9 @@ fn merge_level(
         rest[..round].sort_unstable_by(cmp_rank);
         for r in next..next + round {
             let (_, ci, i) = order[r];
-            if !across || seen.insert(chunks[ci as usize].candidates[i as usize].hash.key()) {
+            if !across
+                || seen.insert(shared.key(&frontier, chunks[ci as usize].candidates[i as usize]))
+            {
                 order[kept] = order[r];
                 kept += 1;
             }
@@ -1292,16 +1346,8 @@ fn merge_level(
         .iter()
         .map(|&(_, ci, i)| {
             let c = chunks[ci as usize].candidates[i as usize];
-            let node = arena.push(c.edge, c.parent);
-            Frontier {
-                node,
-                last_edge: c.edge,
-                first_edge: c.first_edge,
-                len: c.len,
-                delays: c.delays,
-                score_sum: c.score_sum,
-                hash: c.hash,
-            }
+            let chain = &frontier[c.from as usize];
+            shared.extend(chain, c.edge, arena.push(c.edge, chain.node))
         })
         .collect();
     (next, stats)
@@ -1434,7 +1480,8 @@ mod tests {
         // and big frontiers; drive it directly so range-order reassembly
         // and cross-range dedup are covered everywhere. Every relationship
         // is observed in three tests, so duplicate chains and duplicate
-        // cycles straddle range boundaries.
+        // cycles straddle range boundaries. The `+ 13` relationships have a
+        // delay cause, so chains carry different delay counts.
         let mut edges = Vec::new();
         for c in 0..40u32 {
             // 13 + 27 = 40: two-edge cycles close at the first expansion.
@@ -1443,6 +1490,11 @@ mod tests {
                     let to = (c + step) % 40;
                     edges.push(CausalEdge {
                         test: TestId(t),
+                        kind: if step == 13 {
+                            EdgeKind::ED
+                        } else {
+                            EdgeKind::EI
+                        },
                         ..edge(c, to, c, to)
                     });
                 }
@@ -1472,7 +1524,7 @@ mod tests {
                         last_edge: i,
                         first_edge: i,
                         len: 1,
-                        delays: 0,
+                        delays: idx.delay_w[i as usize],
                         score_sum: sim[i as usize],
                         hash: Hash128::SEED.extend(idx.struct_word[i as usize]),
                     });
@@ -1484,25 +1536,56 @@ mod tests {
                 let mut out = Expansion::default();
                 expand_into(
                     &shared,
-                    &frontier[range],
+                    &frontier,
+                    range,
                     &mut out,
                     &mut DedupScratch::default(),
                 );
                 out
             };
-            // The chains and closing (parent, edge) pairs a merge keeps.
+            // The chains (every field but the node, with the parent node
+            // and the hash key instead) and the closing (parent, edge)
+            // pairs a merge keeps.
             let merged = |chunks: &[Expansion]| {
                 let mut cycles = Vec::new();
                 let (next, stats) =
                     merge_level(&shared, chunks, &mut DedupScratch::default(), &mut cycles);
                 let arena = shared.arena.read().unwrap();
-                let chains: Vec<(u32, u32, u64)> = next
+                // The derived fields agree with the chain the arena holds:
+                // edges root → leaf, folded in the order a seed grows.
+                for f in &next {
+                    let mut path = Vec::new();
+                    let mut node = f.node;
+                    while node != NONE {
+                        let (edge, parent) = arena.nodes[node as usize];
+                        path.push(edge as usize);
+                        node = parent;
+                    }
+                    path.reverse();
+                    let score_sum = path[1..].iter().fold(sim[path[0]], |acc, &e| acc + sim[e]);
+                    let hash = path
+                        .iter()
+                        .fold(Hash128::SEED, |h, &e| h.extend(idx.struct_word[e]));
+                    let delays: u8 = path.iter().map(|&e| idx.delay_w[e]).sum();
+                    assert_eq!(
+                        (f.last_edge as usize, f.first_edge as usize, f.len as usize),
+                        (path[path.len() - 1], path[0], path.len())
+                    );
+                    assert_eq!(f.delays, delays, "chain {path:?}");
+                    assert_eq!(f.score_sum.to_bits(), score_sum.to_bits());
+                    assert_eq!(f.hash.key(), hash.key());
+                }
+                let chains: Vec<(u32, u32, u32, u8, u8, u64, u128)> = next
                     .iter()
                     .map(|f| {
                         (
                             arena.nodes[f.node as usize].1,
                             f.last_edge,
+                            f.first_edge,
+                            f.len,
+                            f.delays,
                             f.score_sum.to_bits(),
+                            f.hash.key(),
                         )
                     })
                     .collect();
@@ -1546,6 +1629,7 @@ mod tests {
                 );
                 if beam_size == usize::MAX {
                     assert!(par.2.candidates_kept >= seq.2.candidates_kept);
+                    assert!(seq.0.iter().any(|c| c.4 > 0), "no kept chain has a delay");
                 }
             });
         }

@@ -443,6 +443,62 @@ fn in_expansion_dedup_and_cut_match_reference_on_duplicate_heavy_dbs() {
     }
 }
 
+/// Delay injections on a cycle: the count `max_delay_injections` caps.
+fn delay_count(db: &CausalDb, edges: &[usize]) -> usize {
+    edges
+        .iter()
+        .filter(|&&i| {
+            let kind = db.edge(i).kind;
+            kind.is_injection() && kind.cause_is_delay()
+        })
+        .count()
+}
+
+#[test]
+fn delay_cap_matches_reference_on_the_cutting_path() {
+    // The duplicate-heavy databases above, through the same pooled,
+    // range-cutting first expansion, with the delay cap on: a chain's delay
+    // count then decides what is generated at all.
+    for seed in [1u64, 2] {
+        let db = multi_test_db(seed, 120, 8, 3);
+        let sim = sim_fn(seed);
+        let index = StitchIndex::build(&db, 1);
+        for cap in [1usize, 2] {
+            // Not vacuous: at some beam the cap removes a cycle the
+            // uncapped search reports.
+            let mut binds = false;
+            for beam_size in [1usize, 7, 64] {
+                let cfg = |cap, threads| BeamConfig {
+                    beam_size,
+                    max_len: 5,
+                    max_delay_injections: cap,
+                    threads,
+                    compatibility_check: true,
+                };
+                let uncapped = index.search(&sim, &cfg(None, 1));
+                binds |= uncapped.iter().any(|c| delay_count(&db, &c.edges) > cap);
+                let reference = beam_search_reference(&db, &sim, &cfg(Some(cap), 2));
+                assert!(!reference.is_empty(), "seed {seed}: nothing to compare");
+                for threads in [1usize, 2, 4] {
+                    let (fast, levels) = index.search_with_stats(&sim, &cfg(Some(cap), threads));
+                    let label = format!("beam={beam_size} cap={cap} threads={threads}");
+                    assert_identical(seed, &label, &fast, &reference);
+                    assert!(
+                        fast.iter().all(|c| delay_count(&db, &c.edges) <= cap),
+                        "seed {seed} {label}: a cycle exceeds the cap"
+                    );
+                    let first = levels[1];
+                    assert!(
+                        first.frontier > 2048 && first.candidates_generated > first.candidates_kept,
+                        "seed {seed} {label}: first expansion too small or duplicate-free: {first:?}"
+                    );
+                }
+            }
+            assert!(binds, "seed {seed} cap={cap}: the cap binds on no cycle");
+        }
+    }
+}
+
 /// Sorted structural triples of a cycle: the key the report dedups on.
 fn structural_key(db: &CausalDb, edges: &[usize]) -> Vec<(FaultId, FaultId, u8)> {
     let mut key: Vec<(FaultId, FaultId, u8)> = edges
