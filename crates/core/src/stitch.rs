@@ -1020,13 +1020,16 @@ struct Frontier {
     hash: Hash128,
 }
 
-/// A candidate extension produced by one expansion (not yet materialised):
-/// the chain `frontier[from]` of the level being expanded, extended by
-/// `edge`. Nothing else is stored. The chain it stands for is
-/// [`Shared::extend`] of that frontier entry, and its rank score and chain
-/// key are [`Shared::score`] and [`Shared::key`]; the widest level of a
-/// paper-scale search holds a million candidates, and every other field
-/// would copy what the frontier entry already holds.
+/// A candidate extension produced by one expansion (not yet materialised),
+/// in 8 bytes: the chain `frontier[from]` of the level being expanded,
+/// extended by `edge`. The rest is derived from that frontier entry where
+/// it is read: [`Shared::extend`] gives the chain's parent node (the
+/// entry's `node`), first edge, length (`len + 1`), delay count (`delays +
+/// delay_w[edge]`), score sum (`score_sum + sim[edge]`) and hash (`hash`
+/// extended by `struct_word[edge]`); [`Shared::score`] and [`Shared::key`]
+/// give its rank score and chain key alone. A paper-scale level holds a
+/// million candidates, and storing those fields would copy what the frontier
+/// entry already holds.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     /// Index of the extended chain in the level's frontier.
@@ -1035,7 +1038,7 @@ struct Candidate {
     edge: u32,
 }
 
-// Adding a field back is a 40-byte candidate again: make it a build error.
+// Pinned: a field added back is a build error, not a silent memory regression.
 const _: () = assert!(std::mem::size_of::<Candidate>() == 8);
 
 /// A discovered cycle: parent node plus closing edge.
@@ -1115,8 +1118,9 @@ fn cmp_rank(a: &Rank, b: &Rank) -> std::cmp::Ordering {
 #[derive(Default)]
 struct Expansion {
     /// Structurally distinct candidate extensions in (chain, successor)
-    /// order; at most `2 · beam_size` of them. They index the frontier the
-    /// range was expanded from, which must stay in place until the merge.
+    /// order; at most `2 · beam_size` of them. Each is 8 bytes and indexes
+    /// the frontier the range was expanded from, which must stay in place
+    /// until the merge has derived the next frontier from it.
     candidates: Vec<Candidate>,
     /// Closing extensions with distinct multiset keys, in the same order.
     cycles: Vec<CycleRef>,
