@@ -1377,6 +1377,75 @@ mod tests {
         );
     }
 
+    /// A configuration in which no leaf holds a value a sibling of the same
+    /// type holds, so two fields swapped in an encoder move the bytes (the
+    /// default config's all-zero chaos rates hide such a swap).
+    fn distinct_config() -> DetectConfig {
+        DetectConfig {
+            driver: DriverConfig {
+                reps: 3,
+                delay_values_ms: vec![70, 700],
+                fca: FcaConfig {
+                    p_value: 0.011,
+                    presence_fraction: 0.33,
+                },
+                analysis: AnalysisConfig {
+                    short_loop_fraction: 0.44,
+                },
+                base_seed: 0xB45E,
+                parallel: true,
+                cache_injections: false,
+                retry: RetryConfig {
+                    max_retries: 5,
+                    backoff_base_ms: 11,
+                    backoff_cap_ms: 1_100,
+                },
+                chaos: ChaosConfig {
+                    seed: 0xC4A05,
+                    experiment_panic: 0.125,
+                    experiment_stall: 0.25,
+                    snapshot_io: 0.375,
+                    transient_attempts: 6,
+                    permanent: true,
+                    stall_ms: 66,
+                    wire_drop: 0.5,
+                    wire_stall: 0.625,
+                },
+            },
+            alloc: ThreePhaseConfig {
+                budget_per_fault: 9,
+                cluster_threshold: 0.77,
+                epsilon: 0.088,
+                seed: 0x5EED,
+            },
+            beam: BeamConfig {
+                beam_size: 123,
+                max_len: 12,
+                max_delay_injections: Some(2),
+                threads: 4,
+                compatibility_check: false,
+            },
+        }
+    }
+
+    /// Every leaf of the configuration is pinned at its own offset: the
+    /// bytes of [`distinct_config`] are fixed, and they decode back to it.
+    #[test]
+    fn distinct_config_keeps_its_bytes() {
+        let cfg = distinct_config();
+        let mut w = Writer::new();
+        cfg.put(&mut w);
+        let mut r = Reader::new(w.bytes());
+        let back = DetectConfig::load(&mut r).expect("decodes");
+        assert!(r.finished());
+        assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        assert_eq!(
+            (w.bytes().len(), fnv1a_bytes(w.bytes())),
+            (164, 0xc83c_0753_d5df_1470),
+            "config bytes moved"
+        );
+    }
+
     #[test]
     fn truncated_and_garbled_inputs_are_rejected_typed() {
         let bytes = sample_snapshot(Stage::Profiled).to_bytes();
