@@ -519,6 +519,11 @@ impl CampaignEvent {
 /// append-only (19–21 were the per-kind forwarded records of journal
 /// version 1 and stay retired); ids are fixed-width `u32`s and stages use
 /// [`stage_tag`], as journals always wrote them.
+///
+/// Hand-written, not declared with [`persist_enum!`](crate::persist_enum):
+/// those fixed-width ids are journal version 2's bytes (a declaration would
+/// write the id newtypes' varints), and `load` refuses a `Forwarded` inside
+/// a `Forwarded`.
 impl Persist for CampaignEvent {
     fn put(&self, w: &mut Writer) {
         match self {

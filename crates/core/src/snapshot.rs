@@ -17,12 +17,17 @@
 //! [`SNAPSHOT_VERSION`] — and nothing after it; the layout and the order
 //! in which a bad file fails are drawn there.
 //!
-//! The workspace's vendored `serde` is a compile-only stand-in (no real
-//! serializers exist in this offline environment), so the payload codec is
-//! hand-written: a minimal [`Persist`] trait with little-endian scalar
-//! encoding, length-prefixed sequences, and tagged enums. Every value the
-//! snapshot needs implements it below. There is one payload schema: which
-//! fields a value has never depends on the container it travels in.
+//! The workspace's vendored `serde` is a compile-only stand-in, so the
+//! payload codec is the crate's own: a minimal [`Persist`] trait with
+//! little-endian scalars, length-prefixed sequences and tagged enums.
+//! Struct-shaped values declare their impl with
+//! [`persist_struct!`](crate::persist_struct) and braced enums with
+//! [`persist_enum!`](crate::persist_enum); the leaves (scalars, containers)
+//! and the few values whose encoding is not their field list (packed,
+//! delta-coded or re-checked on load) are written by hand, each saying why.
+//! A declaration's field order is the format; reordering it is a version
+//! bump. There is one payload schema: which fields a value has never
+//! depends on the container it travels in.
 //!
 //! # Varint + delta layer (format version 2)
 //!
@@ -151,15 +156,13 @@ pub fn registry_fingerprint(reg: &Registry) -> u64 {
     fnv1a_bytes(&w.buf)
 }
 
-/// Length-prefixed string encoding shared by `String::put` and the
-/// borrowed-state encoders (byte-identical output).
+/// `String::put`, for the borrowed-state encoders too.
 fn put_str(s: &str, w: &mut Writer) {
     s.len().put(w);
     w.put_bytes(s.as_bytes());
 }
 
-/// `Option`-tagged encoding of a borrowed value, byte-identical to
-/// `Option<T>::put`.
+/// `Option<T>::put`, for a borrowed value too.
 fn put_opt<T: Persist>(v: Option<&T>, w: &mut Writer) {
     match v {
         None => 0u8.put(w),
@@ -345,12 +348,79 @@ fn load_id_map<V: Persist>(r: &mut Reader<'_>) -> Result<BTreeMap<FaultId, V>> {
 /// Field-by-field binary encoding for snapshot payloads — and for any
 /// other first-party framed format that wants the same wire discipline
 /// (the daemon's coordinator/worker protocol reuses it wholesale).
+///
+/// A new struct-shaped type declares its codec with
+/// [`persist_struct!`](crate::persist_struct), and a tagged enum with braced
+/// variants with [`persist_enum!`](crate::persist_enum); an impl is written
+/// by hand only where the encoding is not the field list.
 pub trait Persist: Sized {
     /// Appends the value's encoding to the writer.
     fn put(&self, w: &mut Writer);
     /// Decodes one value, consuming exactly the bytes `put` produced.
     fn load(r: &mut Reader<'_>) -> Result<Self>;
 }
+
+/// Declares a struct's [`Persist`] impl by its field list, e.g.
+/// `persist_struct!(Cycle { edges, score })`: `put` writes the fields in
+/// the listed order and `load` reads them back in that order.
+///
+/// `load` builds the struct literal from the list, so a field left out does
+/// not compile. The listed order is the format: reordering it is a version
+/// bump of every container the type travels in.
+#[macro_export]
+macro_rules! persist_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::Persist for $ty {
+            fn put(&self, w: &mut $crate::Writer) {
+                $($crate::Persist::put(&self.$field, w);)*
+            }
+            fn load(r: &mut $crate::Reader<'_>) -> $crate::error::Result<Self> {
+                Ok($ty { $($field: $crate::Persist::load(r)?,)* })
+            }
+        }
+    };
+}
+
+/// Declares an enum's [`Persist`] impl by its tag table, e.g.
+/// `persist_enum!(EdgeKind, "edge-kind" { 0 => ED {}, 1 => SD {} })`: each
+/// variant is a `u8` tag followed by its fields in the listed order (unit
+/// variants are written `Name {}`), and an unknown tag decodes to
+/// [`CsnakeError::SnapshotCorrupt`]`("bad <what> tag n")`.
+///
+/// The match in `put` is exhaustive and the one in `load` builds each
+/// variant's literal, so a variant or a field left out does not compile.
+/// Tags and field orders are the format, as in [`persist_struct!`](crate::persist_struct).
+#[macro_export]
+macro_rules! persist_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident { $($field:ident),* $(,)? }),* $(,)?
+    }) => {
+        impl $crate::Persist for $ty {
+            fn put(&self, w: &mut $crate::Writer) {
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        <u8 as $crate::Persist>::put(&$tag, w);
+                        $($crate::Persist::put($field, w);)*
+                    })*
+                }
+            }
+            fn load(r: &mut $crate::Reader<'_>) -> $crate::error::Result<Self> {
+                Ok(match <u8 as $crate::Persist>::load(r)? {
+                    $($tag => $ty::$variant { $($field: $crate::Persist::load(r)?),* },)*
+                    n => {
+                        return Err($crate::error::CsnakeError::SnapshotCorrupt(::std::format!(
+                            ::std::concat!("bad ", $what, " tag {}"),
+                            n
+                        )))
+                    }
+                })
+            }
+        }
+    };
+}
+
+// The leaves: each scalar and container impl fixes how one Rust type is
+// laid out, and the declarations further down compose them.
 
 macro_rules! persist_le_scalar {
     ($t:ty, $n:expr) => {
@@ -405,8 +475,7 @@ impl Persist for f64 {
 
 impl Persist for String {
     fn put(&self, w: &mut Writer) {
-        self.len().put(w);
-        w.put_bytes(self.as_bytes());
+        put_str(self, w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self> {
         let n = usize::load(r)?;
@@ -418,13 +487,7 @@ impl Persist for String {
 
 impl<T: Persist> Persist for Option<T> {
     fn put(&self, w: &mut Writer) {
-        match self {
-            None => 0u8.put(w),
-            Some(v) => {
-                1u8.put(w);
-                v.put(w);
-            }
-        }
+        put_opt(self.as_ref(), w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self> {
         match u8::load(r)? {
@@ -546,6 +609,8 @@ persist_u32_newtype!(TestId);
 persist_u32_newtype!(FnId);
 persist_u32_newtype!(BranchId);
 
+/// Hand-written: the clock's microseconds are private, so it is one varint
+/// of [`VirtualTime::as_micros`].
 impl Persist for VirtualTime {
     fn put(&self, w: &mut Writer) {
         w.put_varint(self.as_micros());
@@ -555,9 +620,9 @@ impl Persist for VirtualTime {
     }
 }
 
+/// Hand-written for its slot packing: `None` → `0`, `Some(f)` → `f + 1`,
+/// one varint per level — the same injective packing `stack_key` uses.
 impl Persist for CallStack2 {
-    /// Slot packing: `None` → `0`, `Some(f)` → `f + 1`, one varint per
-    /// level — the same injective packing `stack_key` uses.
     fn put(&self, w: &mut Writer) {
         for slot in self {
             w.put_varint(slot.map(|f| f.0 as u64 + 1).unwrap_or(0));
@@ -577,6 +642,8 @@ impl Persist for CallStack2 {
     }
 }
 
+/// Hand-written: the branch trace is packed, and `load` re-checks the
+/// stored signature against the stack and trace it decoded.
 impl Persist for Occurrence {
     fn put(&self, w: &mut Writer) {
         self.stack.put(w);
@@ -615,23 +682,10 @@ impl Persist for Occurrence {
     }
 }
 
-impl Persist for LoopState {
-    fn put(&self, w: &mut Writer) {
-        self.entry_stacks.put(w);
-        self.iter_sigs.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(LoopState {
-            entry_stacks: BTreeSet::load(r)?,
-            iter_sigs: BTreeSet::load(r)?,
-        })
-    }
-}
-
+/// Hand-written for the hot payload of every snapshot: coverage,
+/// occurrence and loop maps are keyed by dense sorted [`FaultId`]s, so keys
+/// are delta-coded; loop iteration counts and run counters are varints.
 impl Persist for RunTrace {
-    /// The hot payload of every snapshot: coverage, occurrence and loop
-    /// maps are keyed by dense sorted [`FaultId`]s, so keys are
-    /// delta-coded; loop iteration counts and run counters are varints.
     fn put(&self, w: &mut Writer) {
         put_id_deltas(self.coverage.iter().map(|f| f.0), w);
         put_id_map(&self.occurrences, w);
@@ -670,35 +724,8 @@ impl Persist for RunTrace {
     }
 }
 
-impl Persist for EdgeKind {
-    fn put(&self, w: &mut Writer) {
-        let tag: u8 = match self {
-            EdgeKind::ED => 0,
-            EdgeKind::SD => 1,
-            EdgeKind::EI => 2,
-            EdgeKind::SI => 3,
-            EdgeKind::Icfg => 4,
-            EdgeKind::Cfg => 5,
-        };
-        tag.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match u8::load(r)? {
-            0 => EdgeKind::ED,
-            1 => EdgeKind::SD,
-            2 => EdgeKind::EI,
-            3 => EdgeKind::SI,
-            4 => EdgeKind::Icfg,
-            5 => EdgeKind::Cfg,
-            n => {
-                return Err(CsnakeError::SnapshotCorrupt(format!(
-                    "bad edge-kind tag {n}"
-                )))
-            }
-        })
-    }
-}
-
+/// Hand-written: its variants are tuple variants, which
+/// [`persist_enum!`](crate::persist_enum) does not declare.
 impl Persist for CompatState {
     fn put(&self, w: &mut Writer) {
         match self {
@@ -723,51 +750,11 @@ impl Persist for CompatState {
     }
 }
 
-impl Persist for CausalEdge {
-    fn put(&self, w: &mut Writer) {
-        self.cause.put(w);
-        self.effect.put(w);
-        self.kind.put(w);
-        self.test.put(w);
-        self.phase.put(w);
-        self.cause_state.put(w);
-        self.effect_state.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(CausalEdge {
-            cause: FaultId::load(r)?,
-            effect: FaultId::load(r)?,
-            kind: EdgeKind::load(r)?,
-            test: TestId::load(r)?,
-            phase: u8::load(r)?,
-            cause_state: CompatState::load(r)?,
-            effect_state: CompatState::load(r)?,
-        })
-    }
-}
-
-impl Persist for ExperimentOutcome {
-    fn put(&self, w: &mut Writer) {
-        self.fault.put(w);
-        self.test.put(w);
-        self.interference.put(w);
-        self.edges.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ExperimentOutcome {
-            fault: FaultId::load(r)?,
-            test: TestId::load(r)?,
-            interference: BTreeSet::load(r)?,
-            edges: Vec::load(r)?,
-        })
-    }
-}
-
+/// Hand-written: the database's hash indexes are derived state, so the
+/// edge list is persisted and `load` rebuilds them via `from_edges` (push
+/// order reproduces both the edge vector and the per-cause index exactly).
 impl Persist for AllocationResult {
     fn put(&self, w: &mut Writer) {
-        // The database's hash indexes are derived state; persist the edge
-        // list and rebuild via `from_edges` (push order reproduces both the
-        // edge vector and the per-cause index exactly).
         self.db.edges().to_vec().put(w);
         self.outcomes.put(w);
         self.clusters.put(w);
@@ -791,236 +778,103 @@ impl Persist for AllocationResult {
     }
 }
 
-impl Persist for ShardSpan {
-    fn put(&self, w: &mut Writer) {
-        self.shard.put(w);
-        self.start.put(w);
-        self.outcomes.put(w);
-        self.gaps.put(w);
-        self.runs.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ShardSpan {
-            shard: u32::load(r)?,
-            start: usize::load(r)?,
-            outcomes: Vec::load(r)?,
-            gaps: Vec::load(r)?,
-            runs: usize::load(r)?,
-        })
-    }
-}
-
-impl Persist for MidPhaseState {
-    fn put(&self, w: &mut Writer) {
-        self.phase.put(w);
-        self.rng_state.put(w);
-        self.used_at_phase_start.put(w);
-        self.spent_at_phase_start.put(w);
-        self.executed_in_phase.put(w);
-        self.phase1_len.put(w);
-        self.outcomes.put(w);
-        self.gaps.put(w);
-        self.runs_executed.put(w);
-        self.shard_spans.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(MidPhaseState {
-            phase: u8::load(r)?,
-            rng_state: <[u64; 4]>::load(r)?,
-            used_at_phase_start: Vec::load(r)?,
-            spent_at_phase_start: usize::load(r)?,
-            executed_in_phase: usize::load(r)?,
-            phase1_len: usize::load(r)?,
-            outcomes: Vec::load(r)?,
-            gaps: Vec::load(r)?,
-            runs_executed: usize::load(r)?,
-            shard_spans: Vec::load(r)?,
-        })
-    }
-}
-
-impl Persist for Cycle {
-    fn put(&self, w: &mut Writer) {
-        self.edges.put(w);
-        self.score.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(Cycle {
-            edges: Vec::load(r)?,
-            score: f64::load(r)?,
-        })
-    }
-}
-
-impl Persist for CycleCluster {
-    fn put(&self, w: &mut Writer) {
-        self.key.put(w);
-        self.cycle_idxs.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(CycleCluster {
-            key: Vec::load(r)?,
-            cycle_idxs: Vec::load(r)?,
-        })
-    }
-}
-
-impl Persist for StitchedCycles {
-    fn put(&self, w: &mut Writer) {
-        self.cycles.put(w);
-        self.clusters.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(StitchedCycles {
-            cycles: Vec::load(r)?,
-            clusters: Vec::load(r)?,
-        })
-    }
-}
-
-impl Persist for FcaConfig {
-    fn put(&self, w: &mut Writer) {
-        self.p_value.put(w);
-        self.presence_fraction.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(FcaConfig {
-            p_value: f64::load(r)?,
-            presence_fraction: f64::load(r)?,
-        })
-    }
-}
-
-impl Persist for AnalysisConfig {
-    fn put(&self, w: &mut Writer) {
-        self.short_loop_fraction.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(AnalysisConfig {
-            short_loop_fraction: f64::load(r)?,
-        })
-    }
-}
-
-impl Persist for RetryConfig {
-    fn put(&self, w: &mut Writer) {
-        self.max_retries.put(w);
-        self.backoff_base_ms.put(w);
-        self.backoff_cap_ms.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(RetryConfig {
-            max_retries: u32::load(r)?,
-            backoff_base_ms: u64::load(r)?,
-            backoff_cap_ms: u64::load(r)?,
-        })
-    }
-}
-
-impl Persist for ChaosConfig {
-    fn put(&self, w: &mut Writer) {
-        self.seed.put(w);
-        self.experiment_panic.put(w);
-        self.experiment_stall.put(w);
-        self.snapshot_io.put(w);
-        self.transient_attempts.put(w);
-        self.permanent.put(w);
-        self.stall_ms.put(w);
-        self.wire_drop.put(w);
-        self.wire_stall.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ChaosConfig {
-            seed: u64::load(r)?,
-            experiment_panic: f64::load(r)?,
-            experiment_stall: f64::load(r)?,
-            snapshot_io: f64::load(r)?,
-            transient_attempts: u32::load(r)?,
-            permanent: bool::load(r)?,
-            stall_ms: u64::load(r)?,
-            wire_drop: f64::load(r)?,
-            wire_stall: f64::load(r)?,
-        })
-    }
-}
-
-impl Persist for DriverConfig {
-    fn put(&self, w: &mut Writer) {
-        self.reps.put(w);
-        self.delay_values_ms.put(w);
-        self.fca.put(w);
-        self.analysis.put(w);
-        self.base_seed.put(w);
-        self.parallel.put(w);
-        self.cache_injections.put(w);
-        self.retry.put(w);
-        self.chaos.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(DriverConfig {
-            reps: usize::load(r)?,
-            delay_values_ms: Vec::load(r)?,
-            fca: FcaConfig::load(r)?,
-            analysis: AnalysisConfig::load(r)?,
-            base_seed: u64::load(r)?,
-            parallel: bool::load(r)?,
-            cache_injections: bool::load(r)?,
-            retry: RetryConfig::load(r)?,
-            chaos: ChaosConfig::load(r)?,
-        })
-    }
-}
-
-impl Persist for ThreePhaseConfig {
-    fn put(&self, w: &mut Writer) {
-        self.budget_per_fault.put(w);
-        self.cluster_threshold.put(w);
-        self.epsilon.put(w);
-        self.seed.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(ThreePhaseConfig {
-            budget_per_fault: usize::load(r)?,
-            cluster_threshold: f64::load(r)?,
-            epsilon: f64::load(r)?,
-            seed: u64::load(r)?,
-        })
-    }
-}
-
-impl Persist for BeamConfig {
-    fn put(&self, w: &mut Writer) {
-        self.beam_size.put(w);
-        self.max_len.put(w);
-        self.max_delay_injections.put(w);
-        self.threads.put(w);
-        self.compatibility_check.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(BeamConfig {
-            beam_size: usize::load(r)?,
-            max_len: usize::load(r)?,
-            max_delay_injections: Option::load(r)?,
-            threads: usize::load(r)?,
-            compatibility_check: bool::load(r)?,
-        })
-    }
-}
-
-impl Persist for DetectConfig {
-    fn put(&self, w: &mut Writer) {
-        self.driver.put(w);
-        self.alloc.put(w);
-        self.beam.put(w);
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(DetectConfig {
-            driver: DriverConfig::load(r)?,
-            alloc: ThreePhaseConfig::load(r)?,
-            beam: BeamConfig::load(r)?,
-        })
-    }
-}
+// The declared codecs: each list is the type's whole format.
+persist_struct!(LoopState {
+    entry_stacks,
+    iter_sigs
+});
+persist_enum!(EdgeKind, "edge-kind" {
+    0 => ED {}, 1 => SD {}, 2 => EI {}, 3 => SI {}, 4 => Icfg {}, 5 => Cfg {},
+});
+persist_struct!(CausalEdge {
+    cause,
+    effect,
+    kind,
+    test,
+    phase,
+    cause_state,
+    effect_state
+});
+persist_struct!(ExperimentOutcome {
+    fault,
+    test,
+    interference,
+    edges
+});
+persist_struct!(ShardSpan {
+    shard,
+    start,
+    outcomes,
+    gaps,
+    runs
+});
+persist_struct!(MidPhaseState {
+    phase,
+    rng_state,
+    used_at_phase_start,
+    spent_at_phase_start,
+    executed_in_phase,
+    phase1_len,
+    outcomes,
+    gaps,
+    runs_executed,
+    shard_spans,
+});
+persist_struct!(Cycle { edges, score });
+persist_struct!(CycleCluster { key, cycle_idxs });
+persist_struct!(StitchedCycles { cycles, clusters });
+persist_struct!(FcaConfig {
+    p_value,
+    presence_fraction
+});
+persist_struct!(AnalysisConfig {
+    short_loop_fraction
+});
+persist_struct!(RetryConfig {
+    max_retries,
+    backoff_base_ms,
+    backoff_cap_ms
+});
+persist_struct!(ChaosConfig {
+    seed,
+    experiment_panic,
+    experiment_stall,
+    snapshot_io,
+    transient_attempts,
+    permanent,
+    stall_ms,
+    wire_drop,
+    wire_stall,
+});
+persist_struct!(DriverConfig {
+    reps,
+    delay_values_ms,
+    fca,
+    analysis,
+    base_seed,
+    parallel,
+    cache_injections,
+    retry,
+    chaos,
+});
+persist_struct!(ThreePhaseConfig {
+    budget_per_fault,
+    cluster_threshold,
+    epsilon,
+    seed
+});
+persist_struct!(BeamConfig {
+    beam_size,
+    max_len,
+    max_delay_injections,
+    threads,
+    compatibility_check
+});
+persist_struct!(DetectConfig {
+    driver,
+    alloc,
+    beam
+});
 
 // ---------------------------------------------------------------------------
 // The snapshot container

@@ -154,108 +154,15 @@ pub enum WireMsg {
     },
 }
 
-impl Persist for WireMsg {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            WireMsg::Hello {
-                target,
-                registry_fp,
-                cfg,
-                worker,
-                lease_ms,
-                profiles,
-            } => {
-                0u8.put(w);
-                target.put(w);
-                registry_fp.put(w);
-                cfg.put(w);
-                worker.put(w);
-                lease_ms.put(w);
-                profiles.put(w);
-            }
-            WireMsg::HelloAck {
-                worker,
-                registry_fp,
-            } => {
-                1u8.put(w);
-                worker.put(w);
-                registry_fp.put(w);
-            }
-            WireMsg::Assign { shard, jobs } => {
-                2u8.put(w);
-                shard.put(w);
-                jobs.put(w);
-            }
-            WireMsg::Result {
-                shard,
-                outcomes,
-                gaps,
-                runs,
-                events,
-            } => {
-                3u8.put(w);
-                shard.put(w);
-                outcomes.put(w);
-                gaps.put(w);
-                runs.put(w);
-                events.put(w);
-            }
-            WireMsg::Heartbeat { worker, seq } => {
-                4u8.put(w);
-                worker.put(w);
-                seq.put(w);
-            }
-            WireMsg::Shutdown => 5u8.put(w),
-            WireMsg::Event { worker, events } => {
-                6u8.put(w);
-                worker.put(w);
-                events.put(w);
-            }
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(match u8::load(r)? {
-            0 => WireMsg::Hello {
-                target: String::load(r)?,
-                registry_fp: u64::load(r)?,
-                cfg: DetectConfig::load(r)?,
-                worker: u32::load(r)?,
-                lease_ms: u64::load(r)?,
-                profiles: BTreeMap::load(r)?,
-            },
-            1 => WireMsg::HelloAck {
-                worker: u32::load(r)?,
-                registry_fp: u64::load(r)?,
-            },
-            2 => WireMsg::Assign {
-                shard: u32::load(r)?,
-                jobs: Vec::load(r)?,
-            },
-            3 => WireMsg::Result {
-                shard: u32::load(r)?,
-                outcomes: Vec::load(r)?,
-                gaps: Vec::load(r)?,
-                runs: usize::load(r)?,
-                events: Vec::load(r)?,
-            },
-            4 => WireMsg::Heartbeat {
-                worker: u32::load(r)?,
-                seq: u64::load(r)?,
-            },
-            5 => WireMsg::Shutdown,
-            6 => WireMsg::Event {
-                worker: u32::load(r)?,
-                events: Vec::load(r)?,
-            },
-            n => {
-                return Err(CsnakeError::SnapshotCorrupt(format!(
-                    "bad wire-message tag {n}"
-                )))
-            }
-        })
-    }
-}
+csnake_core::persist_enum!(WireMsg, "wire-message" {
+    0 => Hello { target, registry_fp, cfg, worker, lease_ms, profiles },
+    1 => HelloAck { worker, registry_fp },
+    2 => Assign { shard, jobs },
+    3 => Result { shard, outcomes, gaps, runs, events },
+    4 => Heartbeat { worker, seq },
+    5 => Shutdown {},
+    6 => Event { worker, events },
+});
 
 /// Encodes one message into a complete frame (header + payload).
 pub fn seal_frame(msg: &WireMsg) -> Vec<u8> {

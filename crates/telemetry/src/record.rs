@@ -58,25 +58,13 @@ pub struct TelemetryRecord {
     pub kind: CampaignEvent,
 }
 
-impl Persist for TelemetryRecord {
-    fn put(&self, w: &mut Writer) {
-        self.seq.put(w);
-        self.micros.put(w);
-        self.thread.put(w);
-        self.dur_micros.put(w);
-        self.kind.put(w);
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(TelemetryRecord {
-            seq: u64::load(r)?,
-            micros: u64::load(r)?,
-            thread: String::load(r)?,
-            dur_micros: Option::load(r)?,
-            kind: CampaignEvent::load(r)?,
-        })
-    }
-}
+csnake_core::persist_struct!(TelemetryRecord {
+    seq,
+    micros,
+    thread,
+    dur_micros,
+    kind
+});
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
