@@ -256,6 +256,15 @@ impl<'a> Reader<'a> {
         self.pos == self.buf.len()
     }
 
+    /// An empty vector for a decoded length of `n` elements. `n` is
+    /// untrusted: each element takes at least one payload byte but up to
+    /// `size_of::<T>()` bytes of memory, so the reservation is capped at the
+    /// bytes the payload has left, not at their count.
+    pub(crate) fn vec_for<T>(&self, n: usize) -> Vec<T> {
+        let left = self.buf.len() - self.pos;
+        Vec::with_capacity(n.min(left / std::mem::size_of::<T>().max(1)))
+    }
+
     /// Decodes one LEB128 varint with truncation and overflow checks.
     pub fn take_varint(&mut self) -> Result<u64> {
         let mut out: u64 = 0;
@@ -304,7 +313,7 @@ fn put_id_deltas(ids: impl ExactSizeIterator<Item = u32>, w: &mut Writer) {
 /// key that a map insert would otherwise silently swallow).
 fn load_id_deltas(r: &mut Reader<'_>) -> Result<Vec<u32>> {
     let n = usize::load(r)?;
-    let mut out = Vec::with_capacity(n.min(r.buf.len().saturating_sub(r.pos)));
+    let mut out = r.vec_for(n);
     let mut prev: u64 = 0;
     for i in 0..n {
         let delta = r.take_varint()?;
@@ -507,14 +516,18 @@ impl<T: Persist> Persist for Vec<T> {
     }
     fn load(r: &mut Reader<'_>) -> Result<Self> {
         let n = usize::load(r)?;
-        // Guard allocation against absurd lengths in corrupt payloads: each
-        // element needs at least one payload byte.
-        let mut out = Vec::with_capacity(n.min(r.buf.len().saturating_sub(r.pos)));
+        let mut out = r.vec_for(n);
         for _ in 0..n {
             out.push(T::load(r)?);
         }
         Ok(out)
     }
+}
+
+/// A set or map payload repeating a key: encoders walk BTree order, so only
+/// a corrupt payload does, and an insert would otherwise drop it silently.
+fn duplicate_key() -> CsnakeError {
+    CsnakeError::SnapshotCorrupt("duplicate key in a set or map".into())
 }
 
 impl<T: Persist + Ord> Persist for BTreeSet<T> {
@@ -528,7 +541,9 @@ impl<T: Persist + Ord> Persist for BTreeSet<T> {
         let n = usize::load(r)?;
         let mut out = BTreeSet::new();
         for _ in 0..n {
-            out.insert(T::load(r)?);
+            if !out.insert(T::load(r)?) {
+                return Err(duplicate_key());
+            }
         }
         Ok(out)
     }
@@ -547,8 +562,9 @@ impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
         let mut out = BTreeMap::new();
         for _ in 0..n {
             let k = K::load(r)?;
-            let v = V::load(r)?;
-            out.insert(k, v);
+            if out.insert(k, V::load(r)?).is_some() {
+                return Err(duplicate_key());
+            }
         }
         Ok(out)
     }
@@ -658,7 +674,7 @@ impl Persist for Occurrence {
     fn load(r: &mut Reader<'_>) -> Result<Self> {
         let stack = CallStack2::load(r)?;
         let n = usize::load(r)?;
-        let mut local_trace = Vec::with_capacity(n.min(r.buf.len().saturating_sub(r.pos)));
+        let mut local_trace = r.vec_for(n);
         for _ in 0..n {
             let packed = r.take_varint()?;
             let b = u32::try_from(packed >> 1).map_err(|_| {
@@ -1431,6 +1447,29 @@ mod tests {
             load_id_deltas(&mut r),
             Err(CsnakeError::SnapshotCorrupt(_))
         ));
+    }
+
+    /// A set or map payload that repeats a key is corrupt; a silent insert
+    /// used to decode `[2, 5, 5]` to `{2, 5}`.
+    #[test]
+    fn duplicate_set_and_map_keys_are_rejected() {
+        let mut w = Writer::new();
+        vec![2u64, 5, 5].put(&mut w);
+        assert!(matches!(
+            BTreeSet::<u64>::load(&mut Reader::new(w.bytes())),
+            Err(CsnakeError::SnapshotCorrupt(_))
+        ));
+        let mut w = Writer::new();
+        vec![(2u64, 1u8), (5, 2), (5, 3)].put(&mut w);
+        assert!(matches!(
+            BTreeMap::<u64, u8>::load(&mut Reader::new(w.bytes())),
+            Err(CsnakeError::SnapshotCorrupt(_))
+        ));
+        // The same payloads without the repeat still decode.
+        let mut w = Writer::new();
+        vec![2u64, 5].put(&mut w);
+        let set = BTreeSet::<u64>::load(&mut Reader::new(w.bytes())).unwrap();
+        assert_eq!(set, BTreeSet::from([2, 5]));
     }
 
     #[test]
