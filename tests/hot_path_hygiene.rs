@@ -223,3 +223,41 @@ fn the_frame_header_is_written_and_parsed_in_one_place() {
         hits.join("\n")
     );
 }
+
+/// `csnake_core`'s public surface: its `pub` declarations plus its exported
+/// macros, as counted by
+/// `grep -rE '^\s*pub (fn|struct|enum|trait|type|const|static|mod) |#\[macro_export\]' crates/core/src | wc -l`.
+/// ROADMAP item 6 shrinks it; lower this pin as it does.
+const CORE_PUBLIC_SURFACE: usize = 268;
+
+/// Nothing joins the core crate's public surface unnoticed: a change that
+/// must grow it raises [`CORE_PUBLIC_SURFACE`] in the same diff.
+#[test]
+fn the_core_public_surface_does_not_grow() {
+    const KINDS: &[&str] = &[
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_files(&root.join("crates/core/src"), &mut files);
+    let mut count = 0;
+    for file in &files {
+        let text = fs::read_to_string(file).expect("source file is readable");
+        count += text
+            .lines()
+            .map(str::trim_start)
+            .filter(|line| {
+                line.starts_with("#[macro_export]")
+                    || line
+                        .strip_prefix("pub ")
+                        .and_then(|rest| rest.split_once(' '))
+                        .is_some_and(|(kind, _)| KINDS.contains(&kind))
+            })
+            .count();
+    }
+    assert!(
+        count <= CORE_PUBLIC_SURFACE,
+        "csnake_core declares {count} public items and exported macros, over the pin of \
+         {CORE_PUBLIC_SURFACE}"
+    );
+}
