@@ -24,7 +24,7 @@
 
 use csnake_core::{
     run_planned, AllocationResult, AllocationStrategy, CampaignObserver, ExperimentEngine,
-    ThreePhaseConfig,
+    RecoveryContext, ThreePhaseConfig,
 };
 use csnake_inject::{FaultId, TestId};
 
@@ -44,6 +44,7 @@ impl AllocationStrategy for ExhaustiveAllocation {
         &self,
         engine: &mut dyn ExperimentEngine,
         observer: &dyn CampaignObserver,
+        _recovery: RecoveryContext<'_>,
     ) -> AllocationResult {
         let batch = plan_coverage_ranked(engine, usize::MAX);
         let budget = batch.len();
@@ -76,6 +77,7 @@ impl AllocationStrategy for CoverageGreedyAllocation {
         &self,
         engine: &mut dyn ExperimentEngine,
         observer: &dyn CampaignObserver,
+        _recovery: RecoveryContext<'_>,
     ) -> AllocationResult {
         let budget = self.cfg.total_budget(engine.faults().len());
         let batch = plan_coverage_ranked(engine, self.cfg.budget_per_fault);
@@ -150,7 +152,7 @@ mod tests {
     #[test]
     fn exhaustive_covers_the_full_grid_once() {
         let mut eng = GridEngine::new(3, 4);
-        let res = ExhaustiveAllocation.run(&mut eng, &NoopObserver);
+        let res = ExhaustiveAllocation.run(&mut eng, &NoopObserver, RecoveryContext::default());
         assert_eq!(res.experiments_run, 12);
         assert_eq!(res.budget, 12);
         let mut combos = eng.log.clone();
@@ -167,7 +169,8 @@ mod tests {
             ..Default::default()
         };
         let progress = ProgressCollector::new();
-        let res = CoverageGreedyAllocation::new(cfg).run(&mut eng, &progress);
+        let res =
+            CoverageGreedyAllocation::new(cfg).run(&mut eng, &progress, RecoveryContext::default());
         assert_eq!(res.experiments_run, 6);
         assert_eq!(res.budget, 6);
         // Every fault got exactly its quota, on the two highest-coverage

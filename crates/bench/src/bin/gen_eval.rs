@@ -39,8 +39,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use csnake_core::{
-    beam_search, build_report, cluster_cycles, run_random_allocation_with, CampaignObserver,
-    DetectConfig, FanoutObserver, NoopObserver, ProgressCollector, Session, ThreePhase,
+    beam_search, build_report, cluster_cycles, AllocationStrategy, CampaignObserver, DetectConfig,
+    FanoutObserver, NoopObserver, ProgressCollector, RandomAllocation, RecoveryContext, Session,
+    ThreePhase,
 };
 use csnake_gen::{generate, GenConfig, Shape};
 use csnake_scenario::{compile, parse_str, print};
@@ -241,10 +242,13 @@ fn main() -> ExitCode {
         // before it sees only fresh combinations and would pin a
         // cumulative rate near 50%.
         let engine = session.engine_mut().expect("profiled session");
-        let budget = cfg.alloc.total_budget(engine.analysis.injectable.len());
         let (hits_before, misses_before) = engine.trace_cache_stats();
         campaign_misses += misses_before;
-        let rand_alloc = run_random_allocation_with(engine, budget, 0x7777 ^ seed, &NoopObserver);
+        let rand_alloc = RandomAllocation::new(cfg.alloc.clone(), 0x7777 ^ seed).run(
+            engine,
+            &NoopObserver,
+            RecoveryContext::default(),
+        );
         let (hits_after, misses_after) = engine.trace_cache_stats();
         let (hits, misses) = (hits_after - hits_before, misses_after - misses_before);
         cache_hits += hits;

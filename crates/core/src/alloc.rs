@@ -24,7 +24,7 @@ use crate::cluster::hierarchical_cluster_with_stats;
 use crate::edge::CausalDb;
 use crate::fca::ExperimentOutcome;
 use crate::idf::{cosine_distance, IdfVectorizer, SparseVec};
-use crate::observer::{CampaignEvent, CampaignObserver, NoopObserver};
+use crate::observer::{CampaignEvent, CampaignObserver};
 
 /// Abstraction over "run one injection experiment"; implemented by the real
 /// [`crate::driver::Driver`] and by mocks in tests.
@@ -136,8 +136,8 @@ impl Default for ThreePhaseConfig {
 impl ThreePhaseConfig {
     /// The total experiment budget for a campaign over `n_faults` injectable
     /// faults: `budget_per_fault · |F|` (§5). The single place this product
-    /// is computed — the 3PA protocol, the random baseline and the shims all
-    /// derive their budgets here.
+    /// is computed — the 3PA protocol, the random and coverage-greedy
+    /// baselines all derive their budgets here.
     pub fn total_budget(&self, n_faults: usize) -> usize {
         self.budget_per_fault * n_faults
     }
@@ -159,35 +159,27 @@ impl ThreePhaseConfig {
 /// configuration (seeds live in the strategy), and should emit progress
 /// through the observer (phase boundaries, experiment completions, new
 /// edges, budget movement) — see [`crate::observer`] for the vocabulary.
+/// Policies whose picks don't depend on outcomes plan their whole batch and
+/// hand it to [`run_planned`].
 pub trait AllocationStrategy {
     /// Short stable policy name, recorded in campaign artifacts and
     /// snapshots (e.g. `"three-phase"`, `"random"`).
     fn name(&self) -> &'static str;
 
     /// Runs the policy's full campaign against the engine.
+    ///
+    /// `recovery` carries the supervisor wiring: a checkpoint sink to
+    /// stream mid-phase state to, a cadence (experiments per checkpoint)
+    /// and optionally a [`MidPhaseState`] to resume from. Only
+    /// [`ThreePhase`] is resumable; the other bundled policies ignore it
+    /// and replan from the stage boundary. Pass
+    /// [`RecoveryContext::default()`] for a plain run.
     fn run(
         &self,
         engine: &mut dyn ExperimentEngine,
         observer: &dyn CampaignObserver,
-    ) -> AllocationResult;
-
-    /// Runs the policy with supervisor recovery: a checkpoint sink to
-    /// stream mid-phase state to, a checkpoint cadence (experiments per
-    /// checkpoint), and optionally a [`MidPhaseState`] to resume from.
-    ///
-    /// The default ignores recovery entirely and delegates to
-    /// [`run`](AllocationStrategy::run) — correct for strategies whose
-    /// plans are cheap to redo from the stage boundary. [`ThreePhase`]
-    /// overrides it with the genuinely resumable runner.
-    fn run_with_recovery(
-        &self,
-        engine: &mut dyn ExperimentEngine,
-        observer: &dyn CampaignObserver,
         recovery: RecoveryContext<'_>,
-    ) -> AllocationResult {
-        let _ = recovery;
-        self.run(engine, observer)
-    }
+    ) -> AllocationResult;
 }
 
 /// Receives mid-phase checkpoint state from a resumable allocation runner.
@@ -201,7 +193,8 @@ pub trait CheckpointSink {
     fn write(&self, state: &MidPhaseState) -> bool;
 }
 
-/// Recovery wiring handed to [`AllocationStrategy::run_with_recovery`].
+/// Recovery wiring handed to [`AllocationStrategy::run`]; the default
+/// neither checkpoints nor resumes.
 #[derive(Default)]
 pub struct RecoveryContext<'a> {
     /// Where to stream mid-phase checkpoints (`None`: don't checkpoint).
@@ -289,9 +282,8 @@ impl MidPhaseState {
     /// gaps and run counter merge in span order — which *is* global batch
     /// order, since shards partition the batch by contiguous index
     /// ranges), and the fold repeats until the next span no longer
-    /// touches. Remaining islands stay in `shard_spans` for
-    /// [`run_three_phase_resumable`] to splice once execution reaches
-    /// them. Folding is idempotent and order-insensitive, so a state
+    /// touches. Remaining islands stay in `shard_spans` for the 3PA runner
+    /// to splice once execution reaches them. Folding is idempotent and order-insensitive, so a state
     /// normalizes identically no matter how many checkpoint/resume hops
     /// it went through.
     pub fn normalize(&mut self) {
@@ -344,14 +336,6 @@ impl AllocationStrategy for ThreePhase {
         &self,
         engine: &mut dyn ExperimentEngine,
         observer: &dyn CampaignObserver,
-    ) -> AllocationResult {
-        run_three_phase_with(engine, &self.cfg, observer)
-    }
-
-    fn run_with_recovery(
-        &self,
-        engine: &mut dyn ExperimentEngine,
-        observer: &dyn CampaignObserver,
         recovery: RecoveryContext<'_>,
     ) -> AllocationResult {
         run_three_phase_resumable(engine, &self.cfg, observer, recovery)
@@ -382,13 +366,30 @@ impl AllocationStrategy for RandomAllocation {
         "random"
     }
 
+    /// Plans the whole campaign as one phase-0 batch: every
+    /// `(fault, reaching-test)` combination, Fisher–Yates shuffled and cut
+    /// to the budget.
     fn run(
         &self,
         engine: &mut dyn ExperimentEngine,
         observer: &dyn CampaignObserver,
+        _recovery: RecoveryContext<'_>,
     ) -> AllocationResult {
-        let budget = self.cfg.total_budget(engine.faults().len());
-        run_random_allocation_with(engine, budget, self.seed, observer)
+        let faults = engine.faults();
+        let budget = self.cfg.total_budget(faults.len());
+        let mut batch: Vec<(FaultId, TestId, u8)> = Vec::new();
+        for &f in &faults {
+            for t in engine.tests_reaching(f) {
+                batch.push((f, t, 0));
+            }
+        }
+        let mut rng = SimRng::new(self.seed);
+        for i in (1..batch.len()).rev() {
+            let j = rng.pick(i + 1);
+            batch.swap(i, j);
+        }
+        batch.truncate(budget);
+        run_planned(engine, &batch, budget, observer)
     }
 }
 
@@ -490,28 +491,9 @@ fn pick_from_cluster(
     None
 }
 
-/// Runs the full 3PA protocol against an engine (no observer).
-pub fn run_three_phase(
-    engine: &mut dyn ExperimentEngine,
-    cfg: &ThreePhaseConfig,
-) -> AllocationResult {
-    run_three_phase_with(engine, cfg, &NoopObserver)
-}
-
-/// Runs the full 3PA protocol against an engine, streaming progress events
-/// (phase boundaries, experiment completions, new edges, budget movement)
-/// to the observer. Observers never influence the protocol: event order is
-/// deterministic and identical to the unobserved run.
-pub fn run_three_phase_with(
-    engine: &mut dyn ExperimentEngine,
-    cfg: &ThreePhaseConfig,
-    observer: &dyn CampaignObserver,
-) -> AllocationResult {
-    run_three_phase_resumable(engine, cfg, observer, RecoveryContext::default())
-}
-
-/// Per-phase execution context: the planning *inputs* a mid-phase
-/// checkpoint must capture to make the phase replannable on resume.
+/// The planning inputs of one phase, captured as its planning starts: what
+/// a mid-phase checkpoint must carry to replan the identical batch.
+#[derive(Default)]
 struct PhaseCtx {
     phase: u8,
     rng_at_start: [u64; 4],
@@ -520,209 +502,259 @@ struct PhaseCtx {
     phase1_len: usize,
 }
 
-/// Executes one phase's planned batch, skipping an already-executed prefix
-/// (resume), splicing already-completed out-of-order islands (per-shard
-/// checkpoints) without re-running them, folding outcomes into the database
-/// in batch order, draining engine gaps, and checkpointing after every
-/// `cadence` experiments.
-#[allow(clippy::too_many_arguments)]
-fn execute_phase(
-    engine: &mut dyn ExperimentEngine,
-    batch: &[(FaultId, TestId, u8)],
+impl PhaseCtx {
+    /// Captures `phase`'s planning inputs before it draws its first pick.
+    fn at(phase: u8, rng: &SimRng, used: &UsedSet, spent: usize, phase1_len: usize) -> Self {
+        PhaseCtx {
+            phase,
+            rng_at_start: rng.state(),
+            used_at_start: used.pairs(),
+            spent_at_start: spent,
+            phase1_len,
+        }
+    }
+
+    /// The checkpoint of this phase once `executed` of its experiments ran.
+    fn state(
+        &self,
+        executed: usize,
+        outcomes: &[ExperimentOutcome],
+        gaps: &[(FaultId, TestId, u8)],
+        runs_executed: usize,
+        shard_spans: Vec<ShardSpan>,
+    ) -> MidPhaseState {
+        MidPhaseState {
+            phase: self.phase,
+            rng_state: self.rng_at_start,
+            used_at_phase_start: self.used_at_start.clone(),
+            spent_at_phase_start: self.spent_at_start,
+            executed_in_phase: executed,
+            phase1_len: self.phase1_len,
+            outcomes: outcomes.to_vec(),
+            gaps: gaps.to_vec(),
+            runs_executed,
+            shard_spans,
+        }
+    }
+}
+
+/// Where a resumed campaign re-enters its interrupted phase: the executed
+/// prefix to skip and the out-of-order islands already completed beyond it.
+/// The default (phase 0, nothing executed) is a fresh campaign.
+#[derive(Default)]
+struct Reentry {
+    phase: u8,
     skip: usize,
-    resume_islands: &[ShardSpan],
-    ctx: &PhaseCtx,
-    recovery: &RecoveryContext<'_>,
-    observer: &dyn CampaignObserver,
-    outcomes: &mut Vec<ExperimentOutcome>,
-    db: &mut CausalDb,
-    gaps: &mut Vec<(FaultId, TestId, u8)>,
-) {
-    observer.on_event(&CampaignEvent::PhaseStarted {
-        phase: ctx.phase,
-        planned: batch.len(),
-    });
-    let chunk_size = match (recovery.sink.is_some(), recovery.cadence) {
-        (true, c) if c > 0 => c,
-        // No sink (or cadence 0): the whole remainder is one chunk, which
-        // keeps the engine's batch boundaries identical to the
-        // pre-supervisor runner.
-        _ => batch.len().saturating_sub(skip).max(1),
-    };
-    let mut executed = skip;
-    // Islands a previous process completed beyond the executed prefix,
-    // sorted by start; spliced into place when execution reaches them.
-    let mut islands: std::collections::VecDeque<ShardSpan> = resume_islands.to_vec().into();
-    islands.make_contiguous().sort_by_key(|s| s.start);
-    while executed < batch.len() || islands.front().is_some() {
-        // Splice every island the prefix has reached: push its outcomes
-        // and gaps in batch order — edges enter the database exactly as a
-        // live run would push them, but without re-emitting observer
-        // events for work a previous process already reported.
-        while islands.front().is_some_and(|s| s.start <= executed) {
-            let span = islands.pop_front().expect("peeked island");
-            let overlap = executed - span.start;
-            for out in span.outcomes.into_iter().skip(overlap) {
-                for e in &out.edges {
-                    db.push(e.clone());
-                }
-                outcomes.push(out);
-                executed += 1;
+    islands: Vec<ShardSpan>,
+}
+
+/// One campaign's execution state: the recovery wiring, where a resumed
+/// campaign re-enters, and everything executed so far, in batch order.
+struct Executor<'r> {
+    observer: &'r dyn CampaignObserver,
+    recovery: RecoveryContext<'r>,
+    reentry: Reentry,
+    outcomes: Vec<ExperimentOutcome>,
+    db: CausalDb,
+    gaps: Vec<(FaultId, TestId, u8)>,
+}
+
+impl<'r> Executor<'r> {
+    fn new(observer: &'r dyn CampaignObserver, recovery: RecoveryContext<'r>) -> Self {
+        Executor {
+            observer,
+            recovery,
+            reentry: Reentry::default(),
+            outcomes: Vec::new(),
+            db: CausalDb::default(),
+            gaps: Vec::new(),
+        }
+    }
+
+    /// Folds in an outcome a previous process already executed and
+    /// reported: its edges enter the database exactly as a live run would
+    /// push them, but no observer event is emitted again.
+    fn splice(&mut self, out: ExperimentOutcome) {
+        for e in &out.edges {
+            self.db.push(e.clone());
+        }
+        self.outcomes.push(out);
+    }
+
+    /// Folds in a live outcome, reporting it and every new edge.
+    fn record(&mut self, out: ExperimentOutcome) {
+        for e in &out.edges {
+            if self.db.push(e.clone()) {
+                self.observer.on_event(&CampaignEvent::edge_emitted(e));
             }
-            gaps.extend(span.gaps);
         }
-        if executed >= batch.len() {
-            break;
-        }
-        // The next live segment runs up to the next island (exclusive) in
-        // cadence-sized chunks.
-        let seg_end = islands
-            .front()
-            .map(|s| s.start)
-            .unwrap_or(batch.len())
-            .min(batch.len());
-        let chunk = &batch[executed..(executed + chunk_size).min(seg_end)];
-        let chunk_base = executed;
-        let runs_at_chunk_start = engine.runs_executed();
-        {
-            // Mid-chunk progress from out-of-order sharded engines: build
-            // a span-bearing state (chunk-relative spans shifted to phase
-            // offsets, plus any islands still ahead), normalize, and
-            // stream it to the sink like any other checkpoint.
+        self.observer
+            .on_event(&CampaignEvent::experiment_completed(&out));
+        self.outcomes.push(out);
+    }
+
+    /// Executes one phase's planned batch: skips the prefix a resumed
+    /// campaign already executed, splices out-of-order islands (per-shard
+    /// checkpoints) without re-running them, folds outcomes into the
+    /// database in batch order, drains engine gaps, and checkpoints after
+    /// every `cadence` experiments.
+    fn execute_phase(
+        &mut self,
+        engine: &mut dyn ExperimentEngine,
+        batch: &[(FaultId, TestId, u8)],
+        ctx: &PhaseCtx,
+    ) {
+        self.observer.on_event(&CampaignEvent::PhaseStarted {
+            phase: ctx.phase,
+            planned: batch.len(),
+        });
+        let (skip, islands) = if self.reentry.phase == ctx.phase {
+            (self.reentry.skip, std::mem::take(&mut self.reentry.islands))
+        } else {
+            (0, Vec::new())
+        };
+        let chunk_size = match (self.recovery.sink, self.recovery.cadence) {
+            (Some(_), c) if c > 0 => c,
+            // No sink (or cadence 0): the whole remainder is one chunk, so
+            // a plain run hands the engine each phase in one call.
+            _ => batch.len().saturating_sub(skip).max(1),
+        };
+        let mut executed = skip;
+        // Islands a previous process completed beyond the executed prefix,
+        // sorted by start; spliced into place when execution reaches them.
+        let mut islands: std::collections::VecDeque<ShardSpan> = islands.into();
+        islands.make_contiguous().sort_by_key(|s| s.start);
+        while executed < batch.len() || islands.front().is_some() {
+            while islands.front().is_some_and(|s| s.start <= executed) {
+                let span = islands.pop_front().expect("peeked island");
+                let overlap = executed - span.start;
+                for out in span.outcomes.into_iter().skip(overlap) {
+                    self.splice(out);
+                    executed += 1;
+                }
+                self.gaps.extend(span.gaps);
+            }
+            if executed >= batch.len() {
+                break;
+            }
+            // The next live segment runs up to the next island (exclusive)
+            // in cadence-sized chunks.
+            let seg_end = islands
+                .front()
+                .map(|s| s.start)
+                .unwrap_or(batch.len())
+                .min(batch.len());
+            let chunk = &batch[executed..(executed + chunk_size).min(seg_end)];
+            let chunk_base = executed;
+            let runs_at_chunk_start = engine.runs_executed();
+            let sink = self.recovery.sink;
+            // Mid-chunk progress from out-of-order sharded engines: a
+            // span-bearing state (chunk-relative spans shifted to phase
+            // offsets, plus any islands still ahead), normalized and
+            // streamed to the sink like any other checkpoint.
             let mut progress = |spans: &[ShardSpan]| {
-                let Some(sink) = recovery.sink else { return };
-                let mut state = MidPhaseState {
-                    phase: ctx.phase,
-                    rng_state: ctx.rng_at_start,
-                    used_at_phase_start: ctx.used_at_start.clone(),
-                    spent_at_phase_start: ctx.spent_at_start,
-                    executed_in_phase: chunk_base,
-                    phase1_len: ctx.phase1_len,
-                    outcomes: outcomes.clone(),
-                    gaps: gaps.clone(),
-                    runs_executed: runs_at_chunk_start,
-                    shard_spans: spans
-                        .iter()
-                        .cloned()
-                        .map(|mut s| {
-                            s.start += chunk_base;
-                            s
-                        })
-                        .chain(islands.iter().cloned())
-                        .collect(),
-                };
+                let Some(sink) = sink else { return };
+                let spans = spans
+                    .iter()
+                    .cloned()
+                    .map(|mut s| {
+                        s.start += chunk_base;
+                        s
+                    })
+                    .chain(islands.iter().cloned())
+                    .collect();
+                let mut state = ctx.state(
+                    chunk_base,
+                    &self.outcomes,
+                    &self.gaps,
+                    runs_at_chunk_start,
+                    spans,
+                );
                 state.normalize();
                 sink.write(&state);
             };
             for out in engine.run_experiments_checkpointed(chunk, &mut progress) {
-                for e in &out.edges {
-                    if db.push(e.clone()) {
-                        observer.on_event(&CampaignEvent::edge_emitted(e));
-                    }
-                }
-                observer.on_event(&CampaignEvent::experiment_completed(&out));
-                outcomes.push(out);
+                self.record(out);
+            }
+            executed += chunk.len();
+            self.gaps.extend(engine.take_gaps());
+            if let Some(sink) = sink {
+                let spans = islands.iter().cloned().collect();
+                // A failed write is a missed checkpoint, not a failed
+                // campaign: the sink already retried, resume just falls
+                // back to the previous checkpoint.
+                sink.write(&ctx.state(
+                    executed,
+                    &self.outcomes,
+                    &self.gaps,
+                    engine.runs_executed(),
+                    spans,
+                ));
             }
         }
-        executed += chunk.len();
-        gaps.extend(engine.take_gaps());
-        if let Some(sink) = recovery.sink {
-            let state = MidPhaseState {
-                phase: ctx.phase,
-                rng_state: ctx.rng_at_start,
-                used_at_phase_start: ctx.used_at_start.clone(),
-                spent_at_phase_start: ctx.spent_at_start,
-                executed_in_phase: executed,
-                phase1_len: ctx.phase1_len,
-                outcomes: outcomes.clone(),
-                gaps: gaps.clone(),
-                runs_executed: engine.runs_executed(),
-                shard_spans: islands.iter().cloned().collect(),
-            };
-            // A failed write is a missed checkpoint, not a failed
-            // campaign: the sink already retried, resume just falls back
-            // to the previous checkpoint.
-            sink.write(&state);
-        }
+        self.observer.on_event(&CampaignEvent::PhaseFinished {
+            phase: ctx.phase,
+            executed: batch.len(),
+        });
     }
-    observer.on_event(&CampaignEvent::PhaseFinished {
-        phase: ctx.phase,
-        executed: batch.len(),
-    });
 }
 
-/// The resumable 3PA runner behind [`run_three_phase_with`] and
-/// [`ThreePhase::run_with_recovery`](AllocationStrategy::run_with_recovery).
+/// The 3PA runner behind [`ThreePhase`].
 ///
-/// With a default [`RecoveryContext`] this is *exactly* the classic runner:
-/// each phase plans its full batch up front and executes it in one engine
-/// call. With a sink, phase batches execute in cadence-sized sub-chunks —
-/// order-preserving, so outcomes stay bit-identical — and every sub-chunk
-/// boundary streams a [`MidPhaseState`] to the sink. With a resume state,
-/// completed phases are reconstructed from the checkpointed outcome prefix
-/// (clusters and similarity scores are recomputed, never trusted from
-/// disk), the interrupted phase is replanned from its checkpointed RNG
-/// state and used-set — reproducing the identical batch — and execution
-/// continues after the already-executed prefix.
-pub fn run_three_phase_resumable(
+/// With a default [`RecoveryContext`] each phase plans its full batch up
+/// front and executes it in one engine call. With a sink, phase batches
+/// execute in cadence-sized sub-chunks — order-preserving, so outcomes stay
+/// bit-identical — and every sub-chunk boundary streams a [`MidPhaseState`]
+/// to the sink. With a resume state, completed phases are reconstructed
+/// from the checkpointed outcome prefix (clusters and similarity scores are
+/// recomputed, never trusted from disk), the interrupted phase is replanned
+/// from its checkpointed RNG state and used-set — reproducing the identical
+/// batch — and execution continues after the already-executed prefix.
+fn run_three_phase_resumable(
     engine: &mut dyn ExperimentEngine,
     cfg: &ThreePhaseConfig,
     observer: &dyn CampaignObserver,
-    recovery: RecoveryContext<'_>,
+    mut recovery: RecoveryContext<'_>,
 ) -> AllocationResult {
     let faults = engine.faults();
     let budget = cfg.total_budget(faults.len());
 
     // ---- State: fresh, or restored from a mid-phase checkpoint.
-    let resume = recovery.resume.clone();
-    let resume_phase = resume.as_ref().map(|s| s.phase).unwrap_or(0);
-    let mut rng;
-    let mut used;
-    let mut outcomes: Vec<ExperimentOutcome>;
-    let mut db = CausalDb::default();
-    let mut spent;
-    let mut gaps: Vec<(FaultId, TestId, u8)>;
-    let mut resume_skip = 0usize;
+    let resume = recovery.resume.take();
+    let mut exec = Executor::new(observer, recovery);
+    let mut rng = SimRng::new(cfg.seed);
+    let mut used = UsedSet::new();
+    let mut spent = 0usize;
     let mut phase1_len = 0usize;
-    let mut resume_islands: Vec<ShardSpan> = Vec::new();
     if let Some(mut st) = resume {
         // Fold any shard islands adjacent to the executed prefix first
         // (gap merge rule); islands still ahead of the prefix are spliced
         // in during execution.
         st.normalize();
-        resume_islands = std::mem::take(&mut st.shard_spans);
+        exec.reentry = Reentry {
+            phase: st.phase,
+            skip: st.executed_in_phase,
+            islands: st.shard_spans,
+        };
         rng = SimRng::from_state(st.rng_state);
         used = UsedSet::from_pairs(&st.used_at_phase_start);
         spent = st.spent_at_phase_start;
-        gaps = st.gaps;
-        resume_skip = st.executed_in_phase;
         phase1_len = st.phase1_len;
-        outcomes = st.outcomes;
         // Rebuild the edge database by replaying the checkpointed outcomes
         // in order — same pushes, same dedup, same content as the
-        // uninterrupted run (without re-emitting observer events for work
-        // a previous process already reported).
-        for out in &outcomes {
-            for e in &out.edges {
-                db.push(e.clone());
-            }
+        // uninterrupted run.
+        for out in st.outcomes {
+            exec.splice(out);
         }
-    } else {
-        rng = SimRng::new(cfg.seed);
-        used = UsedSet::new();
-        spent = 0;
-        gaps = Vec::new();
-        outcomes = Vec::new();
+        exec.gaps = st.gaps;
     }
 
     // ---- Phase one: one probe per fault, highest-coverage reaching test.
     // Picks depend only on coverage — planning consumes no randomness, so
     // a phase-one resume replans from the empty used-set.
-    if resume_phase <= 1 {
-        let ctx_rng = rng.state();
-        let ctx_used = used.pairs();
-        let ctx_spent = spent;
-        let phase1_cap = ctx_spent + (budget / 4).max(faults.len().min(budget));
+    if exec.reentry.phase <= 1 {
+        let mut ctx = PhaseCtx::at(1, &rng, &used, spent, 0);
+        let phase1_cap = spent + (budget / 4).max(faults.len().min(budget));
         let mut batch: Vec<(FaultId, TestId, u8)> = Vec::new();
         for &f in &faults {
             if spent >= phase1_cap {
@@ -740,31 +772,8 @@ pub fn run_three_phase_resumable(
             spent += 1;
         }
         phase1_len = batch.len();
-        let ctx = PhaseCtx {
-            phase: 1,
-            rng_at_start: ctx_rng,
-            used_at_start: ctx_used,
-            spent_at_start: ctx_spent,
-            phase1_len,
-        };
-        let skip = if resume_phase == 1 { resume_skip } else { 0 };
-        let islands: &[ShardSpan] = if resume_phase == 1 {
-            &resume_islands
-        } else {
-            &[]
-        };
-        execute_phase(
-            engine,
-            &batch,
-            skip,
-            islands,
-            &ctx,
-            &recovery,
-            observer,
-            &mut outcomes,
-            &mut db,
-            &mut gaps,
-        );
+        ctx.phase1_len = phase1_len;
+        exec.execute_phase(engine, &batch, &ctx);
         observer.on_event(&CampaignEvent::BudgetSpent {
             spent,
             total: budget,
@@ -775,7 +784,7 @@ pub fn run_three_phase_resumable(
     // ran (unreachable) get zero vectors and land with the non-impactful
     // cluster. On resume past phase one this recomputes — deterministically
     // — from the checkpointed outcome prefix.
-    let phase1_interference: BTreeMap<FaultId, BTreeSet<FaultId>> = outcomes[..phase1_len]
+    let phase1_interference: BTreeMap<FaultId, BTreeSet<FaultId>> = exec.outcomes[..phase1_len]
         .iter()
         .map(|o| (o.fault, o.interference.clone()))
         .collect();
@@ -801,10 +810,8 @@ pub fn run_three_phase_resumable(
     // outcomes within the phase), so the plan/execute split preserves the
     // exact sequential pick sequence — and a resume replans the identical
     // batch from the checkpointed RNG state and used-set.
-    if resume_phase <= 2 {
-        let ctx_rng = rng.state();
-        let ctx_used = used.pairs();
-        let ctx_spent = spent;
+    if exec.reentry.phase <= 2 {
+        let ctx = PhaseCtx::at(2, &rng, &used, spent, phase1_len);
         let phase2_cap = spent + budget / 2;
         let mut batch: Vec<(FaultId, TestId, u8)> = Vec::new();
         if !clusters.is_empty() {
@@ -847,31 +854,7 @@ pub fn run_three_phase_resumable(
                 spent += 1;
             }
         }
-        let ctx = PhaseCtx {
-            phase: 2,
-            rng_at_start: ctx_rng,
-            used_at_start: ctx_used,
-            spent_at_start: ctx_spent,
-            phase1_len,
-        };
-        let skip = if resume_phase == 2 { resume_skip } else { 0 };
-        let islands: &[ShardSpan] = if resume_phase == 2 {
-            &resume_islands
-        } else {
-            &[]
-        };
-        execute_phase(
-            engine,
-            &batch,
-            skip,
-            islands,
-            &ctx,
-            &recovery,
-            observer,
-            &mut outcomes,
-            &mut db,
-            &mut gaps,
-        );
+        exec.execute_phase(engine, &batch, &ctx);
         observer.on_event(&CampaignEvent::BudgetSpent {
             spent,
             total: budget,
@@ -882,12 +865,12 @@ pub fn run_three_phase_resumable(
     // model fitted on both phases. A phase-three resume excludes the
     // phase-three prefix already executed — the scores must be the ones the
     // original process computed *before* phase three started.
-    let sim_upto = if resume_phase == 3 {
-        outcomes.len() - resume_skip
+    let sim_upto = if exec.reentry.phase == 3 {
+        exec.outcomes.len() - exec.reentry.skip
     } else {
-        outcomes.len()
+        exec.outcomes.len()
     };
-    let all_docs: Vec<BTreeSet<FaultId>> = outcomes[..sim_upto]
+    let all_docs: Vec<BTreeSet<FaultId>> = exec.outcomes[..sim_upto]
         .iter()
         .map(|o| o.interference.clone())
         .collect();
@@ -895,16 +878,14 @@ pub fn run_three_phase_resumable(
     let outcome_vecs: Vec<SparseVec> = all_docs.iter().map(|d| idf2.vectorize(d)).collect();
     let sim_scores: Vec<f64> = clusters
         .iter()
-        .map(|members| cluster_sim_score(members, &outcomes[..sim_upto], &outcome_vecs))
+        .map(|members| cluster_sim_score(members, &exec.outcomes[..sim_upto], &outcome_vecs))
         .collect();
 
     // ---- Phase three: weighted random allocation by max(ε, 1 − SimScore).
     // Weights are fixed before the phase starts, so this phase also plans
     // its full batch first.
     {
-        let ctx_rng = rng.state();
-        let ctx_used = used.pairs();
-        let ctx_spent = spent;
+        let ctx = PhaseCtx::at(3, &rng, &used, spent, phase1_len);
         let weights: Vec<f64> = sim_scores
             .iter()
             .map(|s| (1.0 - s).max(cfg.epsilon))
@@ -942,31 +923,7 @@ pub fn run_three_phase_resumable(
             batch.push((f, t, 3));
             spent += 1;
         }
-        let ctx = PhaseCtx {
-            phase: 3,
-            rng_at_start: ctx_rng,
-            used_at_start: ctx_used,
-            spent_at_start: ctx_spent,
-            phase1_len,
-        };
-        let skip = if resume_phase == 3 { resume_skip } else { 0 };
-        let islands: &[ShardSpan] = if resume_phase == 3 {
-            &resume_islands
-        } else {
-            &[]
-        };
-        execute_phase(
-            engine,
-            &batch,
-            skip,
-            islands,
-            &ctx,
-            &recovery,
-            observer,
-            &mut outcomes,
-            &mut db,
-            &mut gaps,
-        );
+        exec.execute_phase(engine, &batch, &ctx);
         observer.on_event(&CampaignEvent::BudgetSpent {
             spent,
             total: budget,
@@ -974,14 +931,14 @@ pub fn run_three_phase_resumable(
     }
 
     AllocationResult {
-        db,
-        outcomes,
+        db: exec.db,
+        outcomes: exec.outcomes,
         clusters,
         cluster_of,
         sim_scores,
         experiments_run: spent,
         budget,
-        gaps,
+        gaps: exec.gaps,
     }
 }
 
@@ -1029,53 +986,17 @@ fn cluster_sim_score(
     }
 }
 
-/// Random-allocation baseline (§8.1 "Rnd.?" column): same budget, uniformly
-/// random `(fault, reaching-test)` combinations without repetition.
-pub fn run_random_allocation(
-    engine: &mut dyn ExperimentEngine,
-    budget: usize,
-    seed: u64,
-) -> AllocationResult {
-    run_random_allocation_with(engine, budget, seed, &NoopObserver)
-}
-
-/// Observer-streaming variant of [`run_random_allocation`]; the whole
-/// campaign is one planned batch reported as phase 0.
-pub fn run_random_allocation_with(
-    engine: &mut dyn ExperimentEngine,
-    budget: usize,
-    seed: u64,
-    observer: &dyn CampaignObserver,
-) -> AllocationResult {
-    let faults = engine.faults();
-    let mut rng = SimRng::new(seed);
-    let mut combos: Vec<(FaultId, TestId)> = Vec::new();
-    for &f in &faults {
-        for t in engine.tests_reaching(f) {
-            combos.push((f, t));
-        }
-    }
-    // Fisher–Yates shuffle.
-    for i in (1..combos.len()).rev() {
-        let j = rng.pick(i + 1);
-        combos.swap(i, j);
-    }
-    combos.truncate(budget);
-
-    let batch: Vec<(FaultId, TestId, u8)> = combos.into_iter().map(|(f, t)| (f, t, 0)).collect();
-    run_planned(engine, &batch, budget, observer)
-}
-
 /// Executes a fully pre-planned experiment batch and assembles the
 /// baseline-shaped [`AllocationResult`]: singleton fault clusters and
 /// SimScore 1.0 everywhere (no conditionality evidence is collected).
 ///
 /// The building block for [`AllocationStrategy`] implementations whose
-/// picks don't depend on outcomes — the random baseline above and the
-/// `csnake_baselines::strategies` policies. Observer events mirror the 3PA
-/// runner: one `phase_started`/`phase_finished` pair per contiguous run of
-/// equal phase labels in the batch, experiment/edge events per outcome, a
-/// final `budget_spent`.
+/// picks don't depend on outcomes — [`RandomAllocation`] and the
+/// `csnake_baselines::strategies` policies. Each run of equal phase labels
+/// in the batch executes as one phase on the 3PA runner's executor, so the
+/// observer sees the same vocabulary: one `phase_started`/`phase_finished`
+/// pair per run, experiment/edge events per outcome, and a final
+/// `budget_spent`.
 pub fn run_planned(
     engine: &mut dyn ExperimentEngine,
     batch: &[(FaultId, TestId, u8)],
@@ -1083,52 +1004,28 @@ pub fn run_planned(
     observer: &dyn CampaignObserver,
 ) -> AllocationResult {
     let faults = engine.faults();
-    let mut db = CausalDb::default();
-    let mut outcomes: Vec<ExperimentOutcome> = Vec::new();
-    let mut gaps: Vec<(FaultId, TestId, u8)> = Vec::new();
-    let mut start = 0usize;
-    while start < batch.len() {
-        let phase = batch[start].2;
-        let end = batch[start..]
-            .iter()
-            .position(|&(_, _, p)| p != phase)
-            .map(|k| start + k)
-            .unwrap_or(batch.len());
-        let chunk = &batch[start..end];
-        observer.on_event(&CampaignEvent::PhaseStarted {
-            phase,
-            planned: chunk.len(),
-        });
-        for out in engine.run_experiments(chunk) {
-            for e in &out.edges {
-                if db.push(e.clone()) {
-                    observer.on_event(&CampaignEvent::edge_emitted(e));
-                }
-            }
-            observer.on_event(&CampaignEvent::experiment_completed(&out));
-            outcomes.push(out);
-        }
-        gaps.extend(engine.take_gaps());
-        observer.on_event(&CampaignEvent::PhaseFinished {
-            phase,
-            executed: chunk.len(),
-        });
-        start = end;
+    let mut exec = Executor::new(observer, RecoveryContext::default());
+    for block in batch.chunk_by(|a, b| a.2 == b.2) {
+        let ctx = PhaseCtx {
+            phase: block[0].2,
+            ..PhaseCtx::default()
+        };
+        exec.execute_phase(engine, block, &ctx);
     }
-    let n = outcomes.len();
+    let n = exec.outcomes.len();
     observer.on_event(&CampaignEvent::BudgetSpent {
         spent: n,
         total: budget,
     });
     AllocationResult {
-        db,
-        outcomes,
+        db: exec.db,
+        outcomes: exec.outcomes,
         clusters: faults.iter().map(|f| vec![*f]).collect(),
         cluster_of: faults.iter().enumerate().map(|(i, f)| (*f, i)).collect(),
         sim_scores: vec![1.0; faults.len()],
         experiments_run: n,
         budget,
-        gaps,
+        gaps: exec.gaps,
     }
 }
 
@@ -1136,6 +1033,7 @@ pub fn run_planned(
 mod tests {
     use super::*;
     use crate::edge::{CausalEdge, CompatState, EdgeKind};
+    use crate::observer::NoopObserver;
 
     /// Mock engine: a scripted interference function over (fault, test).
     struct MockEngine {
@@ -1201,10 +1099,24 @@ mod tests {
         ThreePhaseConfig::default()
     }
 
+    /// A plain (non-checkpointing) 3PA campaign with the default knobs.
+    fn run_three_phase(eng: &mut dyn ExperimentEngine) -> AllocationResult {
+        ThreePhase::default().run(eng, &NoopObserver, RecoveryContext::default())
+    }
+
+    /// A random-allocation campaign of `budget_per_fault · |F|` experiments.
+    fn run_random(eng: &mut dyn ExperimentEngine, budget_per_fault: usize) -> AllocationResult {
+        let cfg = ThreePhaseConfig {
+            budget_per_fault,
+            ..cfg()
+        };
+        RandomAllocation::new(cfg, 7).run(eng, &NoopObserver, RecoveryContext::default())
+    }
+
     #[test]
     fn budget_is_respected_and_phases_ordered() {
         let mut eng = MockEngine::new(6, 8);
-        let res = run_three_phase(&mut eng, &cfg());
+        let res = run_three_phase(&mut eng);
         assert_eq!(res.budget, 24);
         assert!(res.experiments_run <= 24);
         assert_eq!(res.experiments_run, eng.log.len());
@@ -1220,7 +1132,7 @@ mod tests {
     #[test]
     fn phase_one_uses_highest_coverage_test() {
         let mut eng = MockEngine::new(3, 4);
-        run_three_phase(&mut eng, &cfg());
+        run_three_phase(&mut eng);
         for (_, t, p) in &eng.log {
             if *p == 1 {
                 assert_eq!(*t, TestId(0), "phase 1 must pick max-coverage test");
@@ -1231,7 +1143,7 @@ mod tests {
     #[test]
     fn no_duplicate_fault_test_combinations() {
         let mut eng = MockEngine::new(5, 5);
-        run_three_phase(&mut eng, &cfg());
+        run_three_phase(&mut eng);
         let mut combos: Vec<(FaultId, TestId)> = eng.log.iter().map(|(f, t, _)| (*f, *t)).collect();
         let before = combos.len();
         combos.sort_unstable();
@@ -1247,7 +1159,7 @@ mod tests {
             eng.on(0, t, &[10, 11]);
             eng.on(1, t, &[10, 11]);
         }
-        let res = run_three_phase(&mut eng, &cfg());
+        let res = run_three_phase(&mut eng);
         assert_eq!(res.cluster_of[&FaultId(0)], res.cluster_of[&FaultId(1)]);
         assert_eq!(res.cluster_of[&FaultId(2)], res.cluster_of[&FaultId(3)]);
         assert_ne!(res.cluster_of[&FaultId(0)], res.cluster_of[&FaultId(2)]);
@@ -1265,7 +1177,7 @@ mod tests {
             eng.on(1, t, &[40, 41]);
             eng.on(2, t, &[40, 41]);
         }
-        let res = run_three_phase(&mut eng, &cfg());
+        let res = run_three_phase(&mut eng);
         let c_conditional = res.cluster_of[&FaultId(0)];
         let c_stable = res.cluster_of[&FaultId(1)];
         assert!(
@@ -1283,7 +1195,7 @@ mod tests {
             eng.on(0, t, &[5]);
             eng.on(1, t, &[6]);
         }
-        let res = run_three_phase(&mut eng, &cfg());
+        let res = run_three_phase(&mut eng);
         assert!(res.db.len() >= 2);
         assert!(!res.db.edges_from(FaultId(0)).is_empty());
     }
@@ -1292,32 +1204,32 @@ mod tests {
     fn stops_when_all_combinations_exhausted() {
         // 2 faults × 2 tests = 4 combos < budget 8.
         let mut eng = MockEngine::new(2, 2);
-        let res = run_three_phase(&mut eng, &cfg());
+        let res = run_three_phase(&mut eng);
         assert_eq!(res.experiments_run, 4);
     }
 
     #[test]
     fn random_allocation_uses_budget_without_repeats() {
         let mut eng = MockEngine::new(4, 4);
-        let res = run_random_allocation(&mut eng, 10, 7);
-        assert_eq!(res.experiments_run, 10);
+        let res = run_random(&mut eng, 2);
+        assert_eq!(res.experiments_run, 8);
         let mut combos: Vec<(FaultId, TestId)> = eng.log.iter().map(|(f, t, _)| (*f, *t)).collect();
         combos.sort_unstable();
         combos.dedup();
-        assert_eq!(combos.len(), 10);
+        assert_eq!(combos.len(), 8);
     }
 
     #[test]
     fn random_allocation_caps_at_available_combos() {
         let mut eng = MockEngine::new(2, 2);
-        let res = run_random_allocation(&mut eng, 100, 7);
+        let res = run_random(&mut eng, 50);
         assert_eq!(res.experiments_run, 4);
     }
 
     #[test]
     fn sim_score_of_unknown_fault_defaults_high() {
         let mut eng = MockEngine::new(2, 2);
-        let res = run_three_phase(&mut eng, &cfg());
+        let res = run_three_phase(&mut eng);
         assert_eq!(res.sim_score_of(FaultId(99)), 1.0);
     }
 
@@ -1366,7 +1278,7 @@ mod tests {
     #[test]
     fn checkpointing_does_not_perturb_the_campaign() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain, &cfg());
+        let baseline = run_three_phase(&mut plain);
 
         for cadence in [1, 2, 3] {
             let mut eng = scripted_engine();
@@ -1374,7 +1286,7 @@ mod tests {
             let res = run_three_phase_resumable(
                 &mut eng,
                 &cfg(),
-                &crate::observer::NoopObserver,
+                &NoopObserver,
                 RecoveryContext {
                     sink: Some(&sink),
                     cadence,
@@ -1393,14 +1305,14 @@ mod tests {
     #[test]
     fn resume_from_every_checkpoint_is_bit_identical() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain, &cfg());
+        let baseline = run_three_phase(&mut plain);
 
         let mut eng = scripted_engine();
         let sink = RecordingSink::new();
         run_three_phase_resumable(
             &mut eng,
             &cfg(),
-            &crate::observer::NoopObserver,
+            &NoopObserver,
             RecoveryContext {
                 sink: Some(&sink),
                 cadence: 1,
@@ -1415,7 +1327,7 @@ mod tests {
             let res = run_three_phase_resumable(
                 &mut resumed_eng,
                 &cfg(),
-                &crate::observer::NoopObserver,
+                &NoopObserver,
                 RecoveryContext {
                     sink: None,
                     cadence: 0,
@@ -1430,20 +1342,6 @@ mod tests {
                 "checkpoint {i} replayed already-executed experiments"
             );
         }
-    }
-
-    #[test]
-    fn default_recovery_context_is_the_classic_runner() {
-        let mut a = scripted_engine();
-        let classic = run_three_phase(&mut a, &cfg());
-        let mut b = scripted_engine();
-        let via_recovery = ThreePhase::default().run_with_recovery(
-            &mut b,
-            &crate::observer::NoopObserver,
-            RecoveryContext::default(),
-        );
-        assert_results_identical(&classic, &via_recovery);
-        assert_eq!(a.log, b.log);
     }
 
     /// A minimal outcome for span-merge tests: fault id doubles as the
@@ -1593,7 +1491,7 @@ mod tests {
     #[test]
     fn out_of_order_shard_completion_does_not_perturb_results() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain, &cfg());
+        let baseline = run_three_phase(&mut plain);
 
         for cadence in [2, 3, 5] {
             let mut eng = ShardedEngine {
@@ -1603,7 +1501,7 @@ mod tests {
             let res = run_three_phase_resumable(
                 &mut eng,
                 &cfg(),
-                &crate::observer::NoopObserver,
+                &NoopObserver,
                 RecoveryContext {
                     sink: Some(&sink),
                     cadence,
@@ -1628,7 +1526,7 @@ mod tests {
     #[test]
     fn resume_from_span_bearing_checkpoints_is_bit_identical() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain, &cfg());
+        let baseline = run_three_phase(&mut plain);
 
         let mut eng = ShardedEngine {
             inner: scripted_engine(),
@@ -1637,7 +1535,7 @@ mod tests {
         run_three_phase_resumable(
             &mut eng,
             &cfg(),
-            &crate::observer::NoopObserver,
+            &NoopObserver,
             RecoveryContext {
                 sink: Some(&sink),
                 cadence: 4,
@@ -1658,7 +1556,7 @@ mod tests {
             let res = run_three_phase_resumable(
                 &mut resumed_eng,
                 &cfg(),
-                &crate::observer::NoopObserver,
+                &NoopObserver,
                 RecoveryContext {
                     sink: None,
                     cadence: 0,

@@ -50,8 +50,8 @@
 //!   uninterrupted ones (see [`snapshot`]). Misuse surfaces as typed
 //!   [`CsnakeError`]s, never panics.
 //!
-//! The one-shot [`detect`] / [`detect_with_random_allocation`] calls remain
-//! as thin shims over a staged session.
+//! The one-shot [`detect`] call remains as a thin shim over a staged
+//! session running [`ThreePhase`].
 //!
 //! # Operating campaigns
 //!
@@ -242,8 +242,7 @@ pub mod workload;
 use serde::{Deserialize, Serialize};
 
 pub use alloc::{
-    run_planned, run_random_allocation, run_random_allocation_with, run_three_phase,
-    run_three_phase_with, AllocationResult, AllocationStrategy, CheckpointSink, ExperimentEngine,
+    run_planned, AllocationResult, AllocationStrategy, CheckpointSink, ExperimentEngine,
     MidPhaseState, RandomAllocation, RecoveryContext, ShardSpan, ThreePhase, ThreePhaseConfig,
 };
 pub use beam::{
@@ -314,43 +313,12 @@ pub struct Detection {
 /// On an undrivable target (no workloads / no fault points). Use the
 /// [`Session`] API directly for typed errors.
 pub fn detect(target: &dyn TargetSystem, cfg: &DetectConfig) -> Detection {
-    let strategy = ThreePhase::new(cfg.alloc.clone());
-    detect_with_strategy(target, cfg, &strategy)
-}
-
-/// Same pipeline but with the random-allocation baseline in place of 3PA
-/// (§8.1, Table 3 "Rnd.?" column). The budget matches what 3PA would get.
-///
-/// # Panics
-///
-/// On an undrivable target (no workloads / no fault points). Use the
-/// [`Session`] API directly for typed errors.
-pub fn detect_with_random_allocation(
-    target: &dyn TargetSystem,
-    cfg: &DetectConfig,
-    seed: u64,
-) -> Detection {
-    let strategy = RandomAllocation::new(cfg.alloc.clone(), seed);
-    detect_with_strategy(target, cfg, &strategy)
-}
-
-/// One-shot detection under an arbitrary allocation strategy.
-///
-/// # Panics
-///
-/// On an undrivable target (no workloads / no fault points). Use the
-/// [`Session`] API directly for typed errors.
-pub fn detect_with_strategy(
-    target: &dyn TargetSystem,
-    cfg: &DetectConfig,
-    strategy: &dyn AllocationStrategy,
-) -> Detection {
     let mut session = Session::builder(target)
         .config(cfg.clone())
         .build()
         .expect("detect(): target must be drivable");
     session
-        .run_to_report(strategy)
+        .run_to_report(&ThreePhase::new(cfg.alloc.clone()))
         .expect("detect(): staged pipeline cannot misorder itself");
     session
         .into_detection()

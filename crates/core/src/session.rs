@@ -516,59 +516,7 @@ impl<'a> Session<'a> {
     /// mid-phase checkpoints stream to disk as the campaign progresses; a
     /// session resumed from one continues inside the interrupted phase.
     pub fn allocate(&mut self, strategy: &dyn AllocationStrategy) -> Result<CampaignOutcome> {
-        self.expect_stage(Stage::Profiled)?;
-        self.observer
-            .on_event(&CampaignEvent::StageStarted(Stage::Allocated));
-        let resume = self.pending_mid_phase.take();
-        let sink = self.auto_checkpoint.as_ref().map(|(path, _)| {
-            let driver = self.driver.as_ref().expect("profiled session has a driver");
-            SessionCheckpointSink {
-                encoder: crate::snapshot::MidPhaseCheckpointEncoder::new(
-                    self.target.name(),
-                    crate::snapshot::registry_fingerprint(&self.target.registry()),
-                    &self.cfg,
-                    driver.profiles(),
-                    strategy.name(),
-                ),
-                path: path.clone(),
-                observer: self.observer.clone(),
-                chaos: ChaosInjector::new(self.cfg.driver.chaos.clone()),
-                ordinal: AtomicU64::new(0),
-            }
-        });
-        let cadence = self.auto_checkpoint.as_ref().map(|&(_, c)| c).unwrap_or(0);
-        let driver = self.driver.as_mut().expect("profiled session has a driver");
-        driver.set_observer(self.observer.clone());
-        let recovery = RecoveryContext {
-            sink: sink.as_ref().map(|s| s as &dyn CheckpointSink),
-            cadence,
-            resume,
-        };
-        let alloc = strategy.run_with_recovery(driver, &*self.observer, recovery);
-        let (cache_hits, cache_misses) = driver.trace_cache_stats();
-        self.observer.on_event(&CampaignEvent::TraceCache {
-            hits: cache_hits,
-            misses: cache_misses,
-        });
-        if !alloc.gaps.is_empty() {
-            self.observer.on_event(&CampaignEvent::Degraded {
-                missing: alloc.gaps.len(),
-            });
-        }
-        let artifact = CampaignOutcome {
-            strategy: strategy.name().to_string(),
-            experiments_run: alloc.experiments_run,
-            budget: alloc.budget,
-            edges: alloc.db.len(),
-            fault_clusters: alloc.clusters.len(),
-            runs_executed: driver.runs_executed,
-        };
-        self.strategy_name = Some(strategy.name().to_string());
-        self.alloc = Some(alloc);
-        self.stage = Stage::Allocated;
-        self.observer
-            .on_event(&CampaignEvent::StageFinished(Stage::Allocated));
-        Ok(artifact)
+        self.allocate_on(strategy, None)
     }
 
     /// Stage 3 on an *external* engine: like [`allocate`](Self::allocate),
@@ -590,13 +538,26 @@ impl<'a> Session<'a> {
         strategy: &dyn AllocationStrategy,
         engine: &mut dyn ExperimentEngine,
     ) -> Result<CampaignOutcome> {
+        self.allocate_on(strategy, Some(engine))
+    }
+
+    /// The one body behind [`allocate`](Self::allocate) and
+    /// [`allocate_with_engine`](Self::allocate_with_engine): runs the
+    /// campaign on `external`, or on the session's own driver when `None`.
+    fn allocate_on(
+        &mut self,
+        strategy: &dyn AllocationStrategy,
+        external: Option<&mut dyn ExperimentEngine>,
+    ) -> Result<CampaignOutcome> {
         self.expect_stage(Stage::Profiled)?;
         self.observer
             .on_event(&CampaignEvent::StageStarted(Stage::Allocated));
         let resume = self.pending_mid_phase.take();
-        let sink = self.auto_checkpoint.as_ref().map(|(path, _)| {
-            let driver = self.driver.as_ref().expect("profiled session has a driver");
-            SessionCheckpointSink {
+        let driver = self.driver.as_mut().expect("profiled session has a driver");
+        let sink = self
+            .auto_checkpoint
+            .as_ref()
+            .map(|(path, _)| SessionCheckpointSink {
                 encoder: crate::snapshot::MidPhaseCheckpointEncoder::new(
                     self.target.name(),
                     crate::snapshot::registry_fingerprint(&self.target.registry()),
@@ -608,22 +569,29 @@ impl<'a> Session<'a> {
                 observer: self.observer.clone(),
                 chaos: ChaosInjector::new(self.cfg.driver.chaos.clone()),
                 ordinal: AtomicU64::new(0),
-            }
-        });
-        let cadence = self.auto_checkpoint.as_ref().map(|&(_, c)| c).unwrap_or(0);
-        engine.attach_observer(self.observer.clone());
+            });
         let recovery = RecoveryContext {
             sink: sink.as_ref().map(|s| s as &dyn CheckpointSink),
-            cadence,
+            cadence: self.auto_checkpoint.as_ref().map_or(0, |&(_, c)| c),
             resume,
         };
-        let alloc = strategy.run_with_recovery(engine, &*self.observer, recovery);
-        let (cache_hits, cache_misses) = engine.trace_cache_stats();
-        self.observer.on_event(&CampaignEvent::TraceCache {
-            hits: cache_hits,
-            misses: cache_misses,
-        });
-        let engine_runs = engine.runs_executed();
+        let is_external = external.is_some();
+        let engine: &mut dyn ExperimentEngine = match external {
+            Some(engine) => engine,
+            None => driver,
+        };
+        engine.attach_observer(self.observer.clone());
+        let alloc = strategy.run(engine, &*self.observer, recovery);
+        let (hits, misses) = engine.trace_cache_stats();
+        self.observer
+            .on_event(&CampaignEvent::TraceCache { hits, misses });
+        // The session's driver counts its own runs; an external engine's
+        // are folded in here.
+        let engine_runs = if is_external {
+            engine.runs_executed()
+        } else {
+            0
+        };
         let driver = self.driver.as_mut().expect("profiled session has a driver");
         driver.runs_executed += engine_runs;
         if !alloc.gaps.is_empty() {

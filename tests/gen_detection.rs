@@ -13,7 +13,8 @@
 use std::sync::Arc;
 
 use csnake::core::{
-    run_random_allocation_with, DetectConfig, NoopObserver, ProgressCollector, Session, ThreePhase,
+    AllocationStrategy, DetectConfig, NoopObserver, ProgressCollector, RandomAllocation,
+    RecoveryContext, Session, ThreePhase,
 };
 use csnake_gen::{generate, GenConfig, Shape};
 use csnake_scenario::{compile, parse_str, print, ScenarioSystem};
@@ -166,8 +167,11 @@ fn injection_cache_is_result_equivalent_and_hits_on_reuse() {
     // A comparison campaign over the same driver replays from cache.
     let engine = cached.engine_mut().expect("profiled session");
     let runs_before = engine.runs_executed;
-    let budget = engine.analysis.injectable.len() * 4;
-    let alloc = run_random_allocation_with(engine, budget, 0x7777, &NoopObserver);
+    let alloc = RandomAllocation::new(cfg(true).alloc, 0x7777).run(
+        engine,
+        &NoopObserver,
+        RecoveryContext::default(),
+    );
     assert!(alloc.experiments_run > 0);
     let (hits, _) = engine.trace_cache_stats();
     assert!(hits > 0, "random baseline never hit the cache");
