@@ -72,6 +72,15 @@ pub enum CsnakeError {
         /// Fingerprint of the live target's registry.
         actual: u64,
     },
+    /// A mid-phase checkpoint was resumed under a different allocation
+    /// strategy than the one that wrote it, which would discard the
+    /// checkpointed outcomes.
+    StrategyMismatch {
+        /// Strategy name recorded in the snapshot.
+        snapshot: String,
+        /// Name of the strategy the resume was attempted with.
+        actual: String,
+    },
     /// `resume()` was combined with an explicit `config()` override; a
     /// snapshot carries its own configuration (including every seed), and
     /// silently preferring either one would surprise the caller.
@@ -111,6 +120,11 @@ impl fmt::Display for CsnakeError {
                 "target registry changed since the snapshot was taken \
                  (fingerprint {snapshot:#018x} in snapshot, {actual:#018x} live); \
                  re-run the campaign from scratch"
+            ),
+            CsnakeError::StrategyMismatch { snapshot, actual } => write!(
+                f,
+                "mid-phase checkpoint was written by strategy {snapshot:?} but \
+                 resume was attempted with {actual:?}"
             ),
             CsnakeError::ConfigOverride => write!(
                 f,

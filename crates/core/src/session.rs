@@ -360,7 +360,9 @@ impl<'a> Session<'a> {
             observer,
             stage: Stage::Built,
             driver: None,
-            strategy_name: None,
+            // Written with a completed allocation or a mid-phase section;
+            // `allocate` refuses to continue the latter under another name.
+            strategy_name: snap.strategy,
             alloc: None,
             stitched: None,
             report: None,
@@ -383,7 +385,6 @@ impl<'a> Session<'a> {
                 ));
             }
             session.alloc = Some(alloc);
-            session.strategy_name = snap.strategy;
             session.stage = Stage::Allocated;
         }
         if let Some(stitched) = snap.stitched {
@@ -550,6 +551,16 @@ impl<'a> Session<'a> {
         external: Option<&mut dyn ExperimentEngine>,
     ) -> Result<CampaignOutcome> {
         self.expect_stage(Stage::Profiled)?;
+        // A mid-phase checkpoint only continues under the strategy that
+        // wrote it; any other policy would silently discard its outcomes.
+        if let (Some(_), Some(snapshot)) = (&self.pending_mid_phase, &self.strategy_name) {
+            if snapshot != strategy.name() {
+                return Err(CsnakeError::StrategyMismatch {
+                    snapshot: snapshot.clone(),
+                    actual: strategy.name().to_string(),
+                });
+            }
+        }
         self.observer
             .on_event(&CampaignEvent::StageStarted(Stage::Allocated));
         let resume = self.pending_mid_phase.take();

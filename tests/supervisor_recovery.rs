@@ -20,7 +20,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use csnake::core::{
-    CampaignEvent, ChaosConfig, CsnakeError, DetectConfig, ProgressCollector, Session, ThreePhase,
+    CampaignEvent, ChaosConfig, CsnakeError, DetectConfig, ProgressCollector, RandomAllocation,
+    Session, ThreePhase,
 };
 use csnake::targets::ToySystem;
 
@@ -136,6 +137,58 @@ fn resuming_from_every_checkpoint_reproduces_the_report() {
         );
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_mid_phase_checkpoint_resumes_only_under_its_own_strategy() {
+    let dir = temp_dir("strategy");
+    let target = ToySystem::new();
+    let archiver = Arc::new(CheckpointArchiver {
+        dir: dir.clone(),
+        archived: Mutex::new(Vec::new()),
+    });
+    let mut checkpointed = Session::builder(&target)
+        .config(fast_config())
+        .observer(archiver.clone())
+        .auto_checkpoint(dir.join("live.csnake"), 1)
+        .build()
+        .expect("drivable");
+    let baseline = format!(
+        "{:?}",
+        checkpointed
+            .run_to_report(&ThreePhase::default())
+            .expect("checkpointed run")
+    );
+    // A checkpoint inside phase two, past its first experiment.
+    let ckpt = archiver
+        .archived
+        .lock()
+        .unwrap()
+        .iter()
+        .find(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            name.contains("-p2-") && !name.ends_with("-e0.csnake")
+        })
+        .cloned()
+        .expect("a mid-phase-two checkpoint");
+
+    let mut resumed = Session::resume(&target, &ckpt).expect("resume");
+    let random = RandomAllocation::new(fast_config().alloc, 7);
+    match resumed.run_to_report(&random) {
+        Err(CsnakeError::StrategyMismatch { snapshot, actual }) => {
+            assert_eq!(
+                (snapshot.as_str(), actual.as_str()),
+                ("three-phase", "random")
+            );
+        }
+        other => panic!("expected StrategyMismatch, got {:?}", other.map(|_| ())),
+    }
+    // The refusal keeps the checkpoint: its own strategy still finishes it.
+    let report = resumed
+        .run_to_report(&ThreePhase::default())
+        .expect("resume under the writing strategy");
+    assert_eq!(baseline, format!("{report:?}"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
