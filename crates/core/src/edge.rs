@@ -114,7 +114,7 @@ impl CausalEdge {
 
 /// All causal relationships discovered in a campaign, indexed for the
 /// beam search.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct CausalDb {
     edges: Vec<CausalEdge>,
     // The two index fields are derived from `edges`; skip them in
@@ -179,6 +179,16 @@ impl CausalDb {
     }
 }
 
+/// Prints the edges only: the indexes are derived from them, and their hash
+/// iteration order would make two identical databases print differently.
+impl fmt::Debug for CausalDb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CausalDb")
+            .field("edges", &self.edges)
+            .finish_non_exhaustive()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,6 +227,21 @@ mod tests {
         assert_eq!(db.edges_from(FaultId(1)).len(), 2);
         assert_eq!(db.edges_from(FaultId(2)).len(), 1);
         assert!(db.edges_from(FaultId(9)).is_empty());
+    }
+
+    #[test]
+    fn identical_databases_print_identically() {
+        let edges: Vec<CausalEdge> = (0..64)
+            .flat_map(|c| {
+                [
+                    edge(c, c + 1, EdgeKind::EI, 0),
+                    edge(c, c + 2, EdgeKind::ED, 1),
+                ]
+            })
+            .collect();
+        let a = CausalDb::from_edges(edges.clone());
+        let b = CausalDb::from_edges(edges);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
