@@ -9,16 +9,17 @@
 use std::sync::Arc;
 
 use csnake_baselines::{run_naive_strategy, NaiveConfig};
-use csnake_bench::{run_csnake_with, run_random, EvalConfig};
+use csnake_bench::{header, row, run_csnake_with, run_random, EvalConfig};
 use csnake_core::ProgressCollector;
 use csnake_targets::all_paper_targets;
+
+const COLUMNS: [&str; 7] = ["System", "Bug", "JIRA", "Cycle", "Alloc.", "Rnd.?", "Alt.?"];
 
 fn main() {
     let fast = std::env::args().any(|a| a == "--fast");
     let cfg = EvalConfig::default();
     println!("Table 3: detected self-sustaining cascading failures");
-    println!("| System | Bug | JIRA | Cycle | Alloc. | Rnd.? | Alt.? |");
-    println!("|---|---|---|---|---|---|---|");
+    println!("{}", header(&COLUMNS));
 
     let mut total = 0usize;
     let mut found = 0usize;
@@ -36,29 +37,22 @@ fn main() {
             let m = detection.report.matches.iter().find(|m| m.bug.id == bug.id);
             let rnd = random.report.matches.iter().any(|m| m.bug.id == bug.id);
             let alt = naive.alt_detected.contains(&bug.id);
-            match m {
-                Some(m) => {
-                    found += 1;
-                    println!(
-                        "| {} | {} | {} | {} | {} | {} | {} |",
-                        target.name(),
-                        bug.id,
-                        bug.jira,
-                        m.composition,
-                        m.phase,
-                        if rnd { "yes" } else { "no" },
-                        if alt { "yes" } else { "no" },
-                    );
-                }
-                None => println!(
-                    "| {} | {} | {} | MISSED | - | {} | {} |",
-                    target.name(),
-                    bug.id,
-                    bug.jira,
-                    if rnd { "yes" } else { "no" },
-                    if alt { "yes" } else { "no" },
-                ),
-            }
+            let yes = |b: bool| if b { "yes" } else { "no" }.to_string();
+            let (cycle, phase) = match m {
+                Some(m) => (m.composition.to_string(), m.phase.to_string()),
+                None => ("MISSED".to_string(), "-".to_string()),
+            };
+            found += usize::from(m.is_some());
+            let cells: [String; COLUMNS.len()] = [
+                target.name().to_string(),
+                bug.id.to_string(),
+                bug.jira.to_string(),
+                cycle,
+                phase,
+                yes(rnd),
+                yes(alt),
+            ];
+            println!("{}", row(&cells));
         }
         // Cross-checked two ways: campaign results and the observer's
         // event stream must agree.

@@ -17,10 +17,22 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use csnake_bench::{run_csnake_with, table4_variants, EvalConfig};
+use csnake_bench::{header, row, run_csnake_with, table4_variants, EvalConfig};
 use csnake_core::{ProgressCollector, TargetSystem};
 use csnake_targets::all_paper_targets;
 use csnake_telemetry::LiveProgress;
+
+/// The unlimited beam search's columns, then those of the search limited
+/// to one delay injection per cycle.
+const COLUMNS: [&str; 7] = [
+    "System",
+    "Cycle",
+    "Cluster",
+    "TP",
+    "≤1 delay: Cycle",
+    "≤1 delay: Cluster",
+    "≤1 delay: TP",
+];
 
 fn main() {
     let cfg = EvalConfig::default();
@@ -41,24 +53,23 @@ fn main() {
             None => all_paper_targets(),
         };
     println!("Table 4: reported cycles and clustering");
-    println!("| System | Cycle | Cluster | TP | (≤1 delay: Cycle | Cluster | TP) |");
-    println!("|---|---|---|---|---|");
+    println!("{}", header(&COLUMNS));
     for target in targets.iter().map(|t| t.as_ref()) {
         let progress = Arc::new(ProgressCollector::new());
         let view = live.then(|| LiveProgress::start(progress.clone(), Duration::from_millis(500)));
         let detection = run_csnake_with(target, &cfg, progress.clone());
         drop(view);
         let (unlimited, limited) = table4_variants(target, &detection);
-        println!(
-            "| {} | {} | {} | {} | ({} | {} | {}) |",
-            target.name(),
-            unlimited.cycles,
-            unlimited.clusters,
-            unlimited.tp,
-            limited.cycles,
-            limited.clusters,
-            limited.tp,
-        );
+        let cells: [String; COLUMNS.len()] = [
+            target.name().to_string(),
+            unlimited.cycles.to_string(),
+            unlimited.clusters.to_string(),
+            unlimited.tp.to_string(),
+            limited.cycles.to_string(),
+            limited.clusters.to_string(),
+            limited.tp.to_string(),
+        ];
+        println!("{}", row(&cells));
         let expected = detection.report.expected_contention_clusters();
         if expected > 0 {
             eprintln!(

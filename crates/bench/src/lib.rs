@@ -34,8 +34,8 @@ pub struct EvalConfig {
     /// The paper recommends a *minimum* of 4·|F| (§5.2). The mini-systems
     /// are far denser than real HDFS — almost every workload reaches almost
     /// every fault point, so the (fault, test) space per fault is larger
-    /// relative to |F| — and the evaluation default of 12 compensates;
-    /// see EXPERIMENTS.md for the sensitivity sweep.
+    /// relative to |F| — and the evaluation default of 12 compensates.
+    /// The budget sensitivity sweep is still open: ROADMAP item 3(b).
     pub budget_per_fault: usize,
     /// Run repetitions (paper: 5).
     pub reps: usize,
@@ -146,9 +146,19 @@ pub struct Table4Row {
     pub tp: usize,
 }
 
-/// Formats a Markdown-ish table row.
-pub fn row(cells: &[String]) -> String {
+/// Formats one Markdown table row. A `|` inside a cell is escaped, so the
+/// row always has exactly `cells.len()` cells.
+pub fn row<S: AsRef<str>>(cells: &[S]) -> String {
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|c| c.as_ref().replace('|', "\\|"))
+        .collect();
     format!("| {} |", cells.join(" | "))
+}
+
+/// A table's header row and its separator row, one cell per column.
+pub fn header(columns: &[&str]) -> String {
+    format!("{}\n{}", row(columns), row(&vec!["---"; columns.len()]))
 }
 
 /// Synthetic causal-database generator for the stitch-index tests.
@@ -230,3 +240,40 @@ pub fn synthetic_db(n_faults: u32, fanout: u32, loop_share: f64) -> csnake_core:
 /// Every how-many-th fault gets a cycle-closing back edge in
 /// [`synthetic_db`].
 pub const BACK_EDGE_STRIDE: u32 = 16;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csnake_core::Composition;
+
+    /// Cells of one Markdown row: its unescaped `|` separators minus one.
+    fn cell_count(line: &str) -> usize {
+        let bytes = line.as_bytes();
+        let pipes = (0..bytes.len())
+            .filter(|&i| bytes[i] == b'|' && (i == 0 || bytes[i - 1] != b'\\'))
+            .count();
+        pipes - 1
+    }
+
+    #[test]
+    fn header_separator_and_rows_agree_on_the_cell_count() {
+        let columns = ["System", "Cycle", "Alloc."];
+        let header = header(&columns);
+        let composition = Composition {
+            delays: 1,
+            exceptions: 2,
+            negations: 0,
+        };
+        let cells = [
+            "mini-hdfs2".to_string(),
+            composition.to_string(),
+            "2".into(),
+        ];
+        let body = row(&cells);
+        let lines: Vec<&str> = header.lines().chain([body.as_str()]).collect();
+        assert_eq!(lines.len(), 3, "a header, a separator and a row");
+        for line in lines {
+            assert_eq!(cell_count(line), columns.len(), "{line}");
+        }
+    }
+}
