@@ -540,7 +540,7 @@ impl PhaseCtx {
 
 /// Where a resumed campaign re-enters its interrupted phase: the executed
 /// prefix to skip and the out-of-order islands already completed beyond it.
-/// The default (phase 0, nothing executed) is a fresh campaign.
+/// The default skips nothing: a fresh campaign.
 #[derive(Default)]
 struct Reentry {
     phase: u8,
@@ -1100,7 +1100,7 @@ mod tests {
     }
 
     /// A plain (non-checkpointing) 3PA campaign with the default knobs.
-    fn run_three_phase(eng: &mut dyn ExperimentEngine) -> AllocationResult {
+    fn run_3pa(eng: &mut dyn ExperimentEngine) -> AllocationResult {
         ThreePhase::default().run(eng, &NoopObserver, RecoveryContext::default())
     }
 
@@ -1116,7 +1116,7 @@ mod tests {
     #[test]
     fn budget_is_respected_and_phases_ordered() {
         let mut eng = MockEngine::new(6, 8);
-        let res = run_three_phase(&mut eng);
+        let res = run_3pa(&mut eng);
         assert_eq!(res.budget, 24);
         assert!(res.experiments_run <= 24);
         assert_eq!(res.experiments_run, eng.log.len());
@@ -1132,7 +1132,7 @@ mod tests {
     #[test]
     fn phase_one_uses_highest_coverage_test() {
         let mut eng = MockEngine::new(3, 4);
-        run_three_phase(&mut eng);
+        run_3pa(&mut eng);
         for (_, t, p) in &eng.log {
             if *p == 1 {
                 assert_eq!(*t, TestId(0), "phase 1 must pick max-coverage test");
@@ -1143,7 +1143,7 @@ mod tests {
     #[test]
     fn no_duplicate_fault_test_combinations() {
         let mut eng = MockEngine::new(5, 5);
-        run_three_phase(&mut eng);
+        run_3pa(&mut eng);
         let mut combos: Vec<(FaultId, TestId)> = eng.log.iter().map(|(f, t, _)| (*f, *t)).collect();
         let before = combos.len();
         combos.sort_unstable();
@@ -1159,7 +1159,7 @@ mod tests {
             eng.on(0, t, &[10, 11]);
             eng.on(1, t, &[10, 11]);
         }
-        let res = run_three_phase(&mut eng);
+        let res = run_3pa(&mut eng);
         assert_eq!(res.cluster_of[&FaultId(0)], res.cluster_of[&FaultId(1)]);
         assert_eq!(res.cluster_of[&FaultId(2)], res.cluster_of[&FaultId(3)]);
         assert_ne!(res.cluster_of[&FaultId(0)], res.cluster_of[&FaultId(2)]);
@@ -1177,7 +1177,7 @@ mod tests {
             eng.on(1, t, &[40, 41]);
             eng.on(2, t, &[40, 41]);
         }
-        let res = run_three_phase(&mut eng);
+        let res = run_3pa(&mut eng);
         let c_conditional = res.cluster_of[&FaultId(0)];
         let c_stable = res.cluster_of[&FaultId(1)];
         assert!(
@@ -1195,7 +1195,7 @@ mod tests {
             eng.on(0, t, &[5]);
             eng.on(1, t, &[6]);
         }
-        let res = run_three_phase(&mut eng);
+        let res = run_3pa(&mut eng);
         assert!(res.db.len() >= 2);
         assert!(!res.db.edges_from(FaultId(0)).is_empty());
     }
@@ -1204,7 +1204,7 @@ mod tests {
     fn stops_when_all_combinations_exhausted() {
         // 2 faults × 2 tests = 4 combos < budget 8.
         let mut eng = MockEngine::new(2, 2);
-        let res = run_three_phase(&mut eng);
+        let res = run_3pa(&mut eng);
         assert_eq!(res.experiments_run, 4);
     }
 
@@ -1229,7 +1229,7 @@ mod tests {
     #[test]
     fn sim_score_of_unknown_fault_defaults_high() {
         let mut eng = MockEngine::new(2, 2);
-        let res = run_three_phase(&mut eng);
+        let res = run_3pa(&mut eng);
         assert_eq!(res.sim_score_of(FaultId(99)), 1.0);
     }
 
@@ -1278,7 +1278,7 @@ mod tests {
     #[test]
     fn checkpointing_does_not_perturb_the_campaign() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain);
+        let baseline = run_3pa(&mut plain);
 
         for cadence in [1, 2, 3] {
             let mut eng = scripted_engine();
@@ -1305,7 +1305,7 @@ mod tests {
     #[test]
     fn resume_from_every_checkpoint_is_bit_identical() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain);
+        let baseline = run_3pa(&mut plain);
 
         let mut eng = scripted_engine();
         let sink = RecordingSink::new();
@@ -1491,7 +1491,7 @@ mod tests {
     #[test]
     fn out_of_order_shard_completion_does_not_perturb_results() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain);
+        let baseline = run_3pa(&mut plain);
 
         for cadence in [2, 3, 5] {
             let mut eng = ShardedEngine {
@@ -1526,7 +1526,7 @@ mod tests {
     #[test]
     fn resume_from_span_bearing_checkpoints_is_bit_identical() {
         let mut plain = scripted_engine();
-        let baseline = run_three_phase(&mut plain);
+        let baseline = run_3pa(&mut plain);
 
         let mut eng = ShardedEngine {
             inner: scripted_engine(),
