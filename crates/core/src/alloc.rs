@@ -283,9 +283,9 @@ impl MidPhaseState {
     /// order, since shards partition the batch by contiguous index
     /// ranges), and the fold repeats until the next span no longer
     /// touches. Remaining islands stay in `shard_spans` for the 3PA runner
-    /// to splice once execution reaches them. Folding is idempotent and order-insensitive, so a state
-    /// normalizes identically no matter how many checkpoint/resume hops
-    /// it went through.
+    /// to splice once execution reaches them. Folding is idempotent and
+    /// order-insensitive, so a state normalizes identically no matter how
+    /// many checkpoint/resume hops it went through.
     pub fn normalize(&mut self) {
         if self.shard_spans.is_empty() {
             return;
