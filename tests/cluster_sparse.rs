@@ -17,9 +17,10 @@ use csnake::core::cluster::{
     hierarchical_cluster, hierarchical_cluster_reference, hierarchical_cluster_with_stats,
     hierarchical_cluster_with_stats_capped, verify_cut_quality,
 };
+use csnake::core::fnv1a_bytes;
 use csnake::core::idf::IdfVectorizer;
 use csnake::inject::FaultId;
-use csnake_bench::campaign::synthetic_vectors;
+use csnake_bench::campaign::{hot_dimension_vectors, synthetic_vectors};
 use proptest::prelude::*;
 
 fn doc_strategy() -> impl Strategy<Value = BTreeSet<FaultId>> {
@@ -116,7 +117,7 @@ fn near_ubiquitous_dimension_is_capped_at_scale() {
     // (posting list > max(256, groups/8)) marks it hot, so the candidate
     // graph is driven by the rare dimensions — and the cut still equals
     // the uncapped run's bit-for-bit.
-    let vectors = csnake_bench::campaign::hot_dimension_vectors(3000, 0xB0B);
+    let vectors = hot_dimension_vectors(3000, 0xB0B);
     let (capped, stats) = hierarchical_cluster_with_stats(&vectors, 0.5);
     assert!(
         stats.hot_dims >= 1,
@@ -182,4 +183,48 @@ fn all_zero_corpus_collapses_to_one_cluster() {
     let c = hierarchical_cluster(&vs, 0.999);
     assert_eq!(c, hierarchical_cluster_reference(&vs, 0.999));
     assert_eq!(c.n_clusters, 1);
+}
+
+/// `(n_clusters, FNV-1a of the assignment as little-endian u64s, groups,
+/// candidate_edges, merges)` of one clustering run.
+fn cut_pin(
+    vectors: &[csnake::core::idf::SparseVec],
+    threshold: f64,
+) -> (usize, u64, usize, usize, usize) {
+    let (c, stats) = hierarchical_cluster_with_stats(vectors, threshold);
+    let bytes: Vec<u8> = c
+        .assignment
+        .iter()
+        .flat_map(|&a| (a as u64).to_le_bytes())
+        .collect();
+    (
+        c.n_clusters,
+        fnv1a_bytes(&bytes),
+        stats.groups,
+        stats.candidate_edges,
+        stats.merges,
+    )
+}
+
+#[test]
+fn cuts_at_scale_keep_their_assignments() {
+    // Past reference scale the exact cut is pinned instead: any change to
+    // candidate generation or agglomeration that moves one item moves the
+    // hash.
+    let vectors = synthetic_vectors(3000, 0xC577);
+    for (threshold, want) in [
+        (0.3, (187, 0x9722_d119_cb63_c7a9, 803, 23_482, 616)),
+        (0.5, (95, 0xcca0_56cd_65cd_0366, 803, 23_482, 708)),
+        (0.8, (66, 0xa46f_f5a3_7bb1_09fe, 803, 23_482, 737)),
+    ] {
+        assert_eq!(cut_pin(&vectors, threshold), want, "threshold {threshold}");
+    }
+    // One dimension shared by ~90% of the vectors: its candidate-edge
+    // count depends on how pairs are enumerated, the cut does not.
+    let hot = hot_dimension_vectors(1000, 0xB0B);
+    let (n_clusters, hash, groups, _, merges) = cut_pin(&hot, 0.5);
+    assert_eq!(
+        (n_clusters, hash, groups, merges),
+        (431, 0x2fc6_ec45_0341_6ae7, 517, 86)
+    );
 }
