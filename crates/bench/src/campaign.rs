@@ -284,13 +284,12 @@ pub fn synthetic_vectors(n: usize, seed: u64) -> Vec<SparseVec> {
     docs.iter().map(|d| idf.vectorize(d)).collect()
 }
 
-/// The sparse-clustering candidate-generation worst case: one
-/// near-ubiquitous dimension (present in ~90% of docs — ubiquitous
-/// enough for a huge posting list, absent often enough that IDF keeps
-/// its weight nonzero) plus one rare dimension per doc from a pool of
-/// `max(8, n/2)`. Without hot-posting caps the shared dimension alone
-/// makes the candidate graph quadratic in the ~0.9·n groups that carry
-/// it; with caps the graph is driven by the rare-dimension collisions.
+/// A corpus with one near-ubiquitous dimension: present in ~90% of docs
+/// (a huge posting list, absent often enough that IDF keeps its weight
+/// nonzero), plus one rare dimension per doc from a pool of
+/// `max(8, n/2)`. The shared dimension alone makes sparse clustering's
+/// candidate graph quadratic in the ~0.9·n groups that carry it, while
+/// the sub-threshold merges come from rare-dimension collisions.
 pub fn hot_dimension_vectors(n: usize, seed: u64) -> Vec<SparseVec> {
     let rare_pool = (n as u64 / 2).max(8);
     let mut docs: Vec<BTreeSet<FaultId>> = Vec::with_capacity(n);

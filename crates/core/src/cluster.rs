@@ -28,25 +28,7 @@
 //!    Lance–Williams average of all-1.0 entries stays exactly 1.0 — so
 //!    the sparse graph is exact, not an approximation: a merge below any
 //!    threshold ≤ 1 can only happen along a graph edge.
-//! 3. **Hot-posting caps.** A *near-ubiquitous* dimension — one whose
-//!    posting list exceeds `max(256, groups/8)` — would alone make the
-//!    candidate graph quadratic, even though its IDF weight (and thus its
-//!    contribution to any distance) is typically tiny. Hot dimensions are
-//!    split out of the inverted index: pair enumeration runs over the
-//!    cold dimensions only, each discovered pair's dot product is
-//!    completed exactly from the two groups' hot components, and the few
-//!    pairs that could sit below the threshold *through hot dimensions
-//!    alone* are recovered by a Cauchy–Schwarz sweep over hot-mass-heavy
-//!    groups (`‖hotₐ‖·‖hot_b‖ ≤ 1−θ` proves a pair super-threshold
-//!    without touching it). Everything else stays implicit: per-cluster
-//!    hot-component *sums* give the exact average-linkage distance of any
-//!    unmaterialized pair on demand — `1 − (Sₐ·S_b)/(|A||B|)` — and the
-//!    Lance–Williams average of two such implicit distances is exactly
-//!    the implicit distance of the merged sums, so absent edges never
-//!    need materializing. The result is still the exact dendrogram, but
-//!    the candidate-edge count is driven by the *cold* co-occurrence
-//!    structure instead of the hottest posting list's square.
-//! 4. **Sparse agglomeration.** Cluster adjacency lives in per-cluster
+//! 3. **Sparse agglomeration.** Cluster adjacency lives in per-cluster
 //!    neighbor maps. A lazy-deletion min-heap orders candidate merges by
 //!    `(height, smaller-representative, larger-representative)` — the
 //!    greedy reference's exact scan order, ties included — and stops at
@@ -59,13 +41,13 @@
 //!    entirely (the adjacency still holds them for the averages), which
 //!    typically shrinks the heap by an order of magnitude.
 //!
-//! Complexity: `O(Σ_cold p_dim²)` candidate generation over the cold
-//! dimensions (output-sensitive: the number of genuinely overlapping
-//! pairs; fanned out on the worker
-//! pool past `CLUSTER_PARALLEL_MIN_GROUPS` groups — distances are
-//! bit-identical regardless of which worker computes them) plus
-//! `O(E log E)` agglomeration over `E` graph edges — memory `O(n + E)`
-//! instead of `O(n²)`. [`hierarchical_cluster_with_stats`] reports the
+//! Complexity: `O(Σ_dim p_dim²)` candidate generation over the posting
+//! lists (output-sensitive: the number of genuinely overlapping pairs,
+//! so a dimension shared by most groups costs its posting list's square)
+//! plus `O(E log E)` agglomeration over `E` graph edges — memory
+//! `O(n + E)` instead of `O(n²)`. Campaigns stay far below where that
+//! square matters: across every bundled target the largest input is 22
+//! vectors in 14 groups. [`hierarchical_cluster_with_stats`] reports the
 //! realized counts (groups, edges, the matrix bytes that were *not*
 //! allocated) so benchmarks track the memory claim instead of asserting it.
 //!
@@ -81,9 +63,7 @@
 //! One floating-point caveat on the equivalence contract: the sparse
 //! agglomeration applies Lance–Williams updates in a different merge
 //! order than the greedy rescan (pre-grouped duplicates merge "for free",
-//! heap order differs from rescan order between equal-height runs, and
-//! when hot dimensions are split out a pair's dot product sums its cold
-//! terms before its hot terms instead of in one ascending pass),
+//! and heap order differs from rescan order between equal-height runs),
 //! which is equal in exact arithmetic but can differ by an ulp in `f64`.
 //! A divergent cut therefore requires a merge height within ~1 ulp of the
 //! threshold — vanishingly unlikely for data-derived cosine distances
@@ -97,110 +77,6 @@ use std::collections::BinaryHeap;
 
 use crate::fxhash::FxMap;
 use crate::idf::{cosine_distance, SparseVec};
-
-/// Group count above which candidate-edge generation fans out on the
-/// worker pool; below it the per-call thread spawn costs more than the
-/// dot products it would split.
-const CLUSTER_PARALLEL_MIN_GROUPS: usize = 1024;
-
-/// Absolute floor of the hot-posting cap: dimensions never count as
-/// near-ubiquitous below this posting length, so small inputs (every
-/// unit and property test at reference scale) take the uncapped path
-/// bit-for-bit.
-const CLUSTER_HOT_POSTING_FLOOR: usize = 256;
-
-/// Absolute slack on the Cauchy–Schwarz prune in the hot-pair sweep:
-/// a pair is skipped only when its hot-mass product is below the cutoff
-/// by more than this, so accumulated rounding in the mass computation
-/// cannot hide a genuinely sub-threshold pair.
-const HOT_PRUNE_SLACK: f64 = 1e-12;
-
-/// Default hot-posting cap for `groups` distinct vectors: a dimension is
-/// near-ubiquitous when it appears in more than an eighth of all groups
-/// (and at least [`CLUSTER_HOT_POSTING_FLOOR`] of them).
-fn default_hot_cap(groups: usize) -> usize {
-    (groups / 8).max(CLUSTER_HOT_POSTING_FLOOR)
-}
-
-/// Dot product of two sparse component lists sorted ascending by
-/// dimension, accumulated in ascending dimension order (the same order
-/// [`cosine_distance`] uses over shared keys).
-fn hot_dot(a: &[(u32, f64)], b: &[(u32, f64)]) -> f64 {
-    let (mut i, mut j, mut dot) = (0usize, 0usize, 0.0f64);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                dot += a[i].1 * b[j].1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    dot
-}
-
-/// Merges cluster hot-component sums: `a += b`, both sorted ascending by
-/// dimension.
-fn hot_sum_add(a: &mut Vec<(u32, f64)>, b: Vec<(u32, f64)>) {
-    if b.is_empty() {
-        return;
-    }
-    if a.is_empty() {
-        *a = b;
-        return;
-    }
-    let mut merged = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() || j < b.len() {
-        match (a.get(i), b.get(j)) {
-            (Some(&(da, wa)), Some(&(db, wb))) => match da.cmp(&db) {
-                std::cmp::Ordering::Less => {
-                    merged.push((da, wa));
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    merged.push((db, wb));
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    merged.push((da, wa + wb));
-                    i += 1;
-                    j += 1;
-                }
-            },
-            (Some(&(da, wa)), None) => {
-                merged.push((da, wa));
-                i += 1;
-            }
-            (None, Some(&(db, wb))) => {
-                merged.push((db, wb));
-                j += 1;
-            }
-            (None, None) => unreachable!(),
-        }
-    }
-    *a = merged;
-}
-
-/// Exact average-linkage distance of an *unmaterialized* cluster pair —
-/// one whose member pairs all share either nothing (distance exactly 1)
-/// or only hot dimensions. `sum_*` are the clusters' size-weighted hot
-/// component sums and `wa`/`wb` the cluster sizes, so the mean cross
-/// dot product is `(Sₐ·S_b)/(|A||B|)`. With no hot components at all
-/// this is exactly the legacy implicit 1.0.
-fn implicit_distance(sum_a: &[(u32, f64)], sum_b: &[(u32, f64)], wa: f64, wb: f64) -> f64 {
-    if sum_a.is_empty() || sum_b.is_empty() {
-        return 1.0;
-    }
-    let dot = hot_dot(sum_a, sum_b);
-    if dot == 0.0 {
-        1.0
-    } else {
-        (1.0 - dot / (wa * wb)).clamp(0.0, 1.0)
-    }
-}
 
 /// Result of clustering `n` items: `assignment[i]` is the cluster index of
 /// item `i`; cluster indices are dense (`0..n_clusters`).
@@ -231,14 +107,12 @@ pub struct ClusterStats {
     pub vectors: usize,
     /// Distinct vectors after exact-duplicate pre-grouping.
     pub groups: usize,
-    /// Initial sparse-graph edges (group pairs sharing a cold dimension,
-    /// plus materialized hot-only pairs).
+    /// Initial sparse-graph edges (group pairs sharing a dimension).
     pub candidate_edges: usize,
-    /// Near-ubiquitous dimensions split out of pair enumeration (posting
-    /// list longer than the hot cap).
+    /// Always 0: no dimension is split out of pair enumeration. Kept so
+    /// the journal's `Clustering` record keeps its layout.
     pub hot_dims: usize,
-    /// Hot-only sub-threshold pairs materialized by the Cauchy–Schwarz
-    /// sweep (already counted in `candidate_edges`).
+    /// Always 0, like [`ClusterStats::hot_dims`] and for the same reason.
     pub hot_pairs: usize,
     /// Sub-threshold merges applied (excluding duplicate pre-grouping).
     pub merges: usize,
@@ -312,28 +186,6 @@ pub fn hierarchical_cluster_with_stats(
     vectors: &[SparseVec],
     threshold: f64,
 ) -> (Clustering, ClusterStats) {
-    cluster_impl(vectors, threshold, None)
-}
-
-/// [`hierarchical_cluster_with_stats`] with an explicit hot-posting cap:
-/// dimensions whose posting list exceeds `hot_cap` groups are split out
-/// of pair enumeration (module docs, step 3). The cut is the same for
-/// every cap — the cap is a performance knob, not an approximation — so
-/// this exists for tests and benchmarks that need to force the hot path
-/// on small inputs or tune it on pathological ones.
-pub fn hierarchical_cluster_with_stats_capped(
-    vectors: &[SparseVec],
-    threshold: f64,
-    hot_cap: usize,
-) -> (Clustering, ClusterStats) {
-    cluster_impl(vectors, threshold, Some(hot_cap))
-}
-
-fn cluster_impl(
-    vectors: &[SparseVec],
-    threshold: f64,
-    hot_cap: Option<usize>,
-) -> (Clustering, ClusterStats) {
     let n = vectors.len();
     let mut stats = ClusterStats::new(n);
     if n == 0 {
@@ -341,31 +193,6 @@ fn cluster_impl(
             Clustering {
                 assignment: Vec::new(),
                 n_clusters: 0,
-            },
-            stats,
-        );
-    }
-    // Distances are ≥ 0, so a non-positive (or NaN) threshold admits no
-    // merge at all: every item is its own cluster.
-    if threshold.is_nan() || threshold <= 0.0 {
-        stats.groups = n;
-        return (
-            Clustering {
-                assignment: (0..n).collect(),
-                n_clusters: n,
-            },
-            stats,
-        );
-    }
-    // Distances are ≤ 1, so a threshold above 1 merges everything: the
-    // greedy reference keeps taking sub-threshold pairs (Lance–Williams
-    // averages stay within [0, 1]) until one cluster remains.
-    if threshold > 1.0 {
-        stats.groups = 1;
-        return (
-            Clustering {
-                assignment: vec![0; n],
-                n_clusters: 1,
             },
             stats,
         );
@@ -400,6 +227,32 @@ fn cluster_impl(
     let g = rep.len();
     stats.groups = g;
 
+    // Merging goes on while the closest pair sits below the threshold.
+    // Distances are ≥ 0, so a non-positive (or NaN) threshold admits no
+    // merge at all — not even between duplicates: every item is its own
+    // cluster.
+    if threshold.is_nan() || threshold <= 0.0 {
+        return (
+            Clustering {
+                assignment: (0..n).collect(),
+                n_clusters: n,
+            },
+            stats,
+        );
+    }
+    // Distances are ≤ 1, so a threshold above 1 merges everything: the
+    // greedy reference keeps taking sub-threshold pairs (Lance–Williams
+    // averages stay within [0, 1]) until one cluster remains.
+    if threshold > 1.0 {
+        return (
+            Clustering {
+                assignment: vec![0; n],
+                n_clusters: 1,
+            },
+            stats,
+        );
+    }
+
     // ---- 2. Inverted index over nonzero dimensions; postings ascend by
     // group id because groups are scanned in id order.
     let mut postings: FxMap<u32, Vec<(u32, f64)>> = FxMap::default();
@@ -409,164 +262,38 @@ fn cluster_impl(
         }
     }
 
-    // ---- 2b. Hot-posting caps (module docs, step 3). Dimensions whose
-    // posting list exceeds the cap leave the inverted index; their
-    // contribution to any pair's dot product comes from the per-group
-    // hot-component lists instead.
-    let hot_cap = hot_cap.unwrap_or_else(|| default_hot_cap(g));
-    let mut hot_dims: Vec<u32> = postings
-        .iter()
-        .filter(|(_, p)| p.len() > hot_cap)
-        .map(|(&f, _)| f)
-        .collect();
-    hot_dims.sort_unstable();
-    stats.hot_dims = hot_dims.len();
-    let has_hot = !hot_dims.is_empty();
-    let hot_set: crate::fxhash::FxSet<u32> = hot_dims.iter().copied().collect();
-    // Per-group hot components, ascending by dimension (`components()` is
-    // a BTreeMap walk).
-    let hot_part: Vec<Vec<(u32, f64)>> = if has_hot {
-        rep.iter()
-            .map(|&r| {
-                vectors[r as usize]
-                    .components()
-                    .iter()
-                    .filter(|(f, _)| hot_set.contains(&f.0))
-                    .map(|(f, w)| (f.0, *w))
-                    .collect()
-            })
-            .collect()
-    } else {
-        vec![Vec::new(); g]
-    };
-
-    // ---- 3. Candidate pairs + initial distances. For each group `a`,
-    // dot products against all co-dimensional groups `b > a` accumulate
-    // into a dense scratch slot in ascending dimension order — the same
-    // add sequence `cosine_distance` performs over the shared keys, so
-    // the resulting distances are bit-identical to the matrix the
-    // reference builds. The per-group edge lists depend only on the
-    // read-only postings, so past `CLUSTER_PARALLEL_MIN_GROUPS` they are
-    // computed on the worker pool (each worker owns its scratch arrays;
-    // values are identical regardless of who computes them).
-    let gen_range = |range: std::ops::Range<usize>| -> Vec<Vec<(u32, f64)>> {
-        let mut scratch: Vec<f64> = vec![0.0; g];
-        let mut mark: Vec<u32> = vec![0; g];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut out: Vec<Vec<(u32, f64)>> = Vec::with_capacity(range.len());
-        for a in range {
-            let a = a as u32;
-            let epoch = a + 1;
-            for (f, wa) in vectors[rep[a as usize] as usize].components() {
-                if has_hot && hot_set.contains(&f.0) {
-                    continue;
-                }
-                let post = &postings[&f.0];
-                let start = post.partition_point(|&(gid, _)| gid <= a);
-                for &(b, wb) in &post[start..] {
-                    let slot = b as usize;
-                    if mark[slot] != epoch {
-                        mark[slot] = epoch;
-                        scratch[slot] = 0.0;
-                        touched.push(b);
-                    }
-                    scratch[slot] += wa * wb;
-                }
-            }
-            // Cold accumulation done; complete each discovered pair's dot
-            // product with its hot terms so explicit edges carry the full
-            // exact distance.
-            let ha = &hot_part[a as usize];
-            let mut edges: Vec<(u32, f64)> = Vec::with_capacity(touched.len());
-            for &b in &touched {
-                let mut dot = scratch[b as usize];
-                if !ha.is_empty() {
-                    dot += hot_dot(ha, &hot_part[b as usize]);
-                }
-                edges.push((b, (1.0 - dot).clamp(0.0, 1.0)));
-            }
-            touched.clear();
-            out.push(edges);
-        }
-        out
-    };
-    let threads = crate::pool::hardware_threads();
-    let per_group: Vec<Vec<(u32, f64)>> = if threads > 1 && g >= CLUSTER_PARALLEL_MIN_GROUPS {
-        crate::pool::run_ordered(crate::pool::chunk_ranges(g, threads), threads, gen_range)
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        gen_range(0..g)
-    };
-    drop(postings);
-
-    // ---- 3b. Hot-only pair recovery. A pair sharing *only* hot
-    // dimensions can still sit below the threshold (e.g. a vector that is
-    // one hot dimension, against a near-copy) — those merges must be on
-    // the heap. Their dot product is bounded by the product of the two
-    // groups' hot-part norms (Cauchy–Schwarz), so scanning groups in
-    // descending hot-mass order and stopping once the mass product proves
-    // the pair super-threshold visits only the hot-heavy corner, not the
-    // posting list's square. In the worst case that motivates the cap —
-    // a near-ubiquitous dimension with a tiny IDF weight — every mass is
-    // tiny and the sweep exits immediately.
-    let mut hot_only: Vec<MergeEntry> = Vec::new();
-    if has_hot {
-        let cutoff = 1.0 - threshold;
-        let mut heavy: Vec<(u32, f64)> = hot_part
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| !h.is_empty())
-            .map(|(gid, h)| {
-                let mass = h.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
-                (gid as u32, mass)
-            })
-            .collect();
-        heavy.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        for i in 0..heavy.len() {
-            let (a, ma) = heavy[i];
-            if ma * ma <= cutoff - HOT_PRUNE_SLACK {
-                break;
-            }
-            for &(b, mb) in &heavy[i + 1..] {
-                if ma * mb <= cutoff - HOT_PRUNE_SLACK {
-                    break;
-                }
-                let d =
-                    (1.0 - hot_dot(&hot_part[a as usize], &hot_part[b as usize])).clamp(0.0, 1.0);
-                if d < threshold {
-                    hot_only.push(MergeEntry {
-                        d,
-                        a: a.min(b),
-                        b: a.max(b),
-                    });
-                }
-            }
-        }
-    }
-
-    // Assemble the adjacency (both directions, capacity known up front)
-    // and the initial heap. Entries at or above the threshold never merge
-    // — the pop loop stops at the first one — so only sub-threshold
-    // distances enter the heap; the adjacency keeps every candidate edge
-    // because super-threshold distances still participate in the
-    // Lance–Williams averages.
-    let mut degree: Vec<usize> = per_group.iter().map(|e| e.len()).collect();
-    for edges in &per_group {
-        for &(b, _) in edges {
-            degree[b as usize] += 1;
-        }
-    }
-    let mut adj: Vec<FxMap<u32, f64>> = degree
-        .iter()
-        .map(|&d| FxMap::with_capacity_and_hasher(d, Default::default()))
-        .collect();
-    let mut candidate_edges = 0usize;
+    // Candidate pairs + initial distances. For each group `a`, dot
+    // products against all co-dimensional groups `b > a` accumulate into
+    // a dense scratch slot in ascending dimension order — the same add
+    // sequence `cosine_distance` performs over the shared keys, so the
+    // resulting distances are bit-identical to the matrix the reference
+    // builds. The adjacency keeps every candidate edge, because
+    // super-threshold distances still take part in the Lance–Williams
+    // averages; only sub-threshold ones enter the heap, since the pop
+    // loop stops at the first entry at or above the threshold.
+    let mut adj: Vec<FxMap<u32, f64>> = vec![FxMap::default(); g];
     let mut initial: Vec<Reverse<MergeEntry>> = Vec::new();
-    for (a, edges) in per_group.iter().enumerate() {
-        let a = a as u32;
-        for &(b, d) in edges {
+    let mut candidate_edges = 0usize;
+    let mut scratch: Vec<f64> = vec![0.0; g];
+    let mut mark: Vec<u32> = vec![0; g];
+    let mut touched: Vec<u32> = Vec::new();
+    for a in 0..g as u32 {
+        let epoch = a + 1;
+        for (f, wa) in vectors[rep[a as usize] as usize].components() {
+            let post = &postings[&f.0];
+            let start = post.partition_point(|&(gid, _)| gid <= a);
+            for &(b, wb) in &post[start..] {
+                let slot = b as usize;
+                if mark[slot] != epoch {
+                    mark[slot] = epoch;
+                    scratch[slot] = 0.0;
+                    touched.push(b);
+                }
+                scratch[slot] += wa * wb;
+            }
+        }
+        for b in touched.drain(..) {
+            let d = (1.0 - scratch[b as usize]).clamp(0.0, 1.0);
             adj[a as usize].insert(b, d);
             adj[b as usize].insert(a, d);
             if d < threshold {
@@ -575,47 +302,19 @@ fn cluster_impl(
             candidate_edges += 1;
         }
     }
-    drop(per_group);
-    // Hot-only pairs join the graph unless a cold dimension already
-    // discovered them (in which case the cold edge carries the full dot
-    // product, while the sweep's value covers hot terms only). Every
-    // entry is sub-threshold by construction, so all of them go on the
-    // heap; super-threshold hot-only pairs stay implicit — their exact
-    // distance is recomputed from cluster hot sums whenever an update
-    // needs it.
-    for e in hot_only {
-        if adj[e.a as usize].contains_key(&e.b) {
-            continue;
-        }
-        adj[e.a as usize].insert(e.b, e.d);
-        adj[e.b as usize].insert(e.a, e.d);
-        initial.push(Reverse(e));
-        candidate_edges += 1;
-        stats.hot_pairs += 1;
-    }
-    // Size-weighted per-cluster hot-component sums: a group of `k`
-    // identical vectors contributes `k·w` per hot dimension. Merges add
-    // sums, so `1 − (Sₐ·S_b)/(|A||B|)` is always the exact mean hot-only
-    // cross distance of the live clusters.
-    let mut hot_sum: Vec<Vec<(u32, f64)>> = hot_part
-        .iter()
-        .zip(&gsize)
-        .map(|(h, &k)| h.iter().map(|&(dim, w)| (dim, w * k)).collect())
-        .collect();
-    drop(hot_part);
+    drop(postings);
     // Heapify in one pass; pop order is the unique (d, a, b) total order
     // either way.
     let mut heap: BinaryHeap<Reverse<MergeEntry>> = BinaryHeap::from(initial);
     stats = stats.finish(candidate_edges);
 
-    // ---- 4. Sparse agglomeration: repeatedly merge the globally closest
+    // ---- 3. Sparse agglomeration: repeatedly merge the globally closest
     // pair while it is below the threshold. Heap entries are validated
     // lazily against the live adjacency (bitwise distance match), so
     // superseded entries fall through. Reducibility makes the first
     // at-or-above-threshold pop final: no later merge can go lower.
     let mut active = vec![true; g];
     let mut parent: Vec<u32> = (0..g as u32).collect();
-    let mut neighbor_scratch: Vec<(u32, f64)> = Vec::new();
     while let Some(Reverse(e)) = heap.pop() {
         if e.d >= threshold {
             break;
@@ -635,19 +334,19 @@ fn cluster_impl(
         let (sa, sb) = (gsize[a], gsize[b]);
         adj[a].remove(&e.b);
         adj[b].remove(&e.a);
+        let amap = std::mem::take(&mut adj[a]);
         let bmap = std::mem::take(&mut adj[b]);
-        neighbor_scratch.clear();
-        neighbor_scratch.extend(adj[a].iter().map(|(&k, &d)| (k, d)));
-        // Neighbors of a (shared neighbors read b's entry, exclusive
-        // ones use the implicit distance — exactly 1.0 unless b and k
-        // share hot dimensions)…
-        for &(k, dak) in &neighbor_scratch {
-            let dbk = match bmap.get(&k) {
-                Some(&d) => d,
-                None => implicit_distance(&hot_sum[b], &hot_sum[k as usize], sb, gsize[k as usize]),
-            };
+        let mut merged: FxMap<u32, f64> =
+            FxMap::with_capacity_and_hasher(amap.len() + bmap.len(), Default::default());
+        // Every neighbor of a or b; a side that has no edge to `k` sits
+        // at the implicit distance 1.0. Pops follow the (d, a, b) total
+        // order, so the order of these pushes does not matter.
+        let only_b = bmap.keys().filter(|k| !amap.contains_key(k));
+        for &k in amap.keys().chain(only_b) {
+            let dak = amap.get(&k).copied().unwrap_or(1.0);
+            let dbk = bmap.get(&k).copied().unwrap_or(1.0);
             let nd = (sa * dak + sb * dbk) / (sa + sb);
-            adj[a].insert(k, nd);
+            merged.insert(k, nd);
             let km = &mut adj[k as usize];
             km.remove(&e.b);
             km.insert(e.a, nd);
@@ -659,37 +358,13 @@ fn cluster_impl(
                 }));
             }
         }
-        // …then neighbors of b alone, where a contributes its implicit
-        // distance. The Lance–Williams average of two implicit distances
-        // is exactly the implicit distance of the merged hot sums (and
-        // 1.0 stays 1.0 with no hot terms), so untouched non-edges stay
-        // consistent without ever being materialized.
-        for (k, dbk) in bmap {
-            if k == e.a || adj[a].contains_key(&k) {
-                continue;
-            }
-            let dak = implicit_distance(&hot_sum[a], &hot_sum[k as usize], sa, gsize[k as usize]);
-            let nd = (sa * dak + sb * dbk) / (sa + sb);
-            adj[a].insert(k, nd);
-            let km = &mut adj[k as usize];
-            km.remove(&e.b);
-            km.insert(e.a, nd);
-            if nd < threshold {
-                heap.push(Reverse(MergeEntry {
-                    d: nd,
-                    a: e.a.min(k),
-                    b: e.a.max(k),
-                }));
-            }
-        }
-        let bsum = std::mem::take(&mut hot_sum[b]);
-        hot_sum_add(&mut hot_sum[a], bsum);
+        adj[a] = merged;
         gsize[a] += sb;
         active[b] = false;
         parent[b] = e.a;
     }
 
-    // ---- 5. Cut + densify. Scanning items ascending, each cluster is
+    // ---- 4. Cut + densify. Scanning items ascending, each cluster is
     // first seen at its minimum member (roots keep the smallest id), so
     // ids densify in the reference's first-seen order.
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -923,10 +598,10 @@ pub fn hierarchical_cluster_reference(vectors: &[SparseVec], threshold: f64) -> 
                 }
             }
         }
-        let Some((i, j, d)) = best else { break };
-        if d >= threshold {
+        // Merge while below the threshold: a NaN threshold merges nothing.
+        let Some((i, j, _)) = best.filter(|&(_, _, d)| d < threshold) else {
             break;
-        }
+        };
         // Merge j into i; Lance–Williams average-linkage update:
         // d(i∪j, k) = (|i| d(i,k) + |j| d(j,k)) / (|i| + |j|).
         let (si, sj) = (size[i], size[j]);
@@ -1038,7 +713,7 @@ mod tests {
         ];
         for docs in fixtures {
             let v = vecs(&docs);
-            for thr in [1e-12, 0.3, 0.5, 0.9, 1.0 + 1e-9] {
+            for thr in [1e-12, 0.3, 0.5, 0.9, 1.0 + 1e-9, f64::NAN] {
                 let fast = hierarchical_cluster(&v, thr);
                 let slow = hierarchical_cluster_reference(&v, thr);
                 assert_eq!(fast, slow, "docs {docs:?} threshold {thr}");
@@ -1058,6 +733,13 @@ mod tests {
         assert_eq!(stats.candidate_edges, 0);
         assert_eq!(stats.merges, 0);
         assert_eq!(c.n_clusters, 3);
+        // The threshold shortcuts count groups after pre-grouping too.
+        let v = vecs(&[&[1, 2], &[1, 2], &[3, 4], &[5, 6]]);
+        for (thr, n_clusters) in [(0.0, 4), (1.5, 1)] {
+            let (c, stats) = hierarchical_cluster_with_stats(&v, thr);
+            assert_eq!(c.n_clusters, n_clusters, "threshold {thr}");
+            assert_eq!(stats.groups, 3, "threshold {thr}");
+        }
     }
 
     #[test]
@@ -1107,82 +789,6 @@ mod tests {
             .collect();
         over.n_clusters = remap.len();
         assert!(verify_cut_quality(&v, &over, 0.5, 64).is_err());
-    }
-
-    #[test]
-    fn capped_path_matches_reference_on_fixtures() {
-        // Force the hot-dimension machinery on tiny inputs: cap 0 makes
-        // every dimension hot (no cold discovery at all — pairs come from
-        // the Cauchy–Schwarz sweep alone); small caps mix cold and hot.
-        let fixtures: Vec<Vec<&[u32]>> = vec![
-            vec![&[1, 2], &[1, 2], &[5, 6], &[5, 6]],
-            vec![&[1], &[2], &[3]],
-            vec![&[1, 2], &[2, 3], &[3, 4]],
-            vec![&[1], &[1], &[1, 2]],
-            vec![&[1, 2, 3], &[2, 3, 4], &[9], &[9, 10], &[2, 3], &[1, 3]],
-            vec![&[1], &[1, 2], &[1, 3], &[1, 2, 3], &[4], &[1, 4]],
-        ];
-        for docs in fixtures {
-            let v = vecs(&docs);
-            for thr in [1e-12, 0.3, 0.5, 0.7, 0.9, 1.0 + 1e-9] {
-                let slow = hierarchical_cluster_reference(&v, thr);
-                for cap in [0usize, 1, 2] {
-                    let (fast, _) = hierarchical_cluster_with_stats_capped(&v, thr, cap);
-                    assert_eq!(fast, slow, "docs {docs:?} threshold {thr} cap {cap}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hot_only_subthreshold_pairs_still_merge() {
-        // {1} and {1, 2} are near-parallel *through dimension 1 alone*.
-        // With cap 0 that dimension is hot, so no cold edge connects them
-        // — the sweep has to recover the pair or the merge is lost.
-        let v = vecs(&[&[1], &[1, 2], &[3], &[4]]);
-        let thr = 0.7;
-        let (c, stats) = hierarchical_cluster_with_stats_capped(&v, thr, 0);
-        assert_eq!(c, hierarchical_cluster_reference(&v, thr));
-        assert_eq!(c.assignment[0], c.assignment[1]);
-        assert!(
-            stats.hot_pairs >= 1,
-            "sweep must materialize the pair: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn near_ubiquitous_dimension_stops_costing_its_square() {
-        // 36 of 40 docs share dimension 0 (tiny IDF weight, huge posting
-        // list); each also carries a unique rare dimension. Capped, the
-        // hot dimension leaves enumeration and the sweep proves every
-        // hot-only pair super-threshold from the masses — zero candidate
-        // edges. Uncapped, the same input pays the posting list's square.
-        let docs: Vec<Vec<u32>> = (0..40u32)
-            .map(|i| {
-                if i < 36 {
-                    vec![0, 100 + i]
-                } else {
-                    vec![200 + i]
-                }
-            })
-            .collect();
-        let refs: Vec<&[u32]> = docs.iter().map(|d| d.as_slice()).collect();
-        let v = vecs(&refs);
-        let (capped, stats) = hierarchical_cluster_with_stats_capped(&v, 0.5, 8);
-        assert_eq!(stats.hot_dims, 1);
-        assert_eq!(stats.hot_pairs, 0);
-        assert_eq!(
-            stats.candidate_edges, 0,
-            "no cold co-occurrence, no heavy pairs: {stats:?}"
-        );
-        let (uncapped, ustats) = hierarchical_cluster_with_stats(&v, 0.5);
-        assert_eq!(
-            ustats.candidate_edges,
-            36 * 35 / 2,
-            "the square the cap avoids"
-        );
-        assert_eq!(capped, uncapped);
-        assert_eq!(capped, hierarchical_cluster_reference(&v, 0.5));
     }
 
     #[test]

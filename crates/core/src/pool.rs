@@ -1,5 +1,5 @@
-//! Scope-borrowed worker pool shared by the stitch search, clustering and
-//! the experiment driver.
+//! Scope-borrowed worker pool shared by the stitch search and the
+//! experiment driver.
 //!
 //! Every caller fans identical-shaped jobs out to a fixed set of worker
 //! threads, in one of two shapes:
@@ -224,7 +224,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// The machine's hardware parallelism (1 when unknown), read once per
 /// process and cached: `available_parallelism` re-reads the cgroup quota
 /// and the affinity mask on every call, and every pool call, driver batch,
-/// stitch build and search, and clustering pass asks.
+/// and stitch build and search asks.
 pub fn hardware_threads() -> usize {
     static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))

@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use csnake::core::cluster::{
     hierarchical_cluster, hierarchical_cluster_reference, hierarchical_cluster_with_stats,
-    hierarchical_cluster_with_stats_capped, verify_cut_quality,
+    verify_cut_quality,
 };
 use csnake::core::fnv1a_bytes;
 use csnake::core::idf::IdfVectorizer;
@@ -87,70 +87,6 @@ proptest! {
             "threshold {}", threshold
         );
     }
-
-    #[test]
-    fn capped_hot_dimensions_match_reference_on_random_inputs(
-        docs in proptest::collection::vec(doc_strategy(), 1..32),
-        hot_cap in 0usize..4,
-        threshold in 0.0f64..1.2
-    ) {
-        // The hot-posting cap is a performance knob, not an approximation:
-        // forcing dimensions hot on reference-sized inputs (cap 0 = every
-        // dimension; tiny caps = a mix) must reproduce the reference cut
-        // exactly — including pairs reachable only through hot dimensions,
-        // which the Cauchy–Schwarz sweep has to recover.
-        let m = IdfVectorizer::fit(&docs);
-        let vs: Vec<_> = docs.iter().map(|d| m.vectorize(d)).collect();
-        let (capped, _) = hierarchical_cluster_with_stats_capped(&vs, threshold, hot_cap);
-        prop_assert_eq!(
-            capped,
-            hierarchical_cluster_reference(&vs, threshold),
-            "threshold {} cap {}", threshold, hot_cap
-        );
-    }
-}
-
-#[test]
-fn near_ubiquitous_dimension_is_capped_at_scale() {
-    // The candidate-generation worst case: one dimension shared by ~90%
-    // of 3000 otherwise-nearly-disjoint vectors. The default cap
-    // (posting list > max(256, groups/8)) marks it hot, so the candidate
-    // graph is driven by the rare dimensions — and the cut still equals
-    // the uncapped run's bit-for-bit.
-    let vectors = hot_dimension_vectors(3000, 0xB0B);
-    let (capped, stats) = hierarchical_cluster_with_stats(&vectors, 0.5);
-    assert!(
-        stats.hot_dims >= 1,
-        "the shared dimension must trip the default cap: {stats:?}"
-    );
-    let quadratic = stats.groups * (stats.groups - 1) / 2;
-    assert!(
-        stats.candidate_edges < quadratic / 50,
-        "hot capping must keep the graph far from quadratic: {} of {} pairs",
-        stats.candidate_edges,
-        quadratic
-    );
-    assert!(
-        stats.candidate_edges < stats.groups * 2,
-        "the capped graph must stay near-linear in groups: {} edges for {} groups",
-        stats.candidate_edges,
-        stats.groups
-    );
-    verify_cut_quality(&vectors, &capped, 0.5, 64).expect("capped cut quality");
-    // Exactness at scale: an absurd cap disables hot handling entirely
-    // and pays the full posting-list square — same cut.
-    let (uncapped, ustats) = hierarchical_cluster_with_stats_capped(&vectors, 0.5, usize::MAX);
-    assert_eq!(ustats.hot_dims, 0);
-    assert!(
-        ustats.candidate_edges > stats.candidate_edges * 50,
-        "worst case must actually be quadratic uncapped: {} vs {}",
-        ustats.candidate_edges,
-        stats.candidate_edges
-    );
-    assert_eq!(
-        capped, uncapped,
-        "the cap must not change the dendrogram cut"
-    );
 }
 
 #[test]

@@ -228,7 +228,7 @@ fn the_frame_header_is_written_and_parsed_in_one_place() {
 /// macros, as counted by
 /// `grep -rE '^\s*pub (fn|struct|enum|trait|type|const|static|mod) |#\[macro_export\]' crates/core/src | wc -l`.
 /// ROADMAP item 6 shrinks it; lower this pin as it does.
-const CORE_PUBLIC_SURFACE: usize = 261;
+const CORE_PUBLIC_SURFACE: usize = 260;
 
 /// Nothing joins the core crate's public surface unnoticed: a change that
 /// must grow it raises [`CORE_PUBLIC_SURFACE`] in the same diff.
