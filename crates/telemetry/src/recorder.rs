@@ -45,13 +45,31 @@ struct JournalFile {
     unflushed: usize,
 }
 
+impl JournalFile {
+    /// Appends one record's bytes and flushes them to the file (not fsync):
+    /// a live `tail -f` sees every event; durability comes from
+    /// flush()/finish(). An error names this journal's path.
+    fn append(&mut self, bytes: &[u8]) -> Result<()> {
+        self.file
+            .write_all(bytes)
+            .and_then(|()| self.file.flush())
+            .map_err(|source| CsnakeError::Io {
+                path: self.path.clone(),
+                source,
+            })?;
+        self.unflushed += 1;
+        Ok(())
+    }
+}
+
 struct Inner {
     seq: u64,
     records: Vec<TelemetryRecord>,
     jsonl: Option<JournalFile>,
     binary: Option<JournalFile>,
     open_spans: BTreeMap<SpanKey, u64>,
-    /// First journaling error; once set, file output stops.
+    /// First journaling error, until a flush reports it. Setting it closes
+    /// both journals, so file output stops for good.
     io_error: Option<CsnakeError>,
 }
 
@@ -193,32 +211,20 @@ impl FlightRecorder {
         };
         inner.seq += 1;
 
-        if inner.io_error.is_none() {
-            let mut io = || -> std::io::Result<()> {
-                if let Some(j) = inner.jsonl.as_mut() {
-                    j.file.write_all(record.to_json_line().as_bytes())?;
-                    j.file.write_all(b"\n")?;
-                    // Flush (not fsync) per record: a live `tail -f` sees
-                    // every event; durability comes from flush()/finish().
-                    j.file.flush()?;
-                    j.unflushed += 1;
-                }
-                if let Some(b) = inner.binary.as_mut() {
-                    b.file.write_all(&seal_record(&record))?;
-                    b.file.flush()?;
-                    b.unflushed += 1;
-                }
-                Ok(())
-            };
-            if let Err(source) = io() {
-                let path = inner
-                    .jsonl
-                    .as_ref()
-                    .map(|j| j.path.clone())
-                    .or_else(|| inner.binary.as_ref().map(|b| b.path.clone()))
-                    .unwrap_or_default();
-                inner.io_error = Some(CsnakeError::Io { path, source });
-            }
+        let written = match inner.jsonl.as_mut() {
+            Some(j) => j.append((record.to_json_line() + "\n").as_bytes()),
+            None => Ok(()),
+        }
+        .and_then(|()| match inner.binary.as_mut() {
+            Some(b) => b.append(&seal_record(&record)),
+            None => Ok(()),
+        });
+        if let Err(e) = written {
+            // Both journals close, so neither goes on past the failed record
+            // and reporting the error cannot restart them.
+            inner.jsonl = None;
+            inner.binary = None;
+            inner.io_error = Some(e);
         }
 
         inner.records.push(record);
@@ -368,6 +374,57 @@ mod tests {
         let records = crate::record::read_journal(&bin).expect("decode binary journal");
         assert_eq!(records, rec.records());
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A recorder journaling JSONL to a fresh file under `dir` and binary
+    /// frames to `/dev/full`, where every write fails with `ENOSPC`.
+    #[cfg(target_os = "linux")]
+    fn beside_a_full_binary_journal(dir: &std::path::Path) -> FlightRecorder {
+        std::fs::create_dir_all(dir).expect("tmp dir");
+        FlightRecorder::builder()
+            .jsonl(dir.join("j.jsonl"))
+            .binary("/dev/full")
+            .build()
+            .expect("open")
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_binary_write_names_the_binary_journal() {
+        let dir =
+            std::env::temp_dir().join(format!("csnake-telemetry-full-{}", std::process::id()));
+        let rec = beside_a_full_binary_journal(&dir);
+        rec.on_event(&BUDGET);
+        match rec.finish() {
+            Err(CsnakeError::Io { path, .. }) => assert_eq!(path, PathBuf::from("/dev/full")),
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn journaling_stays_stopped_after_a_failed_write() {
+        let dir =
+            std::env::temp_dir().join(format!("csnake-telemetry-stop-{}", std::process::id()));
+        let rec = beside_a_full_binary_journal(&dir);
+        rec.on_event(&BUDGET); // the binary write fails here
+        rec.on_event(&BUDGET);
+        assert!(rec.flush().is_err(), "the latched error is reported");
+        rec.on_event(&BUDGET);
+
+        let text = std::fs::read_to_string(dir.join("j.jsonl")).expect("read jsonl");
+        let seqs: Vec<f64> = text
+            .lines()
+            .map(|line| {
+                let record = crate::json::validate_record_line(line).expect("schema-valid line");
+                record.get("seq").and_then(|v| v.as_num()).expect("seq")
+            })
+            .collect();
+        let contiguous: Vec<f64> = (0..seqs.len()).map(|i| i as f64).collect();
+        assert_eq!(seqs, contiguous, "the JSONL journal skips records");
+        assert_eq!(rec.records().len(), 3, "in-memory recording continues");
         std::fs::remove_dir_all(&dir).ok();
     }
 
