@@ -265,8 +265,8 @@ pub use fca::{
 };
 pub use frame::fnv1a_bytes;
 pub use observer::{
-    stage_name, stage_tag, CampaignEvent, CampaignObserver, FanoutObserver, NoopObserver,
-    ProgressCollector, ProgressSnapshot, WorkerProgress,
+    CampaignEvent, CampaignObserver, FanoutObserver, FieldValue, NoopObserver, ProgressCollector,
+    ProgressSnapshot, WorkerProgress,
 };
 pub use report::{
     build_report, composition, BugMatch, ClusterVerdict, Composition, DetectionReport,

@@ -8,6 +8,15 @@
 //! telemetry journal record and of the daemon's `Result` / `Event` wire
 //! frames, so what an observer sees is exactly what a journal reloads.
 //!
+//! The vocabulary is declared once, as a table: each row gives a variant's
+//! persist tag, its journal name, whether it is deterministic, and its
+//! fields in order. The enum, [`CampaignEvent::name`],
+//! [`CampaignEvent::is_deterministic`], the [`Persist`] codec and the field
+//! walk a journal's JSON lines are written from
+//! ([`CampaignEvent::for_each_field`]) are generated from that table. How a
+//! field is written — its bytes and its JSON keys — is chosen by its type,
+//! not by its variant.
+//!
 //! Events are emitted on the session's coordinating thread, in
 //! deterministic order, and observers never affect campaign results. Two
 //! groups are *operational* rather than part of the deterministic stream
@@ -18,6 +27,7 @@
 //! double-count.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -32,230 +42,463 @@ use crate::session::Stage;
 use crate::snapshot::{Persist, Reader, Writer};
 use crate::workload::WorkloadSummary;
 
-/// One thing that happened in a campaign: the unit every observer receives
-/// and every journal stores.
+/// Declares [`CampaignEvent`] from its table and generates everything keyed
+/// by the vocabulary: `name`, `is_deterministic`, `for_each_field` and the
+/// [`Persist`] impl.
 ///
-/// Events are owned summaries — ids and counts, never borrowed outcomes —
-/// so they can be cloned into a journal, sent over the daemon's wire and
-/// compared in tests. Paths are carried as display strings for the same
-/// reason.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CampaignEvent {
-    /// A session stage began (opens a span).
-    StageStarted(Stage),
-    /// A session stage ended (closes the matching span).
-    StageFinished(Stage),
-    /// An allocation phase is about to execute its planned batch (opens a
-    /// span).
-    PhaseStarted {
-        /// Strategy phase label (3PA: 1–3; baselines: 0).
-        phase: u8,
-        /// Experiments planned for the batch.
-        planned: usize,
-    },
-    /// An allocation phase executed its batch (closes the matching span).
-    PhaseFinished {
-        /// Strategy phase label.
-        phase: u8,
-        /// Experiments that actually ran.
-        executed: usize,
-    },
-    /// One `(fault, test)` experiment completed fault-causality analysis.
-    /// A daemon worker also originates this kind, once per experiment of a
-    /// finished shard (see [`Forwarded`](CampaignEvent::Forwarded)).
-    ExperimentCompleted {
-        /// The injected fault.
-        fault: FaultId,
-        /// The workload the fault was injected into.
-        test: TestId,
-        /// Interference-list size.
-        interference: usize,
-        /// Causal edges the experiment's FCA produced (before
-        /// deduplication against the campaign database).
-        edges: usize,
-    },
-    /// A *new* causal edge entered the database (sweep repeats are
-    /// deduplicated first).
-    EdgeEmitted {
-        /// Cause fault.
-        cause: FaultId,
-        /// Effect fault.
-        effect: FaultId,
-        /// Edge kind.
-        kind: EdgeKind,
-        /// Workload the edge was observed in.
-        test: TestId,
-        /// 3PA phase of discovery.
-        phase: u8,
-    },
-    /// The stitcher reported a deduplicated cycle.
-    CycleFound {
-        /// Edge count of the cycle.
-        edges: usize,
-        /// Chain score.
-        score: f64,
-    },
-    /// The allocation strategy's budget counters moved.
-    BudgetSpent {
-        /// Budget spent so far.
-        spent: usize,
-        /// Total budget.
-        total: usize,
-    },
-    /// The driver's injection-run cache counters
-    /// ([`DriverConfig::cache_injections`](crate::driver::DriverConfig::cache_injections)),
-    /// emitted when an allocation stage finishes; both stay zero while the
-    /// cache is disabled. A daemon worker originates its own cumulative
-    /// counters with each finished shard (last value wins).
-    TraceCache {
-        /// Experiments that reused a recorded run set.
-        hits: usize,
-        /// Experiments that simulated and indexed one.
-        misses: usize,
-    },
-    /// The phase-one clustering ran (§5.2); emitted once per allocation
-    /// stage, after the cluster cut, with the sparse-run size counters.
-    Clustering(ClusterStats),
-    /// The retry supervisor quarantined panicked / stalled jobs of an
-    /// experiment batch and scheduled a retry. The backoff paces wall-clock
-    /// execution only; it never enters campaign results.
-    BatchRetried {
-        /// Batch ordinal. In the deterministic stream it is assigned by
-        /// whoever merges (the driver, or the daemon coordinator in shard
-        /// order); inside a [`Forwarded`](CampaignEvent::Forwarded) copy it
-        /// is the worker's own counter.
-        batch: usize,
-        /// Jobs that failed and were re-queued.
-        failed_jobs: usize,
-        /// Retry attempt (1-based).
-        attempt: u32,
-        /// Backoff pause before the retry.
-        backoff_ms: u64,
-    },
-    /// A `(fault, test)` cell exhausted its retry budget and was recorded
-    /// as a gap. The campaign continues degraded — see
-    /// [`Degraded`](CampaignEvent::Degraded).
-    BatchFailed {
-        /// Batch ordinal (numbered like [`BatchRetried`](CampaignEvent::BatchRetried)).
-        batch: usize,
-        /// The abandoned cell's fault.
-        fault: FaultId,
-        /// The abandoned cell's test.
-        test: TestId,
-        /// The abandoned cell's 3PA phase.
-        phase: u8,
-        /// Final panic message.
-        reason: String,
-    },
-    /// A mid-phase checkpoint reached disk: emitted *after* the atomic
-    /// temp-file + rename completed, so the file at `path` is a complete,
-    /// resumable snapshot by the time an observer sees the event.
-    CheckpointWritten {
-        /// Checkpoint file path.
-        path: String,
-        /// Allocation phase of the checkpoint.
-        phase: u8,
-        /// Experiments of that phase the checkpoint covers.
-        executed_in_phase: usize,
-    },
-    /// The campaign completed with permanently failed cells. Emitted at
-    /// most once, while the report stage assembles the annotated partial
-    /// [`DetectionReport`](crate::DetectionReport), which enumerates them.
-    Degraded {
-        /// Number of `(fault, test, phase)` cells without an outcome.
-        missing: usize,
-    },
-    /// A daemon worker completed its handshake and is ready for shards.
-    /// Worker membership never influences campaign results.
-    WorkerConnected {
-        /// Worker id.
-        worker: u32,
-    },
-    /// A daemon worker's lease expired (stalled heartbeat) or its
-    /// connection dropped; its unacknowledged shard will be reassigned.
-    WorkerLost {
-        /// Worker id.
-        worker: u32,
-        /// Loss reason.
-        reason: String,
-    },
-    /// The daemon coordinator leased a shard to a worker.
-    ShardAssigned {
-        /// Shard ordinal.
-        shard: u32,
-        /// Worker id.
-        worker: u32,
-        /// Experiments in the shard.
-        jobs: usize,
-    },
-    /// The daemon coordinator moved a shard off a lost worker.
-    /// Reassignment replays the identical jobs, so results are unaffected.
-    ShardReassigned {
-        /// Shard ordinal.
-        shard: u32,
-        /// New worker id.
-        worker: u32,
-        /// Reassignment attempt (1-based).
-        attempt: u32,
-    },
-    /// The daemon coordinator relayed an event a worker originated, as it
-    /// happened on the fleet. The deterministic stream reports the same
-    /// work at shard-merge time — which lags the fleet by up to one
-    /// in-flight shard per worker — so a forwarded copy is for per-worker
-    /// attribution and liveness only: fold it into campaign totals and you
-    /// double-count. A worker may originate only
-    /// [`ExperimentCompleted`](CampaignEvent::ExperimentCompleted),
-    /// [`BatchRetried`](CampaignEvent::BatchRetried),
-    /// [`BatchFailed`](CampaignEvent::BatchFailed) and
-    /// [`TraceCache`](CampaignEvent::TraceCache); the coordinator drops
-    /// anything else, and a `Forwarded` inside a `Forwarded` does not
-    /// decode.
-    Forwarded {
-        /// The worker the event came from.
-        worker: u32,
-        /// What it reported.
-        event: Box<CampaignEvent>,
-    },
-    /// A telemetry flight recorder flushed its journal to disk. Emitted by
-    /// the recorder itself (not the session), after the bytes reached the
-    /// file.
-    JournalFlushed {
-        /// Journal path.
-        path: String,
-        /// Records flushed.
-        records: usize,
-    },
-    /// An open-loop workload run's latency summary was drained from the
-    /// target: emitted by the [`Driver`](crate::Driver) after each
-    /// experiment batch, in deterministic `(test, seed)` order. Telemetry
-    /// only — summaries never feed FCA or campaign results.
-    WorkloadSummary {
-        /// Workload the summary belongs to.
-        test: TestId,
-        /// Seed of the run.
-        seed: u64,
-        /// Requests the arrival source offered.
-        offered: u64,
-        /// Requests that completed within their deadline.
-        completed: u64,
-        /// Requests shed or timed out.
-        dropped: u64,
-        /// Whole-run median latency, µs.
-        p50_us: u64,
-        /// Whole-run p99 latency, µs.
-        p99_us: u64,
-        /// Start of the first latency window whose p99 inflected
-        /// ([`WorkloadSummary::p99_inflection_milli`]), ms — the cascade
-        /// onset signal — or `None` when latency stayed flat.
-        inflection_ms: Option<u64>,
-    },
+/// A row is `tag "name" deterministic|operational`, then the variant's doc
+/// and `Variant { field: Type, … }`, or `Variant(field: Type)` for a tuple
+/// variant, whose one field is keyed `field` in JSON. The row's field order
+/// is the format: `put` writes, `load` reads and `for_each_field` visits in
+/// it, each field through its type's [`EventField`]. `load` builds each
+/// variant's literal and `put` matches each variant's fields without `..`,
+/// so a field left out of a row does not compile.
+macro_rules! campaign_events {
+    (@det deterministic) => { true };
+    (@det operational) => { false };
+    // A tuple row: its one field is member `0`.
+    (@row $head:tt [$($done:tt)*]
+        $tag:tt $name:tt $det:ident $(#[$doc:meta])* $variant:ident($field:ident: $t:ty),
+        $($rest:tt)*
+    ) => {
+        campaign_events!(@row $head [$($done)*
+            [$(#[$doc])* $variant($t)] $tag $name $det $variant { 0 $field: $t }
+        ] $($rest)*);
+    };
+    (@row $head:tt [$($done:tt)*]
+        $tag:tt $name:tt $det:ident $(#[$doc:meta])* $variant:ident {
+            $($(#[$fdoc:meta])* $field:ident: $t:ty),* $(,)?
+        },
+        $($rest:tt)*
+    ) => {
+        campaign_events!(@row $head [$($done)*
+            [$(#[$doc])* $variant { $($(#[$fdoc])* $field: $t),* }]
+            $tag $name $det $variant { $($field $field: $t),* }
+        ] $($rest)*);
+    };
+    // Every row normalised: `[declaration] tag name det Variant { member binding: Type, … }`.
+    (@row [$(#[$meta:meta])* $vis:vis $ty:ident] [$(
+        [$($decl:tt)*] $tag:tt $name:tt $det:ident $variant:ident { $($member:tt $field:ident: $t:ty),* }
+    )*]) => {
+        $(#[$meta])*
+        $vis enum $ty {
+            $($($decl)*,)*
+        }
+
+        impl $ty {
+            /// The event's `event` discriminator in JSON output. A forwarded
+            /// copy is named after what it carries.
+            #[allow(unused_variables)]
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($ty::$variant { $($member: $field),* } => $name,)*
+                }
+            }
+
+            /// Whether the event belongs to the *deterministic* campaign
+            /// stream: same target / config / seed ⇒ same sequence of
+            /// deterministic events, in the same order, regardless of thread
+            /// counts or fleet size.
+            ///
+            /// Operational events (worker lifecycle, shard leases, forwarded
+            /// copies, retries under chaos, checkpoint cadence, journal
+            /// flushes) depend on scheduling and topology and are excluded;
+            /// the determinism tests compare only the deterministic subset.
+            pub fn is_deterministic(&self) -> bool {
+                match self {
+                    $($ty::$variant { .. } => campaign_events!(@det $det),)*
+                }
+            }
+
+            /// Hands the event's fields to `visit` in journal order, as the
+            /// keys and values of its JSONL line after the envelope. A
+            /// forwarded copy is its `worker` followed by the fields of what
+            /// it carries.
+            pub fn for_each_field(&self, visit: &mut dyn FnMut(&'static str, FieldValue<'_>)) {
+                match self {
+                    $($ty::$variant { $($member: $field),* } => {
+                        $(EventField::visit($field, stringify!($field), visit);)*
+                    })*
+                }
+            }
+
+            /// Decodes the fields of the variant `tag` names.
+            fn load_variant(tag: u8, r: &mut Reader<'_>) -> Result<Self> {
+                Ok(match tag {
+                    $($tag => $ty::$variant { $($member: EventField::decode(r)?),* },)*
+                    n => {
+                        return Err(CsnakeError::SnapshotCorrupt(format!(
+                            "bad campaign event tag {n}"
+                        )))
+                    }
+                })
+            }
+        }
+
+        /// The one encoding of the vocabulary: journal record payloads and
+        /// the daemon's wire frames both go through it. A `u8` tag, then the
+        /// row's fields in order.
+        impl Persist for $ty {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $($ty::$variant { $($member: $field),* } => {
+                        <u8 as Persist>::put(&$tag, w);
+                        $(EventField::encode($field, w);)*
+                    })*
+                }
+            }
+
+            fn load(r: &mut Reader<'_>) -> Result<Self> {
+                Self::load_variant(u8::load(r)?, r)
+            }
+        }
+    };
+    ($(#[$meta:meta])* $vis:vis enum $ty:ident { $($rows:tt)* }) => {
+        campaign_events!(@row [$(#[$meta])* $vis $ty] [] $($rows)*);
+    };
 }
+
+/// Persist tag of [`CampaignEvent::Forwarded`], the one event a forwarded
+/// copy may not carry.
+const FORWARDED: u8 = 18;
+
+campaign_events! {
+    /// One thing that happened in a campaign: the unit every observer
+    /// receives and every journal stores.
+    ///
+    /// Events are owned summaries — ids and counts, never borrowed outcomes —
+    /// so they can be cloned into a journal, sent over the daemon's wire and
+    /// compared in tests. Paths are carried as display strings for the same
+    /// reason.
+    ///
+    /// Persist tags are stable and append-only: 19–21 were the per-kind
+    /// forwarded records of journal version 1 and stay retired.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum CampaignEvent {
+        0 "stage_started" deterministic
+        /// A session stage began (opens a span).
+        StageStarted(stage: Stage),
+        1 "stage_finished" deterministic
+        /// A session stage ended (closes the matching span).
+        StageFinished(stage: Stage),
+        2 "phase_started" deterministic
+        /// An allocation phase is about to execute its planned batch (opens
+        /// a span).
+        PhaseStarted {
+            /// Strategy phase label (3PA: 1–3; baselines: 0).
+            phase: u8,
+            /// Experiments planned for the batch.
+            planned: usize,
+        },
+        3 "phase_finished" deterministic
+        /// An allocation phase executed its batch (closes the matching span).
+        PhaseFinished {
+            /// Strategy phase label.
+            phase: u8,
+            /// Experiments that actually ran.
+            executed: usize,
+        },
+        4 "experiment_completed" deterministic
+        /// One `(fault, test)` experiment completed fault-causality analysis.
+        /// A daemon worker also originates this kind, once per experiment of
+        /// a finished shard (see [`Forwarded`](CampaignEvent::Forwarded)).
+        ExperimentCompleted {
+            /// The injected fault.
+            fault: FaultId,
+            /// The workload the fault was injected into.
+            test: TestId,
+            /// Interference-list size.
+            interference: usize,
+            /// Causal edges the experiment's FCA produced (before
+            /// deduplication against the campaign database).
+            edges: usize,
+        },
+        5 "edge_emitted" deterministic
+        /// A *new* causal edge entered the database (sweep repeats are
+        /// deduplicated first).
+        EdgeEmitted {
+            /// Cause fault.
+            cause: FaultId,
+            /// Effect fault.
+            effect: FaultId,
+            /// Edge kind.
+            kind: EdgeKind,
+            /// Workload the edge was observed in.
+            test: TestId,
+            /// 3PA phase of discovery.
+            phase: u8,
+        },
+        6 "cycle_found" deterministic
+        /// The stitcher reported a deduplicated cycle.
+        CycleFound {
+            /// Edge count of the cycle.
+            edges: usize,
+            /// Chain score.
+            score: f64,
+        },
+        7 "budget_spent" deterministic
+        /// The allocation strategy's budget counters moved.
+        BudgetSpent {
+            /// Budget spent so far.
+            spent: usize,
+            /// Total budget.
+            total: usize,
+        },
+        8 "trace_cache" deterministic
+        /// The driver's injection-run cache counters
+        /// ([`DriverConfig::cache_injections`](crate::driver::DriverConfig::cache_injections)),
+        /// emitted when an allocation stage finishes; both stay zero while
+        /// the cache is disabled. A daemon worker originates its own
+        /// cumulative counters with each finished shard (last value wins).
+        TraceCache {
+            /// Experiments that reused a recorded run set.
+            hits: usize,
+            /// Experiments that simulated and indexed one.
+            misses: usize,
+        },
+        9 "clustering" deterministic
+        /// The phase-one clustering ran (§5.2); emitted once per allocation
+        /// stage, after the cluster cut, with the sparse-run size counters.
+        Clustering(stats: ClusterStats),
+        10 "batch_retried" operational
+        /// The retry supervisor quarantined panicked / stalled jobs of an
+        /// experiment batch and scheduled a retry. The backoff paces
+        /// wall-clock execution only; it never enters campaign results.
+        BatchRetried {
+            /// Batch ordinal. In the deterministic stream it is assigned by
+            /// whoever merges (the driver, or the daemon coordinator in shard
+            /// order); inside a [`Forwarded`](CampaignEvent::Forwarded) copy
+            /// it is the worker's own counter.
+            batch: usize,
+            /// Jobs that failed and were re-queued.
+            failed_jobs: usize,
+            /// Retry attempt (1-based).
+            attempt: u32,
+            /// Backoff pause before the retry.
+            backoff_ms: u64,
+        },
+        11 "batch_failed" operational
+        /// A `(fault, test)` cell exhausted its retry budget and was recorded
+        /// as a gap. The campaign continues degraded — see
+        /// [`Degraded`](CampaignEvent::Degraded).
+        BatchFailed {
+            /// Batch ordinal (numbered like [`BatchRetried`](CampaignEvent::BatchRetried)).
+            batch: usize,
+            /// The abandoned cell's fault.
+            fault: FaultId,
+            /// The abandoned cell's test.
+            test: TestId,
+            /// The abandoned cell's 3PA phase.
+            phase: u8,
+            /// Final panic message.
+            reason: String,
+        },
+        12 "checkpoint_written" operational
+        /// A mid-phase checkpoint reached disk: emitted *after* the atomic
+        /// temp-file + rename completed, so the file at `path` is a complete,
+        /// resumable snapshot by the time an observer sees the event.
+        CheckpointWritten {
+            /// Checkpoint file path.
+            path: String,
+            /// Allocation phase of the checkpoint.
+            phase: u8,
+            /// Experiments of that phase the checkpoint covers.
+            executed_in_phase: usize,
+        },
+        13 "degraded" deterministic
+        /// The campaign completed with permanently failed cells. Emitted at
+        /// most once, while the report stage assembles the annotated partial
+        /// [`DetectionReport`](crate::DetectionReport), which enumerates them.
+        Degraded {
+            /// Number of `(fault, test, phase)` cells without an outcome.
+            missing: usize,
+        },
+        14 "worker_connected" operational
+        /// A daemon worker completed its handshake and is ready for shards.
+        /// Worker membership never influences campaign results.
+        WorkerConnected {
+            /// Worker id.
+            worker: u32,
+        },
+        15 "worker_lost" operational
+        /// A daemon worker's lease expired (stalled heartbeat) or its
+        /// connection dropped; its unacknowledged shard will be reassigned.
+        WorkerLost {
+            /// Worker id.
+            worker: u32,
+            /// Loss reason.
+            reason: String,
+        },
+        16 "shard_assigned" operational
+        /// The daemon coordinator leased a shard to a worker.
+        ShardAssigned {
+            /// Shard ordinal.
+            shard: u32,
+            /// Worker id.
+            worker: u32,
+            /// Experiments in the shard.
+            jobs: usize,
+        },
+        17 "shard_reassigned" operational
+        /// The daemon coordinator moved a shard off a lost worker.
+        /// Reassignment replays the identical jobs, so results are
+        /// unaffected.
+        ShardReassigned {
+            /// Shard ordinal.
+            shard: u32,
+            /// New worker id.
+            worker: u32,
+            /// Reassignment attempt (1-based).
+            attempt: u32,
+        },
+        FORWARDED { forwarded_name(event) } operational
+        /// The daemon coordinator relayed an event a worker originated, as it
+        /// happened on the fleet. The deterministic stream reports the same
+        /// work at shard-merge time — which lags the fleet by up to one
+        /// in-flight shard per worker — so a forwarded copy is for per-worker
+        /// attribution and liveness only: fold it into campaign totals and
+        /// you double-count. A worker may originate only
+        /// [`ExperimentCompleted`](CampaignEvent::ExperimentCompleted),
+        /// [`BatchRetried`](CampaignEvent::BatchRetried),
+        /// [`BatchFailed`](CampaignEvent::BatchFailed) and
+        /// [`TraceCache`](CampaignEvent::TraceCache); the coordinator drops
+        /// anything else, and a `Forwarded` inside a `Forwarded` does not
+        /// decode.
+        Forwarded {
+            /// The worker the event came from.
+            worker: u32,
+            /// What it reported.
+            event: Box<CampaignEvent>,
+        },
+        22 "journal_flushed" operational
+        /// A telemetry flight recorder flushed its journal to disk. Emitted
+        /// by the recorder itself (not the session), after the bytes reached
+        /// the file.
+        JournalFlushed {
+            /// Journal path.
+            path: String,
+            /// Records flushed.
+            records: usize,
+        },
+        23 "workload_summary" deterministic
+        /// An open-loop workload run's latency summary was drained from the
+        /// target: emitted by the [`Driver`](crate::Driver) after each
+        /// experiment batch, in deterministic `(test, seed)` order. Telemetry
+        /// only — summaries never feed FCA or campaign results.
+        WorkloadSummary {
+            /// Workload the summary belongs to.
+            test: TestId,
+            /// Seed of the run.
+            seed: u64,
+            /// Requests the arrival source offered.
+            offered: u64,
+            /// Requests that completed within their deadline.
+            completed: u64,
+            /// Requests shed or timed out.
+            dropped: u64,
+            /// Whole-run median latency, µs.
+            p50_us: u64,
+            /// Whole-run p99 latency, µs.
+            p99_us: u64,
+            /// Start of the first latency window whose p99 inflected
+            /// ([`WorkloadSummary::p99_inflection_milli`]), ms — the cascade
+            /// onset signal — or `None` when latency stayed flat.
+            inflection_ms: Option<u64>,
+        },
+    }
+}
+
+/// A forwarded copy's name: `forwarded_` and the kind it carries.
+fn forwarded_name(event: &CampaignEvent) -> &'static str {
+    match event {
+        CampaignEvent::ExperimentCompleted { .. } => "forwarded_experiment",
+        CampaignEvent::BatchRetried { .. } => "forwarded_retry",
+        CampaignEvent::BatchFailed { .. } => "forwarded_failure",
+        CampaignEvent::TraceCache { .. } => "forwarded_cache",
+        _ => "forwarded",
+    }
+}
+
+/// One event field as a journal's JSON line shows it; see
+/// [`CampaignEvent::for_each_field`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldValue<'a> {
+    /// An id, count, tag or duration.
+    Uint(u64),
+    /// A score.
+    Float(f64),
+    /// A path, reason or stage name.
+    Str(&'a str),
+    /// An absent optional.
+    Null,
+}
+
+type Visit<'v> = dyn FnMut(&'static str, FieldValue<'_>) + 'v;
+
+/// How a field of one type travels in a [`CampaignEvent`]: its bytes and its
+/// JSON keys. Most types are their own [`Persist`] encoding under the
+/// field's key; the impls below that are not say why.
+trait EventField: Sized {
+    fn encode(&self, w: &mut Writer);
+    fn decode(r: &mut Reader<'_>) -> Result<Self>;
+    /// Hands the field to `visit` under `key`, the field's name in the
+    /// table.
+    fn visit(&self, key: &'static str, visit: &mut Visit<'_>);
+}
+
+macro_rules! plain_event_fields {
+    ($($t:ty => |$v:ident| $value:expr),* $(,)?) => {$(
+        impl EventField for $t {
+            fn encode(&self, w: &mut Writer) {
+                Persist::put(self, w);
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Persist::load(r)
+            }
+            fn visit(&self, key: &'static str, visit: &mut Visit<'_>) {
+                let $v = self;
+                visit(key, $value);
+            }
+        }
+    )*};
+}
+
+plain_event_fields! {
+    u8 => |v| FieldValue::Uint(u64::from(*v)),
+    u32 => |v| FieldValue::Uint(u64::from(*v)),
+    u64 => |v| FieldValue::Uint(*v),
+    usize => |v| FieldValue::Uint(*v as u64),
+    f64 => |v| FieldValue::Float(*v),
+    String => |v| FieldValue::Str(v),
+    EdgeKind => |v| FieldValue::Uint(*v as u64),
+    Option<u64> => |v| v.map_or(FieldValue::Null, FieldValue::Uint),
+}
+
+/// Ids are fixed-width `u32`s here, as journals always wrote them, not the
+/// varints of their own [`Persist`] impls.
+macro_rules! fixed_width_id_fields {
+    ($($id:ident),*) => {$(
+        impl EventField for $id {
+            fn encode(&self, w: &mut Writer) {
+                self.0.put(w);
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Ok($id(u32::load(r)?))
+            }
+            fn visit(&self, key: &'static str, visit: &mut Visit<'_>) {
+                visit(key, FieldValue::Uint(u64::from(self.0)));
+            }
+        }
+    )*};
+}
+
+fixed_width_id_fields!(FaultId, TestId);
 
 /// Journal tag of a session stage. Distinct from the snapshot's
 /// `Stage::tag`, which collapses `Stitched` and `Reported` because a
 /// snapshot never stores a report; the journal keeps them apart (0–4)
 /// because their spans are distinct.
-pub fn stage_tag(stage: Stage) -> u8 {
+fn stage_tag(stage: Stage) -> u8 {
     match stage {
         Stage::Built => 0,
         Stage::Profiled => 1,
@@ -265,8 +508,8 @@ pub fn stage_tag(stage: Stage) -> u8 {
     }
 }
 
-/// Human name of a stage, for JSON output and span names.
-pub fn stage_name(stage: Stage) -> &'static str {
+/// A stage's name in JSON output and span names.
+fn stage_name(stage: Stage) -> &'static str {
     match stage {
         Stage::Built => "built",
         Stage::Profiled => "profiled",
@@ -276,19 +519,87 @@ pub fn stage_name(stage: Stage) -> &'static str {
     }
 }
 
-fn load_stage(r: &mut Reader<'_>) -> Result<Stage> {
-    Ok(match u8::load(r)? {
-        0 => Stage::Built,
-        1 => Stage::Profiled,
-        2 => Stage::Allocated,
-        3 => Stage::Stitched,
-        4 => Stage::Reported,
-        n => {
-            return Err(CsnakeError::SnapshotCorrupt(format!(
-                "bad journal stage tag {n}"
-            )))
+/// A stage displays as its journal name (`built` … `reported`).
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(stage_name(*self))
+    }
+}
+
+/// A stage travels as its journal tag ([`stage_tag`]) and shows its name.
+impl EventField for Stage {
+    fn encode(&self, w: &mut Writer) {
+        stage_tag(*self).put(w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(match u8::load(r)? {
+            0 => Stage::Built,
+            1 => Stage::Profiled,
+            2 => Stage::Allocated,
+            3 => Stage::Stitched,
+            4 => Stage::Reported,
+            n => {
+                return Err(CsnakeError::SnapshotCorrupt(format!(
+                    "bad journal stage tag {n}"
+                )))
+            }
+        })
+    }
+    fn visit(&self, key: &'static str, visit: &mut Visit<'_>) {
+        visit(key, FieldValue::Str(stage_name(*self)));
+    }
+}
+
+crate::persist_struct!(ClusterStats {
+    vectors,
+    groups,
+    candidate_edges,
+    merges,
+    hot_dims,
+    hot_pairs,
+    matrix_bytes,
+    sparse_graph_bytes
+});
+
+/// All eight counters in the binary record, in the order declared above;
+/// the JSONL line carries the four a reader of the line asks about, under
+/// their own keys.
+impl EventField for ClusterStats {
+    fn encode(&self, w: &mut Writer) {
+        Persist::put(self, w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Persist::load(r)
+    }
+    fn visit(&self, _key: &'static str, visit: &mut Visit<'_>) {
+        visit("vectors", FieldValue::Uint(self.vectors as u64));
+        visit("groups", FieldValue::Uint(self.groups as u64));
+        visit(
+            "candidate_edges",
+            FieldValue::Uint(self.candidate_edges as u64),
+        );
+        visit("merges", FieldValue::Uint(self.merges as u64));
+    }
+}
+
+/// A forwarded copy's payload: the event's own bytes and fields, except
+/// that a `Forwarded` inside a `Forwarded` does not decode, so hostile
+/// bytes cannot choose the recursion depth.
+impl EventField for Box<CampaignEvent> {
+    fn encode(&self, w: &mut Writer) {
+        Persist::put(&**self, w);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        match u8::load(r)? {
+            FORWARDED => Err(CsnakeError::SnapshotCorrupt(
+                "forwarded event nested inside a forwarded event".into(),
+            )),
+            tag => CampaignEvent::load_variant(tag, r).map(Box::new),
         }
-    })
+    }
+    fn visit(&self, _key: &'static str, visit: &mut Visit<'_>) {
+        self.for_each_field(visit);
+    }
 }
 
 impl CampaignEvent {
@@ -303,7 +614,7 @@ impl CampaignEvent {
     }
 
     /// Summary of an edge accepted into the database.
-    pub fn edge_emitted(edge: &CausalEdge) -> Self {
+    pub(crate) fn edge_emitted(edge: &CausalEdge) -> Self {
         CampaignEvent::EdgeEmitted {
             cause: edge.cause,
             effect: edge.effect,
@@ -314,7 +625,7 @@ impl CampaignEvent {
     }
 
     /// Summary of a reported cycle.
-    pub fn cycle_found(cycle: &Cycle) -> Self {
+    pub(crate) fn cycle_found(cycle: &Cycle) -> Self {
         CampaignEvent::CycleFound {
             edges: cycle.edges.len(),
             score: cycle.score,
@@ -322,7 +633,7 @@ impl CampaignEvent {
     }
 
     /// Summary of a drained workload run.
-    pub fn workload_summary(summary: &WorkloadSummary) -> Self {
+    pub(crate) fn workload_summary(summary: &WorkloadSummary) -> Self {
         CampaignEvent::WorkloadSummary {
             test: summary.test,
             seed: summary.seed,
@@ -333,374 +644,6 @@ impl CampaignEvent {
             p99_us: summary.p99_us,
             inflection_ms: summary.p99_inflection_milli(),
         }
-    }
-
-    /// The event's `event` discriminator in JSON output. A forwarded copy
-    /// is named after what it carries.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CampaignEvent::StageStarted(_) => "stage_started",
-            CampaignEvent::StageFinished(_) => "stage_finished",
-            CampaignEvent::PhaseStarted { .. } => "phase_started",
-            CampaignEvent::PhaseFinished { .. } => "phase_finished",
-            CampaignEvent::ExperimentCompleted { .. } => "experiment_completed",
-            CampaignEvent::EdgeEmitted { .. } => "edge_emitted",
-            CampaignEvent::CycleFound { .. } => "cycle_found",
-            CampaignEvent::BudgetSpent { .. } => "budget_spent",
-            CampaignEvent::TraceCache { .. } => "trace_cache",
-            CampaignEvent::Clustering(_) => "clustering",
-            CampaignEvent::BatchRetried { .. } => "batch_retried",
-            CampaignEvent::BatchFailed { .. } => "batch_failed",
-            CampaignEvent::CheckpointWritten { .. } => "checkpoint_written",
-            CampaignEvent::Degraded { .. } => "degraded",
-            CampaignEvent::WorkerConnected { .. } => "worker_connected",
-            CampaignEvent::WorkerLost { .. } => "worker_lost",
-            CampaignEvent::ShardAssigned { .. } => "shard_assigned",
-            CampaignEvent::ShardReassigned { .. } => "shard_reassigned",
-            CampaignEvent::Forwarded { event, .. } => match **event {
-                CampaignEvent::ExperimentCompleted { .. } => "forwarded_experiment",
-                CampaignEvent::BatchRetried { .. } => "forwarded_retry",
-                CampaignEvent::BatchFailed { .. } => "forwarded_failure",
-                CampaignEvent::TraceCache { .. } => "forwarded_cache",
-                _ => "forwarded",
-            },
-            CampaignEvent::JournalFlushed { .. } => "journal_flushed",
-            CampaignEvent::WorkloadSummary { .. } => "workload_summary",
-        }
-    }
-
-    /// Whether the event belongs to the *deterministic* campaign stream:
-    /// same target / config / seed ⇒ same sequence of deterministic events,
-    /// in the same order, regardless of thread counts or fleet size.
-    ///
-    /// Operational events (worker lifecycle, shard leases, forwarded
-    /// copies, retries under chaos, checkpoint cadence, journal flushes)
-    /// depend on scheduling and topology and are excluded; the determinism
-    /// tests compare only the deterministic subset.
-    pub fn is_deterministic(&self) -> bool {
-        matches!(
-            self,
-            CampaignEvent::StageStarted(_)
-                | CampaignEvent::StageFinished(_)
-                | CampaignEvent::PhaseStarted { .. }
-                | CampaignEvent::PhaseFinished { .. }
-                | CampaignEvent::ExperimentCompleted { .. }
-                | CampaignEvent::EdgeEmitted { .. }
-                | CampaignEvent::CycleFound { .. }
-                | CampaignEvent::BudgetSpent { .. }
-                | CampaignEvent::TraceCache { .. }
-                | CampaignEvent::Clustering(_)
-                | CampaignEvent::Degraded { .. }
-                | CampaignEvent::WorkloadSummary { .. }
-        )
-    }
-
-    /// Decodes one event; `may_forward` is false inside a `Forwarded`, so
-    /// hostile bytes cannot choose the recursion depth.
-    fn load_nested(r: &mut Reader<'_>, may_forward: bool) -> Result<Self> {
-        Ok(match u8::load(r)? {
-            0 => CampaignEvent::StageStarted(load_stage(r)?),
-            1 => CampaignEvent::StageFinished(load_stage(r)?),
-            2 => CampaignEvent::PhaseStarted {
-                phase: u8::load(r)?,
-                planned: usize::load(r)?,
-            },
-            3 => CampaignEvent::PhaseFinished {
-                phase: u8::load(r)?,
-                executed: usize::load(r)?,
-            },
-            4 => CampaignEvent::ExperimentCompleted {
-                fault: FaultId(u32::load(r)?),
-                test: TestId(u32::load(r)?),
-                interference: usize::load(r)?,
-                edges: usize::load(r)?,
-            },
-            5 => CampaignEvent::EdgeEmitted {
-                cause: FaultId(u32::load(r)?),
-                effect: FaultId(u32::load(r)?),
-                kind: EdgeKind::load(r)?,
-                test: TestId(u32::load(r)?),
-                phase: u8::load(r)?,
-            },
-            6 => CampaignEvent::CycleFound {
-                edges: usize::load(r)?,
-                score: f64::load(r)?,
-            },
-            7 => CampaignEvent::BudgetSpent {
-                spent: usize::load(r)?,
-                total: usize::load(r)?,
-            },
-            8 => CampaignEvent::TraceCache {
-                hits: usize::load(r)?,
-                misses: usize::load(r)?,
-            },
-            9 => CampaignEvent::Clustering(ClusterStats {
-                vectors: usize::load(r)?,
-                groups: usize::load(r)?,
-                candidate_edges: usize::load(r)?,
-                merges: usize::load(r)?,
-                hot_dims: usize::load(r)?,
-                hot_pairs: usize::load(r)?,
-                matrix_bytes: u64::load(r)?,
-                sparse_graph_bytes: u64::load(r)?,
-            }),
-            10 => CampaignEvent::BatchRetried {
-                batch: usize::load(r)?,
-                failed_jobs: usize::load(r)?,
-                attempt: u32::load(r)?,
-                backoff_ms: u64::load(r)?,
-            },
-            11 => CampaignEvent::BatchFailed {
-                batch: usize::load(r)?,
-                fault: FaultId(u32::load(r)?),
-                test: TestId(u32::load(r)?),
-                phase: u8::load(r)?,
-                reason: String::load(r)?,
-            },
-            12 => CampaignEvent::CheckpointWritten {
-                path: String::load(r)?,
-                phase: u8::load(r)?,
-                executed_in_phase: usize::load(r)?,
-            },
-            13 => CampaignEvent::Degraded {
-                missing: usize::load(r)?,
-            },
-            14 => CampaignEvent::WorkerConnected {
-                worker: u32::load(r)?,
-            },
-            15 => CampaignEvent::WorkerLost {
-                worker: u32::load(r)?,
-                reason: String::load(r)?,
-            },
-            16 => CampaignEvent::ShardAssigned {
-                shard: u32::load(r)?,
-                worker: u32::load(r)?,
-                jobs: usize::load(r)?,
-            },
-            17 => CampaignEvent::ShardReassigned {
-                shard: u32::load(r)?,
-                worker: u32::load(r)?,
-                attempt: u32::load(r)?,
-            },
-            18 if may_forward => CampaignEvent::Forwarded {
-                worker: u32::load(r)?,
-                event: Box::new(Self::load_nested(r, false)?),
-            },
-            18 => {
-                return Err(CsnakeError::SnapshotCorrupt(
-                    "forwarded event nested inside a forwarded event".into(),
-                ))
-            }
-            22 => CampaignEvent::JournalFlushed {
-                path: String::load(r)?,
-                records: usize::load(r)?,
-            },
-            23 => CampaignEvent::WorkloadSummary {
-                test: TestId(u32::load(r)?),
-                seed: u64::load(r)?,
-                offered: u64::load(r)?,
-                completed: u64::load(r)?,
-                dropped: u64::load(r)?,
-                p50_us: u64::load(r)?,
-                p99_us: u64::load(r)?,
-                inflection_ms: Option::load(r)?,
-            },
-            n => {
-                return Err(CsnakeError::SnapshotCorrupt(format!(
-                    "bad campaign event tag {n}"
-                )))
-            }
-        })
-    }
-}
-
-/// The one encoding of the vocabulary: journal record payloads and the
-/// daemon's wire frames both go through it. Tags are stable and
-/// append-only (19–21 were the per-kind forwarded records of journal
-/// version 1 and stay retired); ids are fixed-width `u32`s and stages use
-/// [`stage_tag`], as journals always wrote them.
-///
-/// Hand-written, not declared with [`persist_enum!`](crate::persist_enum):
-/// those fixed-width ids are journal version 2's bytes (a declaration would
-/// write the id newtypes' varints), and `load` refuses a `Forwarded` inside
-/// a `Forwarded`.
-impl Persist for CampaignEvent {
-    fn put(&self, w: &mut Writer) {
-        match self {
-            CampaignEvent::StageStarted(stage) => {
-                0u8.put(w);
-                stage_tag(*stage).put(w);
-            }
-            CampaignEvent::StageFinished(stage) => {
-                1u8.put(w);
-                stage_tag(*stage).put(w);
-            }
-            CampaignEvent::PhaseStarted { phase, planned } => {
-                2u8.put(w);
-                phase.put(w);
-                planned.put(w);
-            }
-            CampaignEvent::PhaseFinished { phase, executed } => {
-                3u8.put(w);
-                phase.put(w);
-                executed.put(w);
-            }
-            CampaignEvent::ExperimentCompleted {
-                fault,
-                test,
-                interference,
-                edges,
-            } => {
-                4u8.put(w);
-                fault.0.put(w);
-                test.0.put(w);
-                interference.put(w);
-                edges.put(w);
-            }
-            CampaignEvent::EdgeEmitted {
-                cause,
-                effect,
-                kind,
-                test,
-                phase,
-            } => {
-                5u8.put(w);
-                cause.0.put(w);
-                effect.0.put(w);
-                kind.put(w);
-                test.0.put(w);
-                phase.put(w);
-            }
-            CampaignEvent::CycleFound { edges, score } => {
-                6u8.put(w);
-                edges.put(w);
-                score.put(w);
-            }
-            CampaignEvent::BudgetSpent { spent, total } => {
-                7u8.put(w);
-                spent.put(w);
-                total.put(w);
-            }
-            CampaignEvent::TraceCache { hits, misses } => {
-                8u8.put(w);
-                hits.put(w);
-                misses.put(w);
-            }
-            CampaignEvent::Clustering(stats) => {
-                9u8.put(w);
-                stats.vectors.put(w);
-                stats.groups.put(w);
-                stats.candidate_edges.put(w);
-                stats.merges.put(w);
-                stats.hot_dims.put(w);
-                stats.hot_pairs.put(w);
-                stats.matrix_bytes.put(w);
-                stats.sparse_graph_bytes.put(w);
-            }
-            CampaignEvent::BatchRetried {
-                batch,
-                failed_jobs,
-                attempt,
-                backoff_ms,
-            } => {
-                10u8.put(w);
-                batch.put(w);
-                failed_jobs.put(w);
-                attempt.put(w);
-                backoff_ms.put(w);
-            }
-            CampaignEvent::BatchFailed {
-                batch,
-                fault,
-                test,
-                phase,
-                reason,
-            } => {
-                11u8.put(w);
-                batch.put(w);
-                fault.0.put(w);
-                test.0.put(w);
-                phase.put(w);
-                reason.put(w);
-            }
-            CampaignEvent::CheckpointWritten {
-                path,
-                phase,
-                executed_in_phase,
-            } => {
-                12u8.put(w);
-                path.put(w);
-                phase.put(w);
-                executed_in_phase.put(w);
-            }
-            CampaignEvent::Degraded { missing } => {
-                13u8.put(w);
-                missing.put(w);
-            }
-            CampaignEvent::WorkerConnected { worker } => {
-                14u8.put(w);
-                worker.put(w);
-            }
-            CampaignEvent::WorkerLost { worker, reason } => {
-                15u8.put(w);
-                worker.put(w);
-                reason.put(w);
-            }
-            CampaignEvent::ShardAssigned {
-                shard,
-                worker,
-                jobs,
-            } => {
-                16u8.put(w);
-                shard.put(w);
-                worker.put(w);
-                jobs.put(w);
-            }
-            CampaignEvent::ShardReassigned {
-                shard,
-                worker,
-                attempt,
-            } => {
-                17u8.put(w);
-                shard.put(w);
-                worker.put(w);
-                attempt.put(w);
-            }
-            CampaignEvent::Forwarded { worker, event } => {
-                18u8.put(w);
-                worker.put(w);
-                event.put(w);
-            }
-            CampaignEvent::JournalFlushed { path, records } => {
-                22u8.put(w);
-                path.put(w);
-                records.put(w);
-            }
-            CampaignEvent::WorkloadSummary {
-                test,
-                seed,
-                offered,
-                completed,
-                dropped,
-                p50_us,
-                p99_us,
-                inflection_ms,
-            } => {
-                23u8.put(w);
-                test.0.put(w);
-                seed.put(w);
-                offered.put(w);
-                completed.put(w);
-                dropped.put(w);
-                p50_us.put(w);
-                p99_us.put(w);
-                inflection_ms.put(w);
-            }
-        }
-    }
-
-    fn load(r: &mut Reader<'_>) -> Result<Self> {
-        Self::load_nested(r, true)
     }
 }
 

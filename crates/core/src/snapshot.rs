@@ -21,13 +21,15 @@
 //! payload codec is the crate's own: a minimal [`Persist`] trait with
 //! little-endian scalars, length-prefixed sequences and tagged enums.
 //! Struct-shaped values declare their impl with
-//! [`persist_struct!`](crate::persist_struct) and braced enums with
-//! [`persist_enum!`](crate::persist_enum); the leaves (scalars, containers)
-//! and the few values whose encoding is not their field list (packed,
-//! delta-coded or re-checked on load) are written by hand, each saying why.
-//! A declaration's field order is the format; reordering it is a version
-//! bump. There is one payload schema: which fields a value has never
-//! depends on the container it travels in.
+//! [`persist_struct!`](crate::persist_struct), braced enums with
+//! [`persist_enum!`](crate::persist_enum), and
+//! [`CampaignEvent`](crate::CampaignEvent) by its own table in
+//! `observer.rs`; the leaves (scalars, containers) and the few values whose
+//! encoding is not their field list (packed, delta-coded or re-checked on
+//! load) are written by hand, each saying why. A declaration's field order
+//! is the format; reordering it is a version bump. There is one payload
+//! schema: which fields a value has never depends on the container it
+//! travels in.
 //!
 //! # Varint + delta layer (format version 2)
 //!
@@ -265,7 +267,9 @@ impl<'a> Reader<'a> {
         Vec::with_capacity(n.min(left / std::mem::size_of::<T>().max(1)))
     }
 
-    /// Decodes one LEB128 varint with truncation and overflow checks.
+    /// Decodes one LEB128 varint with truncation and overflow checks. Only
+    /// the shortest form [`Writer::put_varint`] writes decodes: a trailing
+    /// zero byte would give one value two encodings.
     pub fn take_varint(&mut self) -> Result<u64> {
         let mut out: u64 = 0;
         for shift in (0..64).step_by(7) {
@@ -275,6 +279,9 @@ impl<'a> Reader<'a> {
                 break; // falls through to the overflow error below
             }
             out |= bits << shift;
+            if byte == 0 && shift > 0 {
+                return Err(CsnakeError::SnapshotCorrupt("overlong varint".into()));
+            }
             if byte & 0x80 == 0 {
                 return Ok(out);
             }
@@ -361,7 +368,8 @@ fn load_id_map<V: Persist>(r: &mut Reader<'_>) -> Result<BTreeMap<FaultId, V>> {
 /// A new struct-shaped type declares its codec with
 /// [`persist_struct!`](crate::persist_struct), and a tagged enum with braced
 /// variants with [`persist_enum!`](crate::persist_enum); an impl is written
-/// by hand only where the encoding is not the field list.
+/// by hand only where the encoding is not the field list — seven beside
+/// the leaves. A campaign event is a row of [`CampaignEvent`](crate::CampaignEvent)'s table.
 pub trait Persist: Sized {
     /// Appends the value's encoding to the writer.
     fn put(&self, w: &mut Writer);

@@ -8,7 +8,7 @@
 //! [`MetricsDigest::to_json`] renders the whole thing as one JSON object
 //! for checking into benchmark files.
 
-use csnake_core::{stage_name, CampaignEvent};
+use csnake_core::CampaignEvent;
 
 use crate::record::TelemetryRecord;
 
@@ -65,6 +65,16 @@ pub fn experiment_latency_samples(records: &[TelemetryRecord]) -> Vec<u64> {
         }
     }
     latencies
+}
+
+/// Adds a closed span's duration to its key's total; a key is listed where
+/// its first span closed.
+fn add_span<K: PartialEq>(totals: &mut Vec<(K, u64)>, key: K, dur: Option<u64>) {
+    let Some(dur) = dur else { return };
+    match totals.iter_mut().find(|(k, _)| *k == key) {
+        Some(slot) => slot.1 += dur,
+        None => totals.push((key, dur)),
+    }
 }
 
 /// The digest: wall times, latency percentiles, campaign counters.
@@ -126,42 +136,20 @@ pub struct MetricsDigest {
 }
 
 impl MetricsDigest {
-    /// Computes the digest in one pass over `records`.
+    /// Computes the digest from `records`: one pass for the counters and
+    /// wall times, one for the latency samples.
     pub fn from_records(records: &[TelemetryRecord]) -> Self {
         let mut d = MetricsDigest::default();
-        let mut latencies = Vec::new();
-        let mut last_experiment: Option<u64> = None;
         for r in records {
             d.wall_micros = d.wall_micros.max(r.micros);
             match &r.kind {
                 CampaignEvent::StageFinished(stage) => {
-                    if let Some(dur) = r.dur_micros {
-                        let name = stage_name(*stage).to_string();
-                        if let Some(slot) = d.stage_wall_micros.iter_mut().find(|(n, _)| *n == name)
-                        {
-                            slot.1 += dur;
-                        } else {
-                            d.stage_wall_micros.push((name, dur));
-                        }
-                    }
+                    add_span(&mut d.stage_wall_micros, stage.to_string(), r.dur_micros)
                 }
                 CampaignEvent::PhaseFinished { phase, .. } => {
-                    if let Some(dur) = r.dur_micros {
-                        if let Some(slot) = d.phase_wall_micros.iter_mut().find(|(p, _)| p == phase)
-                        {
-                            slot.1 += dur;
-                        } else {
-                            d.phase_wall_micros.push((*phase, dur));
-                        }
-                    }
+                    add_span(&mut d.phase_wall_micros, *phase, r.dur_micros)
                 }
-                CampaignEvent::ExperimentCompleted { .. } => {
-                    d.experiments += 1;
-                    if let Some(prev) = last_experiment {
-                        latencies.push(r.micros.saturating_sub(prev));
-                    }
-                    last_experiment = Some(r.micros);
-                }
+                CampaignEvent::ExperimentCompleted { .. } => d.experiments += 1,
                 CampaignEvent::EdgeEmitted { .. } => d.edges += 1,
                 CampaignEvent::CycleFound { .. } => d.cycles += 1,
                 CampaignEvent::BudgetSpent { spent, total } => {
@@ -205,7 +193,7 @@ impl MetricsDigest {
                 _ => {}
             }
         }
-        d.experiment_latency = LatencyHistogram::from_samples(latencies);
+        d.experiment_latency = LatencyHistogram::from_samples(experiment_latency_samples(records));
         d
     }
 

@@ -10,7 +10,10 @@
 //! Records persist in two forms, written side by side:
 //!
 //! * **JSONL** — one JSON object per line, greppable and loadable by any
-//!   tooling; see [`TelemetryRecord::to_json_line`].
+//!   tooling; see [`TelemetryRecord::to_json_line`]. The event's keys and
+//!   values come from [`CampaignEvent::for_each_field`], which the
+//!   vocabulary's one table generates; this module adds only the JSON
+//!   syntax.
 //! * **binary journal** — a concatenation of [`csnake_core::frame`]
 //!   containers under the `CSNJ` magic, one [`Persist`]-encoded record
 //!   each; the layout and the typed errors truncation and garbling earn
@@ -23,9 +26,11 @@
 //! what an operator or a trace viewer needs and nothing the campaign would
 //! have to replay.
 
+use std::fmt::Write as _;
+
 use csnake_core::error::{CsnakeError, Result};
 use csnake_core::frame::Format;
-use csnake_core::{stage_name, CampaignEvent, Persist, Reader, Writer};
+use csnake_core::{CampaignEvent, FieldValue, Persist, Reader, Writer};
 
 /// Leading magic of every binary journal frame.
 pub const JOURNAL_MAGIC: [u8; 4] = *b"CSNJ";
@@ -95,156 +100,15 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Appends an event's own JSON keys (each with a leading comma). A
-/// forwarded copy is its `worker` followed by the keys of what it carries.
-fn push_event_fields(s: &mut String, event: &CampaignEvent) {
-    match event {
-        CampaignEvent::StageStarted(stage) | CampaignEvent::StageFinished(stage) => {
-            s.push_str(&format!(",\"stage\":\"{}\"", stage_name(*stage)));
-        }
-        CampaignEvent::PhaseStarted { phase, planned } => {
-            s.push_str(&format!(",\"phase\":{phase},\"planned\":{planned}"));
-        }
-        CampaignEvent::PhaseFinished { phase, executed } => {
-            s.push_str(&format!(",\"phase\":{phase},\"executed\":{executed}"));
-        }
-        CampaignEvent::ExperimentCompleted {
-            fault,
-            test,
-            interference,
-            edges,
-        } => {
-            s.push_str(&format!(
-                ",\"fault\":{},\"test\":{},\"interference\":{interference},\"edges\":{edges}",
-                fault.0, test.0
-            ));
-        }
-        CampaignEvent::EdgeEmitted {
-            cause,
-            effect,
-            kind,
-            test,
-            phase,
-        } => {
-            s.push_str(&format!(
-                ",\"cause\":{},\"effect\":{},\"kind\":{},\"test\":{},\"phase\":{phase}",
-                cause.0, effect.0, *kind as u8, test.0
-            ));
-        }
-        CampaignEvent::CycleFound { edges, score } => {
-            s.push_str(&format!(
-                ",\"edges\":{edges},\"score\":{}",
-                json_f64(*score)
-            ));
-        }
-        CampaignEvent::BudgetSpent { spent, total } => {
-            s.push_str(&format!(",\"spent\":{spent},\"total\":{total}"));
-        }
-        CampaignEvent::TraceCache { hits, misses } => {
-            s.push_str(&format!(",\"hits\":{hits},\"misses\":{misses}"));
-        }
-        // The four counters a reader of the line asks about; the binary
-        // record carries all eight.
-        CampaignEvent::Clustering(stats) => {
-            s.push_str(&format!(
-                ",\"vectors\":{},\"groups\":{},\"candidate_edges\":{},\"merges\":{}",
-                stats.vectors, stats.groups, stats.candidate_edges, stats.merges
-            ));
-        }
-        CampaignEvent::BatchRetried {
-            batch,
-            failed_jobs,
-            attempt,
-            backoff_ms,
-        } => {
-            s.push_str(&format!(
-                ",\"batch\":{batch},\"failed_jobs\":{failed_jobs},\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}"
-            ));
-        }
-        CampaignEvent::BatchFailed {
-            batch,
-            fault,
-            test,
-            phase,
-            reason,
-        } => {
-            s.push_str(&format!(
-                ",\"batch\":{batch},\"fault\":{},\"test\":{},\"phase\":{phase},\"reason\":\"{}\"",
-                fault.0,
-                test.0,
-                json_escape(reason)
-            ));
-        }
-        CampaignEvent::CheckpointWritten {
-            path,
-            phase,
-            executed_in_phase,
-        } => {
-            s.push_str(&format!(
-                ",\"path\":\"{}\",\"phase\":{phase},\"executed_in_phase\":{executed_in_phase}",
-                json_escape(path)
-            ));
-        }
-        CampaignEvent::Degraded { missing } => {
-            s.push_str(&format!(",\"missing\":{missing}"));
-        }
-        CampaignEvent::WorkerConnected { worker } => {
-            s.push_str(&format!(",\"worker\":{worker}"));
-        }
-        CampaignEvent::WorkerLost { worker, reason } => {
-            s.push_str(&format!(
-                ",\"worker\":{worker},\"reason\":\"{}\"",
-                json_escape(reason)
-            ));
-        }
-        CampaignEvent::ShardAssigned {
-            shard,
-            worker,
-            jobs,
-        } => {
-            s.push_str(&format!(
-                ",\"shard\":{shard},\"worker\":{worker},\"jobs\":{jobs}"
-            ));
-        }
-        CampaignEvent::ShardReassigned {
-            shard,
-            worker,
-            attempt,
-        } => {
-            s.push_str(&format!(
-                ",\"shard\":{shard},\"worker\":{worker},\"attempt\":{attempt}"
-            ));
-        }
-        CampaignEvent::Forwarded { worker, event } => {
-            s.push_str(&format!(",\"worker\":{worker}"));
-            push_event_fields(s, event);
-        }
-        CampaignEvent::JournalFlushed { path, records } => {
-            s.push_str(&format!(
-                ",\"path\":\"{}\",\"records\":{records}",
-                json_escape(path)
-            ));
-        }
-        CampaignEvent::WorkloadSummary {
-            test,
-            seed,
-            offered,
-            completed,
-            dropped,
-            p50_us,
-            p99_us,
-            inflection_ms,
-        } => {
-            s.push_str(&format!(
-                ",\"test\":{},\"seed\":{seed},\"offered\":{offered},\"completed\":{completed},\"dropped\":{dropped},\"p50_us\":{p50_us},\"p99_us\":{p99_us}",
-                test.0
-            ));
-            match inflection_ms {
-                Some(ms) => s.push_str(&format!(",\"inflection_ms\":{ms}")),
-                None => s.push_str(",\"inflection_ms\":null"),
-            }
-        }
-    }
+/// Appends one event field as a JSON key and value, after a comma.
+fn push_field(s: &mut String, key: &str, value: FieldValue<'_>) {
+    // Writing into a `String` cannot fail.
+    let _ = match value {
+        FieldValue::Uint(n) => write!(s, ",\"{key}\":{n}"),
+        FieldValue::Float(x) => write!(s, ",\"{key}\":{}", json_f64(x)),
+        FieldValue::Str(text) => write!(s, ",\"{key}\":\"{}\"", json_escape(text)),
+        FieldValue::Null => write!(s, ",\"{key}\":null"),
+    };
 }
 
 impl TelemetryRecord {
@@ -264,7 +128,8 @@ impl TelemetryRecord {
         if let Some(d) = self.dur_micros {
             s.push_str(&format!(",\"dur_micros\":{d}"));
         }
-        push_event_fields(&mut s, &self.kind);
+        self.kind
+            .for_each_field(&mut |key, value| push_field(&mut s, key, value));
         s.push('}');
         s
     }

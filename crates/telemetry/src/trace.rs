@@ -14,19 +14,18 @@ use std::path::Path;
 
 use csnake_core::error::Result;
 
-use csnake_core::{stage_name, CampaignEvent};
+use csnake_core::CampaignEvent;
 
 use crate::record::TelemetryRecord;
 
-/// The trace name of a record's event, if it opens/closes a span.
-fn span_name(kind: &CampaignEvent) -> Option<String> {
+/// The trace name of a record's span, and whether the record opens it
+/// (`true`) or closes it; `None` for an event that is not a span boundary.
+fn span(kind: &CampaignEvent) -> Option<(String, bool)> {
     match kind {
-        CampaignEvent::StageStarted(stage) | CampaignEvent::StageFinished(stage) => {
-            Some(format!("stage:{}", stage_name(*stage)))
-        }
-        CampaignEvent::PhaseStarted { phase, .. } | CampaignEvent::PhaseFinished { phase, .. } => {
-            Some(format!("phase:{phase}"))
-        }
+        CampaignEvent::StageStarted(stage) => Some((format!("stage:{stage}"), true)),
+        CampaignEvent::StageFinished(stage) => Some((format!("stage:{stage}"), false)),
+        CampaignEvent::PhaseStarted { phase, .. } => Some((format!("phase:{phase}"), true)),
+        CampaignEvent::PhaseFinished { phase, .. } => Some((format!("phase:{phase}"), false)),
         _ => None,
     }
 }
@@ -40,26 +39,20 @@ pub fn chrome_trace_json(records: &[TelemetryRecord]) -> String {
         let next = tids.len() + 1;
         let tid = *tids.entry(r.thread.as_str()).or_insert(next);
         let common = format!("\"ts\":{},\"pid\":1,\"tid\":{tid}", r.micros);
-        match &r.kind {
-            CampaignEvent::StageStarted(_) | CampaignEvent::PhaseStarted { .. } => {
-                let name = span_name(&r.kind).expect("span open has a name");
+        match span(&r.kind) {
+            Some((name, opens)) => {
+                let ph = if opens { "B" } else { "E" };
                 events.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"span\",\"ph\":\"B\",{common}}}"
+                    "{{\"name\":\"{name}\",\"cat\":\"span\",\"ph\":\"{ph}\",{common}}}"
                 ));
             }
-            CampaignEvent::StageFinished(_) | CampaignEvent::PhaseFinished { .. } => {
-                let name = span_name(&r.kind).expect("span close has a name");
-                events.push(format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"span\",\"ph\":\"E\",{common}}}"
-                ));
-            }
-            other => {
+            None => {
                 // Instants carry their full record line as args, so the
                 // trace viewer shows every field on click.
-                let args = crate::record::json_escape(&format!("{other:?}"));
+                let args = crate::record::json_escape(&format!("{:?}", r.kind));
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",{common},\"args\":{{\"detail\":\"{args}\"}}}}",
-                    other.name()
+                    r.kind.name()
                 ));
             }
         }
@@ -93,18 +86,13 @@ pub fn unbalanced_spans(records: &[TelemetryRecord]) -> Vec<String> {
     let mut open: BTreeMap<String, usize> = BTreeMap::new();
     let mut bad = Vec::new();
     for r in records {
-        match &r.kind {
-            CampaignEvent::StageStarted(_) | CampaignEvent::PhaseStarted { .. } => {
-                *open.entry(span_name(&r.kind).expect("named")).or_insert(0) += 1;
-            }
-            CampaignEvent::StageFinished(_) | CampaignEvent::PhaseFinished { .. } => {
-                let name = span_name(&r.kind).expect("named");
-                match open.get_mut(&name) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => bad.push(format!("orphan close: {name}")),
-                }
-            }
-            _ => {}
+        match span(&r.kind) {
+            Some((name, true)) => *open.entry(name).or_insert(0) += 1,
+            Some((name, false)) => match open.get_mut(&name) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => bad.push(format!("orphan close: {name}")),
+            },
+            None => {}
         }
     }
     for (name, n) in open {

@@ -176,8 +176,12 @@ fn tree_hits(bad: impl Fn(&Path, &str) -> bool) -> Vec<String> {
 /// The campaign-event vocabulary used to be stated six times — the observer
 /// trait's methods, a fan-out, a collector, telemetry's record enum, the
 /// daemon's wire enum and a forwarded-event enum — until
-/// `csnake_core::CampaignEvent` replaced them all. A second vocabulary
-/// under one of the old names, in code, tests or prose, fails here.
+/// `csnake_core::CampaignEvent` replaced them all. Its field lists were then
+/// still restated by hand in a decoder (`load_nested`) and a JSONL writer
+/// (`push_event_fields`), beside the name, determinism and encoder matches,
+/// until one declaration table generated them all. A second vocabulary or a
+/// hand-written restatement under one of the old names, in code, tests or
+/// prose, fails here.
 #[test]
 fn the_event_vocabulary_is_not_restated_under_a_retired_name() {
     const RETIRED: &[&str] = &[
@@ -185,6 +189,8 @@ fn the_event_vocabulary_is_not_restated_under_a_retired_name() {
         "ForwardedEvent",
         "WorkerEvent",
         "event_forwarded",
+        "load_nested",
+        "push_event_fields",
     ];
     let hits = tree_hits(|_, line| RETIRED.iter().any(|name| line.contains(name)));
     assert!(
@@ -228,7 +234,7 @@ fn the_frame_header_is_written_and_parsed_in_one_place() {
 /// macros, as counted by
 /// `grep -rE '^\s*pub (fn|struct|enum|trait|type|const|static|mod) |#\[macro_export\]' crates/core/src | wc -l`.
 /// ROADMAP item 6 shrinks it; lower this pin as it does.
-const CORE_PUBLIC_SURFACE: usize = 260;
+const CORE_PUBLIC_SURFACE: usize = 257;
 
 /// Nothing joins the core crate's public surface unnoticed: a change that
 /// must grow it raises [`CORE_PUBLIC_SURFACE`] in the same diff.
