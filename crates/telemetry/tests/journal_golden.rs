@@ -6,15 +6,21 @@
 //! campaign with the timing envelope normalised. A change to how events are
 //! represented in memory may edit how the records below are *built*; it may
 //! not move a pin unless the bytes on disk were meant to move.
+//!
+//! Two more pins hold what the campaign's counters read off one record
+//! stream: the metrics digest's JSON and the live fleet view a progress
+//! collector renders. A change to how events are counted may not move them.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use csnake_core::frame::HEADER_LEN;
 use csnake_core::{
-    fnv1a_bytes, CampaignEvent, ClusterStats, DetectConfig, EdgeKind, Session, Stage, ThreePhase,
+    fnv1a_bytes, CampaignEvent, CampaignObserver, ClusterStats, DetectConfig, EdgeKind,
+    ProgressCollector, Session, Stage, ThreePhase,
 };
 use csnake_inject::{FaultId, TestId};
-use csnake_telemetry::{seal_record, FlightRecorder, TelemetryRecord};
+use csnake_telemetry::{render_fleet, seal_record, FlightRecorder, MetricsDigest, TelemetryRecord};
 
 /// One event of every kind, in persist-tag order, built by hand: a pin
 /// whose input the code under test supplies pins nothing.
@@ -254,4 +260,134 @@ fn toy_campaign_keeps_its_deterministic_stream() {
         got, CAMPAIGN_PIN,
         "deterministic JSONL stream moved ({lines} lines); computed pin: {got:#018x}"
     );
+}
+
+/// Every kind of [`kinds`], then what makes each counter fold more than
+/// once: worker 0's copies of the four forwardable kinds (worker 1's are in
+/// `kinds`), a second clustering run and a second workload summary (one
+/// inflected, one flat), later budget and cache values that must win, and
+/// worker 1 lost. Built by hand, with a fixed clock and span durations.
+fn counted_stream() -> Vec<TelemetryRecord> {
+    let forwarded = |event| CampaignEvent::Forwarded {
+        worker: 0,
+        event: Box::new(event),
+    };
+    let experiment = |fault, edges| CampaignEvent::ExperimentCompleted {
+        fault: FaultId(fault),
+        test: TestId(1),
+        interference: 1,
+        edges,
+    };
+    let mut events = vec![CampaignEvent::WorkerConnected { worker: 0 }];
+    events.extend(kinds());
+    events.extend([
+        forwarded(experiment(3, 2)),
+        forwarded(experiment(4, 1)),
+        forwarded(CampaignEvent::BatchRetried {
+            batch: 1,
+            failed_jobs: 1,
+            attempt: 2,
+            backoff_ms: 20,
+        }),
+        forwarded(CampaignEvent::BatchFailed {
+            batch: 1,
+            fault: FaultId(4),
+            test: TestId(1),
+            phase: 2,
+            reason: "job stalled".into(),
+        }),
+        forwarded(CampaignEvent::TraceCache {
+            hits: 12,
+            misses: 30,
+        }),
+        CampaignEvent::ShardAssigned {
+            shard: 15,
+            worker: 0,
+            jobs: 3,
+        },
+        experiment(3, 2),
+        CampaignEvent::Clustering(ClusterStats {
+            vectors: 64,
+            groups: 40,
+            candidate_edges: 90,
+            hot_dims: 1,
+            hot_pairs: 3,
+            merges: 24,
+            matrix_bytes: 32_768,
+            sparse_graph_bytes: 19_000,
+        }),
+        CampaignEvent::WorkloadSummary {
+            test: TestId(0),
+            seed: 43,
+            offered: 2_000,
+            completed: 1_950,
+            dropped: 50,
+            p50_us: 200,
+            p99_us: 9_000,
+            inflection_ms: None,
+        },
+        CampaignEvent::TraceCache {
+            hits: 44,
+            misses: 11,
+        },
+        CampaignEvent::BudgetSpent {
+            spent: 25,
+            total: 64,
+        },
+    ]);
+    events
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| {
+            let closes_span = matches!(
+                kind,
+                CampaignEvent::StageFinished(_) | CampaignEvent::PhaseFinished { .. }
+            );
+            TelemetryRecord {
+                seq: i as u64,
+                micros: 1_000 + 10 * i as u64,
+                thread: "main".into(),
+                dur_micros: closes_span.then_some(390),
+                kind,
+            }
+        })
+        .collect()
+}
+
+/// `(length, hash)` of the digest JSON of [`counted_stream`].
+const DIGEST_PIN: (usize, u64) = (603, 0x08c1805d65dd9b1e);
+
+/// The fleet view of a collector fed [`counted_stream`], ten seconds in.
+const FLEET_PIN: &str = concat!(
+    "[10.0s] budget 25/64  experiments 2  edges 1  cycles 1  retries 1  eta 15.6s  DEGRADED\n",
+    "fleet: 2 connected, 1 lost, 2 shards (1 reassigned), 9 events forwarded\n",
+    "  w0: shard 15  leases 2  experiments 2  edges 3  retries 1  cache 12/30\n",
+    "  w1: LOST (lease expired)  leases 1  experiments 1  edges 5  retries 1  cache 40/9\n",
+    "last loss: lease expired\n",
+);
+
+#[test]
+fn the_digest_of_a_counted_stream_keeps_its_bytes() {
+    let json = MetricsDigest::from_records(&counted_stream()).to_json();
+    let got = (json.len(), fnv1a_bytes(json.as_bytes()));
+    assert_eq!(
+        got, DIGEST_PIN,
+        "digest JSON moved; computed pin: ({}, {:#018x})\n{json}",
+        got.0, got.1
+    );
+}
+
+#[test]
+fn the_fleet_view_of_a_counted_stream_keeps_its_text() {
+    let collector = ProgressCollector::new();
+    for record in counted_stream() {
+        collector.on_event(&record.kind);
+    }
+    let text = render_fleet(
+        &collector.snapshot(),
+        &collector.worker_progress(),
+        collector.last_loss_reason().as_deref(),
+        Duration::from_secs(10),
+    );
+    assert_eq!(text, FLEET_PIN, "fleet view moved:\n{text}");
 }
