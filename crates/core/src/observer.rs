@@ -25,10 +25,15 @@
 //! and a recorder's own [`JournalFlushed`](CampaignEvent::JournalFlushed).
 //! Neither feeds campaign-total counters, so forwarding can never
 //! double-count.
+//!
+//! Counting is declared once too: [`ProgressSnapshot::fold`] is the one
+//! `match` that turns events into campaign counters. The live
+//! [`ProgressCollector`], each worker's [`WorkerProgress`] and the
+//! telemetry digest all fold through it, so they read one set of names and
+//! agree by construction.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use csnake_inject::{FaultId, TestId};
@@ -707,8 +712,8 @@ impl CampaignObserver for NoopObserver {
     fn on_event(&self, _event: &CampaignEvent) {}
 }
 
-/// Monotonic counters of campaign progress, filled in by a
-/// [`ProgressCollector`].
+/// The campaign's counter block, as [`fold`](Self::fold) reads it off the
+/// event stream for the collector, each worker and the telemetry digest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgressSnapshot {
     /// Stages finished so far.
@@ -726,9 +731,11 @@ pub struct ProgressSnapshot {
     /// Total budget (last seen value).
     pub budget_total: usize,
     /// Injection-run cache hits (last seen value).
-    pub trace_cache_hits: usize,
+    pub cache_hits: usize,
     /// Injection-run cache misses (last seen value).
-    pub trace_cache_misses: usize,
+    pub cache_misses: usize,
+    /// Phase-one clustering runs.
+    pub clustering_runs: usize,
     /// Largest vector count any clustering run saw.
     pub clustering_peak_vectors: usize,
     /// Peak `8·n²` bytes a dense distance matrix would have needed
@@ -741,17 +748,21 @@ pub struct ProgressSnapshot {
     pub workload_summaries: usize,
     /// Requests those workload runs completed, in total.
     pub workload_completed: u64,
+    /// Requests those workload runs shed or timed out, in total.
+    pub workload_dropped: u64,
     /// Worst whole-run p99 latency any workload summary reported, µs.
     pub workload_peak_p99_us: u64,
     /// Workload runs whose windowed p99 showed an inflection
     /// ([`WorkloadSummary::p99_inflection_milli`]).
     pub workload_inflections: usize,
+    /// Earliest inflection instant across the summaries, ms into a run.
+    pub workload_first_inflection_ms: Option<u64>,
     /// Retry rounds the supervisor scheduled.
-    pub batch_retries: usize,
+    pub retries: usize,
     /// `(fault, test)` cells that exhausted retries and became gaps.
-    pub batch_failures: usize,
+    pub gaps: usize,
     /// Mid-phase checkpoints written to disk.
-    pub checkpoints_written: usize,
+    pub checkpoints: usize,
     /// Whether a degraded completion was reported.
     pub degraded: bool,
     /// Daemon workers that completed their handshake.
@@ -768,83 +779,108 @@ pub struct ProgressSnapshot {
     pub journal_flushes: usize,
 }
 
+impl ProgressSnapshot {
+    /// Counts one event. Counts and sums grow, last-seen values are
+    /// replaced, peaks only rise. A [`Forwarded`](CampaignEvent::Forwarded)
+    /// copy moves `events_forwarded` only: the deterministic stream reports
+    /// the same work at merge time, so folding what it carries into
+    /// campaign totals would double-count.
+    pub fn fold(&mut self, event: &CampaignEvent) {
+        use CampaignEvent::*;
+        match event {
+            StageStarted(_) | PhaseStarted { .. } => {}
+            StageFinished(_) => self.stages_finished += 1,
+            PhaseFinished { .. } => self.phases_finished += 1,
+            ExperimentCompleted { .. } => self.experiments += 1,
+            EdgeEmitted { .. } => self.edges += 1,
+            CycleFound { .. } => self.cycles += 1,
+            BudgetSpent { spent, total } => {
+                self.budget_spent = *spent;
+                self.budget_total = *total;
+            }
+            TraceCache { hits, misses } => {
+                self.cache_hits = *hits;
+                self.cache_misses = *misses;
+            }
+            Clustering(stats) => {
+                self.clustering_runs += 1;
+                self.clustering_peak_vectors = self.clustering_peak_vectors.max(stats.vectors);
+                self.clustering_peak_matrix_bytes =
+                    self.clustering_peak_matrix_bytes.max(stats.matrix_bytes);
+                self.clustering_peak_sparse_bytes = self
+                    .clustering_peak_sparse_bytes
+                    .max(stats.sparse_graph_bytes);
+            }
+            WorkloadSummary {
+                completed,
+                dropped,
+                p99_us,
+                inflection_ms,
+                ..
+            } => {
+                self.workload_summaries += 1;
+                self.workload_completed += completed;
+                self.workload_dropped += dropped;
+                self.workload_peak_p99_us = self.workload_peak_p99_us.max(*p99_us);
+                if let Some(ms) = *inflection_ms {
+                    self.workload_inflections += 1;
+                    self.workload_first_inflection_ms = Some(
+                        self.workload_first_inflection_ms
+                            .map_or(ms, |first| first.min(ms)),
+                    );
+                }
+            }
+            BatchRetried { .. } => self.retries += 1,
+            BatchFailed { .. } => self.gaps += 1,
+            CheckpointWritten { .. } => self.checkpoints += 1,
+            Degraded { .. } => self.degraded = true,
+            WorkerConnected { .. } => self.workers_connected += 1,
+            WorkerLost { .. } => self.workers_lost += 1,
+            ShardAssigned { .. } => self.shards_assigned += 1,
+            ShardReassigned { .. } => self.shards_reassigned += 1,
+            Forwarded { .. } => self.events_forwarded += 1,
+            JournalFlushed { .. } => self.journal_flushes += 1,
+        }
+    }
+}
+
 /// Per-worker live state accumulated by a [`ProgressCollector`] from the
-/// daemon lifecycle and [`CampaignEvent::Forwarded`] streams. Operational telemetry
-/// only — none of it feeds campaign results.
+/// daemon lifecycle and [`CampaignEvent::Forwarded`] streams. Operational
+/// telemetry only — none of it feeds campaign results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerProgress {
     /// Whether the worker currently holds a live connection.
     pub connected: bool,
     /// Why the worker was lost, when it was (`None` while live).
     pub lost_reason: Option<String>,
-    /// Shards ever leased to this worker (first leases + reassignments).
-    pub shards_assigned: usize,
+    /// Leases granted to this worker: first leases and reassignments alike,
+    /// unlike the fleet's `shards_assigned`.
+    pub leases: usize,
     /// The shard ordinal the worker was most recently leased.
     pub current_shard: Option<u32>,
-    /// Experiments the worker has reported via forwarded events.
-    pub experiments: usize,
-    /// Causal edges the worker's experiments produced (pre-dedup).
+    /// Causal edges the worker's experiments produced, before the
+    /// campaign database deduplicates them.
     pub edges: usize,
-    /// Retry rounds the worker's supervisor reported.
-    pub retries: usize,
-    /// Cells the worker abandoned as gaps.
-    pub failures: usize,
-    /// Last-seen injection-cache hit counter from the worker.
-    pub cache_hits: usize,
-    /// Last-seen injection-cache miss counter from the worker.
-    pub cache_misses: usize,
+    /// The worker's forwarded events, folded: its experiments, retries,
+    /// gaps and last-seen cache counters.
+    pub counters: ProgressSnapshot,
 }
 
-/// The bundled metrics observer: counts events with atomics so a monitoring
-/// thread can poll [`ProgressCollector::snapshot`] while the campaign runs.
+/// The bundled metrics observer: folds every event into one
+/// [`ProgressSnapshot`] that a monitoring thread can poll with
+/// [`ProgressCollector::snapshot`] while the campaign runs, and keeps
+/// per-worker attribution beside it.
 #[derive(Debug, Default)]
 pub struct ProgressCollector {
-    stages_finished: AtomicUsize,
-    phases_finished: AtomicUsize,
-    experiments: AtomicUsize,
-    edges: AtomicUsize,
-    cycles: AtomicUsize,
-    /// Budget `spent`/`total` packed into one word (`total` in the high 32
-    /// bits, `spent` in the low 32) so a polling thread can never observe
-    /// a torn pair — the two values always come from the same
-    /// [`CampaignEvent::BudgetSpent`] event.
-    budget: AtomicU64,
-    trace_cache_hits: AtomicUsize,
-    trace_cache_misses: AtomicUsize,
-    clustering_peak_vectors: AtomicUsize,
-    clustering_peak_matrix_bytes: AtomicU64,
-    clustering_peak_sparse_bytes: AtomicU64,
-    workload_summaries: AtomicUsize,
-    workload_completed: AtomicU64,
-    workload_peak_p99_us: AtomicU64,
-    workload_inflections: AtomicUsize,
-    batch_retries: AtomicUsize,
-    batch_failures: AtomicUsize,
-    checkpoints_written: AtomicUsize,
-    degraded: AtomicBool,
-    workers_connected: AtomicUsize,
-    workers_lost: AtomicUsize,
-    shards_assigned: AtomicUsize,
-    shards_reassigned: AtomicUsize,
-    events_forwarded: AtomicUsize,
-    journal_flushes: AtomicUsize,
+    /// The campaign counters, folded under one lock per event, so a poll
+    /// sees every counter of one event prefix and never a torn pair.
+    counters: Mutex<ProgressSnapshot>,
     /// Per-worker attribution (forwarded events, lease state, loss
-    /// reasons). A mutex, not atomics: observer calls may block briefly,
-    /// they just must never perturb campaign results.
+    /// reasons). Observer calls may block briefly; they just must never
+    /// perturb campaign results.
     workers: Mutex<BTreeMap<u32, WorkerProgress>>,
     /// Reason string of the most recent [`CampaignEvent::WorkerLost`].
     last_loss_reason: Mutex<Option<String>>,
-}
-
-/// Packs a budget pair into one `u64` word (`total` high, `spent` low).
-fn pack_budget(spent: usize, total: usize) -> u64 {
-    let spent = u64::try_from(spent)
-        .unwrap_or(u64::MAX)
-        .min(u32::MAX as u64);
-    let total = u64::try_from(total)
-        .unwrap_or(u64::MAX)
-        .min(u32::MAX as u64);
-    (total << 32) | spent
 }
 
 impl ProgressCollector {
@@ -878,105 +914,21 @@ impl ProgressCollector {
         f(table.entry(worker).or_default());
     }
 
-    fn leased(&self, worker: u32, shard: u32) {
-        self.with_worker(worker, |p| {
-            p.shards_assigned += 1;
-            p.current_shard = Some(shard);
-        });
-    }
-
     /// Current counter values.
     pub fn snapshot(&self) -> ProgressSnapshot {
-        let budget = self.budget.load(Ordering::Relaxed);
-        ProgressSnapshot {
-            stages_finished: self.stages_finished.load(Ordering::Relaxed),
-            phases_finished: self.phases_finished.load(Ordering::Relaxed),
-            experiments: self.experiments.load(Ordering::Relaxed),
-            edges: self.edges.load(Ordering::Relaxed),
-            cycles: self.cycles.load(Ordering::Relaxed),
-            budget_spent: (budget & u32::MAX as u64) as usize,
-            budget_total: (budget >> 32) as usize,
-            trace_cache_hits: self.trace_cache_hits.load(Ordering::Relaxed),
-            trace_cache_misses: self.trace_cache_misses.load(Ordering::Relaxed),
-            clustering_peak_vectors: self.clustering_peak_vectors.load(Ordering::Relaxed),
-            clustering_peak_matrix_bytes: self.clustering_peak_matrix_bytes.load(Ordering::Relaxed),
-            clustering_peak_sparse_bytes: self.clustering_peak_sparse_bytes.load(Ordering::Relaxed),
-            workload_summaries: self.workload_summaries.load(Ordering::Relaxed),
-            workload_completed: self.workload_completed.load(Ordering::Relaxed),
-            workload_peak_p99_us: self.workload_peak_p99_us.load(Ordering::Relaxed),
-            workload_inflections: self.workload_inflections.load(Ordering::Relaxed),
-            batch_retries: self.batch_retries.load(Ordering::Relaxed),
-            batch_failures: self.batch_failures.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            workers_connected: self.workers_connected.load(Ordering::Relaxed),
-            workers_lost: self.workers_lost.load(Ordering::Relaxed),
-            shards_assigned: self.shards_assigned.load(Ordering::Relaxed),
-            shards_reassigned: self.shards_reassigned.load(Ordering::Relaxed),
-            events_forwarded: self.events_forwarded.load(Ordering::Relaxed),
-            journal_flushes: self.journal_flushes.load(Ordering::Relaxed),
-        }
+        *self.counters.lock().expect("counters poisoned")
     }
 }
 
 impl CampaignObserver for ProgressCollector {
     fn on_event(&self, event: &CampaignEvent) {
-        let bump = |counter: &AtomicUsize| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        };
+        self.counters.lock().expect("counters poisoned").fold(event);
         match event {
-            CampaignEvent::StageStarted(_) | CampaignEvent::PhaseStarted { .. } => {}
-            CampaignEvent::StageFinished(_) => bump(&self.stages_finished),
-            CampaignEvent::PhaseFinished { .. } => bump(&self.phases_finished),
-            CampaignEvent::ExperimentCompleted { .. } => bump(&self.experiments),
-            CampaignEvent::EdgeEmitted { .. } => bump(&self.edges),
-            CampaignEvent::CycleFound { .. } => bump(&self.cycles),
-            CampaignEvent::BudgetSpent { spent, total } => {
-                // One store for the pair: a concurrent snapshot() sees
-                // either the previous pair or this one, never a mix.
-                self.budget
-                    .store(pack_budget(*spent, *total), Ordering::Relaxed);
-            }
-            CampaignEvent::TraceCache { hits, misses } => {
-                self.trace_cache_hits.store(*hits, Ordering::Relaxed);
-                self.trace_cache_misses.store(*misses, Ordering::Relaxed);
-            }
-            CampaignEvent::Clustering(stats) => {
-                self.clustering_peak_vectors
-                    .fetch_max(stats.vectors, Ordering::Relaxed);
-                self.clustering_peak_matrix_bytes
-                    .fetch_max(stats.matrix_bytes, Ordering::Relaxed);
-                self.clustering_peak_sparse_bytes
-                    .fetch_max(stats.sparse_graph_bytes, Ordering::Relaxed);
-            }
-            CampaignEvent::WorkloadSummary {
-                completed,
-                p99_us,
-                inflection_ms,
-                ..
-            } => {
-                bump(&self.workload_summaries);
-                self.workload_completed
-                    .fetch_add(*completed, Ordering::Relaxed);
-                self.workload_peak_p99_us
-                    .fetch_max(*p99_us, Ordering::Relaxed);
-                if inflection_ms.is_some() {
-                    bump(&self.workload_inflections);
-                }
-            }
-            CampaignEvent::BatchRetried { .. } => bump(&self.batch_retries),
-            CampaignEvent::BatchFailed { .. } => bump(&self.batch_failures),
-            CampaignEvent::CheckpointWritten { .. } => bump(&self.checkpoints_written),
-            CampaignEvent::Degraded { .. } => self.degraded.store(true, Ordering::Relaxed),
-            CampaignEvent::WorkerConnected { worker } => {
-                bump(&self.workers_connected);
-                self.with_worker(*worker, |p| {
-                    p.connected = true;
-                    p.lost_reason = None;
-                });
-            }
+            CampaignEvent::WorkerConnected { worker } => self.with_worker(*worker, |p| {
+                p.connected = true;
+                p.lost_reason = None;
+            }),
             CampaignEvent::WorkerLost { worker, reason } => {
-                bump(&self.workers_lost);
                 *self.last_loss_reason.lock().expect("loss reason poisoned") = Some(reason.clone());
                 self.with_worker(*worker, |p| {
                     p.connected = false;
@@ -984,33 +936,22 @@ impl CampaignObserver for ProgressCollector {
                     p.current_shard = None;
                 });
             }
-            CampaignEvent::ShardAssigned { shard, worker, .. } => {
-                bump(&self.shards_assigned);
-                self.leased(*worker, *shard);
+            CampaignEvent::ShardAssigned { shard, worker, .. }
+            | CampaignEvent::ShardReassigned { shard, worker, .. } => {
+                self.with_worker(*worker, |p| {
+                    p.leases += 1;
+                    p.current_shard = Some(*shard);
+                })
             }
-            CampaignEvent::ShardReassigned { shard, worker, .. } => {
-                bump(&self.shards_reassigned);
-                self.leased(*worker, *shard);
-            }
-            // Attribution only: the deterministic stream reports the same
-            // work at merge time, so nothing here touches a campaign total.
-            CampaignEvent::Forwarded { worker, event } => {
-                bump(&self.events_forwarded);
-                self.with_worker(*worker, |p| match **event {
-                    CampaignEvent::ExperimentCompleted { edges, .. } => {
-                        p.experiments += 1;
-                        p.edges += edges;
-                    }
-                    CampaignEvent::BatchRetried { .. } => p.retries += 1,
-                    CampaignEvent::BatchFailed { .. } => p.failures += 1,
-                    CampaignEvent::TraceCache { hits, misses } => {
-                        p.cache_hits = hits;
-                        p.cache_misses = misses;
-                    }
-                    _ => {}
-                });
-            }
-            CampaignEvent::JournalFlushed { .. } => bump(&self.journal_flushes),
+            // Attribution only: what a copy carries folds into its
+            // worker's block, never into the campaign's.
+            CampaignEvent::Forwarded { worker, event } => self.with_worker(*worker, |p| {
+                p.counters.fold(event);
+                if let CampaignEvent::ExperimentCompleted { edges, .. } = **event {
+                    p.edges += edges;
+                }
+            }),
+            _ => {}
         }
     }
 }
@@ -1285,9 +1226,9 @@ mod tests {
         assert_eq!(workers.len(), 1);
         let (id, w1) = &workers[0];
         assert_eq!(*id, 1);
-        assert_eq!((w1.experiments, w1.edges), (1, 5));
-        assert_eq!((w1.retries, w1.failures), (1, 1));
-        assert_eq!((w1.cache_hits, w1.cache_misses), (40, 9));
+        assert_eq!((w1.counters.experiments, w1.edges), (1, 5));
+        assert_eq!((w1.counters.retries, w1.counters.gaps), (1, 1));
+        assert_eq!((w1.counters.cache_hits, w1.counters.cache_misses), (40, 9));
     }
 
     #[test]
@@ -1359,9 +1300,9 @@ mod tests {
             ],
         );
         let s = c.snapshot();
-        assert_eq!(s.batch_retries, 2);
-        assert_eq!(s.batch_failures, 1);
-        assert_eq!(s.checkpoints_written, 1);
+        assert_eq!(s.retries, 2);
+        assert_eq!(s.gaps, 1);
+        assert_eq!(s.checkpoints, 1);
         assert!(!s.degraded);
         c.on_event(&CampaignEvent::Degraded { missing: 1 });
         assert!(c.snapshot().degraded);
@@ -1408,14 +1349,15 @@ mod tests {
         assert_eq!(w1.lost_reason.as_deref(), Some("lease expired"));
         let w0 = &workers.iter().find(|(w, _)| *w == 0).expect("worker 0").1;
         assert!(w0.connected);
-        assert_eq!(w0.shards_assigned, 3); // two leases + one reassignment
+        assert_eq!(w0.leases, 3); // two leases + one reassignment
         assert_eq!(w0.current_shard, Some(1));
     }
 
     #[test]
     fn budget_pair_is_never_torn() {
-        // The packed store means a snapshot between two budget events sees
-        // a consistent (spent, total) pair even under a concurrent writer.
+        // One lock per event means a snapshot between two budget events
+        // sees a consistent (spent, total) pair even under a concurrent
+        // writer.
         let c = Arc::new(ProgressCollector::new());
         c.on_event(&CampaignEvent::BudgetSpent { spent: 0, total: 7 });
         let writer = {
@@ -1441,6 +1383,21 @@ mod tests {
         writer.join().expect("writer thread");
     }
 
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_budget_past_u32_reads_exactly() {
+        let c = ProgressCollector::new();
+        c.on_event(&CampaignEvent::BudgetSpent {
+            spent: 5_000_000_000,
+            total: 6_000_000_000,
+        });
+        let s = c.snapshot();
+        assert_eq!(
+            (s.budget_spent, s.budget_total),
+            (5_000_000_000, 6_000_000_000)
+        );
+    }
+
     #[test]
     fn progress_collector_tracks_workload_summaries() {
         let c = ProgressCollector::new();
@@ -1453,6 +1410,7 @@ mod tests {
         assert_eq!(s.workload_completed, 60);
         assert_eq!(s.workload_peak_p99_us, 9_000);
         assert_eq!(s.workload_inflections, 1);
+        assert_eq!(s.workload_first_inflection_ms, Some(100));
     }
 
     #[test]
@@ -1508,5 +1466,6 @@ mod tests {
         assert_eq!(s.clustering_peak_vectors, 100);
         assert_eq!(s.clustering_peak_matrix_bytes, 80_000);
         assert_eq!(s.clustering_peak_sparse_bytes, 5_000);
+        assert_eq!(s.clustering_runs, 2);
     }
 }

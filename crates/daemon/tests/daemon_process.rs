@@ -5,6 +5,7 @@ use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 
 use csnake_core::{DetectConfig, Session, ThreePhase};
+use csnake_telemetry::{json, read_journal, unbalanced_spans, MetricsDigest};
 
 const BIN: &str = env!("CARGO_BIN_EXE_csnake-daemon");
 
@@ -78,6 +79,50 @@ fn run_survives_a_killed_worker_process() {
         stderr.contains("lost=1"),
         "the killed worker must be reported lost: {stderr}"
     );
+}
+
+/// `--journal BASE` writes the collector's journals, the digest and the
+/// Chrome trace of one fleet run; the digest on disk is the one the binary
+/// journal folds to, and recording leaves the report unchanged.
+#[test]
+fn run_with_a_journal_writes_a_consistent_digest_and_trace() {
+    let expected = expected_report_line("toy");
+    let dir = std::env::temp_dir().join(format!("csnake-daemon-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let base = dir.join("j");
+    let base = base.to_str().expect("UTF-8 temp path");
+    let out = Command::new(BIN)
+        .args([
+            "run",
+            "--target",
+            "toy",
+            "-j",
+            "2",
+            "--fast",
+            "--journal",
+            base,
+        ])
+        .output()
+        .expect("spawn csnake-daemon run");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "run failed: {stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(report_line(&stdout), expected);
+
+    let file = |ext: &str| std::path::PathBuf::from(format!("{base}.{ext}"));
+    for ext in ["jsonl", "csnj", "trace.json", "digest.json"] {
+        assert!(file(ext).is_file(), "--journal wrote no .{ext}");
+    }
+    let records = read_journal(&file("csnj")).expect("binary journal reads");
+    let digest = std::fs::read_to_string(file("digest.json")).expect("digest reads");
+    assert_eq!(digest, MetricsDigest::from_records(&records).to_json());
+    let trace = std::fs::read_to_string(file("trace.json")).expect("trace reads");
+    json::parse(&trace).expect("Chrome trace parses");
+    assert_eq!(unbalanced_spans(&records), Vec::<String>::new());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -74,7 +74,7 @@ fn single_process(name: &str) -> (String, ProgressSnapshot, Vec<String>) {
 fn collector_totals_match_single_process_across_fleet_sizes() {
     let name = "gen:5";
     let (baseline_report, baseline, baseline_keys) = single_process(name);
-    assert!(baseline.experiments > 0 && baseline.trace_cache_misses > 0);
+    assert!(baseline.experiments > 0 && baseline.cache_misses > 0);
 
     for workers in [1usize, 2, 4] {
         let progress = Arc::new(ProgressCollector::new());
@@ -105,15 +105,15 @@ fn collector_totals_match_single_process_across_fleet_sizes() {
         assert_eq!(snap.experiments, baseline.experiments, "w={workers}");
         assert_eq!(snap.edges, baseline.edges, "w={workers}");
         assert_eq!(snap.cycles, baseline.cycles, "w={workers}");
-        assert_eq!(snap.batch_retries, baseline.batch_retries, "w={workers}");
-        assert_eq!(snap.batch_failures, baseline.batch_failures, "w={workers}");
+        assert_eq!(snap.retries, baseline.retries, "w={workers}");
+        assert_eq!(snap.gaps, baseline.gaps, "w={workers}");
         assert_eq!(snap.budget_spent, baseline.budget_spent, "w={workers}");
         assert_eq!(
-            snap.trace_cache_hits, baseline.trace_cache_hits,
+            snap.cache_hits, baseline.cache_hits,
             "w={workers}: fleet cache-hit sum diverged"
         );
         assert_eq!(
-            snap.trace_cache_misses, baseline.trace_cache_misses,
+            snap.cache_misses, baseline.cache_misses,
             "w={workers}: fleet cache-miss sum diverged"
         );
 
@@ -132,10 +132,10 @@ fn collector_totals_match_single_process_across_fleet_sizes() {
         let per_worker = progress.worker_progress();
         assert_eq!(per_worker.len(), workers, "w={workers}");
         assert!(
-            per_worker.iter().all(|(_, w)| w.shards_assigned > 0),
+            per_worker.iter().all(|(_, w)| w.leases > 0),
             "w={workers}: a live worker was never leased a shard: {per_worker:?}"
         );
-        let attributed: usize = per_worker.iter().map(|(_, w)| w.experiments).sum();
+        let attributed: usize = per_worker.iter().map(|(_, w)| w.counters.experiments).sum();
         assert_eq!(
             attributed, baseline.experiments,
             "w={workers}: per-worker experiment attribution must tile the campaign"
@@ -150,11 +150,11 @@ fn collector_totals_match_single_process_across_fleet_sizes() {
             snap.edges
         );
         let cache_sum: (usize, usize) = per_worker.iter().fold((0, 0), |(h, m), (_, w)| {
-            (h + w.cache_hits, m + w.cache_misses)
+            (h + w.counters.cache_hits, m + w.counters.cache_misses)
         });
         assert_eq!(
             cache_sum,
-            (snap.trace_cache_hits, snap.trace_cache_misses),
+            (snap.cache_hits, snap.cache_misses),
             "w={workers}: per-worker cache figures must sum to the fleet total"
         );
     }
@@ -284,9 +284,12 @@ fn a_nonconforming_worker_cannot_speak_for_the_coordinator() {
     assert_eq!(snap.experiments, baseline.experiments);
     // The hop tampered with real traffic: worker 0's honest events made it.
     let per_worker = progress.worker_progress();
-    assert!(per_worker[0].1.experiments > 0, "{per_worker:?}");
+    assert!(per_worker[0].1.counters.experiments > 0, "{per_worker:?}");
     assert_eq!(
-        per_worker.iter().map(|(_, w)| w.experiments).sum::<usize>(),
+        per_worker
+            .iter()
+            .map(|(_, w)| w.counters.experiments)
+            .sum::<usize>(),
         baseline.experiments
     );
 }

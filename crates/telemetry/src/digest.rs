@@ -4,11 +4,16 @@
 //! per-phase wall times come from the recorder's span durations,
 //! experiment latency percentiles from the inter-completion gaps of the
 //! [`ExperimentCompleted`](csnake_core::CampaignEvent::ExperimentCompleted)
-//! stream, and the counter block from a single pass over the records.
+//! stream, and the counter block from the one campaign fold,
+//! [`ProgressSnapshot::fold`], over the records — the same fold the live
+//! [`ProgressCollector`](csnake_core::ProgressCollector) runs, so a digest
+//! and a collector that saw the same events read the same counters.
 //! [`MetricsDigest::to_json`] renders the whole thing as one JSON object
 //! for checking into benchmark files.
 
-use csnake_core::CampaignEvent;
+use std::ops::Deref;
+
+use csnake_core::{CampaignEvent, ProgressSnapshot};
 
 use crate::record::TelemetryRecord;
 
@@ -89,50 +94,23 @@ pub struct MetricsDigest {
     pub phase_wall_micros: Vec<(u8, u64)>,
     /// Gaps between consecutive experiment completions.
     pub experiment_latency: LatencyHistogram,
-    /// Experiments completed.
-    pub experiments: usize,
-    /// Causal edges accepted.
-    pub edges: usize,
-    /// Cycles reported.
-    pub cycles: usize,
-    /// Final budget spent.
-    pub budget_spent: usize,
-    /// Final budget total.
-    pub budget_total: usize,
-    /// Retry rounds (coordinator-side deterministic stream).
-    pub retries: usize,
-    /// Cells abandoned as gaps.
-    pub gaps: usize,
-    /// Final trace-cache hits.
-    pub cache_hits: usize,
-    /// Final trace-cache misses.
-    pub cache_misses: usize,
-    /// Clustering runs observed.
-    pub clustering_runs: usize,
-    /// Peak clustering input vectors.
-    pub clustering_peak_vectors: usize,
-    /// Mid-phase checkpoints written.
-    pub checkpoints: usize,
-    /// Daemon workers that connected.
-    pub workers_connected: usize,
-    /// Daemon workers lost.
-    pub workers_lost: usize,
-    /// Worker events forwarded live.
-    pub events_forwarded: usize,
-    /// Whether the campaign degraded.
-    pub degraded: bool,
-    /// Workload summaries observed (one per open-loop experiment).
-    pub workload_summaries: usize,
-    /// Requests completed across all workload summaries.
-    pub workload_completed: u64,
-    /// Requests shed or timed out across all workload summaries.
-    pub workload_dropped: u64,
-    /// Worst whole-run p99 latency over the workload summaries, µs.
-    pub workload_peak_p99_us: u64,
-    /// Summaries whose windowed p99 inflected (cascade onset detected).
-    pub workload_inflections: usize,
-    /// Earliest inflection instant across the summaries, ms into a run.
-    pub workload_first_inflection_ms: Option<u64>,
+    /// Every record folded through [`ProgressSnapshot::fold`].
+    pub counters: ProgressSnapshot,
+}
+
+/// Reads the counters as if they were the digest's own fields.
+///
+/// Exists only for reads written before the counters moved into
+/// [`MetricsDigest::counters`]: `benchmark/src/workloads/fleet_gen.rs`'s
+/// `digest.workers_lost`, `digest.checkpoints` and
+/// `digest.events_forwarded`, and `tests/telemetry_determinism.rs`. ROADMAP
+/// item 1A removes it by moving `fleet_gen.rs` to `digest.counters.*`.
+impl Deref for MetricsDigest {
+    type Target = ProgressSnapshot;
+
+    fn deref(&self) -> &ProgressSnapshot {
+        &self.counters
+    }
 }
 
 impl MetricsDigest {
@@ -149,49 +127,9 @@ impl MetricsDigest {
                 CampaignEvent::PhaseFinished { phase, .. } => {
                     add_span(&mut d.phase_wall_micros, *phase, r.dur_micros)
                 }
-                CampaignEvent::ExperimentCompleted { .. } => d.experiments += 1,
-                CampaignEvent::EdgeEmitted { .. } => d.edges += 1,
-                CampaignEvent::CycleFound { .. } => d.cycles += 1,
-                CampaignEvent::BudgetSpent { spent, total } => {
-                    d.budget_spent = *spent;
-                    d.budget_total = *total;
-                }
-                CampaignEvent::TraceCache { hits, misses } => {
-                    d.cache_hits = *hits;
-                    d.cache_misses = *misses;
-                }
-                CampaignEvent::Clustering(stats) => {
-                    d.clustering_runs += 1;
-                    d.clustering_peak_vectors = d.clustering_peak_vectors.max(stats.vectors);
-                }
-                CampaignEvent::BatchRetried { .. } => d.retries += 1,
-                CampaignEvent::BatchFailed { .. } => d.gaps += 1,
-                CampaignEvent::CheckpointWritten { .. } => d.checkpoints += 1,
-                CampaignEvent::Degraded { .. } => d.degraded = true,
-                CampaignEvent::WorkerConnected { .. } => d.workers_connected += 1,
-                CampaignEvent::WorkerLost { .. } => d.workers_lost += 1,
-                CampaignEvent::Forwarded { .. } => d.events_forwarded += 1,
-                CampaignEvent::WorkloadSummary {
-                    completed,
-                    dropped,
-                    p99_us,
-                    inflection_ms,
-                    ..
-                } => {
-                    d.workload_summaries += 1;
-                    d.workload_completed += completed;
-                    d.workload_dropped += dropped;
-                    d.workload_peak_p99_us = d.workload_peak_p99_us.max(*p99_us);
-                    if let Some(ms) = inflection_ms {
-                        d.workload_inflections += 1;
-                        d.workload_first_inflection_ms = Some(
-                            d.workload_first_inflection_ms
-                                .map_or(*ms, |cur| cur.min(*ms)),
-                        );
-                    }
-                }
                 _ => {}
             }
+            d.counters.fold(&r.kind);
         }
         d.experiment_latency = LatencyHistogram::from_samples(experiment_latency_samples(records));
         d
@@ -210,6 +148,7 @@ impl MetricsDigest {
             .map(|(p, us)| format!("{{\"phase\":{p},\"wall_micros\":{us}}}"))
             .collect();
         let l = &self.experiment_latency;
+        let c = &self.counters;
         format!(
             concat!(
                 "{{\"wall_micros\":{},\"stages\":[{}],\"phases\":[{}],",
@@ -233,28 +172,28 @@ impl MetricsDigest {
             l.p90_micros,
             l.p99_micros,
             l.max_micros,
-            self.experiments,
-            self.edges,
-            self.cycles,
-            self.budget_spent,
-            self.budget_total,
-            self.retries,
-            self.gaps,
-            self.cache_hits,
-            self.cache_misses,
-            self.clustering_runs,
-            self.clustering_peak_vectors,
-            self.checkpoints,
-            self.workers_connected,
-            self.workers_lost,
-            self.events_forwarded,
-            self.degraded,
-            self.workload_summaries,
-            self.workload_completed,
-            self.workload_dropped,
-            self.workload_peak_p99_us,
-            self.workload_inflections,
-            self.workload_first_inflection_ms
+            c.experiments,
+            c.edges,
+            c.cycles,
+            c.budget_spent,
+            c.budget_total,
+            c.retries,
+            c.gaps,
+            c.cache_hits,
+            c.cache_misses,
+            c.clustering_runs,
+            c.clustering_peak_vectors,
+            c.checkpoints,
+            c.workers_connected,
+            c.workers_lost,
+            c.events_forwarded,
+            c.degraded,
+            c.workload_summaries,
+            c.workload_completed,
+            c.workload_dropped,
+            c.workload_peak_p99_us,
+            c.workload_inflections,
+            c.workload_first_inflection_ms
                 .map_or("null".to_string(), |ms| ms.to_string()),
         )
     }
@@ -365,13 +304,13 @@ mod tests {
         ];
         let d = MetricsDigest::from_records(&records);
         assert_eq!(d.wall_micros, 80);
-        assert_eq!(d.workload_summaries, 0);
-        assert_eq!(d.workload_first_inflection_ms, None);
+        assert_eq!(d.counters.workload_summaries, 0);
+        assert_eq!(d.counters.workload_first_inflection_ms, None);
         assert_eq!(d.stage_wall_micros, vec![("allocated".to_string(), 80)]);
         assert_eq!(d.phase_wall_micros, vec![(1, 60)]);
-        assert_eq!(d.experiments, 2);
-        assert_eq!(d.edges, 1);
-        assert_eq!((d.budget_spent, d.budget_total), (2, 8));
+        assert_eq!(d.counters.experiments, 2);
+        assert_eq!(d.counters.edges, 1);
+        assert_eq!((d.counters.budget_spent, d.counters.budget_total), (2, 8));
         assert_eq!(d.experiment_latency.count, 1);
         assert_eq!(d.experiment_latency.p50_micros, 30);
         crate::json::validate(&d.to_json()).expect("digest JSON is valid");
@@ -396,12 +335,12 @@ mod tests {
             rec(2, 30, None, summary(3, 48_000, Some(2_500))),
         ];
         let d = MetricsDigest::from_records(&records);
-        assert_eq!(d.workload_summaries, 3);
-        assert_eq!(d.workload_completed, 2_970);
-        assert_eq!(d.workload_dropped, 30);
-        assert_eq!(d.workload_peak_p99_us, 52_000);
-        assert_eq!(d.workload_inflections, 2);
-        assert_eq!(d.workload_first_inflection_ms, Some(2_500));
+        assert_eq!(d.counters.workload_summaries, 3);
+        assert_eq!(d.counters.workload_completed, 2_970);
+        assert_eq!(d.counters.workload_dropped, 30);
+        assert_eq!(d.counters.workload_peak_p99_us, 52_000);
+        assert_eq!(d.counters.workload_inflections, 2);
+        assert_eq!(d.counters.workload_first_inflection_ms, Some(2_500));
         let json = d.to_json();
         assert!(json.contains("\"first_inflection_ms\":2500"), "{json}");
         crate::json::validate(&json).expect("digest JSON is valid");

@@ -42,11 +42,14 @@
 //!
 //! **Export.** After the campaign, [`write_chrome_trace`] turns the
 //! records into a `chrome://tracing` / Perfetto-loadable trace (stage and
-//! phase spans as `B`/`E` pairs, everything else as instants with full
-//! detail), and [`MetricsDigest::from_records`] computes per-stage wall
-//! times, experiment-latency percentiles (p50/p90/p99) and the campaign
-//! counter block — `gen_eval` and the campaign benchmark consume this
-//! instead of ad-hoc timers.
+//! phase spans as `B`/`E` pairs, everything else as instants whose args
+//! are the record's own JSON fields), and [`MetricsDigest::from_records`]
+//! computes per-stage wall times, experiment-latency percentiles
+//! (p50/p90/p99) and the campaign counter block — the
+//! [`ProgressSnapshot`](csnake_core::ProgressSnapshot) that
+//! [`ProgressSnapshot::fold`](csnake_core::ProgressSnapshot::fold), the one
+//! fold the live collector also runs, reads off the records. `gen_eval` and
+//! the campaign benchmark consume this instead of ad-hoc timers.
 //!
 //! **Watch a fleet.** With the daemon's worker event forwarding, the
 //! coordinator's collector sees per-worker attribution as work happens;

@@ -52,7 +52,7 @@ pub fn render_fleet(
         snapshot.experiments,
         snapshot.edges,
         snapshot.cycles,
-        snapshot.batch_retries,
+        snapshot.retries,
     ));
     if let Some(eta) = eta(snapshot, elapsed) {
         out.push_str(&format!("  eta {}", fmt_secs(eta)));
@@ -71,6 +71,7 @@ pub fn render_fleet(
             snapshot.events_forwarded,
         ));
         for (id, w) in workers {
+            let c = &w.counters;
             let state = if w.connected {
                 match w.current_shard {
                     Some(shard) => format!("shard {shard}"),
@@ -81,7 +82,7 @@ pub fn render_fleet(
             };
             out.push_str(&format!(
                 "  w{id}: {state}  leases {}  experiments {}  edges {}  retries {}  cache {}/{}\n",
-                w.shards_assigned, w.experiments, w.edges, w.retries, w.cache_hits, w.cache_misses,
+                w.leases, c.experiments, w.edges, c.retries, c.cache_hits, c.cache_misses,
             ));
         }
     }

@@ -25,17 +25,11 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use csnake_core::error::{CsnakeError, Result};
-use csnake_core::{CampaignEvent, CampaignObserver, Stage};
+use csnake_core::{CampaignEvent, CampaignObserver};
 
 use crate::digest::MetricsDigest;
 use crate::record::{seal_record, TelemetryRecord};
-
-/// Span key: stage spans and phase spans live in separate namespaces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum SpanKey {
-    Stage(Stage),
-    Phase(u8),
-}
+use crate::trace::span;
 
 /// One journal output stream.
 struct JournalFile {
@@ -67,7 +61,8 @@ struct Inner {
     records: Vec<TelemetryRecord>,
     jsonl: Option<JournalFile>,
     binary: Option<JournalFile>,
-    open_spans: BTreeMap<SpanKey, u64>,
+    /// Open spans by trace name ([`span`]), with their opening timestamp.
+    open_spans: BTreeMap<String, u64>,
     /// First journaling error, until a flush reports it. Setting it closes
     /// both journals, so file output stops for good.
     io_error: Option<CsnakeError>,
@@ -179,27 +174,20 @@ impl FlightRecorder {
         let mut inner = self.inner.lock().expect("recorder poisoned");
         let inner = &mut *inner;
 
-        // Span bookkeeping: opens remember their timestamp, closes turn it
-        // into a duration. An unmatched close (possible only if recording
-        // started mid-campaign) simply has no duration.
-        let dur_micros = match &kind {
-            CampaignEvent::StageStarted(stage) => {
-                inner.open_spans.insert(SpanKey::Stage(*stage), micros);
+        // Span bookkeeping, paired by the Chrome trace's own rule: opens
+        // remember their timestamp, closes turn it into a duration. An
+        // unmatched close (possible only if recording started mid-campaign)
+        // simply has no duration.
+        let dur_micros = match span(&kind) {
+            Some((name, true)) => {
+                inner.open_spans.insert(name, micros);
                 None
             }
-            CampaignEvent::PhaseStarted { phase, .. } => {
-                inner.open_spans.insert(SpanKey::Phase(*phase), micros);
-                None
-            }
-            CampaignEvent::StageFinished(stage) => inner
+            Some((name, false)) => inner
                 .open_spans
-                .remove(&SpanKey::Stage(*stage))
+                .remove(&name)
                 .map(|t0| micros.saturating_sub(t0)),
-            CampaignEvent::PhaseFinished { phase, .. } => inner
-                .open_spans
-                .remove(&SpanKey::Phase(*phase))
-                .map(|t0| micros.saturating_sub(t0)),
-            _ => None,
+            None => None,
         };
 
         let record = TelemetryRecord {
@@ -308,6 +296,7 @@ impl CampaignObserver for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csnake_core::Stage;
 
     fn started(stage: Stage) -> CampaignEvent {
         CampaignEvent::StageStarted(stage)

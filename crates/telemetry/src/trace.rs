@@ -20,7 +20,9 @@ use crate::record::TelemetryRecord;
 
 /// The trace name of a record's span, and whether the record opens it
 /// (`true`) or closes it; `None` for an event that is not a span boundary.
-fn span(kind: &CampaignEvent) -> Option<(String, bool)> {
+/// The one span rule: the recorder pairs its durations by it, the trace
+/// its `B`/`E` events, and [`unbalanced_spans`] its check.
+pub(crate) fn span(kind: &CampaignEvent) -> Option<(String, bool)> {
     match kind {
         CampaignEvent::StageStarted(stage) => Some((format!("stage:{stage}"), true)),
         CampaignEvent::StageFinished(stage) => Some((format!("stage:{stage}"), false)),
@@ -49,10 +51,10 @@ pub fn chrome_trace_json(records: &[TelemetryRecord]) -> String {
             None => {
                 // Instants carry their full record line as args, so the
                 // trace viewer shows every field on click.
-                let args = crate::record::json_escape(&format!("{:?}", r.kind));
                 events.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",{common},\"args\":{{\"detail\":\"{args}\"}}}}",
-                    r.kind.name()
+                    "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",{common},\"args\":{}}}",
+                    r.kind.name(),
+                    r.to_json_line()
                 ));
             }
         }
@@ -182,6 +184,25 @@ mod tests {
         }
         assert_eq!((b, e), (2, 2));
         assert!(unbalanced_spans(&records).is_empty());
+    }
+
+    #[test]
+    fn instants_carry_the_record_fields_as_args() {
+        let json = chrome_trace_json(&spanned_stream());
+        let v = crate::json::parse(&json).expect("valid trace JSON");
+        let events = v
+            .get("traceEvents")
+            .and_then(crate::json::Value::as_arr)
+            .expect("traceEvents array");
+        let instant = events
+            .iter()
+            .find(|ev| {
+                ev.get("name").and_then(crate::json::Value::as_str) == Some("experiment_completed")
+            })
+            .expect("an experiment_completed instant");
+        let args = instant.get("args").expect("instant args");
+        assert_eq!(args.get("fault").and_then(|f| f.as_num()), Some(3.0));
+        assert_eq!(args.get("seq").and_then(|s| s.as_num()), Some(2.0));
     }
 
     #[test]

@@ -391,3 +391,18 @@ fn the_fleet_view_of_a_counted_stream_keeps_its_text() {
     );
     assert_eq!(text, FLEET_PIN, "fleet view moved:\n{text}");
 }
+
+/// A collector and a recorder behind one fanout fold the same counters.
+#[test]
+fn a_collector_and_a_digest_fed_one_stream_agree() {
+    let collector = Arc::new(ProgressCollector::new());
+    let recorder = Arc::new(FlightRecorder::new());
+    let fanout = csnake_core::FanoutObserver::new(vec![
+        collector.clone() as Arc<dyn CampaignObserver>,
+        recorder.clone() as Arc<dyn CampaignObserver>,
+    ]);
+    for record in counted_stream() {
+        fanout.on_event(&record.kind);
+    }
+    assert_eq!(recorder.digest().counters, collector.snapshot());
+}

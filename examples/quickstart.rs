@@ -211,7 +211,7 @@ fn main() {
         " — experiment latency p50 {}µs p99 {}µs.",
         digest.experiment_latency.p50_micros, digest.experiment_latency.p99_micros
     );
-    assert_eq!(digest.experiments, seen.experiments);
+    assert_eq!(digest.counters.experiments, seen.experiments);
     assert!(
         !report.matches.is_empty(),
         "the toy retry storm must be detected"

@@ -139,10 +139,13 @@ fn main() {
     let digest = MetricsDigest::from_records(&recorder.records());
     println!(
         "Telemetry: {} workload summaries, {} p99 inflections, first at {} ms, peak p99 {} µs.",
-        digest.workload_summaries,
-        digest.workload_inflections,
-        digest.workload_first_inflection_ms.unwrap_or(0),
-        digest.workload_peak_p99_us
+        digest.counters.workload_summaries,
+        digest.counters.workload_inflections,
+        digest.counters.workload_first_inflection_ms.unwrap_or(0),
+        digest.counters.workload_peak_p99_us
     );
-    assert!(digest.workload_inflections > 0, "cascade must inflect p99");
+    assert!(
+        digest.counters.workload_inflections > 0,
+        "cascade must inflect p99"
+    );
 }

@@ -193,7 +193,7 @@ fn a_killed_attempt_launches_no_run() {
         .expect("drivable");
     let report = format!("{:?}", chaotic.run_to_report(&ThreePhase::default()));
 
-    assert!(progress.snapshot().batch_retries > 0, "chaos never fired");
+    assert!(progress.snapshot().retries > 0, "chaos never fired");
     assert_eq!(clean_report, report);
     let launched = target.launched();
     assert_eq!(

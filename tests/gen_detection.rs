@@ -161,8 +161,8 @@ fn injection_cache_is_result_equivalent_and_hits_on_reuse() {
 
     // First campaign: every combination was new.
     let seen = progress.snapshot();
-    assert!(seen.trace_cache_misses > 0, "campaign recorded no misses");
-    assert_eq!(seen.trace_cache_hits, 0, "first campaign cannot hit");
+    assert!(seen.cache_misses > 0, "campaign recorded no misses");
+    assert_eq!(seen.cache_hits, 0, "first campaign cannot hit");
 
     // A comparison campaign over the same driver replays from cache.
     let engine = cached.engine_mut().expect("profiled session");

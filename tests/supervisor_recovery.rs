@@ -247,15 +247,12 @@ fn transient_chaos_is_invisible_in_the_report() {
         );
         let snap = progress.snapshot();
         assert!(
-            snap.batch_retries > 0,
+            snap.retries > 0,
             "{name}: chaos at these rates must have caused at least one retry"
         );
-        assert_eq!(
-            snap.batch_failures, 0,
-            "{name}: no cell may fail permanently"
-        );
+        assert_eq!(snap.gaps, 0, "{name}: no cell may fail permanently");
         assert!(!snap.degraded, "{name}");
-        assert_eq!(snap.checkpoints_written > 0, checkpoint, "{name}");
+        assert_eq!(snap.checkpoints > 0, checkpoint, "{name}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -286,7 +283,7 @@ fn permanent_chaos_degrades_gracefully() {
     let snap = progress.snapshot();
     assert!(snap.degraded, "observer must see the degraded event");
     assert_eq!(
-        snap.batch_failures,
+        snap.gaps,
         report.missing_cells.len(),
         "every missing cell surfaces exactly one batch_failed event"
     );
@@ -387,7 +384,7 @@ fn permanent_io_chaos_skips_checkpoints_but_not_the_campaign() {
     );
 
     assert_eq!(clean_report, report);
-    assert_eq!(progress.snapshot().checkpoints_written, 0);
+    assert_eq!(progress.snapshot().checkpoints, 0);
     assert!(!path.exists(), "every write was chaos-failed");
     std::fs::remove_dir_all(&dir).ok();
 }
